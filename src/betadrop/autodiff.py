@@ -551,6 +551,16 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
     """Cross-correlation of (B, C, H, W) or (C, H, W) input with (O, C, k, k).
 
     Output spatial extent is floor((H + 2p - k) / stride) + 1.
+
+    im2col as GEMM, with P = ho*wo output positions and ``wmat`` the kernel
+    as (O, C*k*k): the padded input's k x k windows are gathered into
+    ``cols`` (B, P, C*k*k), and the forward is the batched
+    ``wmat @ cols[b].T``, which writes (B, O, P) = NCHW directly.  Backward
+    lays the output gradient out as ``gmat`` (O, B*P).  The weight gradient
+    is the single GEMM ``gmat @ cols`` over (B*P, C*k*k).  The column
+    gradient ``wmat.T @ gmat`` comes out as (C, k, k, B, ho, wo), so col2im
+    adds one contiguous (C, B, ho, wo) slab per kernel tap into a
+    (C, B, Hp, Wp) buffer, which is transposed back to NCHW once.
     """
     if stride < 1:
         raise DimensionError(f"conv2d: stride must be >= 1, got {stride}")
@@ -580,48 +590,59 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
         bsz, ho * wo, cin * k * k
     )
     wmat = w.value.reshape(cout, cin * k * k)
-    val = (cols @ wmat.T).transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
+    val = (wmat @ cols.transpose(0, 2, 1)).reshape(bsz, cout, ho, wo)
     out = Node(val[0] if single else val, (x, w))
 
     def bw(g):
         gv = g[None] if single else g
-        gmat = gv.transpose(0, 2, 3, 1).reshape(bsz, ho * wo, cout)
-        w.grad += np.einsum("bpo,bpc->oc", gmat, cols).reshape(w.value.shape)
-        dcols = gmat @ wmat  # (B, ho*wo, cin*k*k)
-        dwin = dcols.reshape(bsz, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros_like(xp)
+        gmat = np.ascontiguousarray(gv.transpose(1, 0, 2, 3)).reshape(cout, bsz * ho * wo)
+        w.grad += (gmat @ cols.reshape(bsz * ho * wo, cin * k * k)).reshape(w.value.shape)
+        dcols = (wmat.T @ gmat).reshape(cin, k, k, bsz, ho, wo)
+        dxp = np.zeros((cin, bsz, hp, wp))
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[
-                    :, :, :, :, i, j
+                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
+                    :, i, j
                 ]
-        dx = dxp[:, :, padding : hp - padding, padding : wp - padding]
+        dx = dxp.transpose(1, 0, 2, 3)[:, :, padding : hp - padding, padding : wp - padding]
         x.grad += dx[0] if single else dx
 
     out._backward_fn = bw
     return out
 
 
+def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Where ``later`` replaces ``earlier`` as the argmax: greater, or NaN over a number."""
+    return (later > earlier) | (np.isnan(later) & ~np.isnan(earlier))
+
+
 def maxpool2x2(x: Node) -> Node:
     """2x2 max pooling with stride 2 on the trailing two axes.
 
-    Gradient flows to the first (row-major within the window) argmax.
+    The four strided quadrant views ``x[..., i::2, j::2]`` are compared in a
+    tournament (top pair, bottom pair, then top winner against bottom
+    winner) in which a later position wins only when strictly greater, or
+    NaN against a number.  So each window's output value and its whole
+    gradient belong to the first argmax in row-major order, as with
+    ``numpy.argmax``: ties go to the earliest position and a NaN wins its
+    window.  The winner is kept as an int8 code ``2*i + j``; backward adds
+    the gradient into each quadrant view where the code matches.
     """
     shp = x.value.shape
     if len(shp) < 2 or shp[-1] % 2 or shp[-2] % 2:
         raise DimensionError(f"maxpool2x2 requires even trailing extents, got {shp}")
-    lead = shp[:-2]
-    h2, w2 = shp[-2] // 2, shp[-1] // 2
-    win = x.value.reshape(*lead, h2, 2, w2, 2)
-    win = np.moveaxis(win, -3, -2).reshape(*lead, h2, w2, 4)
-    arg = win.argmax(axis=-1)
-    out = Node(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], (x,))
+    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
+    top_right = _later_wins(q01, q00)
+    top = np.where(top_right, q01, q00)
+    bottom_right = _later_wins(q11, q10)
+    bottom = np.where(bottom_right, q11, q10)
+    lower = _later_wins(bottom, top)
+    arg = np.where(lower, bottom_right.view(np.int8) + 2, top_right.view(np.int8))
+    out = Node(np.where(lower, bottom, top), (x,))
 
     def bw(g):
-        dwin = np.zeros((*lead, h2, w2, 4))
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-        dwin = np.moveaxis(dwin.reshape(*lead, h2, w2, 2, 2), -2, -3)
-        x.grad += dwin.reshape(shp)
+        for code, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            x.grad[..., i::2, j::2] += np.where(arg == code, g, 0.0)
 
     out._backward_fn = bw
     return out

@@ -106,6 +106,13 @@ def load_checkpoint(path) -> Network:
         raise CheckpointVersionError(
             f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})"
         )
+    try:
+        return _network_from(manifest, blob[nl + 1 :])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing {exc.args[0]!r}") from None
+
+
+def _network_from(manifest: dict, raw: bytes) -> Network:
     declared = int(manifest["payload_len"])
     extent = sum(int(np.prod(a["shape"])) for a in manifest["arrays"])
     ends = [
@@ -115,7 +122,6 @@ def load_checkpoint(path) -> Network:
         raise CheckpointLengthError(
             f"manifest declares {declared} values but arrays span {extent}"
         )
-    raw = blob[nl + 1 :]
     if len(raw) < 8 * declared:
         raise CheckpointTruncatedError(
             f"payload holds {len(raw)} bytes, manifest declares {8 * declared}"
@@ -131,6 +137,10 @@ def load_checkpoint(path) -> Network:
         start = int(a["offset"])
         shape = tuple(int(s) for s in a["shape"])
         values[a["name"]] = payload[start : start + int(np.prod(shape))].reshape(shape)
+
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"array {name!r} holds a non-finite value")
 
     layers = []
     for i, entry in enumerate(manifest["layers"]):

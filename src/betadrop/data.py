@@ -160,11 +160,20 @@ def synthetic_two_cluster(n: int, d: int, seed: int = 0, active: float = 1.5,
     )
 
 
+def batches_per_epoch(n: int, batch_size: int) -> int:
+    """Number of minibatches :func:`batch_iterator` yields per epoch of n examples."""
+    count = -(-n // batch_size)
+    return count - 1 if n % batch_size == 1 else count
+
+
 def batch_iterator(dataset: Dataset, batch_size: int, seed: int, epochs: int = 1):
     """Yield (images, labels) minibatches; each epoch is a fresh seeded permutation.
 
-    The final partial batch of an epoch is kept.  Two iterators constructed
-    with the same seed produce identical batch sequences.
+    The final partial batch of an epoch is kept.  When it would hold a single
+    example, that example is folded into the batch before it, which then
+    holds ``batch_size + 1``: batch statistics (DBB gates) need at least two
+    examples.  Two iterators constructed with the same seed produce identical
+    batch sequences.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be positive, got {batch_size}")
@@ -172,8 +181,9 @@ def batch_iterator(dataset: Dataset, batch_size: int, seed: int, epochs: int = 1
     if batch_size > n:
         raise ContractError(f"batch_size {batch_size} exceeds dataset size {n}")
     rng = make_rng(seed)
+    count = batches_per_epoch(n, batch_size)
     for _ in range(epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
+        for i in range(count):
+            idx = perm[i * batch_size : n if i == count - 1 else (i + 1) * batch_size]
             yield dataset.images[idx], dataset.labels[idx]

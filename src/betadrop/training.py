@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .data import Dataset, batch_iterator
+from .data import Dataset, batch_iterator, batches_per_epoch
 from .distributions import make_rng
 from .errors import ContractError, DimensionError, InvariantViolationError, TrainingDivergedError
 from .gates import MODE_BB, MODE_DBB
@@ -207,13 +207,13 @@ def _run_epochs(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     n_total = len(data)
     losses: list[float] = []
     step = 0
-    batches_per_epoch = -(-n_total // config.batch_size)
+    per_epoch = batches_per_epoch(n_total, config.batch_size)
     stream = batch_iterator(data, config.batch_size, seed=config.seed, epochs=epochs)
     for epoch in range(epochs):
         epoch_nll = 0.0
         epoch_kl = 0.0
         nbatches = 0
-        for x, y in (next(stream) for _ in range(batches_per_epoch)):
+        for x, y in (next(stream) for _ in range(per_epoch)):
             all_params = [p for params, _, _ in groups for p in params]
             ad.zero_gradients(all_params)
             loss, parts = elbo_loss(net, (x, y), n_total, config, noise_rng)

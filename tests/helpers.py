@@ -71,6 +71,55 @@ def conv2d_oracle(x, w, stride=1, padding=0):
     return out
 
 
+def conv2d_grad_oracle(x, w, g, stride=1, padding=0):
+    """Nested-loop (dx, dw) of sum(g * conv2d(x, w)) for (B,C,H,W) x (O,C,k,k)."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    bsz, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    _, _, ho, wo = g.shape
+    xp = np.zeros((bsz, c_in, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(bsz):
+        for o in range(c_out):
+            for y in range(ho):
+                for xx in range(wo):
+                    go = g[b, o, y, xx]
+                    for c in range(c_in):
+                        for i in range(k):
+                            for j in range(k):
+                                r, s = y * stride + i, xx * stride + j
+                                dw[o, c, i, j] += go * xp[b, c, r, s]
+                                dxp[b, c, r, s] += go * w[o, c, i, j]
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw
+
+
+def maxpool2x2_oracle(x, g):
+    """Loop (out, dx) of 2x2 stride-2 max pooling with upstream gradient g.
+
+    Each window's first maximum in row-major order takes the output value and
+    the whole gradient; a NaN counts as greater than any number.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(g.shape)
+    dx = np.zeros_like(x)
+    for idx in np.ndindex(*g.shape):
+        *lead, r, c = idx
+        best = None
+        for i in range(2):
+            for j in range(2):
+                pos = (*lead, 2 * r + i, 2 * c + j)
+                if best is None or x[pos] > x[best] or (
+                    np.isnan(x[pos]) and not np.isnan(x[best])
+                ):
+                    best = pos
+        out[idx] = x[best]
+        dx[best] = g[idx]
+    return out, dx
+
+
 def matmul_oracle(a, b):
     a = np.asarray(a)
     b = np.asarray(b)

@@ -1,9 +1,11 @@
 """Forward/backward tests for the tensor-autodiff core.
 
 Every differentiable op is checked against central finite differences;
-matmul and conv2d forwards are additionally checked against naive
-nested-loop oracles.
+matmul and conv2d forwards, the batched conv2d gradients and 2x2 max pooling
+are additionally checked against naive nested-loop oracles.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +13,19 @@ import pytest
 from betadrop import autodiff as ad
 from betadrop.errors import ContractError, DimensionError
 
-from helpers import assert_grads_close, conv2d_oracle, gradcheck, matmul_oracle, numeric_grad
+from helpers import (
+    assert_grads_close,
+    conv2d_grad_oracle,
+    conv2d_oracle,
+    gradcheck,
+    matmul_oracle,
+    maxpool2x2_oracle,
+    numeric_grad,
+)
+
+BATCHED_CONV_CASES = [
+    (k, stride, padding) for k in (3, 5) for stride, padding in ((1, 0), (2, 0), (1, 1), (2, 1))
+]
 
 RNG = np.random.default_rng(12345)
 
@@ -175,6 +189,34 @@ class TestConv2d:
 
         gradcheck(loss, [x, w], rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
+    def test_batched_gradients_match_finite_differences(self, k, stride, padding):
+        # 8x7 input: non-square, and stride 2 leaves trailing rows/columns unread
+        x = ad.parameter(RNG.normal(size=(3, 2, 8, 7)))
+        w = ad.parameter(RNG.normal(size=(3, 2, k, k)))
+        coeffs = None
+
+        def loss():
+            out = ad.conv2d(x, w, stride=stride, padding=padding)
+            nonlocal coeffs
+            if coeffs is None:
+                coeffs = ad.constant(RNG.normal(size=out.value.shape))
+            return ad.sum_all(ad.mul(out, coeffs))
+
+        gradcheck(loss, [x, w], rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
+    def test_batched_gradients_match_loop_oracle(self, k, stride, padding):
+        xv = RNG.normal(size=(3, 2, 8, 7))
+        wv = RNG.normal(size=(3, 2, k, k))
+        x, w = ad.parameter(xv), ad.parameter(wv)
+        out = ad.conv2d(x, w, stride=stride, padding=padding)
+        g = RNG.normal(size=out.value.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        dx, dw = conv2d_grad_oracle(xv, wv, g, stride, padding)
+        assert np.allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+        assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError, match="larger"):
             ad.conv2d(ad.constant(np.ones((1, 3, 3))), ad.constant(np.ones((1, 1, 5, 5))))
@@ -205,6 +247,53 @@ class TestPooling:
         gradcheck(
             lambda: ad.sum_all(ad.mul(ad.maxpool2x2(x), coeffs)), [x], rtol=1e-5
         )
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_maxpool_4d_unique_max_at_each_position(self, i, j):
+        xv = RNG.uniform(-1.0, 1.0, size=(2, 3, 4, 6))
+        xv[..., i::2, j::2] += 3.0
+        g = RNG.normal(size=(2, 3, 2, 3))
+        x = ad.parameter(xv)
+        out = ad.maxpool2x2(x)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ref_out, ref_dx = maxpool2x2_oracle(xv, g)
+        assert np.array_equal(out.value, ref_out)
+        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(x.grad[..., i::2, j::2], g)
+
+    def test_maxpool_4d_every_tie_pattern_routes_to_first_row_major(self):
+        # window n holds tie pattern n % 15: the positions tied at the window
+        # maximum are the set bits of a nonempty subset of the four positions
+        patterns = [p for p in itertools.product((False, True), repeat=4) if any(p)]
+        xv = np.empty((3, 2, 6, 10))
+        g = RNG.normal(size=(3, 2, 3, 5))
+        expected_dx = np.zeros_like(xv)
+        for n, (b, c, r, s) in enumerate(np.ndindex(*g.shape)):
+            tied = np.array(patterns[n % len(patterns)])
+            top = RNG.normal()
+            window = np.where(tied, top, top - RNG.uniform(0.1, 1.0, size=4))
+            xv[b, c, 2 * r : 2 * r + 2, 2 * s : 2 * s + 2] = window.reshape(2, 2)
+            pos = int(np.argmax(tied))
+            expected_dx[b, c, 2 * r + pos // 2, 2 * s + pos % 2] = g[b, c, r, s]
+        x = ad.parameter(xv)
+        out = ad.maxpool2x2(x)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ref_out, ref_dx = maxpool2x2_oracle(xv, g)
+        assert np.array_equal(out.value, ref_out)
+        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(x.grad, expected_dx)
+
+    def test_maxpool_4d_nan_wins_its_window(self):
+        xv = RNG.normal(size=(2, 3, 4, 6))
+        xv[RNG.random(xv.shape) < 0.3] = np.nan
+        g = RNG.normal(size=(2, 3, 2, 3))
+        x = ad.parameter(xv)
+        out = ad.maxpool2x2(x)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ref_out, ref_dx = maxpool2x2_oracle(xv, g)
+        assert np.isnan(out.value).any() and not np.isnan(out.value).all()
+        assert np.array_equal(out.value, ref_out, equal_nan=True)
+        assert np.array_equal(x.grad, ref_dx)
 
     def test_global_avg_pool_constant_channel(self):
         x = np.full((3, 4, 4), 0.0)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from betadrop.checkpoint import load_checkpoint
+from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import main
+from betadrop.layers import build_mlp
 from betadrop.reporting import parse_report_csv
 
 
@@ -63,6 +64,24 @@ class TestUsageErrors:
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["evaluate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            (b'"name":"L0.w"', b'"name":"L0.v"', "'L0.w'"),
+            (b'"kind":"dense",', b"", "'kind'"),
+        ],
+        ids=["renamed-array", "missing-layer-key"],
+    )
+    def test_checkpoint_missing_name_is_runtime_error(self, tmp_path, capsys, old, new,
+                                                      named):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "broken.ckpt"
+        save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_help_config_lists_defaults(self, capsys):
         assert main(["--help-config"]) == 0

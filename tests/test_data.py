@@ -8,6 +8,7 @@ import pytest
 from betadrop.data import (
     Dataset,
     batch_iterator,
+    batches_per_epoch,
     load_idx,
     synthetic_planted_sparsity,
     synthetic_two_cluster,
@@ -129,6 +130,14 @@ class TestBatchIterator:
         )
         assert sorted(seen.tolist()) == list(range(50))
         assert len(seen) == 50  # last partial batch kept
+
+    def test_singleton_final_batch_folded_into_previous(self):
+        ds = Dataset(np.arange(201, dtype=float).reshape(201, 1), np.zeros(201, dtype=np.int64))
+        batches = [x[:, 0] for x, _ in batch_iterator(ds, 100, seed=0, epochs=2)]
+        assert [len(b) for b in batches] == [100, 101, 100, 101]
+        for epoch in (batches[:2], batches[2:]):
+            assert sorted(np.concatenate(epoch).tolist()) == list(range(201))
+        assert batches_per_epoch(201, 100) == 2
 
     def test_zero_batch_size_rejected(self):
         ds = synthetic_planted_sparsity(10, 4, 2, seed=0)

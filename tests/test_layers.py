@@ -7,6 +7,7 @@ from betadrop import autodiff as ad
 from betadrop import distributions as d
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.errors import (
+    CheckpointError,
     CheckpointLengthError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -365,6 +366,32 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointLengthError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "old,new,missing",
+        [
+            (b'"name":"L0.w"', b'"name":"L0.v"', "'L0.w'"),
+            (b'"alpha_over_k":0.0001,', b"", "'alpha_over_k'"),
+        ],
+        ids=["renamed-array", "missing-gate-key"],
+    )
+    def test_missing_name_is_typed_error(self, tmp_path, old, new, missing):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=17), path)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(CheckpointError, match=missing):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        net = toy_net(seed=18)
+        net.layers[0].gate.run_std[2] = np.nan
+        net.layers[1].b.value[0] = np.inf
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="'L0.gate.run_std'.*non-finite"):
             load_checkpoint(path)
 
     def test_shrunk_net_round_trip(self, tmp_path):

@@ -348,6 +348,14 @@ class TestFinetuneDBB:
             assert g.stats_initialized
         assert np.isfinite(forward_eval(net, ds.images[:4])).all()
 
+    def test_singleton_final_batch_does_not_crash(self):
+        # 201 % 100 == 1: the one-example remainder would break DBB batch stats
+        ds = synthetic_two_cluster(201, 8, seed=3)
+        net = small_net(seed=3, dims=(8, 6, 2))
+        cfg = TrainConfig(batch_size=100, lr_variational=0.01, seed=0)
+        losses = finetune_dbb(net, ds, cfg, epochs=2)
+        assert len(losses) == 4 and np.isfinite(losses).all()
+
     def test_bb_masks_are_cluster_independent(self, two_stage_nets):
         _, test, bb_net, _, _ = two_stage_nets
         out = {}
