@@ -23,7 +23,7 @@ from .distributions import (
     kumaraswamy_sample,
     make_rng,
 )
-from .gates import GateState, dependent_gate_probability
+from .gates import GateState
 from .layers import (
     Network,
     build_lenet5_caffe,

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ContractError, PruneCollapseError
 from .gates import MODE_DBB
-from .layers import Network, _conv_spatial, forward_eval
+from .layers import Network, conv_extents, forward_eval
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
@@ -55,17 +55,12 @@ class LayerCost:
 def layer_costs(net: Network) -> list[LayerCost]:
     """Cost descriptors linking each layer's in/out extents to gate indices."""
     gate_index = {li: gi for gi, (li, _) in enumerate(net.gated_layers())}
-    spatial = _conv_spatial(net)
-    shape = net.meta.get("input_shape")
+    extents = conv_extents(net)
     costs: list[LayerCost] = []
     prev_conv_gate: int | None = None
-    h = w = None
-    if shape and len(shape) == 3:
-        h, w = int(shape[1]), int(shape[2])
     for i, layer in enumerate(net.layers):
         if layer.kind == "conv":
-            ho = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            wo = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            (ho, wo), _ = extents[i]
             costs.append(
                 LayerCost(
                     "conv",
@@ -78,7 +73,6 @@ def layer_costs(net: Network) -> list[LayerCost]:
                 )
             )
             prev_conv_gate = gate_index.get(i)
-            h, w = spatial[i]
         else:
             out_gate = None
             if i + 1 < len(net.layers):

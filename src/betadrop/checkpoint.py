@@ -9,11 +9,13 @@ binary64.  Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (
+    BetadropError,
     CheckpointError,
     CheckpointLengthError,
     CheckpointTruncatedError,
@@ -110,14 +112,33 @@ def load_checkpoint(path) -> Network:
         return _network_from(manifest, blob[nl + 1 :])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, BetadropError):  # DimensionError is a ValueError too
+            raise
+        raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
+
+
+def _checked(value, kind: type, what: str):
+    """A manifest value of the given JSON type, or CheckpointError naming it."""
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok or (kind is int and value < 0):
+        expected = "a non-negative integer" if kind is int else "a list"
+        raise CheckpointError(f"manifest {what} must be {expected}, got {value!r}")
+    return value
 
 
 def _network_from(manifest: dict, raw: bytes) -> Network:
-    declared = int(manifest["payload_len"])
-    extent = sum(int(np.prod(a["shape"])) for a in manifest["arrays"])
-    ends = [
-        int(a["offset"]) + int(np.prod(a["shape"])) for a in manifest["arrays"]
-    ]
+    declared = _checked(manifest["payload_len"], int, "payload_len")
+    spans = []  # (name, offset, shape)
+    for a in _checked(manifest["arrays"], list, "arrays"):
+        name = a["name"]
+        shape = tuple(
+            _checked(n, int, f"shape of {name!r}")
+            for n in _checked(a["shape"], list, f"shape of {name!r}")
+        )
+        spans.append((name, _checked(a["offset"], int, f"offset of {name!r}"), shape))
+    extent = sum(math.prod(shape) for _, _, shape in spans)
+    ends = [offset + math.prod(shape) for _, offset, shape in spans]
     if extent != declared or (ends and max(ends) != declared):
         raise CheckpointLengthError(
             f"manifest declares {declared} values but arrays span {extent}"
@@ -132,18 +153,17 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
         )
     payload = np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
-    values: dict[str, np.ndarray] = {}
-    for a in manifest["arrays"]:
-        start = int(a["offset"])
-        shape = tuple(int(s) for s in a["shape"])
-        values[a["name"]] = payload[start : start + int(np.prod(shape))].reshape(shape)
+    values = {
+        name: payload[offset : offset + math.prod(shape)].reshape(shape)
+        for name, offset, shape in spans
+    }
 
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")
 
     layers = []
-    for i, entry in enumerate(manifest["layers"]):
+    for i, entry in enumerate(_checked(manifest["layers"], list, "layers")):
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]

@@ -13,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .reporting import SparsityReport, emit_report_csv, emit_tradeoff_svg, parse
 from .training import (
     MetricsLog,
     TrainConfig,
-    config_with,
     derive_seed,
     evaluate_error,
     finetune_bb,
@@ -190,20 +190,6 @@ def _result(**kv) -> None:
     print("RESULT " + " ".join(parts))
 
 
-def _static_report(net: Network, error_pct: float, method: str, kl_scale: float) -> SparsityReport:
-    meta = net.meta
-    return SparsityReport(
-        method=method,
-        kl_scale=kl_scale,
-        error_pct=error_pct,
-        speedup=meta.get("speedup", 1.0),
-        memory_pct=meta.get("memory_pct", 100.0),
-        kept_counts=meta.get("kept_counts", []),
-        flops_orig=meta.get("flops_orig"),
-        flops_pruned=meta.get("flops_pruned"),
-    )
-
-
 def _cmd_pretrain(args, cfg) -> int:
     tconf = _train_config(cfg)
     net = _build_model(cfg)
@@ -300,8 +286,7 @@ def _cmd_sweep(args, cfg) -> int:
     save_checkpoint(base, pre_path)
     reports = []
     for i, scale in enumerate(cfg["sweep"]["kl_scales"]):
-        run_conf = config_with(tconf, kl_scale=float(scale),
-                               seed=derive_seed(tconf.seed, i))
+        run_conf = replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i))
         net = load_checkpoint(pre_path)
         finetune_bb(net, train, run_conf, epochs=cfg["train"]["finetune_epochs"])
         keeps = prune_by_threshold(net, cfg["prune"]["threshold"])

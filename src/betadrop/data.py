@@ -30,10 +30,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self) else 0
-
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(self.images[idx], self.labels[idx], self.name, dict(self.meta))

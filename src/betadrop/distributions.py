@@ -1,8 +1,9 @@
 """Distributional machinery for the beta-Bernoulli dropout gates.
 
-Plain-numpy implementations of the Kumaraswamy distribution, the relaxed
-(concrete) Bernoulli sampler, and the closed-form KL terms.  These are the
-evaluation/analysis versions; the differentiable graph twins live in
+Numpy implementations of the Kumaraswamy distribution, the relaxed
+(concrete) Bernoulli sampler, and the closed-form KL terms.  Gates read
+``kumaraswamy_mean`` for their expected masks; the other closed forms are the
+independent oracles for the differentiable graph builders in
 :mod:`betadrop.gates`.
 """
 
@@ -56,11 +57,6 @@ def kumaraswamy_sample(u, a, b):
     _require(bool(np.all((u > 0.0) & (u < 1.0))), "u must lie in the open interval (0, 1)")
     _require(bool(np.all(a > 0.0) and np.all(b > 0.0)), "a and b must be positive")
     return (1.0 - u ** (1.0 / b)) ** (1.0 / a)
-
-
-def kumaraswamy_cdf(x, a, b):
-    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-    return 1.0 - (1.0 - x**a) ** b
 
 
 def kumaraswamy_log_pdf(x, a, b):

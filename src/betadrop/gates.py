@@ -6,8 +6,8 @@ input-dependent mode, the scale/shift parameters of the standardized-input
 gate together with running input statistics.
 
 Trainable fields are stored as autodiff leaf :class:`~betadrop.autodiff.Node`
-objects so the same state plugs directly into training graphs; the numpy
-evaluation paths read ``.value``.
+objects so the same state plugs directly into training graphs; the
+evaluation-time mask :meth:`GateState.expected_mask` reads their ``.value``.
 """
 
 from __future__ import annotations
@@ -179,21 +179,6 @@ class GateState:
             sigma_floor=self.sigma_floor,
             stats_initialized=self.stats_initialized,
         )
-
-
-def dependent_gate_probability(
-    pi, x, state: GateState, beta: np.ndarray | None = None
-) -> np.ndarray:
-    """phi_k = pi_k * clamp(gamma_k * (x_k - mu_k) / sigma_k + beta_k, eps, 1-eps).
-
-    ``beta`` defaults to the posterior mean eta (the evaluation rule); pass a
-    sample for the training rule.  Uses the running statistics.
-    """
-    if beta is None:
-        beta = state.eta.value
-    xhat = (np.asarray(x, dtype=np.float64) - state.run_mean) / state.run_std
-    gate = np.clip(state.gamma.value * xhat + beta, state.eps, 1.0 - state.eps)
-    return np.asarray(pi, dtype=np.float64) * gate
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Dense gates mask the layer *input* units; conv gates mask the *output
 channels*, shared across all spatial positions of a channel.  Training passes
-build an autodiff graph with sampled relaxed masks; evaluation passes are
-plain numpy with the deterministic expected masks.
+and evaluation passes share one layer walk and differ in the mask policy:
+training builds an autodiff graph with sampled relaxed masks, evaluation runs
+the same ops under :func:`~betadrop.autodiff.no_grad` with the deterministic
+expected masks.
 """
 
 from __future__ import annotations
@@ -134,34 +136,38 @@ def _activate(h: Node, activation: str | None) -> Node:
     raise ContractError(f"unknown activation {activation!r}")
 
 
-def _flatten_if_needed(h: Node) -> Node:
-    if h.value.ndim > 2:
-        return ad.reshape(h, (h.value.shape[0], -1))
+def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
+    """The one layer walk behind :func:`forward_train` and :func:`forward_eval`.
+
+    ``gate_mask(gate_index, gate, gate_input)`` is the mask policy: it gets
+    the gate's (B, K) input node (the dense input itself, or the channel
+    means of the conv output) and returns the (B, K) mask node to apply.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if net.layers and net.layers[0].kind == "conv" and x.ndim == 3:
+        x = x[:, None, :, :]
+    h: Node = ad.constant(x)
+    gate_idx = 0
+    for layer in net.layers:
+        gated = net.gates_enabled and layer.gate is not None
+        if layer.kind == "dense":
+            if h.value.ndim > 2:
+                h = ad.reshape(h, (h.value.shape[0], -1))
+            if layer.input_select is not None:
+                h = ad.gather_cols(h, layer.input_select)
+            if gated:
+                h = ad.mul(gate_mask(gate_idx, layer.gate, h), h)
+            h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
+        else:
+            h = ad.conv2d(h, layer.w, stride=layer.stride, padding=layer.padding)
+            h = ad.add_channel_bias(h, layer.b)
+            if gated:
+                h = ad.scale_channels(h, gate_mask(gate_idx, layer.gate, ad.global_avg_pool(h)))
+        gate_idx += gated
+        h = _activate(h, layer.activation)
+        if layer.kind == "conv" and layer.pool:
+            h = ad.maxpool2x2(h)
     return h
-
-
-def _train_mask(gate: GateState, gate_input: Node, rng, tau: float, rho_var: float,
-                logit_eps: float) -> tuple[Node, Node]:
-    """Sampled relaxed mask of shape (B, K) and the layer's KL node."""
-    bsz = gate_input.value.shape[0]
-    pi = sample_pi_node(gate, rng)
-    kl = kl_bb_node(gate)
-    if gate.mode == MODE_DBB:
-        beta = beta_sample_node(gate, rng)
-        probs = dbb_phi_node(gate, gate_input, pi, beta)
-        gate.update_running_stats(gate_input.value)
-        kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
-    else:
-        probs = pi
-    u = open_unit_uniform(rng, (bsz, gate.k))
-    return concrete_mask_node(probs, u, tau, logit_eps), kl
-
-
-def _forced_mask(h: Node, forced: np.ndarray) -> Node:
-    forced = np.asarray(forced, dtype=np.float64)
-    if forced.shape == h.value.shape:
-        return ad.mul(h, ad.constant(forced))
-    return ad.mul_rowwise(h, ad.constant(forced))
 
 
 def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
@@ -172,125 +178,63 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     Returns the logits node and one KL node per gated layer (in layer
     order).  When the network's gates are disabled the pass is a plain
     forward and the KL list is empty.  ``force_masks`` (gate index -> mask
-    array) replaces sampling for the named gates; used by equivalence tests.
+    array of shape (K,) or (B, K)) replaces sampling for the named gates;
+    used by equivalence tests.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if net.layers and net.layers[0].kind == "conv" and x.ndim == 3:
-        x = x[:, None, :, :]
     if net.gates_enabled and not net.gates():
         raise ContractError("gates are enabled but the network has none")
-    h: Node = ad.constant(x)
     kl_terms: list[Node] = []
-    gate_idx = 0
-    for layer in net.layers:
-        if layer.kind == "dense":
-            h = _flatten_if_needed(h)
-            if layer.input_select is not None:
-                h = ad.gather_cols(h, layer.input_select)
-            if net.gates_enabled and layer.gate is not None:
-                if force_masks is not None and gate_idx in force_masks:
-                    h = _forced_mask(h, force_masks[gate_idx])
-                else:
-                    mask, kl = _train_mask(layer.gate, h, rng, tau, rho_var, logit_eps)
-                    kl_terms.append(kl)
-                    h = ad.mul(mask, h)
-                gate_idx += 1
-            h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
-            h = _activate(h, layer.activation)
+
+    def sampled_mask(k: int, gate: GateState, gate_input: Node) -> Node:
+        bsz = gate_input.value.shape[0]
+        if force_masks is not None and k in force_masks:
+            forced = np.asarray(force_masks[k], dtype=np.float64)
+            if forced.ndim == 1:
+                forced = np.broadcast_to(forced, (bsz, forced.shape[0]))
+            return ad.constant(forced)
+        pi = sample_pi_node(gate, rng)
+        kl = kl_bb_node(gate)
+        if gate.mode == MODE_DBB:
+            beta = beta_sample_node(gate, rng)
+            probs = dbb_phi_node(gate, gate_input, pi, beta)
+            gate.update_running_stats(gate_input.value)
+            kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
         else:
-            h = ad.conv2d(h, layer.w, stride=layer.stride, padding=layer.padding)
-            h = ad.add_channel_bias(h, layer.b)
-            if net.gates_enabled and layer.gate is not None:
-                if force_masks is not None and gate_idx in force_masks:
-                    forced = np.asarray(force_masks[gate_idx], dtype=np.float64)
-                    if forced.ndim == 1:
-                        forced = np.broadcast_to(forced, (h.value.shape[0], forced.shape[0]))
-                    h = ad.scale_channels(h, ad.constant(forced))
-                else:
-                    gate_input = ad.global_avg_pool(h)
-                    mask, kl = _train_mask(layer.gate, gate_input, rng, tau, rho_var, logit_eps)
-                    kl_terms.append(kl)
-                    h = ad.scale_channels(h, mask)
-                gate_idx += 1
-            h = _activate(h, layer.activation)
-            if layer.pool:
-                h = ad.maxpool2x2(h)
-    if net.gates_enabled and gate_idx != len(net.gates()):
-        raise ContractError("gated forward did not visit every gate")
-    return h, kl_terms
+            probs = pi
+        kl_terms.append(kl)
+        u = open_unit_uniform(rng, (bsz, gate.k))
+        return concrete_mask_node(probs, u, tau, logit_eps)
 
-
-def _conv_forward_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
-                     padding: int) -> np.ndarray:
-    out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride, padding=padding)
-    return out.value + b[None, :, None, None]
-
-
-def _maxpool_np(x: np.ndarray) -> np.ndarray:
-    return ad.maxpool2x2(ad.constant(x)).value
+    return _walk(net, x, sampled_mask), kl_terms
 
 
 def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False,
                  keep_sets=None):
-    """Deterministic evaluation pass with expected masks (plain numpy).
+    """Deterministic evaluation pass with expected masks, built under no_grad.
 
     With ``return_gate_info`` also returns, per gated layer, the gate input
     and the applied expected mask (both per example).  ``keep_sets`` (one
     index array per gate) forces the masks of all other units to zero: the
     reference semantics that :func:`shrink` must reproduce.
     """
-    h = np.asarray(x, dtype=np.float64)
-    if net.layers and net.layers[0].kind == "conv" and h.ndim == 3:
-        h = h[:, None, :, :]
     gate_info: list[tuple[np.ndarray, np.ndarray]] = []
-    gate_idx = 0
 
-    def apply_keep(mask, k):
-        if keep_sets is None:
-            return mask
-        zeroed = np.zeros_like(mask)
-        sel = (Ellipsis, np.asarray(keep_sets[k], dtype=np.intp))
-        zeroed[sel] = np.asarray(mask)[sel]
-        return zeroed
+    def expected_mask(k: int, gate: GateState, gate_input: Node) -> Node:
+        x_in = gate_input.value
+        mask = gate.expected_mask(x_in if gate.mode == MODE_DBB else None)
+        if keep_sets is not None:
+            sel = (Ellipsis, np.asarray(keep_sets[k], dtype=np.intp))
+            kept = np.zeros_like(mask)
+            kept[sel] = mask[sel]
+            mask = kept
+        mask = np.broadcast_to(mask, x_in.shape)
+        if return_gate_info:
+            gate_info.append((x_in.copy(), mask.copy()))
+        return ad.constant(mask)
 
-    for layer in net.layers:
-        if layer.kind == "dense":
-            if h.ndim > 2:
-                h = h.reshape(h.shape[0], -1)
-            if layer.input_select is not None:
-                h = h[:, layer.input_select]
-            if net.gates_enabled and layer.gate is not None:
-                gate = layer.gate
-                mask = gate.expected_mask(h if gate.mode == MODE_DBB else None)
-                mask = apply_keep(mask, gate_idx)
-                gate_idx += 1
-                if return_gate_info:
-                    gate_info.append((h.copy(), np.broadcast_to(mask, h.shape).copy()))
-                h = h * mask if mask.ndim == 2 else h * mask[None, :]
-            h = h @ layer.w.value + layer.b.value[None, :]
-            if layer.activation == "relu":
-                h = np.maximum(h, 0.0)
-        else:
-            h = _conv_forward_np(h, layer.w.value, layer.b.value, layer.stride, layer.padding)
-            if net.gates_enabled and layer.gate is not None:
-                gate = layer.gate
-                gate_input = h.mean(axis=(2, 3))
-                mask = gate.expected_mask(gate_input if gate.mode == MODE_DBB else None)
-                mask = apply_keep(mask, gate_idx)
-                gate_idx += 1
-                if return_gate_info:
-                    gate_info.append(
-                        (gate_input.copy(), np.broadcast_to(mask, gate_input.shape).copy())
-                    )
-                mask2 = mask if mask.ndim == 2 else np.broadcast_to(mask, gate_input.shape)
-                h = h * mask2[:, :, None, None]
-            if layer.activation == "relu":
-                h = np.maximum(h, 0.0)
-            if layer.pool:
-                h = _maxpool_np(h)
-    if return_gate_info:
-        return h, gate_info
-    return h
+    with ad.no_grad():
+        logits = _walk(net, x, expected_mask).value
+    return (logits, gate_info) if return_gate_info else logits
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +318,10 @@ def build_mlp(dims, seed: int = 0, gated: bool = True, alpha_over_k: float = 1e-
 # ---------------------------------------------------------------------------
 
 
-def _conv_spatial(net: Network) -> dict[int, tuple[int, int]]:
-    """Spatial extent of each conv layer's output (after its own pooling)."""
+def conv_extents(net: Network) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """Per leading conv layer, its output's (H, W) before and after its own pooling."""
     shape = net.meta.get("input_shape")
-    out: dict[int, tuple[int, int]] = {}
+    out: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     if not shape or len(shape) != 3:
         if any(l.kind == "conv" for l in net.layers):
             raise ContractError(
@@ -391,10 +335,11 @@ def _conv_spatial(net: Network) -> dict[int, tuple[int, int]]:
             break
         h = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
         w = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+        conv = (h, w)
         if layer.pool:
             h //= 2
             w //= 2
-        out[i] = (h, w)
+        out[i] = (conv, (h, w))
     return out
 
 
@@ -420,7 +365,7 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
         raise ContractError("fold_masks requires all gates in BB mode")
 
     keep_of_layer = {li: keep for (li, _), keep in zip(gated, keeps)}
-    spatial = _conv_spatial(net)
+    extents = conv_extents(net)
 
     new_layers: list = []
     carried_channels: np.ndarray | None = None  # conv output channels kept so far
@@ -454,7 +399,7 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             select = layer.input_select
             if not seen_dense and carried_channels is not None:
                 # flatten boundary: positions live in (channel, y, x) flat space
-                hy, wx = spatial[last_conv_idx]
+                _, (hy, wx) = extents[last_conv_idx]
                 area = hy * wx
                 surviving = (
                     carried_channels[:, None] * area + np.arange(area)[None, :]

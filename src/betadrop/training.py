@@ -5,7 +5,7 @@ with the keep-probability posterior frozen)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -305,7 +305,3 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic child seed for parallel sweep runs."""
     ss = np.random.SeedSequence([int(base_seed), int(index)])
     return int(ss.generate_state(1, dtype=np.uint32)[0])
-
-
-def config_with(config: TrainConfig, **kwargs) -> TrainConfig:
-    return replace(config, **kwargs)

@@ -1,4 +1,7 @@
-"""Shared test utilities: finite-difference gradient oracles and assertions."""
+"""Shared test utilities: finite-difference gradient oracles, assertions, and
+checkpoint manifest edits."""
+
+import json
 
 import numpy as np
 
@@ -131,3 +134,34 @@ def matmul_oracle(a, b):
             for t in range(k):
                 out[i, j] += a[i, t] * b[t, j]
     return out
+
+
+# Manifest edits that give a value of the wrong type, and the text that the
+# CheckpointError must name.
+WRONG_TYPED_MANIFESTS = {
+    "shape-string": (
+        lambda m: m["arrays"][0].update(shape="4x3"),
+        "shape of 'L0.w' must be a list, got '4x3'",
+    ),
+    "payload-len-string": (
+        lambda m: m.update(payload_len="abc"),
+        "payload_len must be a non-negative integer, got 'abc'",
+    ),
+    "offset-null": (
+        lambda m: m["arrays"][1].update(offset=None),
+        "offset of 'L0.b' must be a non-negative integer, got None",
+    ),
+    "layers-number": (
+        lambda m: m.update(layers=5),
+        "layers must be a list, got 5",
+    ),
+}
+
+
+def edit_manifest(path, edit) -> None:
+    """Rewrite a checkpoint's manifest line in place; the payload is untouched."""
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    manifest = json.loads(blob[:nl])
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + blob[nl:])

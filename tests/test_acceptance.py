@@ -11,6 +11,7 @@ which skips when scikit-learn is not installed.
 
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from betadrop.layers import (
 )
 from betadrop.training import (
     TrainConfig,
-    config_with,
     derive_seed,
     elbo_loss,
     evaluate_error,
@@ -377,7 +377,7 @@ def _desk_scale_run(train, test, dims, pretrain_epochs, finetune_epochs, lr_v, s
         net = build_mlp(dims, seed=seed)
         for p, q in zip(net.parameters(), base.parameters()):
             p.value = q.value.copy()
-        run_cfg = config_with(cfg, kl_scale=scale, seed=derive_seed(seed, i))
+        run_cfg = replace(cfg, kl_scale=scale, seed=derive_seed(seed, i))
         finetune_bb(net, train, run_cfg, epochs=finetune_epochs)
         keeps = prune_by_threshold(net)
         counts = [len(k) for k in keeps]

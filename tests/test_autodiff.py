@@ -79,6 +79,12 @@ class TestElementwise:
         ad.backward(ad.clamp(x, 0.001, 0.999))
         assert x.grad == 0.0
 
+    def test_relu_maps_nan_and_negative_zero_to_positive_zero(self):
+        x = ad.parameter(np.array([np.nan, -0.0, 0.0, -np.inf, -5e-324, 5e-324, 2.0]))
+        out = ad.relu(x).value
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, 5e-324, 2.0])
+        assert not np.signbit(out).any()
+
     def test_relu_gradients_away_from_kink(self):
         vals = np.array([-2.0, -0.5, 0.3, 1.7, 4.0])
         x = ad.parameter(vals)
@@ -372,6 +378,15 @@ class TestBackward:
         ad.backward(y)
         assert float(x.grad) == pytest.approx(7.0)
 
+    def test_second_backward_recomputes_interior_grads(self):
+        w = ad.parameter(np.array([2.0, -1.0]))
+        sq = ad.mul(w, w)
+        loss = ad.sum_all(ad.scale(sq, 3.0))
+        ad.backward(loss)
+        ad.backward(loss)
+        assert np.array_equal(sq.grad, [3.0, 3.0])  # not 6: interior starts over
+        assert np.array_equal(w.grad, 2.0 * 6.0 * w.value)  # the leaf accumulates
+
     def test_determinism_bit_identical(self):
         a = RNG.normal(size=(6, 6))
         b = RNG.normal(size=(6, 6))
@@ -406,3 +421,40 @@ class TestFiniteOutputsProperty:
             ad.backward(loss)
             num = numeric_grad(lambda: ad.sum_all(op(x)).value, x)
             assert_grads_close(x.grad, num, rtol=1e-4, atol=1e-7, label=op.__name__)
+
+
+class TestGradMode:
+    def test_leaf_grad_reads_zeros_before_backward(self):
+        w = ad.parameter(RNG.normal(size=(2, 3)))
+        assert w.grad.dtype == np.float64 and np.array_equal(w.grad, np.zeros((2, 3)))
+        w.grad += 1.0
+        assert np.array_equal(w.grad, np.ones((2, 3)))
+        w.zero_grad()
+        assert np.array_equal(w.grad, np.zeros((2, 3)))
+
+    def test_node_built_under_no_grad_has_no_parents(self):
+        x = ad.parameter(np.array([1.0, -2.0]))
+        with ad.no_grad():
+            y = ad.relu(ad.mul(x, x))
+        assert y._parents == () and y._backward_fn is None
+        assert np.array_equal(y.value, [1.0, 4.0])
+        ad.backward(ad.sum_all(y))  # y is a leaf now, so nothing reaches x
+        assert np.array_equal(x.grad, [0.0, 0.0])
+
+    def test_no_grad_restores_the_mode_when_its_block_raises(self):
+        x = ad.parameter(np.array([3.0]))
+        with pytest.raises(DimensionError):
+            with ad.no_grad():
+                ad.matmul(x, x)
+        y = ad.mul(x, x)
+        assert y._parents == (x, x)
+        ad.backward(ad.sum_all(y))
+        assert np.array_equal(x.grad, [6.0])
+
+    def test_no_grad_nests(self):
+        x = ad.parameter(np.array([3.0]))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.mul(x, x)._parents == ()
+        assert ad.mul(x, x)._parents == (x, x)

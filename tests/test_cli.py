@@ -9,6 +9,8 @@ from betadrop.cli import main
 from betadrop.layers import build_mlp
 from betadrop.reporting import parse_report_csv
 
+from helpers import WRONG_TYPED_MANIFESTS, edit_manifest
+
 
 def write_config(tmp_path, **overrides):
     cfg = {
@@ -79,6 +81,17 @@ class TestUsageErrors:
         path = tmp_path / "broken.ckpt"
         save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
         path.write_bytes(path.read_bytes().replace(old, new, 1))
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPED_MANIFESTS))
+    def test_checkpoint_wrong_typed_value_is_runtime_error(self, tmp_path, capsys, case):
+        edit, named = WRONG_TYPED_MANIFESTS[case]
+        cfg = write_config(tmp_path)
+        path = tmp_path / "broken.ckpt"
+        save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
+        edit_manifest(path, edit)
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err

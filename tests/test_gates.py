@@ -14,7 +14,6 @@ from betadrop.gates import (
     beta_sample_node,
     concrete_mask_node,
     dbb_phi_node,
-    dependent_gate_probability,
     kl_beta_gaussian_node,
     kl_bb_node,
     sample_pi_node,
@@ -90,41 +89,38 @@ class TestRunningStats:
         assert np.array_equal(gate.run_std, std)
 
 
+def dbb_gate(a: float, eps: float, gamma: float, eta: float, mean: float) -> GateState:
+    """One-unit DBB gate with b = 1, so E_q[pi] = a / (a + 1), and unit running std."""
+    gate = GateState.create(1, eps=eps, mode=MODE_DBB)
+    gate.a_raw.value = np.array([float(d.softplus_inv(a))])
+    gate.b_raw.value = np.array([float(d.softplus_inv(1.0))])
+    gate.gamma.value = np.array([gamma])
+    gate.eta.value = np.array([eta])
+    gate.run_mean = np.array([mean])
+    gate.run_std = np.array([1.0])
+    gate.stats_initialized = True
+    return gate
+
+
 class TestDependentGateProbability:
+    """phi = E_q[pi] * clamp(gamma * (x - mu) / sigma + eta, eps, 1 - eps)."""
+
     def test_standardized_zero_hits_clamp_floor(self):
-        gate = GateState.create(1, eps=1e-3)
-        gate.gamma.value = np.array([1.0])
-        gate.run_mean = np.array([3.0])
-        gate.run_std = np.array([1.0])
-        gate.stats_initialized = True
-        phi = dependent_gate_probability(0.5, np.array([3.0]), gate, beta=np.array([0.0]))
-        assert phi == pytest.approx(0.0005)
+        gate = dbb_gate(a=1.0, eps=1e-3, gamma=1.0, eta=0.0, mean=3.0)  # E_q[pi] = 0.5
+        assert gate.expected_mask(np.array([3.0])) == pytest.approx(0.0005)
 
     def test_saturating_shift_hits_ceiling(self):
-        gate = GateState.create(1, eps=1e-3)
-        gate.run_mean = np.array([0.0])
-        gate.run_std = np.array([1.0])
-        gate.stats_initialized = True
-        phi = dependent_gate_probability(0.8, np.array([0.0]), gate, beta=np.array([2.0]))
-        assert phi == pytest.approx(0.7992)
+        gate = dbb_gate(a=4.0, eps=1e-3, gamma=0.0, eta=2.0, mean=0.0)  # E_q[pi] = 0.8
+        assert gate.expected_mask(np.array([0.0])) == pytest.approx(0.7992)
 
     def test_interior_arithmetic(self):
-        gate = GateState.create(1, eps=1e-2)
-        gate.gamma.value = np.array([2.0])
-        gate.run_mean = np.array([0.0])
-        gate.run_std = np.array([1.0])
-        gate.stats_initialized = True
-        phi = dependent_gate_probability(0.8, np.array([0.3]), gate, beta=np.array([0.1]))
-        assert phi == pytest.approx(0.56)
+        gate = dbb_gate(a=4.0, eps=1e-2, gamma=2.0, eta=0.1, mean=0.0)
+        assert gate.expected_mask(np.array([0.3])) == pytest.approx(0.56)
 
     def test_defaults_to_eta(self):
-        gate = GateState.create(1, eps=1e-3)
-        gate.run_mean = np.array([0.0])
-        gate.run_std = np.array([1.0])
-        gate.eta.value = np.array([0.5])
-        gate.stats_initialized = True
-        phi = dependent_gate_probability(1.0, np.array([0.0]), gate)
-        assert phi == pytest.approx(0.5)
+        # at the running mean the gate factor is the posterior mean shift eta
+        gate = dbb_gate(a=4.0, eps=1e-3, gamma=0.7, eta=0.5, mean=0.0)
+        assert gate.expected_mask(np.array([0.0])) == pytest.approx(0.4)
 
 
 class TestExpectedMask:

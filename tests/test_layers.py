@@ -1,5 +1,7 @@
 """Network forwards, builders, shrink equivalence, and checkpoint round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from betadrop.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ContractError,
+    DimensionError,
     PruneCollapseError,
 )
 from betadrop.gates import MODE_BB, MODE_DBB
@@ -24,10 +27,9 @@ from betadrop.layers import (
     shrink,
 )
 
-from helpers import gradcheck
+from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, gradcheck
 
 RNG = np.random.default_rng(2024)
-
 
 def toy_net(seed=0, dims=(6, 5, 3), mode=MODE_BB):
     net = build_mlp(dims, seed=seed)
@@ -216,6 +218,27 @@ class TestForwardEval:
         assert np.abs((mc - det) / det).max() < 0.02
 
 
+    @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
+    def test_eval_between_backward_passes_leaves_gradients(self, mode):
+        net = toy_net(seed=5, mode=mode)
+        x = RNG.normal(size=(4, 6))
+        y = np.array([0, 1, 2, 0])
+        params = net.parameters() + net.variational_parameters()
+
+        def gradients():
+            ad.zero_gradients(params)
+            logits, kls = forward_train(net, x, d.make_rng(7), tau=0.8)
+            ad.backward(ad.add(ad.softmax_cross_entropy(logits, y), ad.sum_all(kls[0])))
+            return [p.grad.copy() for p in params]
+
+        first = gradients()
+        forward_eval(net, x, return_gate_info=True)
+        assert all(np.array_equal(p.grad, g) for p, g in zip(params, first))
+        # the eval pass's no_grad block has ended: the next graph is linked again
+        assert all(np.array_equal(a, b) for a, b in zip(gradients(), first))
+        assert any(np.abs(g).max() > 0.0 for g in first)
+
+
 class TestShrink:
     def _random_keeps(self, net, rng, frac=0.5):
         keeps = []
@@ -383,6 +406,25 @@ class TestCheckpoint:
         assert old in blob
         path.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(CheckpointError, match=missing):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPED_MANIFESTS))
+    def test_wrong_typed_manifest_value_is_typed_error(self, tmp_path, case):
+        edit, named = WRONG_TYPED_MANIFESTS[case]
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=19), path)
+        edit_manifest(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            load_checkpoint(path)
+
+    def test_package_error_passes_through_unwrapped(self, tmp_path):
+        # swapping the (6, 5) weight's extents leaves the payload length alone
+        # but mismatches the 6-wide gate: the layer's own DimensionError
+        # (a ValueError) must reach the caller as it is
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=20), path)
+        edit_manifest(path, lambda m: m["arrays"][0].update(shape=[5, 6]))
+        with pytest.raises(DimensionError, match="gate width 6"):
             load_checkpoint(path)
 
     def test_non_finite_payload_rejected(self, tmp_path):
