@@ -3,15 +3,24 @@
 Values are C-contiguous ``numpy`` float64 arrays ("tensors"); a :class:`Node`
 wraps one tensor together with its gradient and the local backward rule that
 links it to its parents.  Graphs are built eagerly by the op functions below
-and differentiated with :func:`backward`.  A gradient buffer is allocated on
-first read, so a node that backward never reaches costs none.  Inside
-:func:`no_grad` the same ops build unlinked nodes: no parents, no backward
-closure, nothing kept alive for a backward pass (the evaluation mode).
+and differentiated with :func:`backward`.  A leaf is a :func:`parameter`,
+whose gradient backward accumulates, or a :func:`constant`, which takes none,
+so ops skip input gradients nobody reads.  The first gradient contribution to
+a node is stored as is and later ones are added out of place, so no node gets
+a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
+nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
+
+The ops are elementwise (`add` ... `clamp`), products and reductions
+(`matmul` ... `gather_cols`), the conv stack (`conv2d`, `maxpool2x2`,
+`scale_channels`, `global_avg_pool`, `flatten`) and `softmax_cross_entropy`.
+Conv activations are channel-major, (C, B, H, W); `flatten` turns them into
+the (B, C*H*W) rows of a dense layer, and per-example channel quantities
+(gate masks, channel means) stay (B, C).
 
 Broadcasting is deliberately restricted: binary elementwise ops accept equal
 shapes or a scalar (shape ``()``) against a tensor.  The few mixed-rank
 products the models need are dedicated ops (`add_rowwise`, `mul_rowwise`,
-`scale_channels`, `add_channel_bias`) so that shape errors stay loud.
+`scale_channels`) so that shape errors stay loud.
 """
 
 from __future__ import annotations
@@ -53,13 +62,12 @@ __all__ = [
     "mean_axis0",
     "add_rowwise",
     "mul_rowwise",
-    "scale_channels",
-    "add_channel_bias",
-    "reshape",
     "gather_cols",
     "conv2d",
     "maxpool2x2",
+    "scale_channels",
     "global_avg_pool",
+    "flatten",
     "softmax_cross_entropy",
 ]
 
@@ -93,16 +101,18 @@ class Node:
 
     ``value`` is immutable once consumed by a downstream op (trainers may
     rewrite leaf values between steps).  ``grad`` has the same shape as
-    ``value``, reads as zeros until something accumulates into it, and
-    accumulates across :func:`backward` calls on leaves.
+    ``value``, reads as zeros until a gradient reaches the node, and
+    accumulates across :func:`backward` calls on leaves.  ``needs_grad`` is
+    False only on a :func:`constant`.
     """
 
     __array_ufunc__ = None  # numpy arithmetic on a Node raises, not an object array
-    __slots__ = ("value", "_grad", "_parents", "_backward_fn")
+    __slots__ = ("value", "_grad", "_parents", "_backward_fn", "needs_grad")
 
     def __init__(self, value, parents=(), backward_fn=None):
         self.value = as_tensor(value)
         self._grad = None
+        self.needs_grad = True
         # Under no_grad the closure is dropped with everything it captured.
         self._parents = tuple(parents) if _grad_enabled else ()
         self._backward_fn = backward_fn if _grad_enabled else None
@@ -132,13 +142,32 @@ class Node:
 
 
 def constant(x) -> Node:
-    """Leaf node that merely carries data (gradient is still recorded)."""
+    """Leaf that merely carries data: it takes no gradient, so its ``grad``
+    stays zeros and ops skip the work of computing one for it."""
+    node = Node(x)
+    node.needs_grad = False
+    return node
+
+
+def parameter(x) -> Node:
+    """Leaf whose gradient :func:`backward` accumulates."""
     return Node(x)
 
 
-# Parameters and constants are both leaves; the distinction is who reads
-# .grad afterwards.
-parameter = constant
+def _acc(node: Node, g: np.ndarray) -> None:
+    """Add the gradient contribution ``g`` to ``node``; a constant takes none.
+
+    The first contribution is stored as is and later ones are added out of
+    place, so a stored array is never written again and may be shared.
+    """
+    if node.needs_grad:  # asarray: a 0-d sum is a numpy scalar
+        node._grad = np.asarray(g if node._grad is None else node._grad + g)
+
+
+def _pass(node: Node, g: np.ndarray) -> None:
+    """Pass on the output gradient itself, or a view of it.  A leaf gets its
+    own writable copy, so an in-place write to its grad changes no other."""
+    _acc(node, g if node._parents else np.array(g))
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -178,7 +207,7 @@ def backward(loss: Node) -> None:
     if loss._parents:
         loss.grad = np.ones_like(loss.value)
     else:
-        loss.grad = loss.grad + 1.0
+        _acc(loss, np.ones_like(loss.value))
     for node in reversed(order):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
@@ -214,8 +243,8 @@ def add(a: Node, b: Node) -> Node:
     _, asc, bsc = _binary_shapes(a, b, "add")
 
     def bw(g):
-        a.grad += _reduce_to(g, asc)
-        b.grad += _reduce_to(g, bsc)
+        _pass(a, _reduce_to(g, asc))
+        _pass(b, _reduce_to(g, bsc))
 
     return Node(a.value + b.value, (a, b), bw)
 
@@ -224,8 +253,8 @@ def sub(a: Node, b: Node) -> Node:
     _, asc, bsc = _binary_shapes(a, b, "sub")
 
     def bw(g):
-        a.grad += _reduce_to(g, asc)
-        b.grad -= _reduce_to(g, bsc)
+        _pass(a, _reduce_to(g, asc))
+        _acc(b, -_reduce_to(g, bsc))
 
     return Node(a.value - b.value, (a, b), bw)
 
@@ -234,8 +263,8 @@ def mul(a: Node, b: Node) -> Node:
     _, asc, bsc = _binary_shapes(a, b, "mul")
 
     def bw(g):
-        a.grad += _reduce_to(g * b.value, asc)
-        b.grad += _reduce_to(g * a.value, bsc)
+        _acc(a, _reduce_to(g * b.value, asc))
+        _acc(b, _reduce_to(g * a.value, bsc))
 
     return Node(a.value * b.value, (a, b), bw)
 
@@ -244,8 +273,8 @@ def div(a: Node, b: Node) -> Node:
     _, asc, bsc = _binary_shapes(a, b, "div")
 
     def bw(g):
-        a.grad += _reduce_to(g / b.value, asc)
-        b.grad -= _reduce_to(g * a.value / (b.value * b.value), bsc)
+        _acc(a, _reduce_to(g / b.value, asc))
+        _acc(b, -_reduce_to(g * a.value / (b.value * b.value), bsc))
 
     return Node(a.value / b.value, (a, b), bw)
 
@@ -259,7 +288,7 @@ def scale(a: Node, c: float) -> Node:
     c = float(c)
 
     def bw(g):
-        a.grad += g * c
+        _acc(a, g * c)
 
     return Node(a.value * c, (a,), bw)
 
@@ -267,7 +296,7 @@ def scale(a: Node, c: float) -> Node:
 def add_const(a: Node, c: float) -> Node:
 
     def bw(g):
-        a.grad += g
+        _pass(a, g)
 
     return Node(a.value + float(c), (a,), bw)
 
@@ -278,8 +307,8 @@ def power(a: Node, b: Node) -> Node:
     val = a.value**b.value
 
     def bw(g):
-        a.grad += _reduce_to(g * b.value * a.value ** (b.value - 1.0), asc)
-        b.grad += _reduce_to(g * val * np.log(a.value), bsc)
+        _acc(a, _reduce_to(g * b.value * a.value ** (b.value - 1.0), asc))
+        _acc(b, _reduce_to(g * val * np.log(a.value), bsc))
 
     return Node(val, (a, b), bw)
 
@@ -288,7 +317,7 @@ def power_const(a: Node, c: float) -> Node:
     c = float(c)
 
     def bw(g):
-        a.grad += g * c * a.value ** (c - 1.0)
+        _acc(a, g * c * a.value ** (c - 1.0))
 
     return Node(a.value**c, (a,), bw)
 
@@ -296,7 +325,7 @@ def power_const(a: Node, c: float) -> Node:
 def log(a: Node) -> Node:
 
     def bw(g):
-        a.grad += g / a.value
+        _acc(a, g / a.value)
 
     return Node(np.log(a.value), (a,), bw)
 
@@ -305,7 +334,7 @@ def exp(a: Node) -> Node:
     val = np.exp(a.value)
 
     def bw(g):
-        a.grad += g * val
+        _acc(a, g * val)
 
     return Node(val, (a,), bw)
 
@@ -314,7 +343,7 @@ def sqrt(a: Node) -> Node:
     val = np.sqrt(a.value)
 
     def bw(g):
-        a.grad += g * 0.5 / val
+        _acc(a, g * 0.5 / val)
 
     return Node(val, (a,), bw)
 
@@ -323,7 +352,7 @@ def relu(a: Node) -> Node:
     """max(x, 0) with NaN mapped to 0 and -0.0 to +0.0; subgradient 0 at 0."""
 
     def bw(g):
-        a.grad += g * (a.value > 0.0)
+        _acc(a, g * (a.value > 0.0))
 
     # fmax gives np.where(x > 0, x, 0.0) bit for bit at a quarter of the cost
     return Node(np.fmax(a.value, 0.0), (a,), bw)
@@ -343,7 +372,7 @@ def sigmoid(a: Node) -> Node:
     val = _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
 
     def bw(g):
-        a.grad += g * val * (1.0 - val)
+        _acc(a, g * val * (1.0 - val))
 
     return Node(val, (a,), bw)
 
@@ -352,7 +381,7 @@ def softplus(a: Node) -> Node:
     val = np.logaddexp(0.0, a.value)
 
     def bw(g):
-        a.grad += g * _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
+        _acc(a, g * _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape))
 
     return Node(val, (a,), bw)
 
@@ -360,7 +389,7 @@ def softplus(a: Node) -> Node:
 def digamma(a: Node) -> Node:
 
     def bw(g):
-        a.grad += g * special.polygamma(1, a.value)
+        _acc(a, g * special.polygamma(1, a.value))
 
     return Node(special.digamma(a.value), (a,), bw)
 
@@ -372,7 +401,7 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
     inside = (a.value > lo) & (a.value < hi)
 
     def bw(g):
-        a.grad += g * inside
+        _acc(a, g * inside)
 
     return Node(val, (a,), bw)
 
@@ -389,8 +418,9 @@ def matmul(a: Node, b: Node) -> Node:
         )
 
     def bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.needs_grad:
+            _acc(a, g @ b.value.T)
+        _acc(b, a.value.T @ g)
 
     return Node(a.value @ b.value, (a, b), bw)
 
@@ -398,7 +428,7 @@ def matmul(a: Node, b: Node) -> Node:
 def sum_all(a: Node) -> Node:
 
     def bw(g):
-        a.grad += g * np.ones_like(a.value)
+        _acc(a, np.full(a.value.shape, g))
 
     return Node(np.float64(a.value.sum()), (a,), bw)
 
@@ -410,7 +440,7 @@ def mean_axis0(a: Node) -> Node:
     n = a.value.shape[0]
 
     def bw(g):
-        a.grad += np.broadcast_to(g / n, a.value.shape)
+        _pass(a, np.broadcast_to(g / n, a.value.shape))
 
     return Node(a.value.mean(axis=0), (a,), bw)
 
@@ -423,8 +453,8 @@ def add_rowwise(x: Node, v: Node) -> Node:
         )
 
     def bw(g):
-        x.grad += g
-        v.grad += g.sum(axis=0)
+        _pass(x, g)
+        _acc(v, g.sum(axis=0))
 
     return Node(x.value + v.value[None, :], (x, v), bw)
 
@@ -437,47 +467,10 @@ def mul_rowwise(x: Node, v: Node) -> Node:
         )
 
     def bw(g):
-        x.grad += g * v.value[None, :]
-        v.grad += (g * x.value).sum(axis=0)
+        _acc(x, g * v.value[None, :])
+        _acc(v, (g * x.value).sum(axis=0))
 
     return Node(x.value * v.value[None, :], (x, v), bw)
-
-
-def scale_channels(x: Node, s: Node) -> Node:
-    """(B, C, H, W) * (B, C): one multiplier per example and channel."""
-    if x.value.ndim != 4 or s.value.shape != x.value.shape[:2]:
-        raise DimensionError(
-            f"scale_channels: incompatible shapes {x.value.shape} and {s.value.shape}"
-        )
-
-    def bw(g):
-        x.grad += g * s.value[:, :, None, None]
-        s.grad += (g * x.value).sum(axis=(2, 3))
-
-    return Node(x.value * s.value[:, :, None, None], (x, s), bw)
-
-
-def add_channel_bias(x: Node, b: Node) -> Node:
-    """(B, C, H, W) + (C,): per-channel bias."""
-    if x.value.ndim != 4 or b.value.shape != (x.value.shape[1],):
-        raise DimensionError(
-            f"add_channel_bias: incompatible shapes {x.value.shape} and {b.value.shape}"
-        )
-
-    def bw(g):
-        x.grad += g
-        b.grad += g.sum(axis=(0, 2, 3))
-
-    return Node(x.value + b.value[None, :, None, None], (x, b), bw)
-
-
-def reshape(a: Node, shape) -> Node:
-    shape = tuple(int(s) for s in shape)
-
-    def bw(g):
-        a.grad += g.reshape(a.value.shape)
-
-    return Node(a.value.reshape(shape), (a,), bw)
 
 
 def gather_cols(x: Node, idx) -> Node:
@@ -487,81 +480,83 @@ def gather_cols(x: Node, idx) -> Node:
         raise DimensionError(f"gather_cols expects a 2-D input, got {x.value.shape}")
 
     def bw(g):
-        np.add.at(x.grad, (slice(None), idx), g)
+        if x.needs_grad:
+            dx = np.zeros_like(x.value)
+            np.add.at(dx, (slice(None), idx), g)
+            _acc(x, dx)
 
     return Node(x.value[:, idx], (x,), bw)
 
 
 # ---------------------------------------------------------------------------
-# convolution / pooling
+# convolution / pooling, on channel-major (C, B, H, W) activations
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
-    """Cross-correlation of (B, C, H, W) or (C, H, W) input with (O, C, k, k).
+def conv2d(x: Node, w: Node, b: Node, stride: int = 1, padding: int = 0) -> Node:
+    """Cross-correlation of a (C, B, H, W) input with (O, C, k, k), plus (O,)
+    bias, giving (O, B, ho, wo) with ho = floor((H + 2p - k) / stride) + 1.
 
-    Output spatial extent is floor((H + 2p - k) / stride) + 1.
-
-    im2col as GEMM, with P = ho*wo output positions and ``wmat`` the kernel
-    as (O, C*k*k): the padded input's k x k windows are gathered into
-    ``cols`` (B, P, C*k*k), and the forward is the batched
-    ``wmat @ cols[b].T``, which writes (B, O, P) = NCHW directly.  Backward
-    lays the output gradient out as ``gmat`` (O, B*P).  The weight gradient
-    is the single GEMM ``gmat @ cols`` over (B*P, C*k*k).  The column
-    gradient ``wmat.T @ gmat`` comes out as (C, k, k, B, ho, wo), so col2im
-    adds one contiguous (C, B, ho, wo) slab per kernel tap into a
-    (C, B, Hp, Wp) buffer, which is transposed back to NCHW once.
+    im2col as GEMM, channel-major: with P = ho*wo output positions and
+    ``wmat`` the kernel as (O, C*k*k), the padded input's k x k windows are
+    gathered into ``cols`` (C*k*k, B*P), and the forward is the one GEMM
+    ``wmat @ cols``, bias added in place, which is already (O, B, ho, wo).
+    Backward reads the output gradient as ``gmat`` (O, B*P) with no copy:
+    dW = ``gmat @ cols.T`` and db = ``gmat.sum(1)``.  Unless ``x`` is a
+    constant, the column gradient ``wmat.T @ gmat``, laid out
+    (C, k, k, B, ho, wo), is added back one contiguous slab per kernel tap
+    into a (C, B, Hp, Wp) buffer (col2im).
     """
     if stride < 1:
         raise DimensionError(f"conv2d: stride must be >= 1, got {stride}")
-    single = x.value.ndim == 3
-    xv = x.value[None] if single else x.value
-    if xv.ndim != 4 or w.value.ndim != 4 or xv.shape[1] != w.value.shape[1]:
+    xv, wv = x.value, w.value
+    if (xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1]
+            or b.value.shape != wv.shape[:1]):
         raise DimensionError(
-            f"conv2d: incompatible shapes {x.value.shape} and {w.value.shape}"
+            f"conv2d: incompatible shapes {xv.shape}, {wv.shape} and {b.value.shape}"
         )
-    bsz, cin, h, wd = xv.shape
-    cout, _, k, k2 = w.value.shape
+    cin, bsz, h, wd = xv.shape
+    cout, _, k, k2 = wv.shape
     if k != k2:
-        raise DimensionError(f"conv2d: kernel must be square, got {w.value.shape}")
+        raise DimensionError(f"conv2d: kernel must be square, got {wv.shape}")
     if k > h + 2 * padding or k > wd + 2 * padding:
         raise DimensionError(
             f"conv2d: kernel {k}x{k} larger than padded input "
             f"{h + 2 * padding}x{wd + 2 * padding}"
         )
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xv
     hp, wp = xp.shape[2], xp.shape[3]
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
 
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # cols[b, p, c*k*k + i*k + j]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        bsz, ho * wo, cin * k * k
+    # cols[c*k*k + i*k + j, b*P + p]
+    cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(
+        cin * k * k, bsz * ho * wo
     )
-    wmat = w.value.reshape(cout, cin * k * k)
-    val = (wmat @ cols.transpose(0, 2, 1)).reshape(bsz, cout, ho, wo)
+    wmat = wv.reshape(cout, cin * k * k)
+    val = wmat @ cols
+    val += b.value[:, None]
 
     def bw(g):
-        gv = g[None] if single else g
-        gmat = np.ascontiguousarray(gv.transpose(1, 0, 2, 3)).reshape(cout, bsz * ho * wo)
-        w.grad += (gmat @ cols.reshape(bsz * ho * wo, cin * k * k)).reshape(w.value.shape)
-        dcols = (wmat.T @ gmat).reshape(cin, k, k, bsz, ho, wo)
-        dxp = np.zeros((cin, bsz, hp, wp))
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                    :, i, j
-                ]
-        dx = dxp.transpose(1, 0, 2, 3)[:, :, padding : hp - padding, padding : wp - padding]
-        x.grad += dx[0] if single else dx
+        gmat = g.reshape(cout, bsz * ho * wo)
+        _acc(w, (gmat @ cols.T).reshape(wv.shape))
+        _acc(b, gmat.sum(axis=1))
+        if x.needs_grad:
+            dcols = (wmat.T @ gmat).reshape(cin, k, k, bsz, ho, wo)
+            dxp = np.zeros((cin, bsz, hp, wp))
+            for i, j in np.ndindex(k, k):
+                dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+            _acc(x, dxp[:, :, padding : hp - padding, padding : wp - padding])
 
-    return Node(val[0] if single else val, (x, w), bw)
+    return Node(val.reshape(cout, bsz, ho, wo), (x, w, b), bw)
 
 
 def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Where ``later`` replaces ``earlier`` as the argmax: greater, or NaN over a number."""
     return (later > earlier) | (np.isnan(later) & ~np.isnan(earlier))
+
+
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2x2(x: Node) -> Node:
@@ -573,13 +568,14 @@ def maxpool2x2(x: Node) -> Node:
     NaN against a number.  So each window's output value and its whole
     gradient belong to the first argmax in row-major order, as with
     ``numpy.argmax``: ties go to the earliest position and a NaN wins its
-    window.  The winner is kept as an int8 code ``2*i + j``; backward adds
-    the gradient into each quadrant view where the code matches.
+    window.  The winner is kept as an int8 code ``2*i + j``; backward writes
+    each quadrant of one uninitialized buffer, the gradient where the code
+    matches and 0 elsewhere.
     """
     shp = x.value.shape
     if len(shp) < 2 or shp[-1] % 2 or shp[-2] % 2:
         raise DimensionError(f"maxpool2x2 requires even trailing extents, got {shp}")
-    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
+    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i, j in _QUADRANTS)
     top_right = _later_wins(q01, q00)
     top = np.where(top_right, q01, q00)
     bottom_right = _later_wins(q11, q10)
@@ -588,22 +584,51 @@ def maxpool2x2(x: Node) -> Node:
     arg = np.where(lower, bottom_right.view(np.int8) + 2, top_right.view(np.int8))
 
     def bw(g):
-        for code, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            x.grad[..., i::2, j::2] += np.where(arg == code, g, 0.0)
+        dx = np.empty(shp)
+        for code, (i, j) in enumerate(_QUADRANTS):
+            dx[..., i::2, j::2] = np.where(arg == code, g, 0.0)
+        _acc(x, dx)
 
     return Node(np.where(lower, bottom, top), (x,), bw)
 
 
-def global_avg_pool(x: Node) -> Node:
-    """(B, C, H, W) -> (B, C) or (C, H, W) -> (C,): per-channel spatial mean."""
-    if x.value.ndim not in (3, 4):
-        raise DimensionError(f"global_avg_pool expects 3-D or 4-D input, got {x.value.shape}")
-    area = x.value.shape[-1] * x.value.shape[-2]
+def scale_channels(x: Node, s: Node) -> Node:
+    """(C, B, H, W) * (B, C): one multiplier per example and channel."""
+    if x.value.ndim != 4 or s.value.shape != (x.value.shape[1], x.value.shape[0]):
+        raise DimensionError(
+            f"scale_channels: incompatible shapes {x.value.shape} and {s.value.shape}"
+        )
+    sv = s.value.T[:, :, None, None]
 
     def bw(g):
-        x.grad += np.broadcast_to((g / area)[..., None, None], x.value.shape)
+        _acc(x, g * sv)
+        _acc(s, (g * x.value).sum(axis=(2, 3)).T)
 
-    return Node(x.value.mean(axis=(-2, -1)), (x,), bw)
+    return Node(x.value * sv, (x, s), bw)
+
+
+def global_avg_pool(x: Node) -> Node:
+    """(C, B, H, W) -> (B, C): per-example channel means over the spatial extent."""
+    if x.value.ndim != 4:
+        raise DimensionError(f"global_avg_pool expects a 4-D input, got {x.value.shape}")
+    area = x.value.shape[2] * x.value.shape[3]
+
+    def bw(g):
+        _pass(x, np.broadcast_to((g.T / area)[:, :, None, None], x.value.shape))
+
+    return Node(x.value.mean(axis=(2, 3)).T, (x,), bw)
+
+
+def flatten(x: Node) -> Node:
+    """(C, B, H, W) -> (B, C*H*W): each example's row in (C, H, W) order."""
+    if x.value.ndim != 4:
+        raise DimensionError(f"flatten expects a 4-D input, got {x.value.shape}")
+    c, bsz, h, wd = x.value.shape
+
+    def bw(g):
+        _pass(x, g.reshape(bsz, c, h, wd).transpose(1, 0, 2, 3))
+
+    return Node(x.value.transpose(1, 0, 2, 3).reshape(bsz, c * h * wd), (x,), bw)
 
 
 def softmax_cross_entropy(logits: Node, labels) -> Node:
@@ -627,6 +652,6 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
     def bw(g):
         sm = np.exp(logp)
         sm[np.arange(bsz), labels] -= 1.0
-        logits.grad += g * sm / bsz
+        _acc(logits, g * sm / bsz)
 
     return Node(np.float64(-logp[np.arange(bsz), labels].mean()), (logits,), bw)

@@ -26,30 +26,17 @@ from .layers import ConvLayer, DenseLayer, Network
 
 FORMAT_VERSION = 1
 
-_GATE_ARRAYS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw", "run_mean", "run_std")
+_GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor", "stats_initialized")
+_GATE_PARAMS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")
+_GATE_ARRAYS = _GATE_PARAMS + ("run_mean", "run_std")
 
 
 def _gate_manifest(gate: GateState) -> dict:
-    return {
-        "alpha_over_k": gate.alpha_over_k,
-        "eps": gate.eps,
-        "mode": gate.mode,
-        "momentum": gate.momentum,
-        "sigma_floor": gate.sigma_floor,
-        "stats_initialized": gate.stats_initialized,
-    }
+    return {key: getattr(gate, key) for key in _GATE_SCALARS}
 
 
 def _gate_array_values(gate: GateState) -> list[np.ndarray]:
-    return [
-        gate.a_raw.value,
-        gate.b_raw.value,
-        gate.gamma.value,
-        gate.eta.value,
-        gate.kappa_raw.value,
-        gate.run_mean,
-        gate.run_std,
-    ]
+    return [getattr(gate, name).value for name in _GATE_PARAMS] + [gate.run_mean, gate.run_std]
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -118,12 +105,31 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
 
 
+_EXPECTED = {int: "a non-negative integer", float: "a finite number", bool: "true or false",
+             list: "a list"}
+
+
 def _checked(value, kind: type, what: str):
-    """A manifest value of the given JSON type, or CheckpointError naming it."""
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    if not ok or (kind is int and value < 0):
-        expected = "a non-negative integer" if kind is int else "a list"
-        raise CheckpointError(f"manifest {what} must be {expected}, got {value!r}")
+    """A manifest value of the given JSON type, or CheckpointError naming it.
+
+    ``int`` means a non-negative integer and ``float`` any finite number.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        ok = ok and (kind is not int or value >= 0)
+    if not ok:
+        raise CheckpointError(f"manifest {what} must be {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def _one_of(value, choices: tuple, what: str):
+    if value not in choices:
+        raise CheckpointError(f"manifest {what} must be one of {choices!r}, got {value!r}")
     return value
 
 
@@ -164,44 +170,33 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
 
     layers = []
     for i, entry in enumerate(_checked(manifest["layers"], list, "layers")):
+        kind = _one_of(entry["kind"], ("dense", "conv"), f"kind of layer {i}")
+        activation = _one_of(entry["activation"], (None, "relu"), f"activation of layer {i}")
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]
+            arrays = {name: values[f"L{i}.gate.{name}"] for name in _GATE_ARRAYS}
             gate = GateState(
-                a_raw=ad.parameter(values[f"L{i}.gate.a_raw"]),
-                b_raw=ad.parameter(values[f"L{i}.gate.b_raw"]),
-                gamma=ad.parameter(values[f"L{i}.gate.gamma"]),
-                eta=ad.parameter(values[f"L{i}.gate.eta"]),
-                kappa_raw=ad.parameter(values[f"L{i}.gate.kappa_raw"]),
-                run_mean=values[f"L{i}.gate.run_mean"].copy(),
-                run_std=values[f"L{i}.gate.run_std"].copy(),
-                alpha_over_k=gm["alpha_over_k"],
-                eps=gm["eps"],
+                **{name: ad.parameter(arrays[name]) for name in _GATE_PARAMS},
+                run_mean=arrays["run_mean"].copy(),
+                run_std=arrays["run_std"].copy(),
                 mode=gm["mode"],
-                momentum=gm["momentum"],
-                sigma_floor=gm["sigma_floor"],
-                stats_initialized=gm["stats_initialized"],
+                stats_initialized=_checked(
+                    gm["stats_initialized"], bool, f"stats_initialized of layer {i}'s gate"
+                ),
+                **{key: _checked(gm[key], float, f"{key} of layer {i}'s gate")
+                   for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
             )
-        if entry["kind"] == "dense":
-            layers.append(
-                DenseLayer(
-                    values[f"L{i}.w"],
-                    values[f"L{i}.b"],
-                    gate=gate,
-                    activation=entry["activation"],
-                    input_select=entry["input_select"],
-                )
-            )
+        w, b = values[f"L{i}.w"], values[f"L{i}.b"]
+        if kind == "dense":
+            layers.append(DenseLayer(w, b, gate=gate, activation=activation,
+                                     input_select=entry["input_select"]))
         else:
-            layers.append(
-                ConvLayer(
-                    values[f"L{i}.w"],
-                    values[f"L{i}.b"],
-                    gate=gate,
-                    activation=entry["activation"],
-                    pool=entry["pool"],
-                    stride=entry["stride"],
-                    padding=entry["padding"],
-                )
-            )
-    return Network(layers, gates_enabled=manifest["gates_enabled"], meta=manifest["meta"])
+            layers.append(ConvLayer(
+                w, b, gate=gate, activation=activation,
+                pool=_checked(entry["pool"], bool, f"pool of layer {i}"),
+                stride=_checked(entry["stride"], int, f"stride of layer {i}"),
+                padding=_checked(entry["padding"], int, f"padding of layer {i}"),
+            ))
+    gates_enabled = _checked(manifest["gates_enabled"], bool, "gates_enabled")
+    return Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])

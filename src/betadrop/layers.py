@@ -5,7 +5,8 @@ channels*, shared across all spatial positions of a channel.  Training passes
 and evaluation passes share one layer walk and differ in the mask policy:
 training builds an autodiff graph with sampled relaxed masks, evaluation runs
 the same ops under :func:`~betadrop.autodiff.no_grad` with the deterministic
-expected masks.
+expected masks.  Conv activations are channel-major, (C, B, H, W); weights,
+gate inputs and masks, and the flattened dense input keep per-example layouts.
 """
 
 from __future__ import annotations
@@ -142,25 +143,28 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     ``gate_mask(gate_index, gate, gate_input)`` is the mask policy: it gets
     the gate's (B, K) input node (the dense input itself, or the channel
     means of the conv output) and returns the (B, K) mask node to apply.
+    A conv net's (B, H, W) or (B, C, H, W) input is made channel-major once,
+    and ``flatten`` gives the dense head rows in per-example (C, H, W) order.
     """
     x = np.asarray(x, dtype=np.float64)
-    if net.layers and net.layers[0].kind == "conv" and x.ndim == 3:
-        x = x[:, None, :, :]
+    if net.layers and net.layers[0].kind == "conv":
+        x = x[None] if x.ndim == 3 else x.swapaxes(0, 1)
+    elif x.ndim > 2:
+        x = x.reshape(len(x), -1)
     h: Node = ad.constant(x)
     gate_idx = 0
     for layer in net.layers:
         gated = net.gates_enabled and layer.gate is not None
         if layer.kind == "dense":
-            if h.value.ndim > 2:
-                h = ad.reshape(h, (h.value.shape[0], -1))
+            if h.value.ndim == 4:
+                h = ad.flatten(h)
             if layer.input_select is not None:
                 h = ad.gather_cols(h, layer.input_select)
             if gated:
                 h = ad.mul(gate_mask(gate_idx, layer.gate, h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
         else:
-            h = ad.conv2d(h, layer.w, stride=layer.stride, padding=layer.padding)
-            h = ad.add_channel_bias(h, layer.b)
+            h = ad.conv2d(h, layer.w, layer.b, stride=layer.stride, padding=layer.padding)
             if gated:
                 h = ad.scale_channels(h, gate_mask(gate_idx, layer.gate, ad.global_avg_pool(h)))
         gate_idx += gated

@@ -136,6 +136,43 @@ def matmul_oracle(a, b):
     return out
 
 
+# One polyline per glyph class, in a [-1, 1]^2 frame with y up.
+GLYPH_STROKES = (
+    ((-0.6, 0.0), (0.6, 0.0)),  # bar
+    ((0.0, -0.7), (0.0, 0.7)),  # post
+    ((-0.5, -0.7), (0.5, 0.7)),  # slash
+    ((-0.5, 0.6), (0.5, 0.6), (-0.5, -0.6), (0.5, -0.6)),  # Z
+    ((-0.5, 0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, -0.5), (-0.5, 0.5)),  # box
+)
+
+
+def glyph_images(n, seed, side=28, stroke=0.08, noise=0.05):
+    """``n`` seeded procedural side x side glyphs in [0, 1] and their labels.
+
+    Each image draws its class's polyline from :data:`GLYPH_STROKES` through
+    a random rotation, scale and shift, with a Gaussian stroke profile about
+    one pixel wide, and adds Gaussian pixel noise.  Nothing is downloaded.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, len(GLYPH_STROKES), size=n)
+    coords = (np.arange(side) - (side - 1) / 2.0) / (side / 2.0)
+    px, py = np.meshgrid(coords, -coords)
+    pix = np.stack([px.ravel(), py.ravel()], axis=1)  # (side*side, 2)
+    images = np.empty((n, side * side))
+    for m, cls in enumerate(labels):
+        theta = rng.uniform(-0.3, 0.3)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        pts = np.asarray(GLYPH_STROKES[cls]) @ (rot * rng.uniform(0.8, 1.1)).T
+        pts += rng.uniform(-0.15, 0.15, size=2)
+        dist = np.full(len(pix), np.inf)
+        for a, b in zip(pts[:-1], pts[1:]):
+            t = np.clip((pix - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+            dist = np.minimum(dist, np.linalg.norm(pix - a - t[:, None] * (b - a), axis=1))
+        images[m] = np.exp(-0.5 * (dist / stroke) ** 2)
+    images += rng.normal(0.0, noise, size=images.shape)
+    return np.clip(images, 0.0, 1.0).reshape(n, side, side), labels.astype(np.int64)
+
+
 # Manifest edits that give a value of the wrong type, and the text that the
 # CheckpointError must name.
 WRONG_TYPED_MANIFESTS = {
@@ -154,6 +191,23 @@ WRONG_TYPED_MANIFESTS = {
     "layers-number": (
         lambda m: m.update(layers=5),
         "layers must be a list, got 5",
+    ),
+    # the fixtures are dense nets: these two turn layer 0 into a conv entry
+    "stride-string": (
+        lambda m: m["layers"][0].update(kind="conv", pool=True, stride="2", padding=0),
+        "stride of layer 0 must be a non-negative integer, got '2'",
+    ),
+    "pool-string": (
+        lambda m: m["layers"][0].update(kind="conv", pool="yes", stride=1, padding=0),
+        "pool of layer 0 must be true or false, got 'yes'",
+    ),
+    "alpha-over-k-string": (
+        lambda m: m["layers"][0]["gate"].update(alpha_over_k="x"),
+        "alpha_over_k of layer 0's gate must be a finite number, got 'x'",
+    ),
+    "gates-enabled-string": (
+        lambda m: m.update(gates_enabled="no"),
+        "gates_enabled must be true or false, got 'no'",
     ),
 }
 

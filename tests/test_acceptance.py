@@ -250,9 +250,11 @@ def test_criterion_5_gradient_suite():
         a = ad.parameter(rng.normal(size=(4, 3)))
         b = ad.parameter(rng.normal(size=(3, 2)))
         gradcheck(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
-        cx = ad.parameter(rng.normal(size=(2, 2, 6, 6)))
+        # conv activations are channel-major (C, B, H, W)
+        cx = ad.parameter(rng.normal(size=(2, 2, 6, 6)).transpose(1, 0, 2, 3))
         cw = ad.parameter(rng.normal(size=(3, 2, 3, 3)))
-        gradcheck(lambda: ad.sum_all(ad.conv2d(cx, cw)), [cx, cw])
+        cb = ad.parameter(rng.normal(size=3))
+        gradcheck(lambda: ad.sum_all(ad.conv2d(cx, cw, cb)), [cx, cw, cb])
         gradcheck(lambda: ad.sum_all(ad.maxpool2x2(cx)), [cx])
         gradcheck(lambda: ad.sum_all(ad.global_avg_pool(cx)), [cx])
         logits = ad.parameter(rng.normal(size=(3, 4)))

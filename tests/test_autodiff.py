@@ -2,10 +2,13 @@
 
 Every differentiable op is checked against central finite differences;
 matmul and conv2d forwards, the batched conv2d gradients and 2x2 max pooling
-are additionally checked against naive nested-loop oracles.
+are additionally checked against naive nested-loop oracles.  The conv ops
+take channel-major (C, B, H, W) activations; the oracles are per-example
+(B, C, H, W), so the tests transpose around them (``cm``).
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +31,11 @@ BATCHED_CONV_CASES = [
 ]
 
 RNG = np.random.default_rng(12345)
+
+
+def cm(a):
+    """(B, C, H, W) <-> channel-major (C, B, H, W): the same swap both ways."""
+    return np.ascontiguousarray(np.asarray(a).transpose(1, 0, 2, 3))
 
 
 class TestMatmul:
@@ -132,11 +140,27 @@ class TestElementwise:
         )
 
     def test_channel_ops(self):
-        x = ad.parameter(RNG.normal(size=(2, 3, 4, 4)))
+        x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
         s = ad.parameter(RNG.uniform(0.5, 1.5, size=(2, 3)))
         b = ad.parameter(RNG.normal(size=3))
         gradcheck(lambda: ad.sum_all(ad.scale_channels(x, s)), [x, s], rtol=1e-5)
-        gradcheck(lambda: ad.sum_all(ad.add_channel_bias(x, b)), [x, b], rtol=1e-6)
+        # per-channel bias: conv2d's fused bias behind a 1x1 identity kernel
+        eye = ad.constant(np.eye(3).reshape(3, 3, 1, 1))
+        gradcheck(lambda: ad.sum_all(ad.conv2d(x, eye, b)), [x, b], rtol=1e-6)
+
+    def test_scale_channels_scales_each_example_and_channel(self):
+        x = RNG.normal(size=(2, 3, 4, 4))
+        s = RNG.uniform(0.5, 1.5, size=(2, 3))
+        out = ad.scale_channels(ad.constant(cm(x)), ad.constant(s)).value
+        assert np.array_equal(cm(out), x * s[:, :, None, None])
+
+    def test_flatten_rows_are_per_example_chw(self):
+        x = RNG.normal(size=(3, 2, 4, 5))
+        out = ad.flatten(ad.constant(cm(x))).value
+        assert out.shape == (3, 40) and np.array_equal(out, x.reshape(3, -1))
+        xp = ad.parameter(cm(x))
+        coeffs = ad.constant(RNG.normal(size=(3, 40)))
+        gradcheck(lambda: ad.sum_all(ad.mul(ad.flatten(xp), coeffs)), [xp], rtol=1e-6)
 
     def test_gather_cols(self):
         x = ad.parameter(RNG.normal(size=(3, 6)))
@@ -154,78 +178,120 @@ class TestElementwise:
 
 class TestConv2d:
     def test_one_by_one_identity(self):
-        x = RNG.normal(size=(1, 3, 3))
+        x = RNG.normal(size=(1, 1, 3, 3))
         k = np.ones((1, 1, 1, 1))
-        out = ad.conv2d(ad.constant(x), ad.constant(k))
+        out = ad.conv2d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
         assert np.array_equal(out.value, x)
 
     def test_all_ones_window_sum(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         k = np.ones((1, 1, 2, 2))
-        out = ad.conv2d(ad.constant(x), ad.constant(k))
-        assert np.array_equal(out.value, np.full((1, 2, 2), 4.0))
+        out = ad.conv2d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
+        assert np.array_equal(out.value, np.full((1, 1, 2, 2), 4.0))
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 1), (2, 1)])
     def test_against_nested_loop_oracle(self, stride, padding):
         x = RNG.normal(size=(2, 8, 8))
         w = RNG.normal(size=(3, 2, 3, 3))
-        out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride, padding=padding)
-        assert np.allclose(out.value, conv2d_oracle(x, w, stride, padding), atol=1e-12)
+        b = RNG.normal(size=3)
+        out = ad.conv2d(ad.constant(x[:, None]), ad.constant(w), ad.constant(b),
+                        stride=stride, padding=padding)
+        expected = conv2d_oracle(x, w, stride, padding) + b[:, None, None]
+        assert np.allclose(out.value[:, 0], expected, atol=1e-12)
 
     def test_batched_matches_single(self):
         xs = RNG.normal(size=(3, 2, 6, 6))
         w = RNG.normal(size=(4, 2, 3, 3))
-        batched = ad.conv2d(ad.constant(xs), ad.constant(w)).value
+        b = ad.constant(RNG.normal(size=4))
+        batched = ad.conv2d(ad.constant(cm(xs)), ad.constant(w), b).value
         for i in range(3):
-            single = ad.conv2d(ad.constant(xs[i]), ad.constant(w)).value
-            assert np.array_equal(batched[i], single)
+            single = ad.conv2d(ad.constant(xs[i][:, None]), ad.constant(w), b).value
+            assert np.array_equal(batched[:, i], single[:, 0])
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
     def test_gradients_match_finite_differences(self, stride, padding):
-        x = ad.parameter(RNG.normal(size=(2, 8, 8)))
+        x = ad.parameter(RNG.normal(size=(2, 8, 8))[:, None])
         w = ad.parameter(RNG.normal(size=(3, 2, 3, 3)))
+        b = ad.parameter(RNG.normal(size=3))
         coeffs = None
 
         def loss():
-            out = ad.conv2d(x, w, stride=stride, padding=padding)
+            out = ad.conv2d(x, w, b, stride=stride, padding=padding)
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
             return ad.sum_all(ad.mul(out, coeffs))
 
-        gradcheck(loss, [x, w], rtol=1e-5, atol=1e-8)
+        gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
     def test_batched_gradients_match_finite_differences(self, k, stride, padding):
         # 8x7 input: non-square, and stride 2 leaves trailing rows/columns unread
-        x = ad.parameter(RNG.normal(size=(3, 2, 8, 7)))
+        x = ad.parameter(cm(RNG.normal(size=(3, 2, 8, 7))))
         w = ad.parameter(RNG.normal(size=(3, 2, k, k)))
+        b = ad.parameter(RNG.normal(size=3))
         coeffs = None
 
         def loss():
-            out = ad.conv2d(x, w, stride=stride, padding=padding)
+            out = ad.conv2d(x, w, b, stride=stride, padding=padding)
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
             return ad.sum_all(ad.mul(out, coeffs))
 
-        gradcheck(loss, [x, w], rtol=1e-5, atol=1e-8)
+        gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
     def test_batched_gradients_match_loop_oracle(self, k, stride, padding):
         xv = RNG.normal(size=(3, 2, 8, 7))
         wv = RNG.normal(size=(3, 2, k, k))
-        x, w = ad.parameter(xv), ad.parameter(wv)
-        out = ad.conv2d(x, w, stride=stride, padding=padding)
+        x, w, b = ad.parameter(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
+        out = ad.conv2d(x, w, b, stride=stride, padding=padding)
         g = RNG.normal(size=out.value.shape)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
-        dx, dw = conv2d_grad_oracle(xv, wv, g, stride, padding)
-        assert np.allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+        dx, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
+        assert np.allclose(cm(x.grad), dx, rtol=1e-12, atol=1e-12)
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
+    def test_constant_input_takes_no_gradient(self, k, stride, padding):
+        xv = RNG.normal(size=(3, 2, 8, 7))
+        wv = RNG.normal(size=(3, 2, k, k))
+        x, w, b = ad.constant(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
+        out = ad.conv2d(x, w, b, stride=stride, padding=padding)
+        g = RNG.normal(size=out.value.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        _, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
+        assert x._grad is None and np.array_equal(x.grad, np.zeros(x.shape))
+        assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make_input", [ad.constant, ad.parameter], ids=lambda f: f.__name__)
+    def test_constant_input_skips_the_column_gradient(self, make_input):
+        # conv1's input and kernel at batch 20: the column gradient alone is
+        # 25 x 11520 doubles (2.3 MB), against 0.18 MB for the output gradient
+        # of two channels; backward on a constant input allocates none of it
+        x = make_input(RNG.normal(size=(1, 20, 28, 28)))
+        out = ad.conv2d(x, ad.parameter(RNG.normal(size=(2, 1, 5, 5))),
+                        ad.parameter(np.zeros(2)))
+        loss = ad.sum_all(out)
+        dcols_bytes = 25 * 20 * 24 * 24 * 8
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if make_input is ad.constant:
+            assert peak < dcols_bytes // 4
+        else:
+            assert peak >= dcols_bytes
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError, match="larger"):
-            ad.conv2d(ad.constant(np.ones((1, 3, 3))), ad.constant(np.ones((1, 1, 5, 5))))
+            ad.conv2d(ad.constant(np.ones((1, 1, 3, 3))), ad.constant(np.ones((1, 1, 5, 5))),
+                      ad.constant(np.zeros(1)))
 
 
 class TestPooling:
@@ -304,11 +370,11 @@ class TestPooling:
     def test_global_avg_pool_constant_channel(self):
         x = np.full((3, 4, 4), 0.0)
         x[1] = 2.5
-        out = ad.global_avg_pool(ad.constant(x))
-        assert np.array_equal(out.value, [0.0, 2.5, 0.0])
+        out = ad.global_avg_pool(ad.constant(x[:, None]))
+        assert np.array_equal(out.value, [[0.0, 2.5, 0.0]])
 
     def test_global_avg_pool_gradient(self):
-        x = ad.parameter(RNG.normal(size=(2, 3, 4, 4)))
+        x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
         coeffs = ad.constant(RNG.normal(size=(2, 3)))
         gradcheck(
             lambda: ad.sum_all(ad.mul(ad.global_avg_pool(x), coeffs)), [x], rtol=1e-6
@@ -387,6 +453,43 @@ class TestBackward:
         assert np.array_equal(sq.grad, [3.0, 3.0])  # not 6: interior starts over
         assert np.array_equal(w.grad, 2.0 * 6.0 * w.value)  # the leaf accumulates
 
+    def test_pass_through_gradients_are_not_shared(self):
+        # add hands its output gradient to both inputs and flatten hands on
+        # a view of its own: each leaf must still own its gradient buffer
+        a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
+        b = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
+        coeffs = RNG.normal(size=(2, 12))
+        ad.backward(ad.sum_all(ad.mul(ad.flatten(ad.add(a, b)), ad.constant(coeffs))))
+        expected = cm(coeffs.reshape(2, 3, 2, 2))
+        assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, expected)
+        assert np.array_equal(a.grad, expected + 1.0)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_shared_pass_through_gradient_is_not_written_in_place(self, swap):
+        # add hands one array to both interior inputs; a later contribution
+        # to one of them must leave the other's gradient alone.
+        # loss = sum(x^2 + y^2) + sum(3 x^2 y^2)
+        xv, yv = RNG.normal(size=4), RNG.normal(size=4)
+        x, y = ad.parameter(xv), ad.parameter(yv)
+        xx, yy = ad.mul(x, x), ad.mul(y, y)
+        terms = [ad.sum_all(ad.add(xx, yy)), ad.sum_all(ad.mul(ad.scale(xx, 3.0), yy))]
+        ad.backward(ad.add(*(terms[::-1] if swap else terms)))
+        assert np.allclose(x.grad, 2.0 * xv + 6.0 * xv * yv**2, rtol=1e-12, atol=0)
+        assert np.allclose(y.grad, 2.0 * yv + 6.0 * xv**2 * yv, rtol=1e-12, atol=0)
+
+    def test_leaf_used_twice_gets_both_contributions(self):
+        a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
+        coeffs = RNG.normal(size=(2, 12))
+        ad.backward(ad.sum_all(ad.mul(ad.flatten(ad.add(a, a)), ad.constant(coeffs))))
+        assert np.array_equal(a.grad, 2.0 * cm(coeffs.reshape(2, 3, 2, 2)))
+
+    def test_scalar_leaf_grad_is_an_array(self):
+        x = ad.parameter(3.0)
+        ad.backward(ad.scale(ad.mul(x, x), 2.0))
+        assert isinstance(x.grad, np.ndarray) and float(x.grad) == 12.0
+
     def test_determinism_bit_identical(self):
         a = RNG.normal(size=(6, 6))
         b = RNG.normal(size=(6, 6))
@@ -431,6 +534,14 @@ class TestGradMode:
         assert np.array_equal(w.grad, np.ones((2, 3)))
         w.zero_grad()
         assert np.array_equal(w.grad, np.zeros((2, 3)))
+
+    def test_constant_takes_no_gradient(self):
+        c = ad.constant(RNG.normal(size=3))
+        p = ad.parameter(RNG.normal(size=3))
+        assert not c.needs_grad and p.needs_grad
+        ad.backward(ad.sum_all(ad.mul(c, p)))
+        assert c._grad is None and np.array_equal(c.grad, np.zeros(3))
+        assert np.array_equal(p.grad, c.value)
 
     def test_node_built_under_no_grad_has_no_parents(self):
         x = ad.parameter(np.array([1.0, -2.0]))

@@ -68,6 +68,20 @@ class TestBuilders:
         assert logits.value.shape == (2, 10)
         assert len(kl) == 4
 
+    def test_conv1_input_takes_no_gradient(self):
+        # the network input is a constant, so conv1's backward skips its
+        # column gradient and col2im, and no gradient is stored for it
+        net = build_lenet5_caffe()
+        net.gates_enabled = True
+        x = np.random.default_rng(7).random((3, 28, 28))
+        logits, _ = forward_train(net, x, d.make_rng(0))
+        ad.backward(ad.sum_all(logits))
+        leaves = [n for n in ad._topo_order(logits) if not n._parents]
+        (inp,) = [n for n in leaves if n.shape == (1, 3, 28, 28)]
+        assert not inp.needs_grad and inp._grad is None
+        assert np.array_equal(inp.value[0], x)
+        assert np.abs(net.layers[0].w.grad).sum() > 0
+
     def test_channel_axis_added_for_conv_input(self):
         net = build_lenet5_caffe()
         x = RNG.random((2, 28, 28))

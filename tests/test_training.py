@@ -6,11 +6,11 @@ import pytest
 
 from betadrop import autodiff as ad
 from betadrop import distributions as d
-from betadrop.analysis import prune_by_threshold, runtime_prune_stats
-from betadrop.data import synthetic_planted_sparsity, synthetic_two_cluster
+from betadrop.analysis import count_flops, prune_by_threshold, runtime_prune_stats
+from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_cluster
 from betadrop.errors import ContractError, TrainingDivergedError
 from betadrop.gates import MODE_BB
-from betadrop.layers import build_mlp, forward_eval, shrink
+from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
 from betadrop.training import (
     AdamState,
     TrainConfig,
@@ -21,6 +21,8 @@ from betadrop.training import (
     finetune_dbb,
     pretrain,
 )
+
+from helpers import glyph_images
 
 
 class TestTrainConfig:
@@ -367,3 +369,32 @@ class TestFinetuneDBB:
         # the input-independent mask is one row repeated for every example
         assert np.allclose(out[0][0], out[1][0], atol=1e-12)
         assert np.allclose(out[0].std(axis=0), 0.0, atol=1e-12)
+
+
+class TestLenet5EndToEnd:
+    """The conv net through every stage, on seeded procedural glyphs."""
+
+    def test_pretrain_bb_prune_dbb_evaluate(self):
+        x, y = glyph_images(260, seed=0)
+        train, test = Dataset(x[:200], y[:200]), Dataset(x[200:], y[200:])
+        net = build_lenet5_caffe(seed=0)
+        cfg = TrainConfig(batch_size=50, lr_variational=0.01, seed=0,
+                          per_layer_kl_multipliers=(20.0, 8.0, 1.0, 1.0))
+        losses = pretrain(net, train, cfg, epochs=2) + finetune_bb(net, train, cfg, epochs=2)
+
+        # a threshold at the lowest per-gate median E[pi] prunes units in
+        # every gate and keeps at least half of each
+        threshold = min(np.median(g.expected_pi()) for g in net.gates())
+        keeps = prune_by_threshold(net, threshold)
+        assert all(0 < len(k) < g.k for k, g in zip(keeps, net.gates()))
+        small = shrink(net, keeps)
+        ref = forward_eval(net, test.images, keep_sets=keeps)
+        assert np.abs(forward_eval(small, test.images) - ref).max() < 1e-9
+
+        small.meta["stage"] = "bb_pruned"
+        losses += finetune_dbb(small, train, cfg, epochs=1)
+        assert len(losses) == 20 and np.isfinite(losses).all()
+        assert 0.0 <= evaluate_error(small, test) <= 100.0
+        stats = runtime_prune_stats(small, test)
+        assert stats.static_flops == count_flops(small)[0]
+        assert (stats.flops_per_input <= stats.static_flops).all()
