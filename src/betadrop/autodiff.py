@@ -10,17 +10,20 @@ a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 
-The ops are elementwise (`add` ... `clamp`), products and reductions
-(`matmul` ... `gather_cols`), the conv stack (`conv2d`, `maxpool2x2`,
-`scale_channels`, `global_avg_pool`, `flatten`) and `softmax_cross_entropy`.
-Conv activations are channel-major, (C, B, H, W); `flatten` turns them into
-the (B, C*H*W) rows of a dense layer, and per-example channel quantities
-(gate masks, channel means) stay (B, C).
+The ops are elementwise (`add`, `mul`, `scale`, `relu`), products and
+reductions (`matmul`, `sum_all`, `add_rowwise`, `gather_cols`), the conv
+stack (`conv2d`, `maxpool2x2`, `scale_channels`, `global_avg_pool`,
+`flatten`) and `softmax_cross_entropy`.  :func:`fused` makes one node of a
+closed form computed in numpy with a hand-written backward; the dropout
+gates in :mod:`betadrop.gates` are built that way.  Conv activations are
+channel-major, (C, B, H, W); `flatten` turns them into the (B, C*H*W) rows
+of a dense layer, and per-example channel quantities (gate masks, channel
+means) stay (B, C).
 
 Broadcasting is deliberately restricted: binary elementwise ops accept equal
 shapes or a scalar (shape ``()``) against a tensor.  The few mixed-rank
-products the models need are dedicated ops (`add_rowwise`, `mul_rowwise`,
-`scale_channels`) so that shape errors stay loud.
+products the models need are dedicated ops (`add_rowwise`, `scale_channels`)
+so that shape errors stay loud.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .errors import ContractError, DimensionError
 
@@ -41,27 +43,13 @@ __all__ = [
     "backward",
     "zero_gradients",
     "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
     "scale",
-    "add_const",
-    "power",
-    "power_const",
-    "log",
-    "exp",
-    "sqrt",
     "relu",
-    "sigmoid",
-    "softplus",
-    "digamma",
-    "clamp",
+    "fused",
     "matmul",
     "sum_all",
-    "mean_axis0",
     "add_rowwise",
-    "mul_rowwise",
     "gather_cols",
     "conv2d",
     "maxpool2x2",
@@ -130,9 +118,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
 
     def zero_grad(self):
         self._grad = None
@@ -249,16 +234,6 @@ def add(a: Node, b: Node) -> Node:
     return Node(a.value + b.value, (a, b), bw)
 
 
-def sub(a: Node, b: Node) -> Node:
-    _, asc, bsc = _binary_shapes(a, b, "sub")
-
-    def bw(g):
-        _pass(a, _reduce_to(g, asc))
-        _acc(b, -_reduce_to(g, bsc))
-
-    return Node(a.value - b.value, (a, b), bw)
-
-
 def mul(a: Node, b: Node) -> Node:
     _, asc, bsc = _binary_shapes(a, b, "mul")
 
@@ -267,20 +242,6 @@ def mul(a: Node, b: Node) -> Node:
         _acc(b, _reduce_to(g * a.value, bsc))
 
     return Node(a.value * b.value, (a, b), bw)
-
-
-def div(a: Node, b: Node) -> Node:
-    _, asc, bsc = _binary_shapes(a, b, "div")
-
-    def bw(g):
-        _acc(a, _reduce_to(g / b.value, asc))
-        _acc(b, -_reduce_to(g * a.value / (b.value * b.value), bsc))
-
-    return Node(a.value / b.value, (a, b), bw)
-
-
-def neg(a: Node) -> Node:
-    return scale(a, -1.0)
 
 
 def scale(a: Node, c: float) -> Node:
@@ -293,61 +254,6 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), bw)
 
 
-def add_const(a: Node, c: float) -> Node:
-
-    def bw(g):
-        _pass(a, g)
-
-    return Node(a.value + float(c), (a,), bw)
-
-
-def power(a: Node, b: Node) -> Node:
-    """General power a**b.  Gradient w.r.t. b requires a > 0."""
-    _, asc, bsc = _binary_shapes(a, b, "power")
-    val = a.value**b.value
-
-    def bw(g):
-        _acc(a, _reduce_to(g * b.value * a.value ** (b.value - 1.0), asc))
-        _acc(b, _reduce_to(g * val * np.log(a.value), bsc))
-
-    return Node(val, (a, b), bw)
-
-
-def power_const(a: Node, c: float) -> Node:
-    c = float(c)
-
-    def bw(g):
-        _acc(a, g * c * a.value ** (c - 1.0))
-
-    return Node(a.value**c, (a,), bw)
-
-
-def log(a: Node) -> Node:
-
-    def bw(g):
-        _acc(a, g / a.value)
-
-    return Node(np.log(a.value), (a,), bw)
-
-
-def exp(a: Node) -> Node:
-    val = np.exp(a.value)
-
-    def bw(g):
-        _acc(a, g * val)
-
-    return Node(val, (a,), bw)
-
-
-def sqrt(a: Node) -> Node:
-    val = np.sqrt(a.value)
-
-    def bw(g):
-        _acc(a, g * 0.5 / val)
-
-    return Node(val, (a,), bw)
-
-
 def relu(a: Node) -> Node:
     """max(x, 0) with NaN mapped to 0 and -0.0 to +0.0; subgradient 0 at 0."""
 
@@ -358,52 +264,20 @@ def relu(a: Node) -> Node:
     return Node(np.fmax(a.value, 0.0), (a,), bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def fused(value, parents, vjp) -> Node:
+    """One node for a closed form evaluated in numpy.
 
-
-def sigmoid(a: Node) -> Node:
-    val = _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
-
+    ``value`` is the form's result and ``vjp(g)`` maps the output gradient
+    to one gradient per parent, in order, each of its parent's shape, or
+    None for a parent that takes none.  A parent that is a constant gets
+    nothing, so ``vjp`` may skip the work for it.
+    """
     def bw(g):
-        _acc(a, g * val * (1.0 - val))
+        for p, gp in zip(parents, vjp(g)):
+            if gp is not None:
+                _acc(p, gp)
 
-    return Node(val, (a,), bw)
-
-
-def softplus(a: Node) -> Node:
-    val = np.logaddexp(0.0, a.value)
-
-    def bw(g):
-        _acc(a, g * _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape))
-
-    return Node(val, (a,), bw)
-
-
-def digamma(a: Node) -> Node:
-
-    def bw(g):
-        _acc(a, g * special.polygamma(1, a.value))
-
-    return Node(special.digamma(a.value), (a,), bw)
-
-
-def clamp(a: Node, lo: float, hi: float) -> Node:
-    """Clip to [lo, hi]; subgradient is 0 at and outside the bounds."""
-    lo, hi = float(lo), float(hi)
-    val = np.clip(a.value, lo, hi)
-    inside = (a.value > lo) & (a.value < hi)
-
-    def bw(g):
-        _acc(a, g * inside)
-
-    return Node(val, (a,), bw)
+    return Node(value, parents, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +307,6 @@ def sum_all(a: Node) -> Node:
     return Node(np.float64(a.value.sum()), (a,), bw)
 
 
-def mean_axis0(a: Node) -> Node:
-    """(B, ...) -> (...): mean over the leading axis."""
-    if a.value.ndim < 1:
-        raise DimensionError("mean_axis0 requires at least 1 dimension")
-    n = a.value.shape[0]
-
-    def bw(g):
-        _pass(a, np.broadcast_to(g / n, a.value.shape))
-
-    return Node(a.value.mean(axis=0), (a,), bw)
-
-
 def add_rowwise(x: Node, v: Node) -> Node:
     """(B, K) + (K,): add a vector to every row."""
     if x.value.ndim != 2 or v.value.shape != (x.value.shape[1],):
@@ -457,20 +319,6 @@ def add_rowwise(x: Node, v: Node) -> Node:
         _acc(v, g.sum(axis=0))
 
     return Node(x.value + v.value[None, :], (x, v), bw)
-
-
-def mul_rowwise(x: Node, v: Node) -> Node:
-    """(B, K) * (K,): scale every row elementwise."""
-    if x.value.ndim != 2 or v.value.shape != (x.value.shape[1],):
-        raise DimensionError(
-            f"mul_rowwise: incompatible shapes {x.value.shape} and {v.value.shape}"
-        )
-
-    def bw(g):
-        _acc(x, g * v.value[None, :])
-        _acc(v, (g * x.value).sum(axis=0))
-
-    return Node(x.value * v.value[None, :], (x, v), bw)
 
 
 def gather_cols(x: Node, idx) -> Node:

@@ -1,10 +1,10 @@
 """Distributional machinery for the beta-Bernoulli dropout gates.
 
 Numpy implementations of the Kumaraswamy distribution, the relaxed
-(concrete) Bernoulli sampler, and the closed-form KL terms.  Gates read
-``kumaraswamy_mean`` for their expected masks; the other closed forms are the
-independent oracles for the differentiable graph builders in
-:mod:`betadrop.gates`.
+(concrete) Bernoulli sampler, and the closed-form KL terms.  They are the
+values of the fused gate ops in :mod:`betadrop.gates` and of the expected
+masks; their independent oracles (quadrature, Monte Carlo, the analytic CDF)
+are in the tests.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ EULER_GAMMA = float(np.euler_gamma)
 # Keep probabilities clear of the logit's poles.  Config-exposed via
 # TrainConfig.logit_eps; this is the documented default.
 LOGIT_EPS = 1e-6
+
+# Floor on the Kumaraswamy sampler's base 1 - u^(1/b).  The base rounds to 0
+# once u^(1/b) rounds to 1 (large b, or u next to 1); the floor keeps the
+# sample positive and the log of the base finite.
+KUMARASWAMY_BASE_FLOOR = 1e-30
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -56,7 +61,7 @@ def kumaraswamy_sample(u, a, b):
     b = np.asarray(b, dtype=np.float64)
     _require(bool(np.all((u > 0.0) & (u < 1.0))), "u must lie in the open interval (0, 1)")
     _require(bool(np.all(a > 0.0) and np.all(b > 0.0)), "a and b must be positive")
-    return (1.0 - u ** (1.0 / b)) ** (1.0 / a)
+    return np.maximum(1.0 - u ** (1.0 / b), KUMARASWAMY_BASE_FLOOR) ** (1.0 / a)
 
 
 def kumaraswamy_log_pdf(x, a, b):

@@ -3,11 +3,14 @@
 A :class:`GateState` owns the variational parameters of one gated layer:
 Kumaraswamy shapes (a_k, b_k) for the keep probabilities, and, for the
 input-dependent mode, the scale/shift parameters of the standardized-input
-gate together with running input statistics.
+gate together with running input statistics.  Trainable fields are autodiff
+leaf :class:`~betadrop.autodiff.Node` objects; the evaluation-time mask
+:meth:`GateState.expected_mask` reads their ``.value``.
 
-Trainable fields are stored as autodiff leaf :class:`~betadrop.autodiff.Node`
-objects so the same state plugs directly into training graphs; the
-evaluation-time mask :meth:`GateState.expected_mask` reads their ``.value``.
+Each gate quantity of a training pass (the Kumaraswamy sample, the concrete
+mask, the DBB shift draw and keep probabilities, the two KL terms) is one
+:func:`~betadrop.autodiff.fused` node: its value comes from the closed form
+in :mod:`betadrop.distributions`, its backward is written out by hand.
 """
 
 from __future__ import annotations
@@ -15,13 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Node
 from .distributions import (
     EULER_GAMMA,
+    KUMARASWAMY_BASE_FLOOR,
     LOGIT_EPS,
+    concrete_bernoulli_sample,
+    gaussian_kl,
+    kl_kumaraswamy_beta,
     kumaraswamy_mean,
+    kumaraswamy_sample,
     open_unit_uniform,
     softplus,
     softplus_inv,
@@ -152,10 +161,11 @@ class GateState:
             raise ContractError("DBB expected_mask requires initialized input statistics")
         x = np.asarray(x, dtype=np.float64)
         xhat = (x - self.run_mean) / self.run_std
-        gate = np.clip(
-            self.gamma.value * xhat + self.eta.value, self.eps, 1.0 - self.eps
-        )
-        return e_pi * gate
+        return e_pi * self.gate_factor(xhat, self.eta.value)
+
+    def gate_factor(self, xhat: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """clamp(gamma * xhat + shift, eps, 1 - eps) for standardized inputs."""
+        return np.clip(self.gamma.value * xhat + shift, self.eps, 1.0 - self.eps)
 
     def trainable_nodes(self) -> list[Node]:
         if self.mode == MODE_BB:
@@ -182,18 +192,25 @@ class GateState:
 
 
 # ---------------------------------------------------------------------------
-# graph-building pieces used by the training forward pass
+# the training forward pass's gate quantities, one fused node each
 # ---------------------------------------------------------------------------
 
 
 def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
     """Reparameterized Kumaraswamy sample of the keep probabilities, (K,)."""
     u = open_unit_uniform(rng, gate.k)
-    a = ad.softplus(gate.a_raw)
-    b = ad.softplus(gate.b_raw)
-    inner = ad.power(ad.constant(u), ad.power_const(b, -1.0))
-    base = ad.clamp(ad.sub(ad.constant(np.ones(gate.k)), inner), 1e-30, 1.0)
-    return ad.power(base, ad.power_const(a, -1.0))
+    a, b = gate.a(), gate.b()
+    pi = kumaraswamy_sample(u, a, b)
+
+    def vjp(g):
+        inner = u ** (1.0 / b)
+        base = np.maximum(1.0 - inner, KUMARASWAMY_BASE_FLOOR)
+        live = base > KUMARASWAMY_BASE_FLOOR  # the floor passes no gradient to b
+        g_a = -g * pi * np.log(base) / (a * a)
+        g_b = g * pi / (a * base) * inner * np.log(u) / (b * b) * live
+        return g_a * special.expit(gate.a_raw.value), g_b * special.expit(gate.b_raw.value)
+
+    return ad.fused(pi, (gate.a_raw, gate.b_raw), vjp)
 
 
 def concrete_mask_node(
@@ -204,20 +221,25 @@ def concrete_mask_node(
     ``probs`` has shape (K,) (shared across the batch) or (B, K); ``u`` has
     shape (B, K).
     """
-    p = ad.clamp(probs, logit_eps, 1.0 - logit_eps)
-    logit_p = ad.sub(ad.log(p), ad.log(ad.sub(ad.constant(np.ones(p.shape)), p)))
-    logit_u = ad.constant(np.log(u) - np.log1p(-u))
-    if logit_p.shape == logit_u.shape:
-        pre = ad.add(logit_u, logit_p)
-    else:
-        pre = ad.add_rowwise(logit_u, logit_p)
-    return ad.sigmoid(ad.scale(pre, 1.0 / tau))
+    p = probs.value
+    z = concrete_bernoulli_sample(p, tau, u, logit_eps)
+
+    def vjp(g):
+        g_logit = g * z * (1.0 - z) / tau
+        if p.ndim == 1:
+            g_logit = g_logit.sum(axis=0)
+        live = (p > logit_eps) & (p < 1.0 - logit_eps)
+        pc = np.clip(p, logit_eps, 1.0 - logit_eps)
+        return (g_logit * live / (pc * (1.0 - pc)),)
+
+    return ad.fused(z, (probs,), vjp)
 
 
 def beta_sample_node(gate: GateState, rng: np.random.Generator) -> Node:
     """One reparameterized draw beta = eta + kappa * n per unit, (K,)."""
     noise = rng.standard_normal(gate.k)
-    return ad.add(gate.eta, ad.mul(ad.softplus(gate.kappa_raw), ad.constant(noise)))
+    return ad.fused(gate.eta.value + gate.kappa() * noise, (gate.eta, gate.kappa_raw),
+                    lambda g: (g.copy(), g * noise * special.expit(gate.kappa_raw.value)))
 
 
 def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
@@ -228,39 +250,46 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
     """
     if x.value.ndim != 2 or x.value.shape[1] != gate.k:
         raise DimensionError(f"gate expects (B, {gate.k}) inputs, got {x.value.shape}")
-    if x.value.shape[0] < 2:
+    n = len(x.value)
+    if n < 2:
         raise ContractError("DBB training forward needs a batch of at least 2 examples")
-    mu = ad.mean_axis0(x)
-    centered = ad.add_rowwise(x, ad.neg(mu))
-    var = ad.mean_axis0(ad.mul(centered, centered))
-    sigma = ad.clamp(
-        ad.sqrt(ad.add_const(var, 1e-12)), gate.sigma_floor, np.inf
-    )
-    xhat = ad.mul_rowwise(centered, ad.power_const(sigma, -1.0))
-    pre = ad.add_rowwise(ad.mul_rowwise(xhat, gate.gamma), beta)
-    gate_factor = ad.clamp(pre, gate.eps, 1.0 - gate.eps)
-    return ad.mul_rowwise(gate_factor, pi)
+    centered = x.value - x.value.mean(axis=0)
+    sigma_raw = np.sqrt((centered * centered).mean(axis=0) + 1e-12)
+    sigma = np.maximum(sigma_raw, gate.sigma_floor)
+    xhat = centered * (1.0 / sigma)
+    factor = gate.gate_factor(xhat, beta.value)
+
+    def vjp(g):
+        live = (factor > gate.eps) & (factor < 1.0 - gate.eps)
+        g_pre = g * pi.value * live
+        g_x = None
+        if x.needs_grad:
+            g_xhat = g_pre * gate.gamma.value
+            g_sigma = -(g_xhat * centered).sum(axis=0) / (sigma * sigma)
+            g_var = 0.5 * g_sigma / sigma_raw * (sigma_raw > gate.sigma_floor)
+            g_centered = g_xhat / sigma + (2.0 / n) * g_var * centered
+            g_x = g_centered - g_centered.mean(axis=0)
+        return g_x, (g * factor).sum(axis=0), (g_pre * xhat).sum(axis=0), g_pre.sum(axis=0)
+
+    return ad.fused(factor * pi.value, (x, pi, gate.gamma, beta), vjp)
 
 
 def kl_bb_node(gate: GateState) -> Node:
     """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1)."""
-    a = ad.softplus(gate.a_raw)
-    b = ad.softplus(gate.b_raw)
-    ak = gate.alpha_over_k
-    inv_b = ad.power_const(b, -1.0)
-    inner = ad.neg(ad.add_const(ad.add(ad.digamma(b), inv_b), EULER_GAMMA))
-    term1 = ad.mul(ad.div(ad.add_const(a, -ak), a), inner)
-    term2 = ad.add_const(ad.add(ad.log(a), ad.log(b)), -float(np.log(ak)))
-    term3 = ad.add_const(inv_b, -1.0)
-    return ad.sum_all(ad.add(ad.add(term1, term2), term3))
+    a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
+
+    def vjp(g):
+        inner = -(EULER_GAMMA + special.digamma(b) + 1.0 / b)
+        g_a = ak / (a * a) * inner + 1.0 / a
+        g_b = (a - ak) / a * (1.0 / (b * b) - special.polygamma(1, b)) + 1.0 / b - 1.0 / (b * b)
+        return g * g_a * special.expit(gate.a_raw.value), g * g_b * special.expit(gate.b_raw.value)
+
+    return ad.fused(kl_kumaraswamy_beta(a, b, ak).sum(), (gate.a_raw, gate.b_raw), vjp)
 
 
 def kl_beta_gaussian_node(gate: GateState, rho_var: float) -> Node:
     """KL( N(eta, kappa^2) || N(0, rho_var) ), summed over units."""
-    kappa_sq = ad.power_const(ad.softplus(gate.kappa_raw), 2.0)
-    quad = ad.scale(ad.add(kappa_sq, ad.power_const(gate.eta, 2.0)), 1.0 / rho_var)
-    per_unit = ad.scale(
-        ad.add_const(ad.add(ad.neg(ad.log(kappa_sq)), quad), float(np.log(rho_var)) - 1.0),
-        0.5,
-    )
-    return ad.sum_all(per_unit)
+    eta, kappa = gate.eta.value, gate.kappa()
+    g_kappa = (kappa / rho_var - 1.0 / kappa) * special.expit(gate.kappa_raw.value)
+    return ad.fused(gaussian_kl(eta, kappa * kappa, rho_var), (gate.eta, gate.kappa_raw),
+                    lambda g: (g * eta / rho_var, g * g_kappa))

@@ -140,9 +140,11 @@ def _activate(h: Node, activation: str | None) -> Node:
 def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     """The one layer walk behind :func:`forward_train` and :func:`forward_eval`.
 
-    ``gate_mask(gate_index, gate, gate_input)`` is the mask policy: it gets
-    the gate's (B, K) input node (the dense input itself, or the channel
-    means of the conv output) and returns the (B, K) mask node to apply.
+    ``gate_mask(gate_index, gate, batch_size, gate_input)`` is the mask
+    policy: it returns the (batch_size, K) mask node to apply.  It calls
+    ``gate_input()`` only when it reads the gate's (B, K) input node (the
+    dense input itself, or the channel means of the conv output), so a
+    policy that needs just the batch size builds no channel means.
     A conv net's (B, H, W) or (B, C, H, W) input is made channel-major once,
     and ``flatten`` gives the dense head rows in per-example (C, H, W) order.
     """
@@ -155,18 +157,25 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     gate_idx = 0
     for layer in net.layers:
         gated = net.gates_enabled and layer.gate is not None
+        # the policy calls gate_input before h is rebound, so it reads this layer's node
         if layer.kind == "dense":
             if h.value.ndim == 4:
                 h = ad.flatten(h)
             if layer.input_select is not None:
                 h = ad.gather_cols(h, layer.input_select)
+            if h.value.shape[1:] != (layer.in_dim,):
+                raise DimensionError(
+                    f"dense layer expects {layer.in_dim} inputs per example, got {h.value.shape}"
+                )
             if gated:
-                h = ad.mul(gate_mask(gate_idx, layer.gate, h), h)
+                h = ad.mul(gate_mask(gate_idx, layer.gate, len(h.value), lambda: h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
         else:
             h = ad.conv2d(h, layer.w, layer.b, stride=layer.stride, padding=layer.padding)
             if gated:
-                h = ad.scale_channels(h, gate_mask(gate_idx, layer.gate, ad.global_avg_pool(h)))
+                mask = gate_mask(gate_idx, layer.gate, h.value.shape[1],
+                                 lambda: ad.global_avg_pool(h))
+                h = ad.scale_channels(h, mask)
         gate_idx += gated
         h = _activate(h, layer.activation)
         if layer.kind == "conv" and layer.pool:
@@ -189,19 +198,17 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
         raise ContractError("gates are enabled but the network has none")
     kl_terms: list[Node] = []
 
-    def sampled_mask(k: int, gate: GateState, gate_input: Node) -> Node:
-        bsz = gate_input.value.shape[0]
+    def sampled_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
         if force_masks is not None and k in force_masks:
             forced = np.asarray(force_masks[k], dtype=np.float64)
-            if forced.ndim == 1:
-                forced = np.broadcast_to(forced, (bsz, forced.shape[0]))
-            return ad.constant(forced)
+            return ad.constant(np.broadcast_to(forced, (bsz, forced.shape[-1])))
         pi = sample_pi_node(gate, rng)
         kl = kl_bb_node(gate)
         if gate.mode == MODE_DBB:
             beta = beta_sample_node(gate, rng)
-            probs = dbb_phi_node(gate, gate_input, pi, beta)
-            gate.update_running_stats(gate_input.value)
+            x_in = gate_input()
+            probs = dbb_phi_node(gate, x_in, pi, beta)
+            gate.update_running_stats(x_in.value)
             kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
         else:
             probs = pi
@@ -223,15 +230,15 @@ def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False,
     """
     gate_info: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def expected_mask(k: int, gate: GateState, gate_input: Node) -> Node:
-        x_in = gate_input.value
-        mask = gate.expected_mask(x_in if gate.mode == MODE_DBB else None)
+    def expected_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
+        x_in = gate_input().value if gate.mode == MODE_DBB or return_gate_info else None
+        mask = gate.expected_mask(x_in)
         if keep_sets is not None:
             sel = (Ellipsis, np.asarray(keep_sets[k], dtype=np.intp))
             kept = np.zeros_like(mask)
             kept[sel] = mask[sel]
             mask = kept
-        mask = np.broadcast_to(mask, x_in.shape)
+        mask = np.broadcast_to(mask, (bsz, gate.k))
         if return_gate_info:
             gate_info.append((x_in.copy(), mask.copy()))
         return ad.constant(mask)

@@ -131,6 +131,7 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
             net, x, rng, tau=config.tau, rho_var=config.rho_var,
             logit_eps=config.logit_eps, force_masks=force_masks,
         )
+        _check_labels(y, logits.value)
         piece = ad.softmax_cross_entropy(logits, y)
         nll_mean = piece if nll_mean is None else ad.add(nll_mean, piece)
         if s == 0:
@@ -156,13 +157,23 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     return loss, {"nll": float(nll_mean.value), "kl": kl_value}
 
 
+def _check_labels(labels: np.ndarray, logits: np.ndarray) -> None:
+    """Raise DimensionError unless every label names a column of the logits."""
+    width = logits.shape[1]
+    if labels.size and (labels.min() < 0 or labels.max() >= width):
+        raise DimensionError(f"labels must lie in [0, {width}) for a network with {width} outputs")
+
+
 def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> float:
     """Top-1 error percentage of the deterministic evaluation pass."""
+    if len(dataset) == 0:
+        raise ContractError("cannot evaluate on an empty dataset")
     wrong = 0
     for start in range(0, len(dataset), batch_size):
         x = dataset.images[start : start + batch_size]
         y = dataset.labels[start : start + batch_size]
         logits = forward_eval(net, x)
+        _check_labels(y, logits)
         wrong += int((logits.argmax(axis=1) != y).sum())
     return 100.0 * wrong / len(dataset)
 

@@ -1,11 +1,20 @@
-"""Shared test utilities: finite-difference gradient oracles, assertions, and
-checkpoint manifest edits."""
+"""Shared test utilities: finite-difference and complex-step gradient
+oracles, assertions, and checkpoint manifest edits."""
 
 import json
 
 import numpy as np
+from scipy import special
 
 from betadrop import autodiff as ad
+from betadrop import gates
+from betadrop.distributions import (
+    EULER_GAMMA,
+    KUMARASWAMY_BASE_FLOOR,
+    LOGIT_EPS,
+    make_rng,
+    open_unit_uniform,
+)
 
 
 def numeric_grad(f, node, h=1e-5):
@@ -49,6 +58,160 @@ def gradcheck(build_loss, params, h=1e-5, rtol=1e-4, atol=1e-7):
     for p, g in zip(params, analytic):
         num = numeric_grad(lambda: build_loss().value, p, h=h)
         assert_grads_close(g, num, rtol=rtol, atol=atol, label=f"param {p.shape}")
+
+
+def complex_step_grads(f, leaves, h=1e-30):
+    """Gradient of the real scalar ``f(*leaves)`` with respect to each leaf.
+
+    Complex step: df/dx_j = Im f(x + i h e_j) / h, which has no subtraction
+    and so is exact to rounding when ``f`` is analytic along the step.  The
+    reference formulas below keep that property: clamps and floors compare
+    real parts and return a constant at and beyond the bound.
+    """
+    leaves = [np.asarray(x, dtype=np.float64) for x in leaves]
+    grads = []
+    for i, x in enumerate(leaves):
+        grad = np.empty(x.shape)
+        for j in np.ndindex(x.shape):
+            z = [np.asarray(leaf, dtype=complex) for leaf in leaves]
+            z[i][j] += 1j * h
+            grad[j] = np.imag(f(*z)) / h
+        grads.append(grad)
+    return grads
+
+
+def _clamp(x, lo, hi):
+    return np.where(x.real <= lo, lo, np.where(x.real >= hi, hi, x))
+
+
+def _softplus(x):
+    pos = x.real > 0
+    return np.where(pos, x, 0.0) + np.log1p(np.exp(np.where(pos, -x, x)))
+
+
+def _sigmoid(x):
+    pos = x.real > 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ref_sample_pi(u, a_raw, b_raw):
+    """Kumaraswamy sample (1 - u^(1/b))^(1/a), base floored, a and b softplus'd."""
+    base = 1.0 - u ** (1.0 / _softplus(b_raw))
+    base = np.where(base.real <= KUMARASWAMY_BASE_FLOOR, KUMARASWAMY_BASE_FLOOR, base)
+    return base ** (1.0 / _softplus(a_raw))
+
+
+def ref_concrete_mask(probs, u, tau, logit_eps):
+    """sigmoid((logit clamp(probs) + logit u) / tau)."""
+    p = _clamp(probs, logit_eps, 1.0 - logit_eps)
+    return _sigmoid((np.log(p) - np.log(1.0 - p) + np.log(u) - np.log(1.0 - u)) / tau)
+
+
+def ref_beta_sample(noise, eta, kappa_raw):
+    return eta + _softplus(kappa_raw) * noise
+
+
+def ref_dbb_phi(x, pi, gamma, beta, eps, sigma_floor):
+    """pi * clamp(gamma * (x - mean) / max(std, floor) + beta, eps, 1 - eps)."""
+    centered = x - x.mean(axis=0)
+    sigma = np.sqrt((centered * centered).mean(axis=0) + 1e-12)
+    sigma = np.where(sigma.real <= sigma_floor, sigma_floor, sigma)
+    return _clamp(gamma * centered / sigma + beta, eps, 1.0 - eps) * pi
+
+
+def ref_kl_bb(a_raw, b_raw, alpha_over_k):
+    a, b = _softplus(a_raw), _softplus(b_raw)
+    term1 = (a - alpha_over_k) / a * -(EULER_GAMMA + special.digamma(b) + 1.0 / b)
+    return np.sum(term1 + np.log(a) + np.log(b) - np.log(alpha_over_k) + 1.0 / b - 1.0)
+
+
+def ref_kl_beta_gaussian(eta, kappa_raw, rho_var):
+    kappa_sq = _softplus(kappa_raw) ** 2
+    return np.sum(0.5 * (-np.log(kappa_sq) + (kappa_sq + eta * eta) / rho_var
+                         + np.log(rho_var) - 1.0))
+
+
+# The fused gate builders, one case per shape they take.
+FUSED_GATES = (
+    "sample_pi",
+    "concrete_mask_shared",
+    "concrete_mask_per_example",
+    "beta_sample",
+    "dbb_phi",
+    "kl_bb",
+    "kl_beta_gaussian",
+)
+
+
+def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
+    """One fused gate builder on random in-domain inputs.
+
+    Returns ``(build, ref, leaves)``: ``build()`` makes the builder's node
+    from the current values of the parameter nodes ``leaves``, with any
+    sampling frozen, and ``ref(*leaf_values)`` is its reference formula from
+    this module.  Raw gate parameters are normal with spread ``scale``.
+    With ``boundary`` the inputs also reach every clamp: a Kumaraswamy ``b``
+    of 1e20 (the base floor fires), probabilities at and beyond the logit
+    bounds, gate factors clamped at both ``eps`` and ``1 - eps``, and a
+    constant gate-input column (the standard-deviation floor fires).
+    """
+    gate = gates.GateState.create(k, mode=gates.MODE_DBB)
+    gate.a_raw.value = rng.normal(1.0, scale, k)
+    gate.b_raw.value = rng.normal(0.5, scale, k)
+    gate.gamma.value = rng.normal(0.2, 0.1, k)
+    gate.eta.value = rng.normal(0.4, 0.1 * scale, k)
+    gate.kappa_raw.value = rng.normal(-2.0, scale, k)
+    seed = int(rng.integers(2**31))
+    if name == "sample_pi":
+        if boundary:
+            gate.b_raw.value[0] = 1e20
+        u = open_unit_uniform(make_rng(seed), k)
+        return (lambda: gates.sample_pi_node(gate, make_rng(seed)),
+                lambda a_raw, b_raw: ref_sample_pi(u, a_raw, b_raw),
+                [gate.a_raw, gate.b_raw])
+    if name.startswith("concrete_mask"):
+        shape = (k,) if name.endswith("shared") else (bsz, k)
+        probs = rng.uniform(0.05, 0.95, shape)
+        if boundary:
+            probs.reshape(-1)[:4] = (1e-9, LOGIT_EPS, 1.0 - LOGIT_EPS, 1.0 - 1e-9)
+        probs = ad.parameter(probs)
+        u = open_unit_uniform(make_rng(seed), (bsz, k))
+        return (lambda: gates.concrete_mask_node(probs, u, 0.7),
+                lambda p: ref_concrete_mask(p, u, 0.7, LOGIT_EPS),
+                [probs])
+    if name == "beta_sample":
+        noise = make_rng(seed).standard_normal(k)
+        return (lambda: gates.beta_sample_node(gate, make_rng(seed)),
+                lambda eta, kappa_raw: ref_beta_sample(noise, eta, kappa_raw),
+                [gate.eta, gate.kappa_raw])
+    if name == "dbb_phi":
+        x = rng.normal(0.0, scale, (bsz, k))
+        pi = rng.uniform(0.1, 0.9, k)
+        beta = rng.normal(0.5, 0.1, k)
+        if boundary:
+            x[:, 0] = 1.5
+            beta[1:3] = (-2.0, 3.0)
+        x, pi, beta = ad.parameter(x), ad.parameter(pi), ad.parameter(beta)
+        return (lambda: gates.dbb_phi_node(gate, x, pi, beta),
+                lambda *v: ref_dbb_phi(*v, gate.eps, gate.sigma_floor),
+                [x, pi, gate.gamma, beta])
+    if name == "kl_bb":
+        if boundary:
+            gate.b_raw.value[0] = 1e20
+        return (lambda: gates.kl_bb_node(gate),
+                lambda a_raw, b_raw: ref_kl_bb(a_raw, b_raw, gate.alpha_over_k),
+                [gate.a_raw, gate.b_raw])
+    rho_var = float(np.sqrt(5.0))
+    return (lambda: gates.kl_beta_gaussian_node(gate, rho_var),
+            lambda eta, kappa_raw: ref_kl_beta_gaussian(eta, kappa_raw, rho_var),
+            [gate.eta, gate.kappa_raw])
+
+
+def gate_case_loss(build, rng):
+    """``build`` and a loss builder sum(c * node) with fixed random weights c."""
+    coeffs = ad.constant(rng.normal(size=build().shape))
+    return lambda: ad.sum_all(ad.mul(build(), coeffs))
 
 
 def conv2d_oracle(x, w, stride=1, padding=0):

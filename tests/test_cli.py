@@ -67,6 +67,12 @@ class TestUsageErrors:
         cfg = write_config(tmp_path)
         assert main(["evaluate", "--config", str(cfg)]) == 2
 
+    def test_output_narrower_than_classes_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={"dims": [20, 16, 1]})
+        assert main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "1 outputs" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "old,new,named",
         [

@@ -30,6 +30,11 @@ class TestKumaraswamySample:
         with pytest.raises(DomainError):
             d.kumaraswamy_sample(1.0, 1.0, 1.0)
 
+    def test_base_floor_keeps_large_b_samples_positive(self):
+        # u^(1/b) rounds to 1 at b = 1e20, so the base 1 - u^(1/b) is floored
+        x = d.kumaraswamy_sample(0.5, np.array([1.0, 2.0]), 1e20)
+        assert x == pytest.approx([d.KUMARASWAMY_BASE_FLOOR, 1e-15], rel=1e-12, abs=0)
+
     def test_ks_statistic_against_closed_form_cdf(self):
         a, b = 2.0, 3.0
         u = d.open_unit_uniform(d.make_rng(42), 100_000)

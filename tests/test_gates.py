@@ -1,5 +1,7 @@
 """GateState behavior: running statistics, expected masks, the dependent
-gate rule, and gradients of every stochastic path against finite differences."""
+gate rule, and the fused gate ops: gradients of every stochastic path against
+finite differences, and values and gradients of each op against complex-step
+derivatives of its reference formula in ``helpers``."""
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from betadrop.gates import (
     sample_pi_node,
 )
 
-from helpers import gradcheck
+from helpers import FUSED_GATES, complex_step_grads, fused_gate_case, gradcheck
 
 
 def make_gate(k=4, mode=MODE_BB, eps=1e-3, seed=0):
@@ -259,3 +261,57 @@ class TestGraphPieces:
         beta = beta_sample_node(gate, d.make_rng(1))
         with pytest.raises(ContractError):
             dbb_phi_node(gate, x, pi, beta)
+
+
+class TestFusedGates:
+    @pytest.mark.parametrize("name", FUSED_GATES)
+    def test_value_and_gradients_match_complex_step(self, name):
+        rng = np.random.default_rng(FUSED_GATES.index(name))
+        build, ref, leaves = fused_gate_case(name, rng, boundary=True)
+        node = build()
+        coeffs = rng.normal(size=node.shape)
+        ad.zero_gradients(leaves)
+        ad.backward(ad.sum_all(ad.mul(node, ad.constant(coeffs))))
+        values = [leaf.value for leaf in leaves]
+        if name == "dbb_phi":  # gate factors clamped at both bounds are present
+            factor = node.value / values[1]
+            assert np.isclose(factor, 1e-3, rtol=1e-12).any()
+            assert np.isclose(factor, 1.0 - 1e-3, rtol=1e-12).any()
+        assert np.allclose(node.value, ref(*values), rtol=1e-12, atol=0)
+        oracle = complex_step_grads(lambda *z: np.sum(coeffs * ref(*z)), values)
+        for leaf, want in zip(leaves, oracle):
+            assert np.abs(leaf.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", FUSED_GATES)
+    def test_each_gate_quantity_is_one_node(self, name):
+        build, _, leaves = fused_gate_case(name, np.random.default_rng(0))
+        parents = build()._parents
+        assert parents and all(p in leaves or not p._parents for p in parents)
+
+    def test_concrete_mask_at_even_odds_is_one_half(self):
+        # sigmoid(0): keep probability 1/2 and noise 1/2 give logit 0
+        mask = concrete_mask_node(ad.constant([0.5]), np.array([[0.5]]), tau=0.3)
+        assert mask.value == pytest.approx(0.5, abs=1e-15)
+
+    @staticmethod
+    def _phi_with_beta(gate, beta):
+        x = ad.parameter(np.random.default_rng(3).normal(size=(5, gate.k)))
+        pi = ad.parameter(np.full(gate.k, 0.8))
+        beta = ad.parameter(np.full(gate.k, beta))
+        phi = dbb_phi_node(gate, x, pi, beta)
+        ad.backward(ad.sum_all(phi))
+        return phi, x, beta
+
+    def test_dbb_phi_clamp_saturation_value_and_gradient(self):
+        gate = make_gate(3, mode=MODE_DBB)
+        phi, x, beta = self._phi_with_beta(gate, 50.0)
+        assert np.array_equal(phi.value, np.full((5, 3), (1.0 - gate.eps) * 0.8))
+        for leaf in (x, beta, gate.gamma):
+            assert not leaf.grad.any()
+
+    def test_dbb_phi_gradient_at_exact_clamp_boundary_is_zero(self):
+        gate = make_gate(3, mode=MODE_DBB)
+        gate.gamma.value = np.zeros(3)  # the gate factor is beta itself
+        phi, _, beta = self._phi_with_beta(gate, 1.0 - gate.eps)
+        assert np.array_equal(phi.value, np.full((5, 3), (1.0 - gate.eps) * 0.8))
+        assert not beta.grad.any()

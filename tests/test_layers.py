@@ -233,6 +233,14 @@ class TestForwardEval:
 
 
     @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
+    def test_wrong_input_width_is_dimension_error(self, mode):
+        net = toy_net(mode=mode)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(16, g.k)))
+        with pytest.raises(DimensionError, match="expects 6 inputs"):
+            forward_eval(net, RNG.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
     def test_eval_between_backward_passes_leaves_gradients(self, mode):
         net = toy_net(seed=5, mode=mode)
         x = RNG.normal(size=(4, 6))

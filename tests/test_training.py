@@ -8,8 +8,8 @@ from betadrop import autodiff as ad
 from betadrop import distributions as d
 from betadrop.analysis import count_flops, prune_by_threshold, runtime_prune_stats
 from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_cluster
-from betadrop.errors import ContractError, TrainingDivergedError
-from betadrop.gates import MODE_BB
+from betadrop.errors import ContractError, DimensionError, TrainingDivergedError
+from betadrop.gates import MODE_BB, MODE_DBB
 from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
 from betadrop.training import (
     AdamState,
@@ -115,6 +115,12 @@ class TestElboLoss:
             elbo_loss(net, (np.zeros((0, 6)), np.zeros(0, dtype=int)), 10,
                       TrainConfig(), d.make_rng(0))
 
+    def test_labels_beyond_the_outputs_rejected(self):
+        net = small_net()
+        with pytest.raises(DimensionError, match="2 outputs"):
+            elbo_loss(net, (np.zeros((2, 6)), np.array([0, 2])), 10,
+                      TrainConfig(), d.make_rng(0))
+
     def test_multi_sample_estimator_averages_nll(self):
         net = small_net(seed=4)
         x = np.random.default_rng(4).normal(size=(4, 6))
@@ -202,6 +208,23 @@ class TestElboLoss:
         mean_grad = grads.mean() - kl_grad
         se = grads.std() / np.sqrt(len(grads))
         assert abs(mean_grad - oracle) < 3.0 * se
+
+
+class TestEvaluateError:
+    @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
+    def test_empty_dataset_rejected(self, mode):
+        net = small_net()
+        net.set_gate_mode(mode)
+        for g in net.gates():
+            g.update_running_stats(np.random.default_rng(0).normal(size=(8, g.k)))
+        empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ContractError, match="empty"):
+            evaluate_error(net, empty)
+
+    def test_labels_beyond_the_outputs_rejected(self):
+        data = Dataset(np.zeros((3, 6)), np.array([0, 1, 2]))
+        with pytest.raises(DimensionError, match="2 outputs"):
+            evaluate_error(small_net(), data)
 
 
 class TestPretrain:
