@@ -121,6 +121,15 @@ def count_memory(net: Network, keep_counts=None) -> float:
     return 100.0 * pruned / orig
 
 
+def _gate_info_batches(net: Network, dataset: Dataset, batch_size: int = 500):
+    """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
+    if len(dataset) == 0:
+        raise ContractError("gate statistics need a non-empty dataset")
+    for start in range(0, len(dataset), batch_size):
+        yield forward_eval(net, dataset.images[start : start + batch_size],
+                           return_gate_info=True)[1]
+
+
 @dataclass
 class RuntimeStats:
     """Per-input runtime pruning statistics for an input-dependent network."""
@@ -145,14 +154,10 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
         raise ContractError("runtime statistics require gated layers")
     if any(g.mode != MODE_DBB for g in gates):
         raise ContractError("runtime statistics require DBB-mode gates")
-    counts = []
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start : start + batch_size]
-        _, info = forward_eval(net, x, return_gate_info=True)
-        counts.append(
-            np.stack([(mask >= threshold).sum(axis=1) for _, mask in info], axis=1)
-        )
-    kept = np.concatenate(counts, axis=0)
+    kept = np.concatenate([
+        np.stack([(mask >= threshold).sum(axis=1) for _, mask in info], axis=1)
+        for info in _gate_info_batches(net, dataset, batch_size)
+    ])
     costs = layer_costs(net)
     flops = np.array(
         [_accumulate(costs, row, "mac_per_pair") for row in kept], dtype=np.float64
@@ -176,15 +181,10 @@ class CorrelationReport:
     class_means: list[np.ndarray] = field(default_factory=list)  # each (C, K)
 
 
-def _gate_vectors(net: Network, dataset: Dataset, batch_size: int = 500) -> list[np.ndarray]:
+def _gate_vectors(net: Network, dataset: Dataset) -> list[np.ndarray]:
     """Per gated layer, the (N, K) matrix of per-input expected masks."""
-    per_layer: list[list[np.ndarray]] = [[] for _ in net.gates()]
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start : start + batch_size]
-        _, info = forward_eval(net, x, return_gate_info=True)
-        for gi, (_, mask) in enumerate(info):
-            per_layer[gi].append(mask)
-    return [np.concatenate(chunks, axis=0) for chunks in per_layer]
+    masks = [[mask for _, mask in info] for info in _gate_info_batches(net, dataset)]
+    return [np.concatenate(chunks) for chunks in zip(*masks)]
 
 
 def class_average_gate_correlation(net: Network, dataset: Dataset) -> CorrelationReport:

@@ -20,10 +20,9 @@ channel-major, (C, B, H, W); `flatten` turns them into the (B, C*H*W) rows
 of a dense layer, and per-example channel quantities (gate masks, channel
 means) stay (B, C).
 
-Broadcasting is deliberately restricted: binary elementwise ops accept equal
-shapes or a scalar (shape ``()``) against a tensor.  The few mixed-rank
-products the models need are dedicated ops (`add_rowwise`, `scale_channels`)
-so that shape errors stay loud.
+There is no broadcasting: binary elementwise ops accept equal shapes only.
+The few mixed-rank products the models need are dedicated ops
+(`add_rowwise`, `scale_channels`) so that shape errors stay loud.
 """
 
 from __future__ import annotations
@@ -208,38 +207,27 @@ def zero_gradients(nodes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _binary_shapes(a: Node, b: Node, opname: str):
-    """Return (shape, a_is_scalar, b_is_scalar) under restricted broadcasting."""
-    sa, sb = a.value.shape, b.value.shape
-    if sa == sb:
-        return sa, False, False
-    if sa == ():
-        return sb, True, False
-    if sb == ():
-        return sa, False, True
-    raise DimensionError(f"{opname}: incompatible shapes {sa} and {sb}")
-
-
-def _reduce_to(grad: np.ndarray, scalar: bool) -> np.ndarray:
-    return np.asarray(grad.sum()) if scalar else grad
+def _check_same_shape(a: Node, b: Node, opname: str) -> None:
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"{opname}: incompatible shapes {a.value.shape} and {b.value.shape}")
 
 
 def add(a: Node, b: Node) -> Node:
-    _, asc, bsc = _binary_shapes(a, b, "add")
+    _check_same_shape(a, b, "add")
 
     def bw(g):
-        _pass(a, _reduce_to(g, asc))
-        _pass(b, _reduce_to(g, bsc))
+        _pass(a, g)
+        _pass(b, g)
 
     return Node(a.value + b.value, (a, b), bw)
 
 
 def mul(a: Node, b: Node) -> Node:
-    _, asc, bsc = _binary_shapes(a, b, "mul")
+    _check_same_shape(a, b, "mul")
 
     def bw(g):
-        _acc(a, _reduce_to(g * b.value, asc))
-        _acc(b, _reduce_to(g * a.value, bsc))
+        _acc(a, g * b.value)
+        _acc(b, g * a.value)
 
     return Node(a.value * b.value, (a, b), bw)
 

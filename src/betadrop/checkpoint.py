@@ -199,4 +199,7 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
                 padding=_checked(entry["padding"], int, f"padding of layer {i}"),
             ))
     gates_enabled = _checked(manifest["gates_enabled"], bool, "gates_enabled")
-    return Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])
+    net = Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])
+    for n in _checked(net.meta.get("input_shape", []), list, "input_shape"):
+        _checked(n, int, "entry of input_shape")
+    return net

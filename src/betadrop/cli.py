@@ -13,7 +13,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -85,13 +85,13 @@ def _build_parser() -> _Parser:
 
 
 def _build_model(cfg: dict) -> Network:
-    mc, tc = cfg["model"], cfg["train"]
+    mc = cfg["model"]
     kwargs = dict(
         seed=mc["seed"],
-        alpha_over_k=tc["alpha_over_k"],
-        eps_gate=tc["eps_gate"],
-        momentum=tc["momentum"],
-        sigma_floor=tc["sigma_floor"],
+        alpha_over_k=mc["alpha_over_k"],
+        eps=mc["eps_gate"],
+        momentum=mc["momentum"],
+        sigma_floor=mc["sigma_floor"],
     )
     if mc["arch"] == "lenet_500_300":
         return build_lenet_500_300(**kwargs)
@@ -132,29 +132,15 @@ def _load_data(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset]:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    tc = cfg["train"]
+    names = {f.name for f in fields(TrainConfig)}
+    tc = {key: value for key, value in cfg["train"].items() if key in names}
     multipliers = tc["per_layer_kl_multipliers"]
     if multipliers is None and cfg["model"]["arch"] == "lenet5_caffe":
         # conv-layer KL is underweighted by the small filter counts;
         # conventional compensation for this architecture
         multipliers = [20.0, 8.0, 1.0, 1.0]
-    return TrainConfig(
-        batch_size=tc["batch_size"],
-        max_epochs=max(tc["pretrain_epochs"], tc["finetune_epochs"]),
-        lr_variational=tc["lr_variational"],
-        lr_weights=tc["lr_weights"],
-        kl_scale=tc["kl_scale"],
-        per_layer_kl_multipliers=None if multipliers is None else tuple(multipliers),
-        tau=tc["tau"],
-        alpha_over_k=tc["alpha_over_k"],
-        rho_var=tc["rho_var"],
-        eps_gate=tc["eps_gate"],
-        weight_decay=tc["weight_decay"],
-        seed=tc["seed"],
-        momentum=tc["momentum"],
-        sigma_floor=tc["sigma_floor"],
-        logit_eps=tc["logit_eps"],
-    ).validate()
+    tc["per_layer_kl_multipliers"] = None if multipliers is None else tuple(multipliers)
+    return TrainConfig(**tc).validate()
 
 
 def _outdir(cfg: dict) -> str:

@@ -15,7 +15,7 @@ in :mod:`betadrop.distributions`, its backward is written out by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -74,16 +74,8 @@ class GateState:
             raise ContractError(f"eps must lie in (0, 0.5), got {self.eps}")
 
     @classmethod
-    def create(
-        cls,
-        k: int,
-        alpha_over_k: float = 1e-4,
-        eps: float = 1e-3,
-        mode: str = MODE_BB,
-        momentum: float = 0.9,
-        sigma_floor: float = 1e-3,
-    ) -> "GateState":
-        ones = np.ones(k)
+    def create(cls, k: int, **options) -> "GateState":
+        """A fresh gate over ``k`` units; ``options`` set the scalar fields."""
         return cls(
             a_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_A)))),
             b_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_B)))),
@@ -91,12 +83,8 @@ class GateState:
             eta=ad.parameter(np.full(k, INIT_ETA)),
             kappa_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_KAPPA)))),
             run_mean=np.zeros(k),
-            run_std=ones.copy(),
-            alpha_over_k=alpha_over_k,
-            eps=eps,
-            mode=mode,
-            momentum=momentum,
-            sigma_floor=sigma_floor,
+            run_std=np.ones(k),
+            **options,
         )
 
     @property
@@ -174,20 +162,12 @@ class GateState:
 
     def subset(self, keep: np.ndarray) -> "GateState":
         keep = np.asarray(keep, dtype=np.intp)
-        return GateState(
-            a_raw=ad.parameter(self.a_raw.value[keep]),
-            b_raw=ad.parameter(self.b_raw.value[keep]),
-            gamma=ad.parameter(self.gamma.value[keep]),
-            eta=ad.parameter(self.eta.value[keep]),
-            kappa_raw=ad.parameter(self.kappa_raw.value[keep]),
+        return replace(
+            self,
+            **{name: ad.parameter(getattr(self, name).value[keep])
+               for name in ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")},
             run_mean=self.run_mean[keep].copy(),
             run_std=self.run_std[keep].copy(),
-            alpha_over_k=self.alpha_over_k,
-            eps=self.eps,
-            mode=self.mode,
-            momentum=self.momentum,
-            sigma_floor=self.sigma_floor,
-            stats_initialized=self.stats_initialized,
         )
 
 

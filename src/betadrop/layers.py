@@ -145,10 +145,18 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     ``gate_input()`` only when it reads the gate's (B, K) input node (the
     dense input itself, or the channel means of the conv output), so a
     policy that needs just the batch size builds no channel means.
+    When ``net.meta`` has an ``input_shape``, each example must hold that
+    many values; a shrunk first layer's ``input_select`` indexes into them.
     A conv net's (B, H, W) or (B, C, H, W) input is made channel-major once,
     and ``flatten`` gives the dense head rows in per-example (C, H, W) order.
     """
     x = np.asarray(x, dtype=np.float64)
+    shape = net.meta.get("input_shape")
+    if shape and math.prod(x.shape[1:]) != math.prod(shape):
+        raise DimensionError(
+            f"network expects {math.prod(shape)} inputs per example "
+            f"(input_shape {list(shape)}), got {x.shape}"
+        )
     if net.layers and net.layers[0].kind == "conv":
         x = x[None] if x.ndim == 3 else x.swapaxes(0, 1)
     elif x.ndim > 2:
@@ -263,15 +271,11 @@ def _init_conv(rng, c_out: int, c_in: int, k: int) -> np.ndarray:
     return rng.normal(0.0, std, size=(c_out, c_in, k, k))
 
 
-def _gate(k: int, alpha_over_k: float, eps: float, momentum: float, sigma_floor: float):
-    return GateState.create(
-        k, alpha_over_k=alpha_over_k, eps=eps, momentum=momentum, sigma_floor=sigma_floor
-    )
+def build_lenet_500_300(seed: int = 0, **gate_options) -> Network:
+    """784-500-300-10 dense classifier; gates on the input and both hidden inputs.
 
-
-def build_lenet_500_300(seed: int = 0, alpha_over_k: float = 1e-4, eps_gate: float = 1e-3,
-                        momentum: float = 0.9, sigma_floor: float = 1e-3) -> Network:
-    """784-500-300-10 dense classifier; gates on the input and both hidden inputs."""
+    ``gate_options`` are :class:`GateState` scalar fields, set on every gate.
+    """
     rng = make_rng(seed)
     dims = (784, 500, 300, 10)
     layers = []
@@ -281,18 +285,17 @@ def build_lenet_500_300(seed: int = 0, alpha_over_k: float = 1e-4, eps_gate: flo
             DenseLayer(
                 _init_dense(rng, fan_in, fan_out, relu_gain=i < 2),
                 np.zeros(fan_out),
-                gate=_gate(fan_in, alpha_over_k, eps_gate, momentum, sigma_floor),
+                gate=GateState.create(fan_in, **gate_options),
                 activation="relu" if i < 2 else None,
             )
         )
     return Network(layers, meta={"arch": "lenet_500_300", "input_shape": [784]})
 
 
-def build_lenet5_caffe(seed: int = 0, alpha_over_k: float = 1e-4, eps_gate: float = 1e-3,
-                       momentum: float = 0.9, sigma_floor: float = 1e-3) -> Network:
+def build_lenet5_caffe(seed: int = 0, **gate_options) -> Network:
     """20/50-channel 5x5 conv stack + 800-500-10 dense head, gated 20-50-800-500."""
     rng = make_rng(seed)
-    g = lambda k: _gate(k, alpha_over_k, eps_gate, momentum, sigma_floor)
+    g = lambda k: GateState.create(k, **gate_options)
     layers = [
         ConvLayer(_init_conv(rng, 20, 1, 5), np.zeros(20), gate=g(20), activation="relu", pool=True),
         ConvLayer(_init_conv(rng, 50, 20, 5), np.zeros(50), gate=g(50), activation="relu", pool=True),
@@ -302,9 +305,7 @@ def build_lenet5_caffe(seed: int = 0, alpha_over_k: float = 1e-4, eps_gate: floa
     return Network(layers, meta={"arch": "lenet5_caffe", "input_shape": [1, 28, 28]})
 
 
-def build_mlp(dims, seed: int = 0, gated: bool = True, alpha_over_k: float = 1e-4,
-              eps_gate: float = 1e-3, momentum: float = 0.9,
-              sigma_floor: float = 1e-3) -> Network:
+def build_mlp(dims, seed: int = 0, gated: bool = True, **gate_options) -> Network:
     """Generic gated MLP for fixtures and custom runs; gates every layer input."""
     dims = tuple(int(d) for d in dims)
     rng = make_rng(seed)
@@ -315,9 +316,7 @@ def build_mlp(dims, seed: int = 0, gated: bool = True, alpha_over_k: float = 1e-
             DenseLayer(
                 _init_dense(rng, dims[i], dims[i + 1], relu_gain=not last),
                 np.zeros(dims[i + 1]),
-                gate=_gate(dims[i], alpha_over_k, eps_gate, momentum, sigma_floor)
-                if gated
-                else None,
+                gate=GateState.create(dims[i], **gate_options) if gated else None,
                 activation=None if last else "relu",
             )
         )

@@ -4,18 +4,18 @@ with the keep-probability posterior frozen)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .analysis import DEFAULT_PRUNE_THRESHOLD, count_flops
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
-from .distributions import make_rng
+from .distributions import LOGIT_EPS, make_rng
 from .errors import ContractError, DimensionError, InvariantViolationError, TrainingDivergedError
 from .gates import MODE_BB, MODE_DBB
-from .layers import Network, forward_eval, forward_train
+from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train
 
 NOISE_SEED_OFFSET = 1_000_003  # decorrelates the noise stream from the shuffle stream
 
@@ -30,21 +30,16 @@ class TrainConfig:
     """
 
     batch_size: int = 100
-    max_epochs: int = 200
     lr_variational: float = 1e-3
     lr_weights: float | None = None
     kl_scale: float = 1.0
     per_layer_kl_multipliers: tuple | None = None
     tau: float = 0.1
-    alpha_over_k: float = 1e-4
-    rho_var: float = math.sqrt(5.0)
-    eps_gate: float = 1e-3
+    rho_var: float = RHO_VAR_DEFAULT
     weight_decay: float = 5e-4
     seed: int = 0
     mc_samples: int = 1
-    momentum: float = 0.9
-    sigma_floor: float = 1e-3
-    logit_eps: float = 1e-6
+    logit_eps: float = LOGIT_EPS
 
     def effective_lr_weights(self) -> float:
         return 0.1 * self.lr_variational if self.lr_weights is None else self.lr_weights
@@ -178,10 +173,8 @@ def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> flo
     return 100.0 * wrong / len(dataset)
 
 
-def _expected_flops(net: Network, threshold: float = 1e-3) -> float:
-    from .analysis import count_flops  # local import avoids a cycle
-
-    counts = [int((g.expected_pi() >= threshold).sum()) for g in net.gates()]
+def _expected_flops(net: Network) -> float:
+    counts = [int((g.expected_pi() >= DEFAULT_PRUNE_THRESHOLD).sum()) for g in net.gates()]
     if not counts:
         return float(count_flops(net)[0])
     try:
@@ -250,20 +243,19 @@ def _run_epochs(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     return losses
 
 
-def pretrain(net: Network, data: Dataset, config: TrainConfig, epochs: int | None = None,
+def pretrain(net: Network, data: Dataset, config: TrainConfig, epochs: int,
              eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
     """Plain NLL + weight-decay training with gates disabled; returns the loss
     sequence."""
     net.gates_enabled = False
     params = net.parameters()
     groups = [(params, AdamState.for_params(params), config.lr_variational)]
-    losses = _run_epochs(net, data, config, epochs or config.max_epochs, groups,
-                         eval_data, log)
+    losses = _run_epochs(net, data, config, epochs, groups, eval_data, log)
     net.meta["stage"] = "pretrained"
     return losses
 
 
-def finetune_bb(net: Network, data: Dataset, config: TrainConfig, epochs: int | None = None,
+def finetune_bb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                 eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
     """Stage 1: SGVB over weights (slow rate) and Kumaraswamy parameters."""
     net.gates_enabled = True
@@ -274,13 +266,12 @@ def finetune_bb(net: Network, data: Dataset, config: TrainConfig, epochs: int | 
         (weights, AdamState.for_params(weights), config.effective_lr_weights()),
         (variational, AdamState.for_params(variational), config.lr_variational),
     ]
-    losses = _run_epochs(net, data, config, epochs or config.max_epochs, groups,
-                         eval_data, log)
+    losses = _run_epochs(net, data, config, epochs, groups, eval_data, log)
     net.meta["stage"] = "bb"
     return losses
 
 
-def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int | None = None,
+def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                  eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
     """Stage 2: freeze q(pi), train the input-dependent gate (and weights).
 
@@ -306,7 +297,7 @@ def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int |
         (weights, AdamState.for_params(weights), config.effective_lr_weights()),
         (variational, AdamState.for_params(variational), config.lr_variational),
     ]
-    losses = _run_epochs(net, data, config, epochs or config.max_epochs, groups,
+    losses = _run_epochs(net, data, config, epochs, groups,
                          eval_data, log, after_step=check_frozen)
     net.meta["stage"] = "dbb"
     return losses

@@ -368,6 +368,10 @@ WRONG_TYPED_MANIFESTS = {
         lambda m: m["layers"][0]["gate"].update(alpha_over_k="x"),
         "alpha_over_k of layer 0's gate must be a finite number, got 'x'",
     ),
+    "input-shape-string": (
+        lambda m: m["meta"].update(input_shape="abcd"),
+        "input_shape must be a list, got 'abcd'",
+    ),
     "gates-enabled-string": (
         lambda m: m.update(gates_enabled="no"),
         "gates_enabled must be true or false, got 'no'",

@@ -14,6 +14,7 @@ from betadrop.analysis import (
     count_memory,
     prune_by_threshold,
     runtime_prune_stats,
+    within_cross_gate_correlation,
 )
 from betadrop.data import Dataset
 from betadrop.errors import ContractError, PruneCollapseError
@@ -237,6 +238,17 @@ class TestCorrelation:
         ds = Dataset(np.zeros((3, 6)), np.array([0, 0, 1]))
         with pytest.raises(ContractError):
             class_average_gate_correlation(net, ds)
+
+
+@pytest.mark.parametrize(
+    "analysis",
+    [runtime_prune_stats, class_average_gate_correlation, within_cross_gate_correlation],
+    ids=lambda f: f.__name__,
+)
+def test_empty_dataset_is_contract_error(analysis):
+    empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ContractError, match="non-empty dataset"):
+        analysis(make_dbb_net(), empty)
 
 
 class TestReports:

@@ -1,13 +1,16 @@
 """CLI contract tests: exit codes, RESULT lines, stage ordering, determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
-from betadrop.cli import main
+from betadrop.cli import _train_config, main
+from betadrop.config import validate_config
 from betadrop.layers import build_mlp
 from betadrop.reporting import parse_report_csv
+from betadrop.training import TrainConfig
 
 from helpers import WRONG_TYPED_MANIFESTS, edit_manifest
 
@@ -108,9 +111,6 @@ class TestUsageErrors:
         assert "kl_scales" in out and "threshold" in out
 
     def test_lenet5_kl_multiplier_convention(self):
-        from betadrop.cli import _train_config
-        from betadrop.config import validate_config
-
         cfg = validate_config({"model": {"arch": "lenet5_caffe"}})
         assert _train_config(cfg).per_layer_kl_multipliers == (20.0, 8.0, 1.0, 1.0)
         explicit = validate_config(
@@ -118,6 +118,45 @@ class TestUsageErrors:
              "train": {"per_layer_kl_multipliers": [1, 1, 1, 1]}}
         )
         assert _train_config(explicit).per_layer_kl_multipliers == (1, 1, 1, 1)
+
+
+# config key -> (GateState field, a non-default value)
+GATE_OPTIONS = {
+    "alpha_over_k": ("alpha_over_k", 0.5),
+    "eps_gate": ("eps", 0.2),
+    "momentum": ("momentum", 0.1),
+    "sigma_floor": ("sigma_floor", 0.5),
+}
+
+
+class TestConfigHomes:
+    @pytest.mark.parametrize("key", sorted(GATE_OPTIONS))
+    def test_gate_option_under_train_is_unknown_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, train={key: GATE_OPTIONS[key][1]})
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        assert f"unknown config key train.{key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(GATE_OPTIONS))
+    def test_gate_option_under_model_reaches_every_gate(self, tmp_path, key):
+        name, value = GATE_OPTIONS[key]
+        cfg = write_config(tmp_path, model={key: value}, train={"pretrain_epochs": 1})
+        assert main(["pretrain", "--config", str(cfg)]) == 0
+        net = load_checkpoint(tmp_path / "run" / "pretrained.ckpt")
+        assert len(net.gates()) == 2
+        assert all(getattr(g, name) == value for g in net.gates())
+
+    def test_train_section_fills_train_config_by_field_name(self):
+        defaults = validate_config({})["train"]
+        del defaults["pretrain_epochs"], defaults["finetune_epochs"]
+        assert defaults == {f.name: f.default for f in fields(TrainConfig)
+                            if f.name != "mc_samples"}
+        custom = {"batch_size": 7, "lr_variational": 0.02, "lr_weights": 0.003,
+                  "kl_scale": 2.0, "per_layer_kl_multipliers": [1.0, 2.0], "tau": 0.3,
+                  "rho_var": 1.5, "weight_decay": 0.0, "seed": 9, "logit_eps": 1e-5}
+        assert custom.keys() == defaults.keys()
+        tconf = _train_config(validate_config({"model": {"arch": "mlp"}, "train": custom}))
+        assert {key: getattr(tconf, key) for key in custom} == {
+            **custom, "per_layer_kl_multipliers": (1.0, 2.0)}
 
 
 @pytest.fixture(scope="module")

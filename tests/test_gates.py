@@ -184,6 +184,15 @@ class TestSubset:
         assert np.array_equal(sub.run_std, gate.run_std[keep])
         assert sub.stats_initialized
 
+    def test_subset_keeps_scalar_fields(self):
+        gate = GateState.create(5, alpha_over_k=0.5, eps=0.2, mode=MODE_DBB, momentum=0.1,
+                                sigma_floor=0.5)
+        gate.update_running_stats(np.random.default_rng(1).normal(size=(10, 5)))
+        sub = gate.subset(np.array([1, 3]))
+        for name in ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor",
+                     "stats_initialized"):
+            assert getattr(sub, name) == getattr(gate, name), name
+
     def test_subset_is_independent_copy(self):
         gate = make_gate(4)
         sub = gate.subset(np.array([1, 2]))

@@ -82,6 +82,17 @@ class TestBuilders:
         assert np.array_equal(inp.value[0], x)
         assert np.abs(net.layers[0].w.grad).sum() > 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [build_lenet_500_300, build_lenet5_caffe, lambda **kw: build_mlp((4, 3, 2), **kw)],
+        ids=["lenet_500_300", "lenet5_caffe", "mlp"],
+    )
+    def test_gate_options_reach_every_gate(self, build):
+        options = dict(alpha_over_k=0.5, eps=0.2, momentum=0.1, sigma_floor=0.5)
+        net = build(seed=0, **options)
+        for g in net.gates():
+            assert {name: getattr(g, name) for name in options} == options
+
     def test_channel_axis_added_for_conv_input(self):
         net = build_lenet5_caffe()
         x = RNG.random((2, 28, 28))
@@ -239,6 +250,18 @@ class TestForwardEval:
             g.update_running_stats(RNG.normal(size=(16, g.k)))
         with pytest.raises(DimensionError, match="expects 6 inputs"):
             forward_eval(net, RNG.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("width", [4, 9])
+    def test_selected_first_layer_checks_raw_input_width(self, width):
+        # the shrunk first layer gathers columns 0, 2, 4 of the raw 6-wide input
+        net = shrink(build_mlp((6, 5, 2)), [np.array([0, 2, 4]), np.arange(5)])
+        assert net.layers[0].input_select is not None
+        x = RNG.normal(size=(3, width))
+        with pytest.raises(DimensionError, match="expects 6 inputs"):
+            forward_eval(net, x)
+        with pytest.raises(DimensionError, match="expects 6 inputs"):
+            forward_train(net, x, d.make_rng(0))
+        assert forward_eval(net, RNG.normal(size=(3, 6))).shape == (3, 2)
 
     @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
     def test_eval_between_backward_passes_leaves_gradients(self, mode):

@@ -6,9 +6,15 @@ import pytest
 
 from betadrop import autodiff as ad
 from betadrop import distributions as d
+from betadrop import training
 from betadrop.analysis import count_flops, prune_by_threshold, runtime_prune_stats
 from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_cluster
-from betadrop.errors import ContractError, DimensionError, TrainingDivergedError
+from betadrop.errors import (
+    ContractError,
+    DimensionError,
+    InvariantViolationError,
+    TrainingDivergedError,
+)
 from betadrop.gates import MODE_BB, MODE_DBB
 from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
 from betadrop.training import (
@@ -372,6 +378,19 @@ class TestFinetuneDBB:
         for g in net.gates():
             assert g.stats_initialized
         assert np.isfinite(forward_eval(net, ds.images[:4])).all()
+
+    def test_changed_posterior_is_invariant_violation(self, monkeypatch):
+        ds = synthetic_two_cluster(100, 8, seed=0)
+        net = small_net(dims=(8, 6, 2))
+        gate = net.gates()[1]
+
+        def adam_step_that_moves_a(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            gate.a_raw.value = gate.a_raw.value + 1e-3
+
+        monkeypatch.setattr(training, "adam_step", adam_step_that_moves_a)
+        with pytest.raises(InvariantViolationError, match="at step 0"):
+            finetune_dbb(net, ds, TrainConfig(batch_size=50, seed=0), epochs=1)
 
     def test_singleton_final_batch_does_not_crash(self):
         # 201 % 100 == 1: the one-example remainder would break DBB batch stats
