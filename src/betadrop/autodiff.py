@@ -10,15 +10,15 @@ a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 
-The ops are elementwise (`add`, `mul`, `scale`, `relu`), products and
-reductions (`matmul`, `sum_all`, `add_rowwise`, `gather_cols`), the conv
-stack (`conv2d`, `maxpool2x2`, `scale_channels`, `global_avg_pool`,
-`flatten`) and `softmax_cross_entropy`.  :func:`fused` makes one node of a
-closed form computed in numpy with a hand-written backward; the dropout
-gates in :mod:`betadrop.gates` are built that way.  Conv activations are
-channel-major, (C, B, H, W); `flatten` turns them into the (B, C*H*W) rows
-of a dense layer, and per-example channel quantities (gate masks, channel
-means) stay (B, C).
+The ops are elementwise (`add`, `mul`, `scale`, `relu`), dense-layer
+products (`matmul`, `add_rowwise`, `gather_cols`), the conv stack
+(`conv2d`, `maxpool2x2`, `scale_channels`, `global_avg_pool`, `flatten`)
+and `softmax_cross_entropy`.  :func:`fused` makes one node of a closed form
+computed in numpy with a hand-written backward; the dropout gates in
+:mod:`betadrop.gates` and the weight-decay term are built that way.  Conv
+activations are channel-major, (C, B, H, W); `flatten` turns them into the
+(B, C*H*W) rows of a dense layer, and per-example channel quantities (gate
+masks, channel means) stay (B, C).
 
 There is no broadcasting: binary elementwise ops accept equal shapes only.
 The few mixed-rank products the models need are dedicated ops
@@ -27,6 +27,7 @@ The few mixed-rank products the models need are dedicated ops
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "relu",
     "fused",
     "matmul",
-    "sum_all",
     "add_rowwise",
     "gather_cols",
     "conv2d",
@@ -287,14 +287,6 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(a.value @ b.value, (a, b), bw)
 
 
-def sum_all(a: Node) -> Node:
-
-    def bw(g):
-        _acc(a, np.full(a.value.shape, g))
-
-    return Node(np.float64(a.value.sum()), (a,), bw)
-
-
 def add_rowwise(x: Node, v: Node) -> Node:
     """(B, K) + (K,): add a vector to every row."""
     if x.value.ndim != 2 or v.value.shape != (x.value.shape[1],):
@@ -392,40 +384,45 @@ def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return (later > earlier) | (np.isnan(later) & ~np.isnan(earlier))
 
 
-_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def maxpool2x2(x: Node) -> Node:
     """2x2 max pooling with stride 2 on the trailing two axes.
 
-    The four strided quadrant views ``x[..., i::2, j::2]`` are compared in a
-    tournament (top pair, bottom pair, then top winner against bottom
-    winner) in which a later position wins only when strictly greater, or
-    NaN against a number.  So each window's output value and its whole
-    gradient belong to the first argmax in row-major order, as with
-    ``numpy.argmax``: ties go to the earliest position and a NaN wins its
-    window.  The winner is kept as an int8 code ``2*i + j``; backward writes
-    each quadrant of one uninitialized buffer, the gradient where the code
-    matches and 0 elsewhere.
+    The value is an ``np.maximum`` chain over the four strided quadrant views
+    ``x[..., i::2, j::2]``: the top pair, the bottom pair, then the two
+    pair maxima.  Each window's whole gradient belongs to its first argmax
+    in row-major order, as with ``numpy.argmax``: ties go to the earliest
+    position and a NaN wins its window.  That winner is found only for an
+    input that takes a gradient, by the same tournament in which a later
+    position wins only when strictly greater (``np.greater``), or, when the
+    output holds a NaN, also as a NaN against a number.  Backward scatters
+    the gradient into a zeroed buffer at the winners' flat offsets.
     """
     shp = x.value.shape
     if len(shp) < 2 or shp[-1] % 2 or shp[-2] % 2:
         raise DimensionError(f"maxpool2x2 requires even trailing extents, got {shp}")
-    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i, j in _QUADRANTS)
-    top_right = _later_wins(q01, q00)
-    top = np.where(top_right, q01, q00)
-    bottom_right = _later_wins(q11, q10)
-    bottom = np.where(bottom_right, q11, q10)
-    lower = _later_wins(bottom, top)
-    arg = np.where(lower, bottom_right.view(np.int8) + 2, top_right.view(np.int8))
+    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    top, bottom = np.maximum(q00, q01), np.maximum(q10, q11)
+    out = np.maximum(top, bottom)
+    if not (_grad_enabled and x.needs_grad):
+        return Node(out, (x,))
+    later = _later_wins if np.isnan(out).any() else np.greater
+    lower = later(bottom, top)  # winner row
+    right = later(q01, q00)
+    right ^= lower & (later(q11, q10) ^ right)  # winner column, of the winning pair
 
     def bw(g):
-        dx = np.empty(shp)
-        for code, (i, j) in enumerate(_QUADRANTS):
-            dx[..., i::2, j::2] = np.where(arg == code, g, 0.0)
+        # flat offset of each winner: its row and column in the window, plus
+        # the offset of the window's top-left entry
+        h, w = shp[-2:]
+        idx = lower * np.intp(w)
+        idx += right
+        idx += (np.arange(math.prod(shp[:-2]))[:, None, None] * (h * w)
+                + np.arange(0, h * w, 2 * w)[:, None] + np.arange(0, w, 2)).reshape(out.shape)
+        dx = np.zeros(shp)
+        dx.reshape(-1)[idx.reshape(-1)] = g.reshape(-1)
         _acc(x, dx)
 
-    return Node(np.where(lower, bottom, top), (x,), bw)
+    return Node(out, (x,), bw)
 
 
 def scale_channels(x: Node, s: Node) -> Node:

@@ -131,11 +131,14 @@ def _load_data(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     return train, test
 
 
-def _train_config(cfg: dict) -> TrainConfig:
+def _train_config(cfg: dict, arch: str | None = None) -> TrainConfig:
+    """The ``train`` section as a TrainConfig.  ``arch`` names the network
+    trained (default: the config's ``model.arch``); it picks the default
+    per-layer KL multipliers."""
     names = {f.name for f in fields(TrainConfig)}
     tc = {key: value for key, value in cfg["train"].items() if key in names}
     multipliers = tc["per_layer_kl_multipliers"]
-    if multipliers is None and cfg["model"]["arch"] == "lenet5_caffe":
+    if multipliers is None and (arch or cfg["model"]["arch"]) == "lenet5_caffe":
         # conv-layer KL is underweighted by the small filter counts;
         # conventional compensation for this architecture
         multipliers = [20.0, 8.0, 1.0, 1.0]
@@ -191,8 +194,8 @@ def _cmd_pretrain(args, cfg) -> int:
 
 
 def _cmd_train_bb(args, cfg) -> int:
-    tconf = _train_config(cfg)
     net = _load_stage(args, cfg, "pretrained")
+    tconf = _train_config(cfg, net.meta.get("arch"))
     train, test = _load_data(cfg)
     log = MetricsLog(os.path.join(_outdir(cfg), "bb_log.csv"))
     finetune_bb(net, train, tconf, epochs=cfg["train"]["finetune_epochs"],
@@ -225,8 +228,8 @@ def _cmd_prune(args, cfg) -> int:
 
 
 def _cmd_train_dbb(args, cfg) -> int:
-    tconf = _train_config(cfg)
     net = _load_stage(args, cfg, "bb_pruned")
+    tconf = _train_config(cfg, net.meta.get("arch"))
     if not net.gates():
         raise ContractError(
             "train-dbb requires gates; re-run prune with fold_masks=false"

@@ -72,6 +72,10 @@ class GateState:
             raise ContractError(f"unknown gate mode {self.mode!r}")
         if not 0.0 < self.eps < 0.5:
             raise ContractError(f"eps must lie in (0, 0.5), got {self.eps}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.sigma_floor > 0.0:
+            raise ContractError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":

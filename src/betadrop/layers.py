@@ -149,6 +149,13 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     many values; a shrunk first layer's ``input_select`` indexes into them.
     A conv net's (B, H, W) or (B, C, H, W) input is made channel-major once,
     and ``flatten`` gives the dense head rows in per-example (C, H, W) order.
+
+    A conv layer runs conv, 2x2 max pooling, activation, then the channel
+    mask, on a map a quarter the size of the conv output.  This gives the
+    values of the textbook order conv, mask, activation, pool bit for bit:
+    a mask entry is one number >= 0 per (example, channel), and rounding is
+    monotone, so the max commutes with the relu and with the scaling.  The
+    DBB gate input is still the channel mean of the full-size conv output.
     """
     x = np.asarray(x, dtype=np.float64)
     shape = net.meta.get("input_shape")
@@ -178,16 +185,18 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             if gated:
                 h = ad.mul(gate_mask(gate_idx, layer.gate, len(h.value), lambda: h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
+            h = _activate(h, layer.activation)
         else:
             h = ad.conv2d(h, layer.w, layer.b, stride=layer.stride, padding=layer.padding)
             if gated:
                 mask = gate_mask(gate_idx, layer.gate, h.value.shape[1],
                                  lambda: ad.global_avg_pool(h))
+            if layer.pool:
+                h = ad.maxpool2x2(h)  # rebinding h frees the full-size map under no_grad
+            h = _activate(h, layer.activation)
+            if gated:
                 h = ad.scale_channels(h, mask)
         gate_idx += gated
-        h = _activate(h, layer.activation)
-        if layer.kind == "conv" and layer.pool:
-            h = ad.maxpool2x2(h)
     return h
 
 

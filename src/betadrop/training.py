@@ -53,6 +53,8 @@ class TrainConfig:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
+        if not 0.0 < self.logit_eps < 0.5:
+            raise ContractError(f"logit_eps must lie in (0, 0.5), got {self.logit_eps}")
         return self
 
     def multipliers_for(self, net: Network) -> tuple:
@@ -101,7 +103,14 @@ def adam_step(params: list[Node], grads: list[np.ndarray], state: AdamState,
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        p.value = p.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in two temporary buffers
+        step = m / c1
+        step *= lr
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.value -= step
     return params
 
 
@@ -144,11 +153,11 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
         kl_value = float(weighted.value)
         loss = ad.add(loss, ad.scale(weighted, config.kl_scale))
     if config.weight_decay > 0.0:
-        reg = None
-        for w in net.weight_nodes():
-            piece = ad.sum_all(ad.mul(w, w))
-            reg = piece if reg is None else ad.add(reg, piece)
-        loss = ad.add(loss, ad.scale(reg, 0.5 * config.weight_decay))
+        # one graph node, with gradient wd * W
+        wd, weights = config.weight_decay, net.weight_nodes()
+        reg = sum((w.value * w.value).sum() for w in weights) * (0.5 * wd)
+        reg = ad.fused(reg, weights, lambda g: [(g * wd) * w.value for w in weights])
+        loss = ad.add(loss, reg)
     return loss, {"nll": float(nll_mean.value), "kl": kl_value}
 
 

@@ -45,6 +45,12 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7, label=""):
     )
 
 
+def sum_all(a):
+    """Scalar node holding the sum of every entry of ``a``: the objective the
+    op tests differentiate."""
+    return ad.fused(np.float64(a.value.sum()), (a,), lambda g: [np.full(a.value.shape, g)])
+
+
 def gradcheck(build_loss, params, h=1e-5, rtol=1e-4, atol=1e-7):
     """Check backward() gradients of every param against central differences.
 
@@ -211,7 +217,7 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
 def gate_case_loss(build, rng):
     """``build`` and a loss builder sum(c * node) with fixed random weights c."""
     coeffs = ad.constant(rng.normal(size=build().shape))
-    return lambda: ad.sum_all(ad.mul(build(), coeffs))
+    return lambda: sum_all(ad.mul(build(), coeffs))
 
 
 def conv2d_oracle(x, w, stride=1, padding=0):

@@ -47,7 +47,7 @@ from betadrop.training import (
     pretrain,
 )
 
-from helpers import FUSED_GATES, fused_gate_case, gate_case_loss, gradcheck
+from helpers import FUSED_GATES, fused_gate_case, gate_case_loss, gradcheck, sum_all
 
 
 @contextmanager
@@ -242,10 +242,10 @@ def test_criterion_5_gradient_suite():
     with criterion(5, "ops + full BB/DBB losses match finite differences (<1e-4)"):
         rng = np.random.default_rng(5)
         x = ad.parameter(rng.uniform(0.3, 2.0, size=6))
-        gradcheck(lambda: ad.sum_all(ad.relu(x)), [x])
+        gradcheck(lambda: sum_all(ad.relu(x)), [x])
         y = ad.parameter(rng.uniform(0.3, 2.0, size=6))
         for op in (ad.add, ad.mul):
-            gradcheck(lambda: ad.sum_all(op(x, y)), [x, y])
+            gradcheck(lambda: sum_all(op(x, y)), [x, y])
         # the fused gate ops: Kumaraswamy sample, concrete mask, beta draw,
         # DBB keep probabilities and the two KL terms
         for name in FUSED_GATES:
@@ -253,14 +253,14 @@ def test_criterion_5_gradient_suite():
             gradcheck(gate_case_loss(build, rng), leaves)
         a = ad.parameter(rng.normal(size=(4, 3)))
         b = ad.parameter(rng.normal(size=(3, 2)))
-        gradcheck(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
+        gradcheck(lambda: sum_all(ad.matmul(a, b)), [a, b])
         # conv activations are channel-major (C, B, H, W)
         cx = ad.parameter(rng.normal(size=(2, 2, 6, 6)).transpose(1, 0, 2, 3))
         cw = ad.parameter(rng.normal(size=(3, 2, 3, 3)))
         cb = ad.parameter(rng.normal(size=3))
-        gradcheck(lambda: ad.sum_all(ad.conv2d(cx, cw, cb)), [cx, cw, cb])
-        gradcheck(lambda: ad.sum_all(ad.maxpool2x2(cx)), [cx])
-        gradcheck(lambda: ad.sum_all(ad.global_avg_pool(cx)), [cx])
+        gradcheck(lambda: sum_all(ad.conv2d(cx, cw, cb)), [cx, cw, cb])
+        gradcheck(lambda: sum_all(ad.maxpool2x2(cx)), [cx])
+        gradcheck(lambda: sum_all(ad.global_avg_pool(cx)), [cx])
         logits = ad.parameter(rng.normal(size=(3, 4)))
         gradcheck(lambda: ad.softmax_cross_entropy(logits, [0, 3, 1]), [logits])
 

@@ -30,6 +30,7 @@ from helpers import (
     gradcheck,
     matmul_oracle,
     maxpool2x2_oracle,
+    sum_all,
 )
 
 BATCHED_CONV_CASES = [
@@ -68,7 +69,7 @@ class TestMatmul:
         coeffs = RNG.normal(size=(5, 3))  # project to scalar
 
         def loss():
-            return ad.sum_all(ad.mul(ad.matmul(a, b), ad.constant(coeffs)))
+            return sum_all(ad.mul(ad.matmul(a, b), ad.constant(coeffs)))
 
         gradcheck(loss, [a, b], rtol=1e-6, atol=1e-9)
 
@@ -90,7 +91,7 @@ class TestElementwise:
         coeffs = RNG.normal(size=5)
 
         def loss():
-            return ad.sum_all(ad.mul(ad.relu(x), ad.constant(coeffs)))
+            return sum_all(ad.mul(ad.relu(x), ad.constant(coeffs)))
 
         gradcheck(loss, [x], rtol=1e-6, atol=1e-9)
 
@@ -98,7 +99,7 @@ class TestElementwise:
         a = ad.parameter(RNG.uniform(0.5, 2.0, size=6))
         b = ad.parameter(RNG.uniform(0.5, 2.0, size=6))
         for op in (ad.add, ad.mul):
-            gradcheck(lambda: ad.sum_all(op(a, b)), [a, b], rtol=1e-5, atol=1e-8)
+            gradcheck(lambda: sum_all(op(a, b)), [a, b], rtol=1e-5, atol=1e-8)
 
     def test_scalar_broadcast(self):
         s = ad.parameter(2.0)
@@ -116,20 +117,20 @@ class TestElementwise:
     def test_rowwise_ops(self):
         x = ad.parameter(RNG.normal(size=(4, 3)))
         v = ad.parameter(RNG.normal(size=3))
-        gradcheck(lambda: ad.sum_all(ad.add_rowwise(x, v)), [x, v], rtol=1e-6)
+        gradcheck(lambda: sum_all(ad.add_rowwise(x, v)), [x, v], rtol=1e-6)
         coeffs = ad.constant(RNG.normal(size=(4, 3)))
         gradcheck(
-            lambda: ad.sum_all(ad.mul(ad.add_rowwise(x, v), coeffs)), [x, v], rtol=1e-5
+            lambda: sum_all(ad.mul(ad.add_rowwise(x, v), coeffs)), [x, v], rtol=1e-5
         )
 
     def test_channel_ops(self):
         x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
         s = ad.parameter(RNG.uniform(0.5, 1.5, size=(2, 3)))
         b = ad.parameter(RNG.normal(size=3))
-        gradcheck(lambda: ad.sum_all(ad.scale_channels(x, s)), [x, s], rtol=1e-5)
+        gradcheck(lambda: sum_all(ad.scale_channels(x, s)), [x, s], rtol=1e-5)
         # per-channel bias: conv2d's fused bias behind a 1x1 identity kernel
         eye = ad.constant(np.eye(3).reshape(3, 3, 1, 1))
-        gradcheck(lambda: ad.sum_all(ad.conv2d(x, eye, b)), [x, b], rtol=1e-6)
+        gradcheck(lambda: sum_all(ad.conv2d(x, eye, b)), [x, b], rtol=1e-6)
 
     def test_scale_channels_scales_each_example_and_channel(self):
         x = RNG.normal(size=(2, 3, 4, 4))
@@ -143,7 +144,7 @@ class TestElementwise:
         assert out.shape == (3, 40) and np.array_equal(out, x.reshape(3, -1))
         xp = ad.parameter(cm(x))
         coeffs = ad.constant(RNG.normal(size=(3, 40)))
-        gradcheck(lambda: ad.sum_all(ad.mul(ad.flatten(xp), coeffs)), [xp], rtol=1e-6)
+        gradcheck(lambda: sum_all(ad.mul(ad.flatten(xp), coeffs)), [xp], rtol=1e-6)
 
     def test_gather_cols(self):
         x = ad.parameter(RNG.normal(size=(3, 6)))
@@ -151,12 +152,12 @@ class TestElementwise:
         out = ad.gather_cols(x, idx)
         assert np.array_equal(out.value, x.value[:, idx])
         coeffs = ad.constant(RNG.normal(size=(3, 3)))
-        gradcheck(lambda: ad.sum_all(ad.mul(ad.gather_cols(x, idx), coeffs)), [x])
+        gradcheck(lambda: sum_all(ad.mul(ad.gather_cols(x, idx), coeffs)), [x])
 
     def test_fused_passes_each_parent_its_gradient(self):
         p, c, q = ad.parameter(RNG.normal(size=3)), ad.constant(np.ones(2)), ad.parameter(1.0)
         out = ad.fused(np.zeros(4), (p, c, q), lambda g: (g[:3] * 2.0, g[:2], None))
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant([1.0, 2.0, 3.0, 4.0]))))
+        ad.backward(sum_all(ad.mul(out, ad.constant([1.0, 2.0, 3.0, 4.0]))))
         assert np.array_equal(p.grad, [2.0, 4.0, 6.0])
         assert c._grad is None and q._grad is None
 
@@ -205,7 +206,7 @@ class TestConv2d:
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
-            return ad.sum_all(ad.mul(out, coeffs))
+            return sum_all(ad.mul(out, coeffs))
 
         gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
@@ -222,7 +223,7 @@ class TestConv2d:
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
-            return ad.sum_all(ad.mul(out, coeffs))
+            return sum_all(ad.mul(out, coeffs))
 
         gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
@@ -233,7 +234,7 @@ class TestConv2d:
         x, w, b = ad.parameter(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
         out = ad.conv2d(x, w, b, stride=stride, padding=padding)
         g = RNG.normal(size=out.value.shape)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         dx, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
         assert np.allclose(cm(x.grad), dx, rtol=1e-12, atol=1e-12)
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
@@ -246,7 +247,7 @@ class TestConv2d:
         x, w, b = ad.constant(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
         out = ad.conv2d(x, w, b, stride=stride, padding=padding)
         g = RNG.normal(size=out.value.shape)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         _, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
         assert x._grad is None and np.array_equal(x.grad, np.zeros(x.shape))
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
@@ -260,7 +261,7 @@ class TestConv2d:
         x = make_input(RNG.normal(size=(1, 20, 28, 28)))
         out = ad.conv2d(x, ad.parameter(RNG.normal(size=(2, 1, 5, 5))),
                         ad.parameter(np.zeros(2)))
-        loss = ad.sum_all(out)
+        loss = sum_all(out)
         dcols_bytes = 25 * 20 * 24 * 24 * 8
         tracemalloc.start()
         try:
@@ -290,19 +291,19 @@ class TestPooling:
 
     def test_maxpool_gradient_routes_to_argmax(self):
         x = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        ad.backward(ad.sum_all(ad.maxpool2x2(x)))
+        ad.backward(sum_all(ad.maxpool2x2(x)))
         assert np.array_equal(x.grad, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_maxpool_tie_break_first_row_major(self):
         x = ad.parameter(np.full((2, 2), 7.0))
-        ad.backward(ad.sum_all(ad.maxpool2x2(x)))
+        ad.backward(sum_all(ad.maxpool2x2(x)))
         assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_maxpool_gradients_match_fd_when_argmax_unique(self):
         x = ad.parameter(RNG.normal(size=(2, 4, 4)))
         coeffs = ad.constant(RNG.normal(size=(2, 2, 2)))
         gradcheck(
-            lambda: ad.sum_all(ad.mul(ad.maxpool2x2(x), coeffs)), [x], rtol=1e-5
+            lambda: sum_all(ad.mul(ad.maxpool2x2(x), coeffs)), [x], rtol=1e-5
         )
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -312,7 +313,7 @@ class TestPooling:
         g = RNG.normal(size=(2, 3, 2, 3))
         x = ad.parameter(xv)
         out = ad.maxpool2x2(x)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
         assert np.array_equal(out.value, ref_out)
         assert np.array_equal(x.grad, ref_dx)
@@ -334,7 +335,7 @@ class TestPooling:
             expected_dx[b, c, 2 * r + pos // 2, 2 * s + pos % 2] = g[b, c, r, s]
         x = ad.parameter(xv)
         out = ad.maxpool2x2(x)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
         assert np.array_equal(out.value, ref_out)
         assert np.array_equal(x.grad, ref_dx)
@@ -346,11 +347,43 @@ class TestPooling:
         g = RNG.normal(size=(2, 3, 2, 3))
         x = ad.parameter(xv)
         out = ad.maxpool2x2(x)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
         assert np.isnan(out.value).any() and not np.isnan(out.value).all()
         assert np.array_equal(out.value, ref_out, equal_nan=True)
         assert np.array_equal(x.grad, ref_dx)
+
+    @pytest.mark.parametrize("shape", [(4, 512), (2, 3, 2, 260)], ids=["2d", "wide-rows"])
+    def test_maxpool_wide_rows_and_2d_input_match_oracle(self, shape):
+        # half-integer values make many tied windows; the winners' flat
+        # offsets exceed any small integer type
+        xv = np.round(RNG.normal(size=shape) * 2.0) / 2.0
+        g = -RNG.uniform(0.5, 1.0, size=(*shape[:-2], shape[-2] // 2, shape[-1] // 2))
+        x = ad.parameter(xv)
+        out = ad.maxpool2x2(x)
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+        ref_out, ref_dx = maxpool2x2_oracle(xv, g)
+        assert np.array_equal(out.value, ref_out)
+        assert np.array_equal(x.grad, ref_dx)
+        assert not np.signbit(x.grad[x.grad == 0.0]).any()  # non-winners get +0.0
+
+    @pytest.mark.parametrize("mode", ["constant", "no_grad"])
+    def test_maxpool_without_gradient_matches_oracle_values(self, mode):
+        xv = RNG.normal(size=(3, 2, 4, 6))
+        xv[RNG.random(xv.shape) < 0.3] = np.nan
+        ref_out, _ = maxpool2x2_oracle(xv, np.zeros((3, 2, 2, 3)))
+        if mode == "no_grad":
+            with ad.no_grad():
+                out = ad.maxpool2x2(ad.parameter(xv))
+            assert out._parents == () and out._backward_fn is None
+        else:
+            out = ad.maxpool2x2(ad.constant(xv))
+            assert out._backward_fn is None
+            p = ad.parameter(RNG.normal(size=out.shape))
+            ad.backward(sum_all(ad.mul(out, p)))
+            assert np.array_equal(p.grad, ref_out, equal_nan=True)
+        assert np.isnan(out.value).any() and not np.isnan(out.value).all()
+        assert np.array_equal(out.value, ref_out, equal_nan=True)
 
     def test_global_avg_pool_constant_channel(self):
         x = np.full((3, 4, 4), 0.0)
@@ -362,7 +395,7 @@ class TestPooling:
         x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
         coeffs = ad.constant(RNG.normal(size=(2, 3)))
         gradcheck(
-            lambda: ad.sum_all(ad.mul(ad.global_avg_pool(x), coeffs)), [x], rtol=1e-6
+            lambda: sum_all(ad.mul(ad.global_avg_pool(x), coeffs)), [x], rtol=1e-6
         )
 
 
@@ -402,13 +435,13 @@ class TestSoftmaxCrossEntropy:
 class TestBackward:
     def test_sum_gradient_all_ones(self):
         w = ad.parameter(RNG.normal(size=(3, 4)))
-        ad.backward(ad.sum_all(w))
+        ad.backward(sum_all(w))
         assert np.array_equal(w.grad, np.ones((3, 4)))
 
     def test_square_gradient_2w(self):
         vals = RNG.normal(size=6)
         w = ad.parameter(vals)
-        ad.backward(ad.sum_all(ad.mul(w, w)))
+        ad.backward(sum_all(ad.mul(w, w)))
         assert np.allclose(w.grad, 2.0 * vals, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -417,7 +450,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         w = ad.parameter(np.array([2.0, -1.0]))
-        loss = ad.sum_all(ad.mul(w, w))
+        loss = sum_all(ad.mul(w, w))
         ad.backward(loss)
         first = w.grad.copy()
         ad.backward(loss)
@@ -432,7 +465,7 @@ class TestBackward:
     def test_second_backward_recomputes_interior_grads(self):
         w = ad.parameter(np.array([2.0, -1.0]))
         sq = ad.mul(w, w)
-        loss = ad.sum_all(ad.scale(sq, 3.0))
+        loss = sum_all(ad.scale(sq, 3.0))
         ad.backward(loss)
         ad.backward(loss)
         assert np.array_equal(sq.grad, [3.0, 3.0])  # not 6: interior starts over
@@ -444,7 +477,7 @@ class TestBackward:
         a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
         b = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
         coeffs = RNG.normal(size=(2, 12))
-        ad.backward(ad.sum_all(ad.mul(ad.flatten(ad.add(a, b)), ad.constant(coeffs))))
+        ad.backward(sum_all(ad.mul(ad.flatten(ad.add(a, b)), ad.constant(coeffs))))
         expected = cm(coeffs.reshape(2, 3, 2, 2))
         assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
         a.grad += 1.0
@@ -459,7 +492,7 @@ class TestBackward:
         xv, yv = RNG.normal(size=4), RNG.normal(size=4)
         x, y = ad.parameter(xv), ad.parameter(yv)
         xx, yy = ad.mul(x, x), ad.mul(y, y)
-        terms = [ad.sum_all(ad.add(xx, yy)), ad.sum_all(ad.mul(ad.scale(xx, 3.0), yy))]
+        terms = [sum_all(ad.add(xx, yy)), sum_all(ad.mul(ad.scale(xx, 3.0), yy))]
         ad.backward(ad.add(*(terms[::-1] if swap else terms)))
         assert np.allclose(x.grad, 2.0 * xv + 6.0 * xv * yv**2, rtol=1e-12, atol=0)
         assert np.allclose(y.grad, 2.0 * yv + 6.0 * xv**2 * yv, rtol=1e-12, atol=0)
@@ -467,7 +500,7 @@ class TestBackward:
     def test_leaf_used_twice_gets_both_contributions(self):
         a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
         coeffs = RNG.normal(size=(2, 12))
-        ad.backward(ad.sum_all(ad.mul(ad.flatten(ad.add(a, a)), ad.constant(coeffs))))
+        ad.backward(sum_all(ad.mul(ad.flatten(ad.add(a, a)), ad.constant(coeffs))))
         assert np.array_equal(a.grad, 2.0 * cm(coeffs.reshape(2, 3, 2, 2)))
 
     def test_scalar_leaf_grad_is_an_array(self):
@@ -537,7 +570,7 @@ class TestGradMode:
         c = ad.constant(RNG.normal(size=3))
         p = ad.parameter(RNG.normal(size=3))
         assert not c.needs_grad and p.needs_grad
-        ad.backward(ad.sum_all(ad.mul(c, p)))
+        ad.backward(sum_all(ad.mul(c, p)))
         assert c._grad is None and np.array_equal(c.grad, np.zeros(3))
         assert np.array_equal(p.grad, c.value)
 
@@ -547,7 +580,7 @@ class TestGradMode:
             y = ad.relu(ad.mul(x, x))
         assert y._parents == () and y._backward_fn is None
         assert np.array_equal(y.value, [1.0, 4.0])
-        ad.backward(ad.sum_all(y))  # y is a leaf now, so nothing reaches x
+        ad.backward(sum_all(y))  # y is a leaf now, so nothing reaches x
         assert np.array_equal(x.grad, [0.0, 0.0])
 
     def test_no_grad_restores_the_mode_when_its_block_raises(self):
@@ -557,7 +590,7 @@ class TestGradMode:
                 ad.matmul(x, x)
         y = ad.mul(x, x)
         assert y._parents == (x, x)
-        ad.backward(ad.sum_all(y))
+        ad.backward(sum_all(y))
         assert np.array_equal(x.grad, [6.0])
 
     def test_no_grad_nests(self):

@@ -3,12 +3,15 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from betadrop import cli
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
 from betadrop.config import validate_config
-from betadrop.layers import build_mlp
+from betadrop.data import write_idx
+from betadrop.layers import build_lenet5_caffe, build_mlp
 from betadrop.reporting import parse_report_csv
 from betadrop.training import TrainConfig
 
@@ -119,6 +122,37 @@ class TestUsageErrors:
         )
         assert _train_config(explicit).per_layer_kl_multipliers == (1, 1, 1, 1)
 
+    @pytest.mark.parametrize("command,stage,trainer", [
+        ("train-bb", "pretrained", "finetune_bb"), ("train-dbb", "bb_pruned", "finetune_dbb"),
+    ])
+    def test_lenet5_checkpoint_sets_kl_multipliers(self, tmp_path, monkeypatch, command, stage,
+                                                   trainer):
+        # the config leaves model.arch at its default; the checkpoint is lenet5_caffe
+        rng = np.random.default_rng(0)
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(rng.integers(0, 256, (20, 28, 28), dtype=np.uint8), rng.integers(0, 10, 20),
+                  images, labels)
+        net = build_lenet5_caffe()
+        net.meta["stage"] = stage
+        save_checkpoint(net, tmp_path / "in.ckpt")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "data": {"kind": "idx", "images": str(images), "labels": str(labels),
+                     "val_fraction": 0.5},
+            "train": {"batch_size": 10, "finetune_epochs": 1},
+            "output_dir": str(tmp_path / "run"),
+        }))
+        seen = []
+        real = getattr(cli, trainer)
+
+        def spy(net, data, config, **kwargs):
+            seen.append(config.per_layer_kl_multipliers)
+            return real(net, data, config, **kwargs)
+
+        monkeypatch.setattr(cli, trainer, spy)
+        assert main([command, "--config", str(cfg), "--init", str(tmp_path / "in.ckpt")]) == 0
+        assert seen == [(20.0, 8.0, 1.0, 1.0)]
+
 
 # config key -> (GateState field, a non-default value)
 GATE_OPTIONS = {
@@ -144,6 +178,15 @@ class TestConfigHomes:
         net = load_checkpoint(tmp_path / "run" / "pretrained.ckpt")
         assert len(net.gates()) == 2
         assert all(getattr(g, name) == value for g in net.gates())
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "momentum", 1.5), ("model", "sigma_floor", -1.0), ("train", "logit_eps", 0.7),
+    ])
+    def test_out_of_range_setting_is_runtime_error(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_train_section_fills_train_config_by_field_name(self):
         defaults = validate_config({})["train"]

@@ -21,7 +21,7 @@ from betadrop.gates import (
     sample_pi_node,
 )
 
-from helpers import FUSED_GATES, complex_step_grads, fused_gate_case, gradcheck
+from helpers import FUSED_GATES, complex_step_grads, fused_gate_case, gradcheck, sum_all
 
 
 def make_gate(k=4, mode=MODE_BB, eps=1e-3, seed=0):
@@ -50,6 +50,16 @@ class TestInitialization:
     def test_bad_mode_rejected(self):
         with pytest.raises(ContractError):
             GateState.create(3, mode="both")
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5, float("nan")])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ContractError, match="momentum"):
+            GateState.create(3, momentum=momentum)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sigma_floor_rejected(self, floor):
+        with pytest.raises(ContractError, match="sigma_floor"):
+            GateState.create(3, sigma_floor=floor)
 
 
 class TestRunningStats:
@@ -215,7 +225,7 @@ class TestGraphPieces:
 
         def loss():
             pi = sample_pi_node(gate, d.make_rng(9))
-            return ad.sum_all(ad.mul(pi, coeffs))
+            return sum_all(ad.mul(pi, coeffs))
 
         gradcheck(loss, [gate.a_raw, gate.b_raw])
 
@@ -227,7 +237,7 @@ class TestGraphPieces:
         def loss():
             pi = sample_pi_node(gate, d.make_rng(8))
             mask = concrete_mask_node(pi, u, tau=0.7)
-            return ad.sum_all(ad.mul(mask, coeffs))
+            return sum_all(ad.mul(mask, coeffs))
 
         gradcheck(loss, [gate.a_raw, gate.b_raw])
 
@@ -242,7 +252,7 @@ class TestGraphPieces:
             pi = sample_pi_node(gate, d.make_rng(21))
             beta = beta_sample_node(gate, d.make_rng(22))
             phi = dbb_phi_node(gate, x, pi, beta)
-            return ad.sum_all(ad.mul(phi, coeffs))
+            return sum_all(ad.mul(phi, coeffs))
 
         # gradient flows into the gate input through the batch statistics too
         gradcheck(
@@ -280,7 +290,7 @@ class TestFusedGates:
         node = build()
         coeffs = rng.normal(size=node.shape)
         ad.zero_gradients(leaves)
-        ad.backward(ad.sum_all(ad.mul(node, ad.constant(coeffs))))
+        ad.backward(sum_all(ad.mul(node, ad.constant(coeffs))))
         values = [leaf.value for leaf in leaves]
         if name == "dbb_phi":  # gate factors clamped at both bounds are present
             factor = node.value / values[1]
@@ -308,7 +318,7 @@ class TestFusedGates:
         pi = ad.parameter(np.full(gate.k, 0.8))
         beta = ad.parameter(np.full(gate.k, beta))
         phi = dbb_phi_node(gate, x, pi, beta)
-        ad.backward(ad.sum_all(phi))
+        ad.backward(sum_all(phi))
         return phi, x, beta
 
     def test_dbb_phi_clamp_saturation_value_and_gradient(self):

@@ -27,7 +27,7 @@ from betadrop.layers import (
     shrink,
 )
 
-from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, gradcheck
+from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, gradcheck, sum_all
 
 RNG = np.random.default_rng(2024)
 
@@ -75,7 +75,7 @@ class TestBuilders:
         net.gates_enabled = True
         x = np.random.default_rng(7).random((3, 28, 28))
         logits, _ = forward_train(net, x, d.make_rng(0))
-        ad.backward(ad.sum_all(logits))
+        ad.backward(sum_all(logits))
         leaves = [n for n in ad._topo_order(logits) if not n._parents]
         (inp,) = [n for n in leaves if n.shape == (1, 3, 28, 28)]
         assert not inp.needs_grad and inp._grad is None
@@ -119,6 +119,36 @@ class TestForwardTrain:
         h = np.maximum(net.layers[0].b.value, 0.0)
         expected = np.maximum(h, 0.0) @ net.layers[1].w.value + net.layers[1].b.value
         assert np.allclose(logits.value, np.tile(expected, (4, 1)), atol=1e-12)
+
+    def test_pool_first_conv_block_matches_mask_relu_pool_order(self):
+        # the walk runs conv, pool, relu, mask; the logits equal those of
+        # conv, mask, relu, pool bit for bit, also for masks with exact zeros
+        net = build_lenet5_caffe(seed=2)
+        net.gates_enabled = True
+        x = RNG.random((6, 28, 28))
+        masks = {}
+        for i, g in enumerate(net.gates()):
+            m = RNG.uniform(0.0, 1.0, size=(6, g.k))
+            m[RNG.random(m.shape) < 0.3] = 0.0
+            masks[i] = m
+        coeffs = ad.constant(RNG.normal(size=(6, 10)))
+        logits, _ = forward_train(net, x, d.make_rng(0), force_masks=masks)
+        ad.backward(sum_all(ad.mul(logits, coeffs)))
+        walk_grads = [layer.w.grad for layer in net.layers]
+        ad.zero_gradients(net.parameters())
+
+        h = ad.constant(x[None])
+        for i, layer in enumerate(net.layers[:2]):
+            h = ad.conv2d(h, layer.w, layer.b)
+            h = ad.maxpool2x2(ad.relu(ad.scale_channels(h, ad.constant(masks[i]))))
+        h = ad.flatten(h)
+        for i, layer in enumerate(net.layers[2:], start=2):
+            h = ad.add_rowwise(ad.matmul(ad.mul(ad.constant(masks[i]), h), layer.w), layer.b)
+            h = ad.relu(h) if layer.activation else h
+        assert np.array_equal(logits.value, h.value)
+        ad.backward(sum_all(ad.mul(h, coeffs)))
+        for layer, grad in zip(net.layers, walk_grads):
+            assert np.allclose(grad, layer.w.grad, rtol=1e-12, atol=1e-14)
 
     def test_missing_gate_contract(self):
         net = build_mlp((4, 3), gated=False)
@@ -273,7 +303,7 @@ class TestForwardEval:
         def gradients():
             ad.zero_gradients(params)
             logits, kls = forward_train(net, x, d.make_rng(7), tau=0.8)
-            ad.backward(ad.add(ad.softmax_cross_entropy(logits, y), ad.sum_all(kls[0])))
+            ad.backward(ad.add(ad.softmax_cross_entropy(logits, y), sum_all(kls[0])))
             return [p.grad.copy() for p in params]
 
         first = gradients()

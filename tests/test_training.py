@@ -44,6 +44,11 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(tau=0.0).validate()
 
+    @pytest.mark.parametrize("logit_eps", [0.0, -1e-6, 0.5, 0.7, float("nan")])
+    def test_logit_eps_outside_open_half_interval_rejected(self, logit_eps):
+        with pytest.raises(ContractError, match="logit_eps"):
+            TrainConfig(logit_eps=logit_eps).validate()
+
     def test_multiplier_count_checked(self):
         net = build_mlp((4, 3, 2))
         cfg = TrainConfig(per_layer_kl_multipliers=(1.0,))
@@ -114,6 +119,22 @@ class TestElboLoss:
             net, (np.concatenate([x, x]), np.concatenate([y, y])), 1000, cfg, d.make_rng(0)
         )
         assert float(l1.value) == pytest.approx(float(l2.value), rel=1e-12)
+
+    def test_weight_decay_adds_half_wd_squared_norm_with_gradient_wd_w(self):
+        net = small_net()
+        net.gates_enabled = False
+        x = np.random.default_rng(2).normal(size=(4, 6))
+        y = np.array([0, 1, 1, 0])
+        plain, _ = elbo_loss(net, (x, y), 10, TrainConfig(weight_decay=0.0), d.make_rng(0))
+        ad.backward(plain)
+        plain_grads = [w.grad for w in net.weight_nodes()]
+        ad.zero_gradients(net.parameters())
+        loss, _ = elbo_loss(net, (x, y), 10, TrainConfig(weight_decay=0.3), d.make_rng(0))
+        ad.backward(loss)
+        norms = [float((w.value ** 2).sum()) for w in net.weight_nodes()]
+        assert float(loss.value) == float(plain.value) + (norms[0] + norms[1]) * 0.15
+        for w, g in zip(net.weight_nodes(), plain_grads):
+            assert np.allclose(w.grad, g + 0.3 * w.value, rtol=1e-14, atol=0.0)
 
     def test_empty_minibatch_rejected(self):
         net = small_net()
