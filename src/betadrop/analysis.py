@@ -8,7 +8,7 @@ counts weight entries under the same convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,26 @@ def prune_by_threshold(net: Network, threshold: float = DEFAULT_PRUNE_THRESHOLD)
     """Keep sets per gated layer: unit k survives iff E_q[pi_k] >= threshold.
 
     Uses the input-independent expected keep probability for both gate modes,
-    so units pruned in stage 1 can never revive in stage 2.
+    so units pruned in stage 1 can never revive in stage 2.  A dense gate on
+    the flattened output of a gated conv layer also drops the positions of
+    the channels that layer prunes, so the keep sets count the units of the
+    network :func:`~betadrop.layers.shrink` builds.
     """
-    keeps = []
+    extents = conv_extents(net)
+    keep_of: dict[int, np.ndarray] = {}
     for li, gate in net.gated_layers():
         keep = np.flatnonzero(gate.expected_pi() >= threshold)
+        layer = net.layers[li]
+        if layer.kind == "dense" and li - 1 in keep_of and net.layers[li - 1].kind == "conv":
+            _, (hy, wx) = extents[li - 1]
+            positions = keep if layer.input_select is None else layer.input_select[keep]
+            keep = keep[np.isin(positions // (hy * wx), keep_of[li - 1])]
         if keep.size == 0:
             raise PruneCollapseError(
                 f"threshold {threshold} prunes every unit of layer {li}"
             )
-        keeps.append(keep)
-    return keeps
+        keep_of[li] = keep
+    return list(keep_of.values())
 
 
 @dataclass
@@ -178,7 +187,6 @@ class CorrelationReport:
 
     layer_indices: list[int]
     matrices: list[np.ndarray]  # each (C, C); UNDEFINED_CORR marks undefined entries
-    class_means: list[np.ndarray] = field(default_factory=list)  # each (C, K)
 
 
 def _gate_vectors(net: Network, dataset: Dataset) -> list[np.ndarray]:
@@ -195,12 +203,10 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
     vectors = _gate_vectors(net, dataset)
     layer_indices = [li for li, _ in net.gated_layers()]
     matrices = []
-    means = []
     for mat in vectors:
         class_mean = np.stack(
             [mat[dataset.labels == c].mean(axis=0) for c in classes]
         )
-        means.append(class_mean)
         c = len(classes)
         corr = np.full((c, c), UNDEFINED_CORR)
         centered = class_mean - class_mean.mean(axis=1, keepdims=True)
@@ -212,7 +218,7 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
                     r = float(centered[a] @ centered[b] / (norms[a] * norms[b]))
                     corr[a, b] = corr[b, a] = min(1.0, max(-1.0, r))
         matrices.append(corr)
-    return CorrelationReport(layer_indices, matrices, means)
+    return CorrelationReport(layer_indices, matrices)
 
 
 def within_cross_gate_correlation(net: Network, dataset: Dataset, layer: int = -1,

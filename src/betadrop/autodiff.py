@@ -10,15 +10,16 @@ a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 
-The ops are elementwise (`add`, `mul`, `scale`, `relu`), dense-layer
-products (`matmul`, `add_rowwise`, `gather_cols`), the conv stack
-(`conv2d`, `maxpool2x2`, `scale_channels`, `global_avg_pool`, `flatten`)
-and `softmax_cross_entropy`.  :func:`fused` makes one node of a closed form
+The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
+(`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
+`maxpool2x2`, `scale_channels`, `global_avg_pool`, `flatten`) and
+`softmax_cross_entropy`.  :func:`fused` makes one node of a closed form
 computed in numpy with a hand-written backward; the dropout gates in
-:mod:`betadrop.gates` and the weight-decay term are built that way.  Conv
-activations are channel-major, (C, B, H, W); `flatten` turns them into the
-(B, C*H*W) rows of a dense layer, and per-example channel quantities (gate
-masks, channel means) stay (B, C).
+:mod:`betadrop.gates` and the training loss (NLL, weighted KL and weight
+decay) are built that way.  Conv activations are channel-major,
+(C, B, H, W); `flatten` turns them into the (B, C*H*W) rows of a dense
+layer, and per-example channel quantities (gate masks, channel means) stay
+(B, C).
 
 There is no broadcasting: binary elementwise ops accept equal shapes only.
 The few mixed-rank products the models need are dedicated ops
@@ -44,7 +45,6 @@ __all__ = [
     "zero_gradients",
     "add",
     "mul",
-    "scale",
     "relu",
     "fused",
     "matmul",
@@ -230,16 +230,6 @@ def mul(a: Node, b: Node) -> Node:
         _acc(b, g * a.value)
 
     return Node(a.value * b.value, (a, b), bw)
-
-
-def scale(a: Node, c: float) -> Node:
-    """Multiply by a python float (no node is created for the constant)."""
-    c = float(c)
-
-    def bw(g):
-        _acc(a, g * c)
-
-    return Node(a.value * c, (a,), bw)
 
 
 def relu(a: Node) -> Node:

@@ -280,7 +280,7 @@ def _cmd_sweep(args, cfg) -> int:
         finetune_bb(net, train, run_conf, epochs=cfg["train"]["finetune_epochs"])
         keeps = prune_by_threshold(net, cfg["prune"]["threshold"])
         counts = [int(k.size) for k in keeps]
-        orig, pruned, speedup = count_flops(net, counts)
+        _, _, speedup = count_flops(net, counts)
         memory = count_memory(net, counts)
         small = shrink(net, keeps)
         err = evaluate_error(small, test)
@@ -288,7 +288,6 @@ def _cmd_sweep(args, cfg) -> int:
             SparsityReport(
                 method="bb", kl_scale=float(scale), error_pct=err,
                 speedup=speedup, memory_pct=memory, kept_counts=counts,
-                flops_orig=orig, flops_pruned=pruned,
             )
         )
         print(reports[-1].result_line())

@@ -147,8 +147,9 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     policy that needs just the batch size builds no channel means.
     When ``net.meta`` has an ``input_shape``, each example must hold that
     many values; a shrunk first layer's ``input_select`` indexes into them.
-    A conv net's (B, H, W) or (B, C, H, W) input is made channel-major once,
-    and ``flatten`` gives the dense head rows in per-example (C, H, W) order.
+    A conv net's examples are reshaped to that (C, H, W) shape, so flat,
+    (B, H, W) and (B, C, H, W) inputs all work, and made channel-major once;
+    ``flatten`` gives the dense head rows in per-example (C, H, W) order.
 
     A conv layer runs conv, 2x2 max pooling, activation, then the channel
     mask, on a map a quarter the size of the conv output.  This gives the
@@ -165,7 +166,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             f"(input_shape {list(shape)}), got {x.shape}"
         )
     if net.layers and net.layers[0].kind == "conv":
-        x = x[None] if x.ndim == 3 else x.swapaxes(0, 1)
+        x = x.reshape(len(x), *(shape or x.shape[1:])).swapaxes(0, 1)
     elif x.ndim > 2:
         x = x.reshape(len(x), -1)
     h: Node = ad.constant(x)
@@ -362,11 +363,30 @@ def conv_extents(net: Network) -> dict[int, tuple[tuple[int, int], tuple[int, in
     return out
 
 
+def _input_width(net: Network, layer: DenseLayer) -> int:
+    """Values per example of the raw input that a first dense layer reads."""
+    shape = net.meta.get("input_shape")
+    if shape:
+        return math.prod(shape)
+    if layer.input_select is None:
+        return layer.in_dim
+    raise ContractError("a first layer with an input_select needs meta['input_shape'] to shrink")
+
+
 def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     """Physically remove pruned units and return the smaller network.
 
     ``keep_sets`` holds one sorted index array per gated layer (layer
-    order).  With ``fold_masks`` the input-independent expected masks of the
+    order); an ungated layer keeps all its units.  A conv layer keeps its
+    kept output channels and the input channels its producer kept.  Every
+    dense layer is narrowed by one rule: its rows are its own keep set,
+    intersected with what the shrunk producer emits.  The raw input emits
+    every value, a conv layer its kept channels times the pooled area, and
+    a dense producer has its columns cut to exactly the rows used.  The
+    layer's ``input_select`` then indexes the used values among the
+    emitted ones, or is None when it uses them all.
+
+    With ``fold_masks`` the input-independent expected masks of the
     surviving units are folded into the weights and the gates are dropped,
     leaving pure dense/conv arithmetic (only valid for BB-mode gates: the
     input-dependent factor of a DBB gate cannot be folded).
@@ -387,19 +407,18 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     extents = conv_extents(net)
 
     new_layers: list = []
-    carried_channels: np.ndarray | None = None  # conv output channels kept so far
-    last_conv_idx: int | None = None
-    seen_dense = False
+    channels: np.ndarray | None = None  # the producing conv layer's kept channels
     for i, layer in enumerate(net.layers):
+        own = keep_of_layer.get(i)
+        gate = layer.gate
         if layer.kind == "conv":
-            out_keep = keep_of_layer.get(i)
-            out_keep = np.arange(layer.out_channels) if out_keep is None else out_keep
+            out_keep = np.arange(layer.out_channels) if own is None else own
             w = layer.w.value
-            if carried_channels is not None:
-                w = w[:, carried_channels]
+            if channels is not None:
+                w = w[:, channels]
             w = w[out_keep].copy()
             b = layer.b.value[out_keep].copy()
-            gate = layer.gate.subset(out_keep) if layer.gate is not None else None
+            gate = gate.subset(out_keep) if gate is not None else None
             if fold_masks and gate is not None:
                 m = gate.expected_pi()
                 w *= m[:, None, None, None]
@@ -409,59 +428,37 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
                 ConvLayer(w, b, gate=gate, activation=layer.activation,
                           pool=layer.pool, stride=layer.stride, padding=layer.padding)
             )
-            carried_channels = out_keep
-            last_conv_idx = i
+            channels = out_keep
+            continue
+        # emitted: the sorted positions of the producer's output that survive
+        prev = new_layers[-1] if new_layers else None
+        if prev is None:
+            emitted = np.arange(_input_width(net, layer))
+        elif prev.kind == "conv":  # flat (channel, y, x) positions of the kept channels
+            _, (hy, wx) = extents[i - 1]
+            emitted = (channels[:, None] * (hy * wx) + np.arange(hy * wx)).reshape(-1)
         else:
-            own_keep = keep_of_layer.get(i)
-            w = layer.w.value
-            gate = layer.gate
-            select = layer.input_select
-            if not seen_dense and carried_channels is not None:
-                # flatten boundary: positions live in (channel, y, x) flat space
-                _, (hy, wx) = extents[last_conv_idx]
-                area = hy * wx
-                surviving = (
-                    carried_channels[:, None] * area + np.arange(area)[None, :]
-                ).reshape(-1)
-                new_pos = {int(old): new for new, old in enumerate(surviving)}
-                positions = select if select is not None else np.arange(layer.in_dim)
-                row_keep = np.arange(layer.in_dim) if own_keep is None else own_keep
-                rows = row_keep[np.isin(positions[row_keep], surviving)]
-                if rows.size == 0:
-                    raise PruneCollapseError(f"pruning removes every input of layer {i}")
-                w = w[rows].copy()
-                if gate is not None:
-                    gate = gate.subset(rows)
-                select = np.array([new_pos[int(p)] for p in positions[rows]], dtype=np.intp)
-                if select.size == surviving.size and np.array_equal(select, np.arange(select.size)):
-                    select = None
-                carried_channels = None
-            elif own_keep is not None:
-                rows = own_keep
-                if select is not None:
-                    select = select[rows]
-                elif not seen_dense:
-                    select = rows  # first layer selects from the raw input vector
-                else:
-                    # dense follows dense: prune the producer's columns instead
-                    prev = new_layers[-1]
-                    prev.w = ad.parameter(prev.w.value[:, rows].copy())
-                    prev.b = ad.parameter(prev.b.value[rows].copy())
-                w = w[rows].copy()
-                if gate is not None:
-                    gate = gate.subset(rows)
-            else:
-                w = w.copy()
-                if gate is not None:
-                    gate = gate.subset(np.arange(layer.in_dim))
-            if fold_masks and gate is not None:
-                w = w * gate.expected_pi()[:, None]
-                gate = None
-            new_layers.append(
-                DenseLayer(w, layer.b.value.copy(), gate=gate,
-                           activation=layer.activation, input_select=select)
-            )
-            seen_dense = True
+            emitted = np.arange(prev.out_dim)
+        positions = np.arange(layer.in_dim) if layer.input_select is None else layer.input_select
+        rows = np.arange(layer.in_dim) if own is None else own
+        rows = rows[np.isin(positions[rows], emitted)]
+        if rows.size == 0:
+            raise PruneCollapseError(f"pruning removes every input of layer {i}")
+        used = positions[rows]
+        if prev is not None and prev.kind == "dense":  # the producer emits only what is used
+            prev.w = ad.parameter(prev.w.value[:, used].copy())
+            prev.b = ad.parameter(prev.b.value[used].copy())
+            emitted = used
+        w = layer.w.value[rows]
+        gate = gate.subset(rows) if gate is not None else None
+        if fold_masks and gate is not None:
+            w = w * gate.expected_pi()[:, None]
+            gate = None
+        new_layers.append(
+            DenseLayer(w, layer.b.value.copy(), gate=gate, activation=layer.activation,
+                       input_select=None if used.size == emitted.size
+                       else np.searchsorted(emitted, used))
+        )
 
     meta = dict(net.meta)
     meta["kept_counts"] = [int(k.size) for k in keeps]

@@ -24,10 +24,6 @@ class SparsityReport:
     speedup: float
     memory_pct: float
     kept_counts: list[int] = field(default_factory=list)
-    flops_orig: int | None = None
-    flops_pruned: int | None = None
-    mean_runtime_kept: list[float] | None = None  # DBB only
-    mean_runtime_flops: float | None = None
 
     def __post_init__(self):
         if self.speedup < 1.0 - 1e-12:

@@ -9,11 +9,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import DEFAULT_PRUNE_THRESHOLD, count_flops
+from .analysis import count_flops, prune_by_threshold
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
 from .distributions import LOGIT_EPS, make_rng
-from .errors import ContractError, DimensionError, InvariantViolationError, TrainingDivergedError
+from .errors import (
+    ContractError,
+    DimensionError,
+    InvariantViolationError,
+    PruneCollapseError,
+    TrainingDivergedError,
+)
 from .gates import MODE_BB, MODE_DBB
 from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train
 
@@ -38,7 +44,6 @@ class TrainConfig:
     rho_var: float = RHO_VAR_DEFAULT
     weight_decay: float = 5e-4
     seed: int = 0
-    mc_samples: int = 1
     logit_eps: float = LOGIT_EPS
 
     def effective_lr_weights(self) -> float:
@@ -118,47 +123,35 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
               config: TrainConfig, rng, force_masks: dict | None = None) -> tuple[Node, dict]:
     """Negative-ELBO minibatch estimator (a quantity to *minimize*).
 
-    loss = (N/|B|) * sum_batch NLL + kl_scale * sum_layers(mult * KL)
+    loss = N * mean_batch NLL + kl_scale * sum_layers(mult * KL)
          + weight_decay * 0.5 * ||W||^2
 
-    The expected log-likelihood uses ``config.mc_samples`` stochastic
-    forward samples (default 1).
+    from one stochastic forward sample, as one node over the NLL node, the
+    per-gate KL nodes and the weights, with gradients ``g * N``,
+    ``(g * kl_scale) * mult`` and ``(g * weight_decay) * W``.
     """
     x, y = batch
     if x.shape[0] == 0:
         raise ContractError("empty minibatch")
-    samples = max(1, int(config.mc_samples))
-    nll_mean = None
-    kl_terms: list[Node] = []
-    for s in range(samples):
-        logits, kls = forward_train(
-            net, x, rng, tau=config.tau, rho_var=config.rho_var,
-            logit_eps=config.logit_eps, force_masks=force_masks,
-        )
-        _check_labels(y, logits.value)
-        piece = ad.softmax_cross_entropy(logits, y)
-        nll_mean = piece if nll_mean is None else ad.add(nll_mean, piece)
-        if s == 0:
-            kl_terms = kls  # deterministic given the parameters
-    if samples > 1:
-        nll_mean = ad.scale(nll_mean, 1.0 / samples)
-    loss = ad.scale(nll_mean, float(n_total))
-    kl_value = 0.0
-    if kl_terms:
-        mult = config.multipliers_for(net)
-        weighted = None
-        for m, term in zip(mult, kl_terms):
-            piece = ad.scale(term, m)
-            weighted = piece if weighted is None else ad.add(weighted, piece)
-        kl_value = float(weighted.value)
-        loss = ad.add(loss, ad.scale(weighted, config.kl_scale))
-    if config.weight_decay > 0.0:
-        # one graph node, with gradient wd * W
-        wd, weights = config.weight_decay, net.weight_nodes()
-        reg = sum((w.value * w.value).sum() for w in weights) * (0.5 * wd)
-        reg = ad.fused(reg, weights, lambda g: [(g * wd) * w.value for w in weights])
-        loss = ad.add(loss, reg)
-    return loss, {"nll": float(nll_mean.value), "kl": kl_value}
+    logits, kls = forward_train(
+        net, x, rng, tau=config.tau, rho_var=config.rho_var,
+        logit_eps=config.logit_eps, force_masks=force_masks,
+    )
+    _check_labels(y, logits.value)
+    nll = ad.softmax_cross_entropy(logits, y)
+    n, kl_scale, wd = float(n_total), config.kl_scale, config.weight_decay
+    mult = config.multipliers_for(net) if kls else ()
+    weights = net.weight_nodes() if wd > 0.0 else []
+    kl = sum(term.value * m for m, term in zip(mult, kls))
+    reg = sum((w.value * w.value).sum() for w in weights)
+    value = nll.value * n + kl * kl_scale + reg * (0.5 * wd)
+
+    def vjp(g):
+        g_kl = g * kl_scale
+        return [g * n, *(g_kl * m for m in mult), *((g * wd) * w.value for w in weights)]
+
+    loss = ad.fused(value, [nll, *kls, *weights], vjp)
+    return loss, {"nll": float(nll.value), "kl": float(kl)}
 
 
 def _check_labels(labels: np.ndarray, logits: np.ndarray) -> None:
@@ -183,13 +176,14 @@ def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> flo
 
 
 def _expected_flops(net: Network) -> float:
-    counts = [int((g.expected_pi() >= DEFAULT_PRUNE_THRESHOLD).sum()) for g in net.gates()]
-    if not counts:
+    """MACs of the network that pruning at the default threshold would leave."""
+    if not net.gates():
         return float(count_flops(net)[0])
     try:
-        return float(count_flops(net, counts)[1])
-    except ZeroDivisionError:  # a gate momentarily empty mid-training
+        counts = [k.size for k in prune_by_threshold(net)]
+    except PruneCollapseError:  # a gate momentarily empty mid-training
         return float("nan")
+    return float(count_flops(net, counts)[1])
 
 
 class MetricsLog:
@@ -199,14 +193,12 @@ class MetricsLog:
 
     def __init__(self, path=None):
         self.path = path
-        self.rows: list[str] = []
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(self.HEADER + "\n")
 
     def append(self, epoch, nll, kl, train_err, test_err, flops):
         row = f"{epoch},{nll:.6f},{kl:.6f},{train_err:.4f},{test_err:.4f},{flops:.1f}"
-        self.rows.append(row)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(row + "\n")

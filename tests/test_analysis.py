@@ -19,7 +19,7 @@ from betadrop.analysis import (
 from betadrop.data import Dataset
 from betadrop.errors import ContractError, PruneCollapseError
 from betadrop.gates import MODE_DBB
-from betadrop.layers import build_lenet5_caffe, build_lenet_500_300, build_mlp
+from betadrop.layers import build_lenet5_caffe, build_lenet_500_300, build_mlp, shrink
 from betadrop.reporting import (
     SparsityReport,
     emit_report_csv,
@@ -51,6 +51,34 @@ class TestPruneByThreshold:
         gate.a_raw.value = np.full(4, float(d.softplus_inv(1e-5)))
         with pytest.raises(PruneCollapseError, match="layer 0"):
             prune_by_threshold(net, 1e-3)
+
+    def test_pruned_channels_leave_the_flattened_dense_gate(self):
+        # conv2 keeps 25 of 50 channels, the dense gate keeps all 800 positions:
+        # the counts must describe the shrunk net (400 dense inputs), not 800
+        net = build_lenet5_caffe(seed=0)
+        net.gates()[1].a_raw.value[::2] = float(d.softplus_inv(1e-5))
+        keeps = prune_by_threshold(net)
+        counts = [k.size for k in keeps]
+        assert counts == [20, 25, 400, 500]
+        assert np.array_equal(keeps[2] // 16, np.repeat(np.arange(1, 50, 2), 16))
+        small = shrink(net, keeps)
+        assert small.layers[2].in_dim == 400 and small.layers[2].input_select is None
+        assert count_flops(net, counts)[1] == count_flops(small)[0] == 1_293_000
+
+    def test_pruned_channels_compose_with_an_input_select(self):
+        net = build_lenet5_caffe(seed=0)
+        net = shrink(net, [np.arange(20), np.arange(50), np.arange(0, 800, 3), np.arange(500)])
+        net.gates()[1].a_raw.value[:10] = float(d.softplus_inv(1e-5))  # prune channels 0-9
+        keeps = prune_by_threshold(net)
+        assert keeps[2].min() * 3 >= 160 and keeps[2].size == np.sum(np.arange(0, 800, 3) >= 160)
+        assert count_flops(net, [k.size for k in keeps])[1] == count_flops(shrink(net, keeps))[0]
+
+    def test_channel_pruning_that_empties_a_dense_gate_collapses(self):
+        net = build_lenet5_caffe(seed=0)
+        net.gates()[1].a_raw.value[1:] = float(d.softplus_inv(1e-5))  # keep channel 0
+        net.gates()[2].a_raw.value[:16] = float(d.softplus_inv(1e-5))  # and none of its positions
+        with pytest.raises(PruneCollapseError, match="layer 2"):
+            prune_by_threshold(net)
 
 
 class TestFlopsAndMemory:

@@ -465,7 +465,7 @@ class TestBackward:
     def test_second_backward_recomputes_interior_grads(self):
         w = ad.parameter(np.array([2.0, -1.0]))
         sq = ad.mul(w, w)
-        loss = sum_all(ad.scale(sq, 3.0))
+        loss = sum_all(ad.mul(sq, ad.constant(np.full(2, 3.0))))
         ad.backward(loss)
         ad.backward(loss)
         assert np.array_equal(sq.grad, [3.0, 3.0])  # not 6: interior starts over
@@ -492,7 +492,8 @@ class TestBackward:
         xv, yv = RNG.normal(size=4), RNG.normal(size=4)
         x, y = ad.parameter(xv), ad.parameter(yv)
         xx, yy = ad.mul(x, x), ad.mul(y, y)
-        terms = [sum_all(ad.add(xx, yy)), sum_all(ad.mul(ad.scale(xx, 3.0), yy))]
+        three = ad.constant(np.full(4, 3.0))
+        terms = [sum_all(ad.add(xx, yy)), sum_all(ad.mul(ad.mul(xx, three), yy))]
         ad.backward(ad.add(*(terms[::-1] if swap else terms)))
         assert np.allclose(x.grad, 2.0 * xv + 6.0 * xv * yv**2, rtol=1e-12, atol=0)
         assert np.allclose(y.grad, 2.0 * yv + 6.0 * xv**2 * yv, rtol=1e-12, atol=0)
@@ -505,7 +506,7 @@ class TestBackward:
 
     def test_scalar_leaf_grad_is_an_array(self):
         x = ad.parameter(3.0)
-        ad.backward(ad.scale(ad.mul(x, x), 2.0))
+        ad.backward(ad.mul(ad.mul(x, x), ad.constant(2.0)))
         assert isinstance(x.grad, np.ndarray) and float(x.grad) == 12.0
 
     def test_determinism_bit_identical(self):

@@ -191,8 +191,7 @@ class TestConfigHomes:
     def test_train_section_fills_train_config_by_field_name(self):
         defaults = validate_config({})["train"]
         del defaults["pretrain_epochs"], defaults["finetune_epochs"]
-        assert defaults == {f.name: f.default for f in fields(TrainConfig)
-                            if f.name != "mc_samples"}
+        assert defaults == {f.name: f.default for f in fields(TrainConfig)}
         custom = {"batch_size": 7, "lr_variational": 0.02, "lr_weights": 0.003,
                   "kl_scale": 2.0, "per_layer_kl_multipliers": [1.0, 2.0], "tau": 0.3,
                   "rho_var": 1.5, "weight_decay": 0.0, "seed": 9, "logit_eps": 1e-5}
