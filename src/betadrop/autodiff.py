@@ -311,22 +311,20 @@ def gather_cols(x: Node, idx) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x: Node, w: Node, b: Node, stride: int = 1, padding: int = 0) -> Node:
-    """Cross-correlation of a (C, B, H, W) input with (O, C, k, k), plus (O,)
-    bias, giving (O, B, ho, wo) with ho = floor((H + 2p - k) / stride) + 1.
+def conv2d(x: Node, w: Node, b: Node) -> Node:
+    """Unpadded stride-1 cross-correlation of a (C, B, H, W) input with
+    (O, C, k, k), plus (O,) bias, giving (O, B, H - k + 1, W - k + 1).
 
     im2col as GEMM, channel-major: with P = ho*wo output positions and
-    ``wmat`` the kernel as (O, C*k*k), the padded input's k x k windows are
+    ``wmat`` the kernel as (O, C*k*k), the input's k x k windows are
     gathered into ``cols`` (C*k*k, B*P), and the forward is the one GEMM
     ``wmat @ cols``, bias added in place, which is already (O, B, ho, wo).
     Backward reads the output gradient as ``gmat`` (O, B*P) with no copy:
     dW = ``gmat @ cols.T`` and db = ``gmat.sum(1)``.  Unless ``x`` is a
     constant, the column gradient ``wmat.T @ gmat``, laid out
     (C, k, k, B, ho, wo), is added back one contiguous slab per kernel tap
-    into a (C, B, Hp, Wp) buffer (col2im).
+    into a (C, B, H, W) buffer (col2im).
     """
-    if stride < 1:
-        raise DimensionError(f"conv2d: stride must be >= 1, got {stride}")
     xv, wv = x.value, w.value
     if (xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1]
             or b.value.shape != wv.shape[:1]):
@@ -337,16 +335,11 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1, padding: int = 0) -> Node
     cout, _, k, k2 = wv.shape
     if k != k2:
         raise DimensionError(f"conv2d: kernel must be square, got {wv.shape}")
-    if k > h + 2 * padding or k > wd + 2 * padding:
-        raise DimensionError(
-            f"conv2d: kernel {k}x{k} larger than padded input "
-            f"{h + 2 * padding}x{wd + 2 * padding}"
-        )
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xv
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    if k > h or k > wd:
+        raise DimensionError(f"conv2d: kernel {k}x{k} larger than input {h}x{wd}")
+    ho, wo = h - k + 1, wd - k + 1
 
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(xv, (k, k), axis=(2, 3))
     # cols[c*k*k + i*k + j, b*P + p]
     cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(
         cin * k * k, bsz * ho * wo
@@ -361,10 +354,10 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1, padding: int = 0) -> Node
         _acc(b, gmat.sum(axis=1))
         if x.needs_grad:
             dcols = (wmat.T @ gmat).reshape(cin, k, k, bsz, ho, wo)
-            dxp = np.zeros((cin, bsz, hp, wp))
+            dx = np.zeros(xv.shape)
             for i, j in np.ndindex(k, k):
-                dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-            _acc(x, dxp[:, :, padding : hp - padding, padding : wp - padding])
+                dx[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
+            _acc(x, dx)
 
     return Node(val.reshape(cout, bsz, ho, wo), (x, w, b), bw)
 

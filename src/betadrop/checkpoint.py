@@ -24,7 +24,7 @@ from .errors import (
 from .gates import GateState
 from .layers import ConvLayer, DenseLayer, Network
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor", "stats_initialized")
 _GATE_PARAMS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")
@@ -43,15 +43,11 @@ def save_checkpoint(net: Network, path) -> None:
     layers_manifest = []
     arrays: list[tuple[str, np.ndarray]] = []
     for i, layer in enumerate(net.layers):
-        entry: dict = {"kind": layer.kind, "activation": layer.activation}
+        entry: dict = {"kind": layer.kind}
         if layer.kind == "dense":
             entry["input_select"] = (
                 None if layer.input_select is None else [int(v) for v in layer.input_select]
             )
-        else:
-            entry["pool"] = layer.pool
-            entry["stride"] = layer.stride
-            entry["padding"] = layer.padding
         entry["gate"] = None if layer.gate is None else _gate_manifest(layer.gate)
         layers_manifest.append(entry)
         arrays.append((f"L{i}.w", layer.w.value))
@@ -171,7 +167,6 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
     layers = []
     for i, entry in enumerate(_checked(manifest["layers"], list, "layers")):
         kind = _one_of(entry["kind"], ("dense", "conv"), f"kind of layer {i}")
-        activation = _one_of(entry["activation"], (None, "relu"), f"activation of layer {i}")
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]
@@ -189,15 +184,9 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
             )
         w, b = values[f"L{i}.w"], values[f"L{i}.b"]
         if kind == "dense":
-            layers.append(DenseLayer(w, b, gate=gate, activation=activation,
-                                     input_select=entry["input_select"]))
+            layers.append(DenseLayer(w, b, gate=gate, input_select=entry["input_select"]))
         else:
-            layers.append(ConvLayer(
-                w, b, gate=gate, activation=activation,
-                pool=_checked(entry["pool"], bool, f"pool of layer {i}"),
-                stride=_checked(entry["stride"], int, f"stride of layer {i}"),
-                padding=_checked(entry["padding"], int, f"padding of layer {i}"),
-            ))
+            layers.append(ConvLayer(w, b, gate=gate))
     gates_enabled = _checked(manifest["gates_enabled"], bool, "gates_enabled")
     net = Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])
     for n in _checked(net.meta.get("input_shape", []), list, "input_shape"):

@@ -212,11 +212,11 @@ def _cmd_prune(args, cfg) -> int:
     threshold = cfg["prune"]["threshold"]
     keeps = prune_by_threshold(net, threshold)
     counts = [int(k.size) for k in keeps]
-    orig, pruned, speedup = count_flops(net, counts)
+    orig, _, speedup = count_flops(net, counts)
     memory = count_memory(net, counts)
     small = shrink(net, keeps, fold_masks=cfg["prune"]["fold_masks"])
     small.meta.update(
-        stage="bb_pruned", flops_orig=orig, flops_pruned=pruned,
+        stage="bb_pruned", flops_orig=orig,
         speedup=speedup, memory_pct=memory, kept_counts=counts,
     )
     path = _ckpt_path(cfg, "bb_pruned")

@@ -22,7 +22,7 @@ class PruneCollapseError(BetadropError, RuntimeError):
 
 
 class TrainingDivergedError(BetadropError, RuntimeError):
-    """The training loss became non-finite."""
+    """The training loss or an updated parameter became non-finite."""
 
     def __init__(self, step: int, message: str = ""):
         self.step = step

@@ -34,14 +34,15 @@ RHO_VAR_DEFAULT = math.sqrt(5.0)
 
 
 class DenseLayer:
+    """A dense layer; relu follows it unless it is the network's last layer."""
+
     kind = "dense"
 
-    def __init__(self, w, b, gate: GateState | None = None, activation: str | None = "relu",
+    def __init__(self, w, b, gate: GateState | None = None,
                  input_select: np.ndarray | None = None):
         self.w = w if isinstance(w, Node) else ad.parameter(w)  # (in, out)
         self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
         self.gate = gate
-        self.activation = activation
         self.input_select = None if input_select is None else np.asarray(input_select, dtype=np.intp)
         if gate is not None and gate.k != self.in_dim:
             raise DimensionError(
@@ -58,17 +59,14 @@ class DenseLayer:
 
 
 class ConvLayer:
+    """An unpadded stride-1 conv, then 2x2 max pooling, relu and the channel mask."""
+
     kind = "conv"
 
-    def __init__(self, w, b, gate: GateState | None = None, activation: str | None = "relu",
-                 pool: bool = True, stride: int = 1, padding: int = 0):
+    def __init__(self, w, b, gate: GateState | None = None):
         self.w = w if isinstance(w, Node) else ad.parameter(w)  # (out, in, k, k)
         self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
         self.gate = gate
-        self.activation = activation
-        self.pool = pool
-        self.stride = stride
-        self.padding = padding
         if gate is not None and gate.k != self.out_channels:
             raise DimensionError(
                 f"gate width {gate.k} does not match conv output channels {self.out_channels}"
@@ -129,14 +127,6 @@ class Network:
 # ---------------------------------------------------------------------------
 
 
-def _activate(h: Node, activation: str | None) -> Node:
-    if activation is None:
-        return h
-    if activation == "relu":
-        return ad.relu(h)
-    raise ContractError(f"unknown activation {activation!r}")
-
-
 def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     """The one layer walk behind :func:`forward_train` and :func:`forward_eval`.
 
@@ -151,9 +141,9 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     (B, H, W) and (B, C, H, W) inputs all work, and made channel-major once;
     ``flatten`` gives the dense head rows in per-example (C, H, W) order.
 
-    A conv layer runs conv, 2x2 max pooling, activation, then the channel
-    mask, on a map a quarter the size of the conv output.  This gives the
-    values of the textbook order conv, mask, activation, pool bit for bit:
+    A conv layer runs conv, 2x2 max pooling, relu, then the channel mask,
+    on a map a quarter the size of the conv output.  This gives the
+    values of the textbook order conv, mask, relu, pool bit for bit:
     a mask entry is one number >= 0 per (example, channel), and rounding is
     monotone, so the max commutes with the relu and with the scaling.  The
     DBB gate input is still the channel mean of the full-size conv output.
@@ -171,7 +161,8 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
         x = x.reshape(len(x), -1)
     h: Node = ad.constant(x)
     gate_idx = 0
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
         gated = net.gates_enabled and layer.gate is not None
         # the policy calls gate_input before h is rebound, so it reads this layer's node
         if layer.kind == "dense":
@@ -186,15 +177,15 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             if gated:
                 h = ad.mul(gate_mask(gate_idx, layer.gate, len(h.value), lambda: h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
-            h = _activate(h, layer.activation)
+            if i != last:
+                h = ad.relu(h)
         else:
-            h = ad.conv2d(h, layer.w, layer.b, stride=layer.stride, padding=layer.padding)
+            h = ad.conv2d(h, layer.w, layer.b)
             if gated:
                 mask = gate_mask(gate_idx, layer.gate, h.value.shape[1],
                                  lambda: ad.global_avg_pool(h))
-            if layer.pool:
-                h = ad.maxpool2x2(h)  # rebinding h frees the full-size map under no_grad
-            h = _activate(h, layer.activation)
+            h = ad.maxpool2x2(h)  # rebinding h frees the full-size map under no_grad
+            h = ad.relu(h)
             if gated:
                 h = ad.scale_channels(h, mask)
         gate_idx += gated
@@ -296,7 +287,6 @@ def build_lenet_500_300(seed: int = 0, **gate_options) -> Network:
                 _init_dense(rng, fan_in, fan_out, relu_gain=i < 2),
                 np.zeros(fan_out),
                 gate=GateState.create(fan_in, **gate_options),
-                activation="relu" if i < 2 else None,
             )
         )
     return Network(layers, meta={"arch": "lenet_500_300", "input_shape": [784]})
@@ -307,10 +297,10 @@ def build_lenet5_caffe(seed: int = 0, **gate_options) -> Network:
     rng = make_rng(seed)
     g = lambda k: GateState.create(k, **gate_options)
     layers = [
-        ConvLayer(_init_conv(rng, 20, 1, 5), np.zeros(20), gate=g(20), activation="relu", pool=True),
-        ConvLayer(_init_conv(rng, 50, 20, 5), np.zeros(50), gate=g(50), activation="relu", pool=True),
-        DenseLayer(_init_dense(rng, 800, 500, True), np.zeros(500), gate=g(800), activation="relu"),
-        DenseLayer(_init_dense(rng, 500, 10, False), np.zeros(10), gate=g(500), activation=None),
+        ConvLayer(_init_conv(rng, 20, 1, 5), np.zeros(20), gate=g(20)),
+        ConvLayer(_init_conv(rng, 50, 20, 5), np.zeros(50), gate=g(50)),
+        DenseLayer(_init_dense(rng, 800, 500, True), np.zeros(500), gate=g(800)),
+        DenseLayer(_init_dense(rng, 500, 10, False), np.zeros(10), gate=g(500)),
     ]
     return Network(layers, meta={"arch": "lenet5_caffe", "input_shape": [1, 28, 28]})
 
@@ -321,13 +311,11 @@ def build_mlp(dims, seed: int = 0, gated: bool = True, **gate_options) -> Networ
     rng = make_rng(seed)
     layers = []
     for i in range(len(dims) - 1):
-        last = i == len(dims) - 2
         layers.append(
             DenseLayer(
-                _init_dense(rng, dims[i], dims[i + 1], relu_gain=not last),
+                _init_dense(rng, dims[i], dims[i + 1], relu_gain=i < len(dims) - 2),
                 np.zeros(dims[i + 1]),
                 gate=GateState.create(dims[i], **gate_options) if gated else None,
-                activation=None if last else "relu",
             )
         )
     return Network(layers, meta={"arch": "mlp", "dims": list(dims), "input_shape": [dims[0]]})
@@ -353,12 +341,8 @@ def conv_extents(net: Network) -> dict[int, tuple[tuple[int, int], tuple[int, in
     for i, layer in enumerate(net.layers):
         if layer.kind != "conv":
             break
-        h = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-        w = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
-        conv = (h, w)
-        if layer.pool:
-            h //= 2
-            w //= 2
+        conv = (h - layer.kernel + 1, w - layer.kernel + 1)
+        h, w = conv[0] // 2, conv[1] // 2
         out[i] = (conv, (h, w))
     return out
 
@@ -424,10 +408,7 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
                 w *= m[:, None, None, None]
                 b *= m
                 gate = None
-            new_layers.append(
-                ConvLayer(w, b, gate=gate, activation=layer.activation,
-                          pool=layer.pool, stride=layer.stride, padding=layer.padding)
-            )
+            new_layers.append(ConvLayer(w, b, gate=gate))
             channels = out_keep
             continue
         # emitted: the sorted positions of the producer's output that survive
@@ -455,12 +436,11 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             w = w * gate.expected_pi()[:, None]
             gate = None
         new_layers.append(
-            DenseLayer(w, layer.b.value.copy(), gate=gate, activation=layer.activation,
+            DenseLayer(w, layer.b.value.copy(), gate=gate,
                        input_select=None if used.size == emitted.size
                        else np.searchsorted(emitted, used))
         )
 
-    meta = dict(net.meta)
-    meta["kept_counts"] = [int(k.size) for k in keeps]
     still_gated = any(l.gate is not None for l in new_layers)
-    return Network(new_layers, gates_enabled=net.gates_enabled and still_gated, meta=meta)
+    return Network(new_layers, gates_enabled=net.gates_enabled and still_gated,
+                   meta=dict(net.meta))

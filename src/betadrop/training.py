@@ -24,6 +24,7 @@ from .gates import MODE_BB, MODE_DBB
 from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train
 
 NOISE_SEED_OFFSET = 1_000_003  # decorrelates the noise stream from the shuffle stream
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -81,9 +82,6 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[Node]) -> "AdamState":
@@ -97,23 +95,23 @@ def adam_step(params: list[Node], grads: list[np.ndarray], state: AdamState,
               lr: float) -> list[Node]:
     """One in-place Adam update; reads ``grads``, writes ``param.value``."""
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match parameter {p.value.shape}"
             )
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in two temporary buffers
         step = m / c1
         step *= lr
         denom = v / c2
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         p.value -= step
     return params
@@ -227,6 +225,9 @@ def _run_epochs(net: Network, data: Dataset, config: TrainConfig, epochs: int,
             ad.backward(loss)
             for params, state, lr in groups:
                 adam_step(params, [p.grad for p in params], state, lr)
+            # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
+            if not all(np.isfinite(p.value).all() for p in all_params):
+                raise TrainingDivergedError(step)
             if after_step is not None:
                 after_step(step)
             losses.append(float(loss.value))

@@ -220,16 +220,13 @@ def gate_case_loss(build, rng):
     return lambda: sum_all(ad.mul(build(), coeffs))
 
 
-def conv2d_oracle(x, w, stride=1, padding=0):
-    """Direct six-nested-loop cross-correlation for (C,H,W) x (O,C,k,k)."""
+def conv2d_oracle(x, w):
+    """Direct six-nested-loop unpadded stride-1 cross-correlation for (C,H,W) x (O,C,k,k)."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
-    xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding))
-    xp[:, padding : padding + h, padding : padding + wd] = x
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
+    ho, wo = h - k + 1, wd - k + 1
     out = np.zeros((c_out, ho, wo))
     for o in range(c_out):
         for y in range(ho):
@@ -238,21 +235,19 @@ def conv2d_oracle(x, w, stride=1, padding=0):
                 for c in range(c_in):
                     for i in range(k):
                         for j in range(k):
-                            acc += xp[c, y * stride + i, xx * stride + j] * w[o, c, i, j]
+                            acc += x[c, y + i, xx + j] * w[o, c, i, j]
                 out[o, y, xx] = acc
     return out
 
 
-def conv2d_grad_oracle(x, w, g, stride=1, padding=0):
+def conv2d_grad_oracle(x, w, g):
     """Nested-loop (dx, dw) of sum(g * conv2d(x, w)) for (B,C,H,W) x (O,C,k,k)."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     bsz, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     _, _, ho, wo = g.shape
-    xp = np.zeros((bsz, c_in, h + 2 * padding, wd + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + wd] = x
-    dxp = np.zeros_like(xp)
+    dx = np.zeros_like(x)
     dw = np.zeros_like(w)
     for b in range(bsz):
         for o in range(c_out):
@@ -262,10 +257,9 @@ def conv2d_grad_oracle(x, w, g, stride=1, padding=0):
                     for c in range(c_in):
                         for i in range(k):
                             for j in range(k):
-                                r, s = y * stride + i, xx * stride + j
-                                dw[o, c, i, j] += go * xp[b, c, r, s]
-                                dxp[b, c, r, s] += go * w[o, c, i, j]
-    return dxp[:, :, padding : padding + h, padding : padding + wd], dw
+                                dw[o, c, i, j] += go * x[b, c, y + i, xx + j]
+                                dx[b, c, y + i, xx + j] += go * w[o, c, i, j]
+    return dx, dw
 
 
 def maxpool2x2_oracle(x, g):
@@ -361,14 +355,15 @@ WRONG_TYPED_MANIFESTS = {
         lambda m: m.update(layers=5),
         "layers must be a list, got 5",
     ),
-    # the fixtures are dense nets: these two turn layer 0 into a conv entry
-    "stride-string": (
-        lambda m: m["layers"][0].update(kind="conv", pool=True, stride="2", padding=0),
-        "stride of layer 0 must be a non-negative integer, got '2'",
+    "kind-number": (
+        lambda m: m["layers"][0].update(kind=5),
+        "kind of layer 0 must be one of ('dense', 'conv'), got 5",
     ),
-    "pool-string": (
-        lambda m: m["layers"][0].update(kind="conv", pool="yes", stride=1, padding=0),
-        "pool of layer 0 must be true or false, got 'yes'",
+    # the fixtures are dense nets: this turns layer 0 into a conv entry
+    "conv-gate-string": (
+        lambda m: (m["layers"][0].pop("input_select"), m["layers"][0].update(kind="conv"),
+                   m["layers"][0]["gate"].update(momentum="fast")),
+        "momentum of layer 0's gate must be a finite number, got 'fast'",
     ),
     "alpha-over-k-string": (
         lambda m: m["layers"][0]["gate"].update(alpha_over_k="x"),
@@ -383,6 +378,17 @@ WRONG_TYPED_MANIFESTS = {
         "gates_enabled must be true or false, got 'no'",
     ),
 }
+
+
+def to_format_version_1(manifest) -> None:
+    """Turn a manifest into its format-version-1 form, which also stored each
+    layer's activation and each conv layer's pool, stride and padding."""
+    manifest["format_version"] = 1
+    for entry in manifest["layers"]:
+        entry["activation"] = "relu"
+        if entry["kind"] == "conv":
+            entry.update(pool=True, stride=1, padding=0)
+    manifest["layers"][-1]["activation"] = None
 
 
 def edit_manifest(path, edit) -> None:

@@ -33,8 +33,12 @@ from helpers import (
     sum_all,
 )
 
-BATCHED_CONV_CASES = [
-    (k, stride, padding) for k in (3, 5) for stride, padding in ((1, 0), (2, 0), (1, 1), (2, 1))
+# conv input extents (H, W), by index: non-square both ways, square, and one
+# that leaves a 5x5 kernel a single output column
+CONV_SHAPES = ((8, 7), (7, 8), (6, 6), (9, 5))
+# (kernel, input channels, index into CONV_SHAPES)
+BATCHED_CONV_CASES = [(k, c_in, s) for k in (3, 5) for c_in in (1, 2) for s in (0, 1)] + [
+    (k, c_in, s) for k in (3, 5) for c_in, s in ((1, 2), (2, 3))
 ]
 
 RNG = np.random.default_rng(12345)
@@ -175,14 +179,13 @@ class TestConv2d:
         out = ad.conv2d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
         assert np.array_equal(out.value, np.full((1, 1, 2, 2), 4.0))
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 1), (2, 1)])
-    def test_against_nested_loop_oracle(self, stride, padding):
-        x = RNG.normal(size=(2, 8, 8))
-        w = RNG.normal(size=(3, 2, 3, 3))
+    @pytest.mark.parametrize("c_in,s", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_against_nested_loop_oracle(self, c_in, s):
+        x = RNG.normal(size=(c_in, *CONV_SHAPES[s]))
+        w = RNG.normal(size=(3, c_in, 3, 3))
         b = RNG.normal(size=3)
-        out = ad.conv2d(ad.constant(x[:, None]), ad.constant(w), ad.constant(b),
-                        stride=stride, padding=padding)
-        expected = conv2d_oracle(x, w, stride, padding) + b[:, None, None]
+        out = ad.conv2d(ad.constant(x[:, None]), ad.constant(w), ad.constant(b))
+        expected = conv2d_oracle(x, w) + b[:, None, None]
         assert np.allclose(out.value[:, 0], expected, atol=1e-12)
 
     def test_batched_matches_single(self):
@@ -194,15 +197,15 @@ class TestConv2d:
             single = ad.conv2d(ad.constant(xs[i][:, None]), ad.constant(w), b).value
             assert np.array_equal(batched[:, i], single[:, 0])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
-    def test_gradients_match_finite_differences(self, stride, padding):
-        x = ad.parameter(RNG.normal(size=(2, 8, 8))[:, None])
-        w = ad.parameter(RNG.normal(size=(3, 2, 3, 3)))
+    @pytest.mark.parametrize("c_in,s", [(1, 0), (2, 1)])
+    def test_gradients_match_finite_differences(self, c_in, s):
+        x = ad.parameter(RNG.normal(size=(c_in, *CONV_SHAPES[s]))[:, None])
+        w = ad.parameter(RNG.normal(size=(3, c_in, 3, 3)))
         b = ad.parameter(RNG.normal(size=3))
         coeffs = None
 
         def loss():
-            out = ad.conv2d(x, w, b, stride=stride, padding=padding)
+            out = ad.conv2d(x, w, b)
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
@@ -210,16 +213,15 @@ class TestConv2d:
 
         gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
-    def test_batched_gradients_match_finite_differences(self, k, stride, padding):
-        # 8x7 input: non-square, and stride 2 leaves trailing rows/columns unread
-        x = ad.parameter(cm(RNG.normal(size=(3, 2, 8, 7))))
-        w = ad.parameter(RNG.normal(size=(3, 2, k, k)))
+    @pytest.mark.parametrize("k,c_in,s", BATCHED_CONV_CASES)
+    def test_batched_gradients_match_finite_differences(self, k, c_in, s):
+        x = ad.parameter(cm(RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))))
+        w = ad.parameter(RNG.normal(size=(3, c_in, k, k)))
         b = ad.parameter(RNG.normal(size=3))
         coeffs = None
 
         def loss():
-            out = ad.conv2d(x, w, b, stride=stride, padding=padding)
+            out = ad.conv2d(x, w, b)
             nonlocal coeffs
             if coeffs is None:
                 coeffs = ad.constant(RNG.normal(size=out.value.shape))
@@ -227,28 +229,28 @@ class TestConv2d:
 
         gradcheck(loss, [x, w, b], rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
-    def test_batched_gradients_match_loop_oracle(self, k, stride, padding):
-        xv = RNG.normal(size=(3, 2, 8, 7))
-        wv = RNG.normal(size=(3, 2, k, k))
+    @pytest.mark.parametrize("k,c_in,s", BATCHED_CONV_CASES)
+    def test_batched_gradients_match_loop_oracle(self, k, c_in, s):
+        xv = RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))
+        wv = RNG.normal(size=(3, c_in, k, k))
         x, w, b = ad.parameter(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
-        out = ad.conv2d(x, w, b, stride=stride, padding=padding)
+        out = ad.conv2d(x, w, b)
         g = RNG.normal(size=out.value.shape)
         ad.backward(sum_all(ad.mul(out, ad.constant(g))))
-        dx, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
+        dx, dw = conv2d_grad_oracle(xv, wv, cm(g))
         assert np.allclose(cm(x.grad), dx, rtol=1e-12, atol=1e-12)
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("k,stride,padding", BATCHED_CONV_CASES)
-    def test_constant_input_takes_no_gradient(self, k, stride, padding):
-        xv = RNG.normal(size=(3, 2, 8, 7))
-        wv = RNG.normal(size=(3, 2, k, k))
+    @pytest.mark.parametrize("k,c_in,s", BATCHED_CONV_CASES)
+    def test_constant_input_takes_no_gradient(self, k, c_in, s):
+        xv = RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))
+        wv = RNG.normal(size=(3, c_in, k, k))
         x, w, b = ad.constant(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
-        out = ad.conv2d(x, w, b, stride=stride, padding=padding)
+        out = ad.conv2d(x, w, b)
         g = RNG.normal(size=out.value.shape)
         ad.backward(sum_all(ad.mul(out, ad.constant(g))))
-        _, dw = conv2d_grad_oracle(xv, wv, cm(g), stride, padding)
+        _, dw = conv2d_grad_oracle(xv, wv, cm(g))
         assert x._grad is None and np.array_equal(x.grad, np.zeros(x.shape))
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)

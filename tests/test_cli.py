@@ -15,7 +15,7 @@ from betadrop.layers import build_lenet5_caffe, build_mlp
 from betadrop.reporting import parse_report_csv
 from betadrop.training import TrainConfig
 
-from helpers import WRONG_TYPED_MANIFESTS, edit_manifest
+from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1
 
 
 def write_config(tmp_path, **overrides):
@@ -107,6 +107,15 @@ class TestUsageErrors:
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_version_1_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
+        edit_manifest(path, to_format_version_1)
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "format version 1 " in err and "Traceback" not in err
 
     def test_help_config_lists_defaults(self, capsys):
         assert main(["--help-config"]) == 0
@@ -224,6 +233,22 @@ class TestPipeline:
         net = load_checkpoint(tmp_path / "run" / "bb_pruned.ckpt")
         assert net.meta["stage"] == "bb_pruned"
         assert net.meta["kept_counts"][0] == 4
+
+    def test_prune_saves_the_kept_counts_of_its_gates(self, tmp_path):
+        # 10 of conv2's 50 channels and 100 of the 500 dense inputs fall below
+        # the threshold; the 800-wide gate loses the pruned channels' positions
+        net = build_lenet5_caffe(seed=0)
+        net.layers[1].gate.a_raw.value[:10] = -30.0
+        net.layers[3].gate.a_raw.value[::5] = -30.0
+        net.meta["stage"] = "bb"
+        bb = tmp_path / "bb.ckpt"
+        save_checkpoint(net, bb)
+        cfg = write_config(tmp_path, model={"arch": "lenet5_caffe"},
+                           data={"n": 40, "d": 784})
+        assert main(["prune", "--config", str(cfg), "--init", str(bb)]) == 0
+        small = load_checkpoint(tmp_path / "run" / "bb_pruned.ckpt")
+        assert small.meta["kept_counts"] == [g.k for g in small.gates()] == [20, 40, 640, 400]
+        assert "flops_pruned" not in small.meta
 
     def test_evaluate_result_contract(self, pipeline, capsys):
         _, cfg = pipeline

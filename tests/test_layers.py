@@ -1,13 +1,16 @@
 """Network forwards, builders, shrink equivalence, and checkpoint round trips."""
 
+import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from betadrop import autodiff as ad
+from betadrop import checkpoint
 from betadrop import distributions as d
-from betadrop.checkpoint import load_checkpoint, save_checkpoint
+from betadrop.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from betadrop.errors import (
     CheckpointError,
     CheckpointLengthError,
@@ -27,7 +30,13 @@ from betadrop.layers import (
     shrink,
 )
 
-from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, gradcheck, sum_all
+from helpers import (
+    WRONG_TYPED_MANIFESTS,
+    edit_manifest,
+    gradcheck,
+    sum_all,
+    to_format_version_1,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -152,7 +161,7 @@ class TestForwardTrain:
         h = ad.flatten(h)
         for i, layer in enumerate(net.layers[2:], start=2):
             h = ad.add_rowwise(ad.matmul(ad.mul(ad.constant(masks[i]), h), layer.w), layer.b)
-            h = ad.relu(h) if layer.activation else h
+            h = ad.relu(h) if i < len(net.layers) - 1 else h
         assert np.array_equal(logits.value, h.value)
         ad.backward(sum_all(ad.mul(h, coeffs)))
         for layer, grad in zip(net.layers, walk_grads):
@@ -198,8 +207,8 @@ class TestForwardTrain:
             g.b_raw.value = g.b_raw.value + rng.normal(0, 0.2, g.k)
         net = Network(
             [
-                ConvLayer(conv_w, rng.normal(0, 0.1, 3), gate=gate_c, pool=True),
-                DenseLayer(dense_w, np.zeros(3), gate=gate_d, activation=None),
+                ConvLayer(conv_w, rng.normal(0, 0.1, 3), gate=gate_c),
+                DenseLayer(dense_w, np.zeros(3), gate=gate_d),
             ],
             gates_enabled=True,
             meta={"input_shape": [1, 6, 6]},
@@ -475,6 +484,16 @@ class TestShrink:
         net.layers[0].b.value = b_backup
         assert np.abs(masked - zeroed).max() < 1e-12
 
+    def test_meta_holds_no_count_the_gates_contradict(self):
+        # the 800-wide gate also loses the positions of conv2's pruned channels
+        rng = np.random.default_rng(0)
+        keeps = [np.sort(rng.choice(k, size=round(0.75 * k), replace=False))
+                 for k in (20, 50, 800, 500)]
+        small = shrink(build_lenet5_caffe(seed=0), keeps)
+        widths = [g.k for g in small.gates()]
+        assert widths[:2] == [15, 38] and widths[2] < 600 and widths[3] == 375
+        assert small.meta == build_lenet5_caffe(seed=0).meta
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -514,9 +533,63 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'{"format_version":1', b'{"format_version":9', 1))
+        old = b'{"format_version":%d' % FORMAT_VERSION
+        path.write_bytes(blob.replace(old, b'{"format_version":9', 1))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
+
+    def test_version_1_file_is_version_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(build_lenet5_caffe(seed=5), path)
+        edit_manifest(path, to_format_version_1)
+        with pytest.raises(CheckpointVersionError, match="version 1 "):
+            load_checkpoint(path)
+
+    def test_layer_entries_hold_only_keys_the_loader_reads(self, tmp_path, monkeypatch):
+        net = build_lenet5_caffe(seed=6)
+        net.layers[3].gate = None
+        small = shrink(net, [np.arange(0, 20, 2), np.arange(50), np.arange(0, 800, 3)])
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(small, path)
+        read: dict[int, set] = {}
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.setdefault(id(self), set()).add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.setdefault(id(self), set()).add(key)
+                return super().get(key, default)
+
+        entries = []
+
+        def loads(text):
+            manifest = json.loads(text, object_hook=Recording)
+            entries.extend(manifest["layers"])
+            return manifest
+
+        monkeypatch.setattr(checkpoint, "json", SimpleNamespace(loads=loads, dumps=json.dumps))
+        load_checkpoint(path)
+        assert [e["kind"] for e in entries] == ["conv", "conv", "dense", "dense"]
+        for entry in entries:
+            assert read[id(entry)] == set(entry)
+            if entry["gate"] is not None:
+                assert read[id(entry["gate"])] == set(entry["gate"])
+
+    def test_lenet5_round_trip_gives_identical_logits(self, tmp_path):
+        net = build_lenet5_caffe(seed=7)
+        net.gates_enabled = True
+        rng = d.make_rng(7)
+        for g in net.gates():
+            g.a_raw.value = g.a_raw.value + rng.normal(0, 0.3, g.k)
+            g.update_running_stats(rng.normal(size=(4, g.k)))
+        x = RNG.random((3, 1, 28, 28))
+        path = tmp_path / "net.ckpt"
+        for mode in (MODE_BB, MODE_DBB):
+            net.set_gate_mode(mode)
+            save_checkpoint(net, path)
+            assert np.array_equal(forward_eval(load_checkpoint(path), x), forward_eval(net, x))
 
     def test_length_disagreement(self, tmp_path):
         net = toy_net(seed=15)

@@ -313,6 +313,27 @@ class TestPretrain:
             pretrain(net, ds, cfg, epochs=1)
         assert err.value.step == 0
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_parameter_raises_with_step_index(self, monkeypatch):
+        # one inf gradient entry makes Adam write a NaN weight; relu maps the
+        # NaN pre-activation to 0, so the loss stays finite and only the
+        # parameter check can stop the stage
+        calls = []
+
+        def adam_step_with_inf(params, grads, state, lr):
+            if len(calls) == 3:
+                grads[0][0, 0] = np.inf
+            calls.append(lr)
+            return adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", adam_step_with_inf)
+        ds = synthetic_planted_sparsity(200, 6, 3, seed=1)
+        net = build_mlp((6, 8, 2), seed=0)
+        cfg = TrainConfig(batch_size=50, lr_variational=0.01, weight_decay=0.0, seed=0)
+        with pytest.raises(TrainingDivergedError, match="step 3") as err:
+            pretrain(net, ds, cfg, epochs=2)
+        assert err.value.step == 3 and np.isnan(net.layers[0].w.value[0, 0])
+
 
 class TestFinetuneBB:
     def test_huge_kl_scale_crushes_gate_means(self):
@@ -408,10 +429,8 @@ class TestFinetuneDBB:
         rng = d.make_rng(0)
         net = Network(
             [
-                ConvLayer(rng.normal(0, 0.5, (4, 1, 3, 3)), np.zeros(4),
-                          gate=GateState.create(4), pool=True),
-                DenseLayer(rng.normal(0, 0.5, (16, 2)), np.zeros(2),
-                           gate=GateState.create(16), activation=None),
+                ConvLayer(rng.normal(0, 0.5, (4, 1, 3, 3)), np.zeros(4), gate=GateState.create(4)),
+                DenseLayer(rng.normal(0, 0.5, (16, 2)), np.zeros(2), gate=GateState.create(16)),
             ],
             meta={"input_shape": [1, 6, 6], "stage": "bb_pruned"},
         )
