@@ -18,7 +18,6 @@ from .distributions import (
     concrete_bernoulli_sample,
     gaussian_kl,
     kl_kumaraswamy_beta,
-    kumaraswamy_log_pdf,
     kumaraswamy_mean,
     kumaraswamy_sample,
     make_rng,

@@ -3,7 +3,8 @@ class-level gate correlation analysis.
 
 FLOPs are multiply-accumulates only (dense: in*out; conv:
 C_out*C_in*k^2*H_out*W_out); biases and activations are excluded, and memory
-counts weight entries under the same convention.
+counts weight entries under the same convention.  Every count goes through
+:func:`~betadrop.layers.unit_map`, on keep sets statically and per input at runtime.
 """
 
 from __future__ import annotations
@@ -15,13 +16,27 @@ import numpy as np
 from .data import Dataset
 from .errors import ContractError, PruneCollapseError
 from .gates import MODE_DBB
-from .layers import Network, conv_extents, forward_eval
+from .layers import LayerUnits, Network, forward_eval, unit_map
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
 # Correlations that cannot be computed (a zero-variance class average) are
 # recorded as this sentinel instead of propagating NaN.
 UNDEFINED_CORR = -2.0
+
+
+def _kept_masks(net: Network, units: list[LayerUnits], masks) -> list[np.ndarray]:
+    """Per gate, its (..., K) boolean keep mask intersected with the kept sources.
+
+    A dense gate after a conv keeps a row only while the same mask row (one
+    per input, or one in all) keeps the conv channel that the row reads.
+    """
+    masks = list(masks)
+    for layer, u, prev in zip(net.layers, units, [None, *units]):
+        if u.source is not None and u.in_gate is not None and prev.out_gate is not None:
+            reads = u.source if layer.input_select is None else u.source[layer.input_select]
+            masks[u.in_gate] = masks[u.in_gate] & masks[prev.out_gate][..., reads]
+    return masks
 
 
 def prune_by_threshold(net: Network, threshold: float = DEFAULT_PRUNE_THRESHOLD):
@@ -33,77 +48,36 @@ def prune_by_threshold(net: Network, threshold: float = DEFAULT_PRUNE_THRESHOLD)
     the channels that layer prunes, so the keep sets count the units of the
     network :func:`~betadrop.layers.shrink` builds.
     """
-    extents = conv_extents(net)
-    keep_of: dict[int, np.ndarray] = {}
-    for li, gate in net.gated_layers():
-        keep = np.flatnonzero(gate.expected_pi() >= threshold)
-        layer = net.layers[li]
-        if layer.kind == "dense" and li - 1 in keep_of and net.layers[li - 1].kind == "conv":
-            _, (hy, wx) = extents[li - 1]
-            positions = keep if layer.input_select is None else layer.input_select[keep]
-            keep = keep[np.isin(positions // (hy * wx), keep_of[li - 1])]
-        if keep.size == 0:
-            raise PruneCollapseError(
-                f"threshold {threshold} prunes every unit of layer {li}"
-            )
-        keep_of[li] = keep
-    return list(keep_of.values())
+    gated = net.gated_layers()
+    masks = _kept_masks(net, unit_map(net), [g.expected_pi() >= threshold for _, g in gated])
+    for (li, _), mask in zip(gated, masks):
+        if not mask.any():
+            raise PruneCollapseError(f"threshold {threshold} prunes every unit of layer {li}")
+    return [np.flatnonzero(mask) for mask in masks]
 
 
-@dataclass
-class LayerCost:
-    kind: str
-    in_units: int
-    out_units: int
-    in_gate: int | None
-    out_gate: int | None
-    mac_per_pair: int  # k^2 * H_out * W_out for conv, 1 for dense
-    weights_per_pair: int  # k^2 for conv, 1 for dense
+def _pair_total(units: list[LayerUnits], counts, per_pair: str):
+    """Sum over layers of kept inputs x kept outputs x the per-pair cost.
 
-
-def layer_costs(net: Network) -> list[LayerCost]:
-    """Cost descriptors linking each layer's in/out extents to gate indices."""
-    gate_index = {li: gi for gi, (li, _) in enumerate(net.gated_layers())}
-    extents = conv_extents(net)
-    costs: list[LayerCost] = []
-    prev_conv_gate: int | None = None
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "conv":
-            (ho, wo), _ = extents[i]
-            costs.append(
-                LayerCost(
-                    "conv",
-                    layer.in_channels,
-                    layer.out_channels,
-                    prev_conv_gate,
-                    gate_index.get(i),
-                    layer.kernel**2 * ho * wo,
-                    layer.kernel**2,
-                )
-            )
-            prev_conv_gate = gate_index.get(i)
-        else:
-            out_gate = None
-            if i + 1 < len(net.layers):
-                nxt = net.layers[i + 1]
-                if nxt.kind == "dense":
-                    out_gate = gate_index.get(i + 1)
-            costs.append(
-                LayerCost(
-                    "dense", layer.in_dim, layer.out_dim,
-                    gate_index.get(i), out_gate, 1, 1,
-                )
-            )
-    return costs
-
-
-def _accumulate(costs: list[LayerCost], counts, per_pair_attr: str) -> int:
+    ``counts`` is None (nothing pruned) or one count per gate: (G,) or (N, G).
+    """
     total = 0
-    for c in costs:
-        n_in = c.in_units if c.in_gate is None or counts is None else int(counts[c.in_gate])
-        n_out = c.out_units if c.out_gate is None or counts is None else int(counts[c.out_gate])
-        total += n_in * n_out * getattr(c, per_pair_attr)
+    for u in units:
+        n_in = u.in_units if u.in_gate is None or counts is None else counts[..., u.in_gate]
+        n_out = u.out_units if u.out_gate is None or counts is None else counts[..., u.out_gate]
+        total = total + n_in * n_out * getattr(u, per_pair)
     return total
+
+
+def _totals(net: Network, keep_counts, per_pair: str) -> tuple[int, int]:
+    """The unpruned and the pruned :func:`_pair_total` of a static network."""
+    if keep_counts is not None and len(keep_counts) != len(net.gated_layers()):
+        raise ContractError(
+            f"{len(keep_counts)} keep counts for {len(net.gated_layers())} gates"
+        )
+    units = unit_map(net)
+    counts = None if keep_counts is None else np.asarray(keep_counts, dtype=np.int64)
+    return int(_pair_total(units, None, per_pair)), int(_pair_total(units, counts, per_pair))
 
 
 def count_flops(net: Network, keep_counts=None) -> tuple[int, int, float]:
@@ -112,21 +86,13 @@ def count_flops(net: Network, keep_counts=None) -> tuple[int, int, float]:
     ``keep_counts`` holds one surviving-unit count per gated layer; omit it
     for the unpruned count (speedup 1.0).
     """
-    costs = layer_costs(net)
-    if keep_counts is not None and len(keep_counts) != len(net.gated_layers()):
-        raise ContractError(
-            f"{len(keep_counts)} keep counts for {len(net.gated_layers())} gates"
-        )
-    orig = _accumulate(costs, None, "mac_per_pair")
-    pruned = _accumulate(costs, keep_counts, "mac_per_pair")
+    orig, pruned = _totals(net, keep_counts, "macs")
     return orig, pruned, orig / pruned
 
 
 def count_memory(net: Network, keep_counts=None) -> float:
     """Surviving weight count as a percentage of the original (biases excluded)."""
-    costs = layer_costs(net)
-    orig = _accumulate(costs, None, "weights_per_pair")
-    pruned = _accumulate(costs, keep_counts, "weights_per_pair")
+    orig, pruned = _totals(net, keep_counts, "weights")
     return 100.0 * pruned / orig
 
 
@@ -155,23 +121,24 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
                         batch_size: int = 500) -> RuntimeStats:
     """Count, per test input, the units whose expected mask clears ``threshold``.
 
-    Per-input FLOPs use the same accounting as :func:`count_flops` with that
-    input's per-gate counts.
+    Each input's masks go through the unit map, as keep sets do in
+    :func:`prune_by_threshold`: a dense gate after a conv counts a position
+    only when the same input's conv mask keeps its channel.  Per-input FLOPs
+    are the :func:`count_flops` formula on those per-input counts.
     """
     gates = net.gates()
     if not gates:
         raise ContractError("runtime statistics require gated layers")
     if any(g.mode != MODE_DBB for g in gates):
         raise ContractError("runtime statistics require DBB-mode gates")
+    units = unit_map(net)
     kept = np.concatenate([
-        np.stack([(mask >= threshold).sum(axis=1) for _, mask in info], axis=1)
+        np.stack([m.sum(axis=1) for m in
+                  _kept_masks(net, units, [mask >= threshold for _, mask in info])], axis=1)
         for info in _gate_info_batches(net, dataset, batch_size)
     ])
-    costs = layer_costs(net)
-    flops = np.array(
-        [_accumulate(costs, row, "mac_per_pair") for row in kept], dtype=np.float64
-    )
-    static = _accumulate(costs, None, "mac_per_pair")
+    flops = _pair_total(units, kept, "macs").astype(np.float64)
+    static = _pair_total(units, None, "macs")
     return RuntimeStats(
         kept_per_input=kept,
         mean_kept=kept.mean(axis=0),

@@ -22,7 +22,7 @@ from .errors import (
     CheckpointVersionError,
 )
 from .gates import GateState
-from .layers import ConvLayer, DenseLayer, Network
+from .layers import ConvLayer, DenseLayer, Network, unit_map
 
 FORMAT_VERSION = 2
 
@@ -95,7 +95,7 @@ def load_checkpoint(path) -> Network:
         return _network_from(manifest, blob[nl + 1 :])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, BetadropError):  # DimensionError is a ValueError too
             raise
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
@@ -184,11 +184,37 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
             )
         w, b = values[f"L{i}.w"], values[f"L{i}.b"]
         if kind == "dense":
-            layers.append(DenseLayer(w, b, gate=gate, input_select=entry["input_select"]))
+            select = entry["input_select"]
+            if select is not None:
+                for n in _checked(select, list, f"input_select of layer {i}"):
+                    _checked(n, int, f"entry of input_select of layer {i}")
+            layers.append(DenseLayer(w, b, gate=gate, input_select=select))
         else:
             layers.append(ConvLayer(w, b, gate=gate))
     gates_enabled = _checked(manifest["gates_enabled"], bool, "gates_enabled")
     net = Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])
     for n in _checked(net.meta.get("input_shape", []), list, "input_shape"):
         _checked(n, int, "entry of input_shape")
+    _check_selects(net)
     return net
+
+
+def _check_selects(net: Network) -> None:
+    """Each dense ``input_select`` holds ``in_dim`` increasing indices into the
+    values its producer emits, as :func:`~betadrop.layers.unit_map` counts them.
+
+    A first layer's producer is the raw input, whose width is unknown
+    without ``meta["input_shape"]``.
+    """
+    selected = [i for i, l in enumerate(net.layers)
+                if l.kind == "dense" and l.input_select is not None]
+    units = unit_map(net) if selected else []
+    for i in selected:
+        layer, width = net.layers[i], units[i].width
+        select = layer.input_select
+        bound = math.inf if width is None else width
+        if select.size != layer.in_dim or not (np.diff([*select, bound]) > 0).all():
+            raise CheckpointError(
+                f"manifest input_select of layer {i} must hold {layer.in_dim} increasing "
+                f"indices below {bound}, got {select.tolist()}"
+            )

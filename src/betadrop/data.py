@@ -85,20 +85,6 @@ def load_idx(images_path, labels_path, normalize: bool = True) -> Dataset:
     return Dataset(images, labels, name="idx")
 
 
-def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write an IDX pair (images as uint8; float inputs in [0,1] are rescaled)."""
-    images = np.asarray(images)
-    if images.dtype != np.uint8:
-        images = np.round(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
 def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
                                noise: float = 0.5) -> Dataset:
     """Binary-label data where exactly ``k_signal`` features carry signal.

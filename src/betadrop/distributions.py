@@ -64,17 +64,6 @@ def kumaraswamy_sample(u, a, b):
     return np.maximum(1.0 - u ** (1.0 / b), KUMARASWAMY_BASE_FLOOR) ** (1.0 / a)
 
 
-def kumaraswamy_log_pdf(x, a, b):
-    """log [ a b x^(a-1) (1 - x^a)^(b-1) ] for x in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _require(bool(np.all((x > 0.0) & (x < 1.0))), "x must lie in the open interval (0, 1)")
-    _require(bool(np.all(a > 0.0) and np.all(b > 0.0)), "a and b must be positive")
-    xa = x**a
-    return np.log(a) + np.log(b) + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-xa)
-
-
 def kumaraswamy_mean(a, b):
     """b * Gamma(1 + 1/a) * Gamma(b) / Gamma(1 + 1/a + b), via log-gamma."""
     a = np.asarray(a, dtype=np.float64)

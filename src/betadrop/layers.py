@@ -12,6 +12,7 @@ gate inputs and masks, and the flattened dense input keep per-example layouts.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +118,6 @@ class Network:
         for g in self.gates():
             out.extend(g.trainable_nodes())
         return out
-
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +324,62 @@ def build_mlp(dims, seed: int = 0, gated: bool = True, **gate_options) -> Networ
 # ---------------------------------------------------------------------------
 
 
-def conv_extents(net: Network) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
-    """Per leading conv layer, its output's (H, W) before and after its own pooling."""
+class LayerUnits(NamedTuple):
+    """One layer's entry in :func:`unit_map`."""
+
+    in_units: int  # input channels (conv) or rows (dense)
+    out_units: int  # output channels or columns
+    in_gate: int | None  # the gate whose keep set holds the kept inputs
+    out_gate: int | None  # the gate whose keep set holds the kept outputs
+    macs: int  # multiply-accumulates per kept (input, output) pair
+    weights: int  # weights per kept pair
+    width: int | None  # dense: values per example its input_select picks from
+    source: np.ndarray | None  # dense: per one of those values, the producing conv's channel
+
+
+def unit_map(net: Network) -> list[LayerUnits]:
+    """Per layer, the producer unit behind each input unit and the cost per kept pair.
+
+    A conv gate keeps output channels and a dense gate input rows.  A conv
+    layer's input channel c is channel c of the conv before it, so that
+    conv's gate keeps it; a dense layer's columns are kept by the gate of
+    the dense layer after it (only dense layers follow a dense layer).  A
+    dense layer reads the values its producer emits, through its
+    ``input_select``: the raw input (``meta["input_shape"]`` values), a
+    dense layer's columns, or a conv layer's pooled map flattened in
+    (C, H, W) order, whose value p belongs to channel p // (H*W).  Raw
+    values and dense columns have no producer gate (``source`` None).  A
+    conv pair costs k^2 * H_out * W_out multiply-accumulates and k^2
+    weights, a dense pair one of each.
+    """
+    gate_of = {li: gi for gi, (li, _) in enumerate(net.gated_layers())}
     shape = net.meta.get("input_shape")
-    out: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    if not shape or len(shape) != 3:
-        if any(l.kind == "conv" for l in net.layers):
+    if any(l.kind == "conv" for l in net.layers):
+        if not shape or len(shape) != 3:
             raise ContractError(
-                "conv networks need meta['input_shape'] = [C, H, W] for "
-                "spatial accounting"
+                "conv networks need meta['input_shape'] = [C, H, W] for spatial accounting"
             )
-        return out
-    h, w = int(shape[1]), int(shape[2])
+        h, w = int(shape[1]), int(shape[2])
+    width = math.prod(shape) if shape else None
+    source = None
+    units: list[LayerUnits] = []
     for i, layer in enumerate(net.layers):
-        if layer.kind != "conv":
-            break
-        conv = (h - layer.kernel + 1, w - layer.kernel + 1)
-        h, w = conv[0] // 2, conv[1] // 2
-        out[i] = (conv, (h, w))
-    return out
-
-
-def _input_width(net: Network, layer: DenseLayer) -> int:
-    """Values per example of the raw input that a first dense layer reads."""
-    shape = net.meta.get("input_shape")
-    if shape:
-        return math.prod(shape)
-    if layer.input_select is None:
-        return layer.in_dim
-    raise ContractError("a first layer with an input_select needs meta['input_shape'] to shrink")
+        if layer.kind == "conv":
+            k = layer.kernel
+            h, w = h - k + 1, w - k + 1
+            units.append(LayerUnits(layer.in_channels, layer.out_channels,
+                                    units[-1].out_gate if units else None, gate_of.get(i),
+                                    k * k * h * w, k * k, None, None))
+            h, w = h // 2, w // 2
+            source = np.arange(layer.out_channels * h * w) // (h * w)
+            width = source.size
+            continue
+        if width is None and layer.input_select is None:  # a first layer reads its in_dim
+            width = layer.in_dim
+        units.append(LayerUnits(layer.in_dim, layer.out_dim, gate_of.get(i), gate_of.get(i + 1),
+                                1, 1, width, source))
+        width, source = layer.out_dim, None
+    return units
 
 
 def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
@@ -365,10 +390,10 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     kept output channels and the input channels its producer kept.  Every
     dense layer is narrowed by one rule: its rows are its own keep set,
     intersected with what the shrunk producer emits.  The raw input emits
-    every value, a conv layer its kept channels times the pooled area, and
-    a dense producer has its columns cut to exactly the rows used.  The
-    layer's ``input_select`` then indexes the used values among the
-    emitted ones, or is None when it uses them all.
+    every value, a conv layer the values of its kept channels (by
+    :func:`unit_map`), and a dense producer has its columns cut to exactly
+    the rows used.  The layer's ``input_select`` then indexes the used
+    values among the emitted ones, or is None when it uses them all.
 
     With ``fold_masks`` the input-independent expected masks of the
     surviving units are folded into the weights and the gates are dropped,
@@ -388,11 +413,10 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
         raise ContractError("fold_masks requires all gates in BB mode")
 
     keep_of_layer = {li: keep for (li, _), keep in zip(gated, keeps)}
-    extents = conv_extents(net)
 
     new_layers: list = []
     channels: np.ndarray | None = None  # the producing conv layer's kept channels
-    for i, layer in enumerate(net.layers):
+    for i, (layer, u) in enumerate(zip(net.layers, unit_map(net))):
         own = keep_of_layer.get(i)
         gate = layer.gate
         if layer.kind == "conv":
@@ -412,14 +436,15 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             channels = out_keep
             continue
         # emitted: the sorted positions of the producer's output that survive
-        prev = new_layers[-1] if new_layers else None
-        if prev is None:
-            emitted = np.arange(_input_width(net, layer))
-        elif prev.kind == "conv":  # flat (channel, y, x) positions of the kept channels
-            _, (hy, wx) = extents[i - 1]
-            emitted = (channels[:, None] * (hy * wx) + np.arange(hy * wx)).reshape(-1)
+        if u.source is not None:  # a conv producer emits the values of its kept channels
+            emitted = np.flatnonzero(np.isin(u.source, channels))
+        elif u.width is None:
+            raise ContractError(
+                "a first layer with an input_select needs meta['input_shape'] to shrink"
+            )
         else:
-            emitted = np.arange(prev.out_dim)
+            emitted = np.arange(u.width)
+        prev = new_layers[-1] if new_layers else None
         positions = np.arange(layer.in_dim) if layer.input_select is None else layer.input_select
         rows = np.arange(layer.in_dim) if own is None else own
         rows = rows[np.isin(positions[rows], emitted)]

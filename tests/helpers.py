@@ -1,13 +1,16 @@
 """Shared test utilities: finite-difference and complex-step gradient
-oracles, assertions, and checkpoint manifest edits."""
+oracles, the Kumaraswamy density, assertions, IDX writing, and checkpoint
+manifest edits."""
 
 import json
+import struct
 
 import numpy as np
 from scipy import special
 
 from betadrop import autodiff as ad
 from betadrop import gates
+from betadrop.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from betadrop.distributions import (
     EULER_GAMMA,
     KUMARASWAMY_BASE_FLOOR,
@@ -15,6 +18,7 @@ from betadrop.distributions import (
     make_rng,
     open_unit_uniform,
 )
+from betadrop.errors import DomainError
 
 
 def numeric_grad(f, node, h=1e-5):
@@ -398,3 +402,29 @@ def edit_manifest(path, edit) -> None:
     manifest = json.loads(blob[:nl])
     edit(manifest)
     path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + blob[nl:])
+
+
+def kumaraswamy_log_pdf(x, a, b):
+    """log [ a b x^(a-1) (1 - x^a)^(b-1) ] for x in (0, 1): the Kumaraswamy
+    density behind the quadrature and Monte Carlo oracles."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if not (np.all((x > 0.0) & (x < 1.0)) and np.all(a > 0.0) and np.all(b > 0.0)):
+        raise DomainError("x must lie in (0, 1) and a, b must be positive")
+    xa = x**a
+    return np.log(a) + np.log(b) + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-xa)
+
+
+def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
+    """Write an IDX pair (images as uint8; float inputs in [0,1] are rescaled)."""
+    images = np.asarray(images)
+    if images.dtype != np.uint8:
+        images = np.round(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
+    n, rows, cols = images.shape
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
+        fh.write(images.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)))
+        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())

@@ -19,13 +19,22 @@ from betadrop.analysis import (
 from betadrop.data import Dataset
 from betadrop.errors import ContractError, PruneCollapseError
 from betadrop.gates import MODE_DBB
-from betadrop.layers import build_lenet5_caffe, build_lenet_500_300, build_mlp, shrink
+from betadrop.layers import (
+    build_lenet5_caffe,
+    build_lenet_500_300,
+    build_mlp,
+    forward_eval,
+    forward_train,
+    shrink,
+)
 from betadrop.reporting import (
     SparsityReport,
     emit_report_csv,
     emit_tradeoff_svg,
     parse_report_csv,
 )
+
+from helpers import glyph_images
 
 
 class TestPruneByThreshold:
@@ -175,8 +184,6 @@ class TestRuntimeStats:
         a = stats.kept_per_input[:20, 0].mean()
         b = stats.kept_per_input[20:, 0].mean()
         assert a == b  # symmetric construction keeps counts equal...
-        from betadrop.layers import forward_eval
-
         _, info = forward_eval(net, x, return_gate_info=True)
         mask = info[0][1]
         # ...but the kept *sets* are disjoint halves
@@ -202,6 +209,58 @@ class TestRuntimeStats:
         a = stats.kept_per_input[:20, 0].mean()
         b = stats.kept_per_input[20:, 0].mean()
         assert abs(a - b) >= 0.25 * 16
+
+    def test_positions_of_a_channel_the_input_dropped_are_not_counted(self):
+        # every unit is kept for every input, except conv2 channel 7, which
+        # only the inputs above its running mean keep: the others must not
+        # count its 16 flattened positions in the dense gate either
+        net = build_lenet5_caffe(seed=0)
+        net.gates_enabled = True
+        net.set_gate_mode(MODE_DBB)
+        x = d.make_rng(5).random((12, 1, 28, 28))
+        forward_train(net, x, d.make_rng(6))  # sets the running statistics
+        for g in net.gates():
+            g.gamma.value = np.zeros(g.k)
+            g.eta.value = np.ones(g.k)
+        conv2 = net.gates()[1]
+        conv2.gamma.value[7], conv2.eta.value[7] = 1.0, 0.0
+        conv2.run_std[7] = 1.0
+        conv2.run_mean[7] = np.median(forward_eval(net, x, return_gate_info=True)[1][1][0][:, 7])
+        stats = runtime_prune_stats(net, Dataset(x, np.zeros(12, dtype=np.int64)))
+        channels = stats.kept_per_input[:, 1]
+        assert sorted(channels) == [49] * 6 + [50] * 6
+        assert np.array_equal(stats.kept_per_input[:, 0], np.full(12, 20))
+        assert np.array_equal(stats.kept_per_input[:, 2], 16 * channels)
+        assert np.array_equal(stats.kept_per_input[:, 3], np.full(12, 500))
+        expected = 288_000 + 20 * channels * 25 * 64 + 16 * channels * 500 + 500 * 10
+        assert np.array_equal(stats.flops_per_input, expected)
+
+    def test_per_input_counts_match_the_net_shrunk_to_that_input(self):
+        # runtime statistics against shrink, which narrows the dense layer
+        # by flat positions rather than by channel masks
+        rng = np.random.default_rng((3, 2))
+        net = build_lenet5_caffe(seed=3)
+        keeps = [np.sort(rng.choice(k, round(0.75 * k), replace=False))
+                 for k in (20, 50, 800, 500)]
+        net = shrink(net, keeps)
+        net.gates_enabled = True
+        net.set_gate_mode(MODE_DBB)
+        for g in net.gates():
+            g.gamma.value = rng.normal(1.0, 0.25, g.k)
+            g.eta.value = rng.normal(0.0, 0.3, g.k)
+        forward_train(net, glyph_images(100, 31)[0], rng)  # sets the running statistics
+        x = glyph_images(20, 32)[0]
+        stats = runtime_prune_stats(net, Dataset(x, np.zeros(20, dtype=np.int64)))
+        _, info = forward_eval(net, x, return_gate_info=True)
+        dropped = 0
+        for n in range(20):
+            own = [np.flatnonzero(mask[n] >= 1e-3) for _, mask in info]
+            assert all(k.size for k in own)
+            small = shrink(net, own)
+            assert [g.k for g in small.gates()] == stats.kept_per_input[n].tolist()
+            assert count_flops(small)[0] == stats.flops_per_input[n]
+            dropped += small.gates()[2].k < own[2].size
+        assert dropped >= 10  # the dense gate kept positions of channels the input dropped
 
     def test_requires_dbb_mode(self):
         net = build_mlp((4, 2))

@@ -10,6 +10,7 @@ and gradient checks here; their complex-step oracle tests are in
 ``test_gates``.
 """
 
+import ast
 import itertools
 import re
 import tracemalloc
@@ -558,6 +559,18 @@ class TestExports:
             if name not in exempt and not re.search(rf"\bad\.{name}\(", text)
         ]
         assert uncalled == []
+
+    def test_every_package_export_has_a_caller_in_src(self):
+        # a name the package exports but only tests use belongs in the tests
+        src = Path(ad.__file__).parent
+        init = ast.parse((src / "__init__.py").read_text())
+        exported = [alias.asname or alias.name for node in init.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+        text = "".join(p.read_text() for p in src.glob("*.py") if p.name != "__init__.py")
+        text = re.sub(r"`[^`\n]*`", "", text)  # docs that name it are not callers
+        text = re.sub(r"^\s*(def|class) \w+", "", text, flags=re.M)  # nor its definition
+        uncalled = [name for name in exported if not re.search(rf"\b{name}\b", text)]
+        assert len(exported) > 30 and uncalled == []
 
 
 class TestGradMode:

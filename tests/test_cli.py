@@ -10,12 +10,12 @@ from betadrop import cli
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
 from betadrop.config import validate_config
-from betadrop.data import write_idx
-from betadrop.layers import build_lenet5_caffe, build_mlp
+from betadrop.errors import CheckpointError
+from betadrop.layers import build_lenet5_caffe, build_mlp, shrink
 from betadrop.reporting import parse_report_csv
 from betadrop.training import TrainConfig
 
-from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1
+from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1, write_idx
 
 
 def write_config(tmp_path, **overrides):
@@ -104,6 +104,28 @@ class TestUsageErrors:
         path = tmp_path / "broken.ckpt"
         save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
         edit_manifest(path, edit)
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "select,named",
+        [([0, 1, 99], "input_select of layer 0"), (3.5, "input_select of layer 0"),
+         ([0, 1], "input_select of layer 0"), ([1, 0, 3], "input_select of layer 0"),
+         ([0, 0, 3], "input_select of layer 0"), ([0, 1, 2**70], "malformed checkpoint")],
+        ids=["out-of-range", "number", "short", "unsorted", "repeated", "huge"],
+    )
+    def test_checkpoint_bad_input_select_is_runtime_error(self, tmp_path, capsys, select,
+                                                          named):
+        # the first layer reads inputs 0, 1 and 3 of the 20 raw values
+        cfg = write_config(tmp_path)
+        net = shrink(build_mlp((20, 16, 2), seed=0), [np.array([0, 1, 3]), np.arange(16)])
+        assert np.array_equal(net.layers[0].input_select, [0, 1, 3])
+        path = tmp_path / "broken.ckpt"
+        save_checkpoint(net, path)
+        edit_manifest(path, lambda m: m["layers"][0].update(input_select=select))
+        with pytest.raises(CheckpointError, match=named):
+            load_checkpoint(path)
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err

@@ -12,7 +12,6 @@ from betadrop.data import (
     load_idx,
     synthetic_planted_sparsity,
     synthetic_two_cluster,
-    write_idx,
 )
 from betadrop.errors import (
     ContractError,
@@ -20,6 +19,8 @@ from betadrop.errors import (
     IdxMagicError,
     IdxTruncatedError,
 )
+
+from helpers import write_idx
 
 
 @pytest.fixture

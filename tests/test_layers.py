@@ -58,7 +58,7 @@ def toy_net(seed=0, dims=(6, 5, 3), mode=MODE_BB):
 class TestBuilders:
     def test_lenet_500_300_parameter_count(self):
         net = build_lenet_500_300()
-        assert net.num_parameters() == 545_810
+        assert sum(p.value.size for p in net.parameters()) == 545_810
 
     def test_lenet_500_300_gate_sizes(self):
         net = build_lenet_500_300()
@@ -590,6 +590,19 @@ class TestCheckpoint:
             net.set_gate_mode(mode)
             save_checkpoint(net, path)
             assert np.array_equal(forward_eval(load_checkpoint(path), x), forward_eval(net, x))
+
+    def test_dense_input_select_is_bounded_by_the_conv_it_reads(self, tmp_path):
+        # conv2 keeps 10 channels of 4x4 pooled values: the dense layer reads 160
+        keeps = [np.arange(20), np.arange(10), np.arange(0, 160, 2), np.arange(500)]
+        small = shrink(build_lenet5_caffe(seed=8), keeps)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(small, path)
+        x = RNG.random((2, 1, 28, 28))
+        assert np.array_equal(forward_eval(load_checkpoint(path), x), forward_eval(small, x))
+        edit_manifest(path, lambda m: m["layers"][2]["input_select"].__setitem__(-1, 160))
+        with pytest.raises(CheckpointError,
+                           match="layer 2 must hold 80 increasing indices below 160"):
+            load_checkpoint(path)
 
     def test_length_disagreement(self, tmp_path):
         net = toy_net(seed=15)
