@@ -100,6 +100,8 @@ def _gate_info_batches(net: Network, dataset: Dataset, batch_size: int = 500):
     """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
     if len(dataset) == 0:
         raise ContractError("gate statistics need a non-empty dataset")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
     for start in range(0, len(dataset), batch_size):
         yield forward_eval(net, dataset.images[start : start + batch_size],
                            return_gate_info=True)[1]

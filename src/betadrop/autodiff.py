@@ -9,6 +9,8 @@ so ops skip input gradients nobody reads.  The first gradient contribution to
 a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
+With nothing to keep, `conv2d` builds its im2col columns one cache-sized
+block of examples at a time instead of for the whole batch.
 
 The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 (`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
@@ -90,7 +92,8 @@ class Node:
     rewrite leaf values between steps).  ``grad`` has the same shape as
     ``value``, reads as zeros until a gradient reaches the node, and
     accumulates across :func:`backward` calls on leaves.  ``needs_grad`` is
-    False only on a :func:`constant`.
+    False on a :func:`constant`, and on a parameter that a trainer holds
+    fixed (the frozen posterior of DBB fine-tuning).
     """
 
     __array_ufunc__ = None  # numpy arithmetic on a Node raises, not an object array
@@ -310,6 +313,9 @@ def gather_cols(x: Node, idx) -> Node:
 # convolution / pooling, on channel-major (C, B, H, W) activations
 # ---------------------------------------------------------------------------
 
+# Byte budget of one block of im2col columns under no_grad: about an L2 cache.
+_COLS_BLOCK_BYTES = 2 << 20
+
 
 def conv2d(x: Node, w: Node, b: Node) -> Node:
     """Unpadded stride-1 cross-correlation of a (C, B, H, W) input with
@@ -317,11 +323,17 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
 
     im2col as GEMM, channel-major: with P = ho*wo output positions and
     ``wmat`` the kernel as (O, C*k*k), the input's k x k windows are
-    gathered into ``cols`` (C*k*k, B*P), and the forward is the one GEMM
-    ``wmat @ cols``, bias added in place, which is already (O, B, ho, wo).
-    Backward reads the output gradient as ``gmat`` (O, B*P) with no copy:
-    dW = ``gmat @ cols.T`` and db = ``gmat.sum(1)``.  Unless ``x`` is a
-    constant, the column gradient ``wmat.T @ gmat``, laid out
+    gathered into ``cols`` (C*k*k, B*P), and the forward is the GEMM
+    ``wmat @ cols`` written into one (O, B*P) buffer, bias added in place,
+    which is already (O, B, ho, wo).  A graph keeps the whole batch's
+    ``cols`` for backward.  Under :func:`no_grad` nothing keeps them, so
+    they are built and multiplied one block of examples at a time, each
+    block about ``_COLS_BLOCK_BYTES`` (an L2 cache), while still in cache.
+    With OpenBLAS, splitting the GEMM's columns this way leaves the value
+    bit for bit the same; a test checks it.  Backward reads the
+    output gradient as ``gmat`` (O, B*P) with no copy: dW = ``gmat @
+    cols.T`` and db = ``gmat.sum(1)``.  Unless ``x`` is a constant, the
+    column gradient ``wmat.T @ gmat``, laid out
     (C, k, k, B, ho, wo), is added back one contiguous slab per kernel tap
     into a (C, B, H, W) buffer (col2im).
     """
@@ -339,17 +351,23 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
         raise DimensionError(f"conv2d: kernel {k}x{k} larger than input {h}x{wd}")
     ho, wo = h - k + 1, wd - k + 1
 
+    npos = ho * wo
     win = sliding_window_view(xv, (k, k), axis=(2, 3))
-    # cols[c*k*k + i*k + j, b*P + p]
-    cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(
-        cin * k * k, bsz * ho * wo
-    )
     wmat = wv.reshape(cout, cin * k * k)
-    val = wmat @ cols
+    # examples per block of columns: the whole batch when a graph keeps them
+    step = max(1, bsz if _grad_enabled else _COLS_BLOCK_BYTES // (cin * k * k * npos * 8))
+    val = np.empty((cout, bsz * npos))
+    for b0 in range(0, bsz, step):
+        b1 = min(b0 + step, bsz)
+        # cols[c*k*k + i*k + j, (b - b0)*P + p]
+        cols = np.ascontiguousarray(win[:, b0:b1].transpose(0, 4, 5, 1, 2, 3)).reshape(
+            cin * k * k, (b1 - b0) * npos
+        )
+        np.matmul(wmat, cols, out=val[:, b0 * npos:b1 * npos])
     val += b.value[:, None]
 
     def bw(g):
-        gmat = g.reshape(cout, bsz * ho * wo)
+        gmat = g.reshape(cout, bsz * npos)
         _acc(w, (gmat @ cols.T).reshape(wv.shape))
         _acc(b, gmat.sum(axis=1))
         if x.needs_grad:

@@ -180,11 +180,19 @@ class GateState:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(gate: GateState) -> bool:
+    """Whether q(pi) takes no gradient: its raws are constants, as during DBB
+    fine-tuning, so the nodes built from them alone are constants too."""
+    return not (gate.a_raw.needs_grad or gate.b_raw.needs_grad)
+
+
 def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
     """Reparameterized Kumaraswamy sample of the keep probabilities, (K,)."""
     u = open_unit_uniform(rng, gate.k)
     a, b = gate.a(), gate.b()
     pi = kumaraswamy_sample(u, a, b)
+    if _frozen(gate):
+        return ad.constant(pi)
 
     def vjp(g):
         inner = u ** (1.0 / b)
@@ -253,7 +261,8 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
             g_var = 0.5 * g_sigma / sigma_raw * (sigma_raw > gate.sigma_floor)
             g_centered = g_xhat / sigma + (2.0 / n) * g_var * centered
             g_x = g_centered - g_centered.mean(axis=0)
-        return g_x, (g * factor).sum(axis=0), (g_pre * xhat).sum(axis=0), g_pre.sum(axis=0)
+        g_pi = (g * factor).sum(axis=0) if pi.needs_grad else None
+        return g_x, g_pi, (g_pre * xhat).sum(axis=0), g_pre.sum(axis=0)
 
     return ad.fused(factor * pi.value, (x, pi, gate.gamma, beta), vjp)
 
@@ -261,6 +270,9 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
 def kl_bb_node(gate: GateState) -> Node:
     """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1)."""
     a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
+    kl = kl_kumaraswamy_beta(a, b, ak).sum()
+    if _frozen(gate):
+        return ad.constant(kl)
 
     def vjp(g):
         inner = -(EULER_GAMMA + special.digamma(b) + 1.0 / b)
@@ -268,7 +280,7 @@ def kl_bb_node(gate: GateState) -> Node:
         g_b = (a - ak) / a * (1.0 / (b * b) - special.polygamma(1, b)) + 1.0 / b - 1.0 / (b * b)
         return g * g_a * special.expit(gate.a_raw.value), g * g_b * special.expit(gate.b_raw.value)
 
-    return ad.fused(kl_kumaraswamy_beta(a, b, ak).sum(), (gate.a_raw, gate.b_raw), vjp)
+    return ad.fused(kl, (gate.a_raw, gate.b_raw), vjp)
 
 
 def kl_beta_gaussian_node(gate: GateState, rho_var: float) -> Node:

@@ -385,8 +385,9 @@ def unit_map(net: Network) -> list[LayerUnits]:
 def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     """Physically remove pruned units and return the smaller network.
 
-    ``keep_sets`` holds one sorted index array per gated layer (layer
-    order); an ungated layer keeps all its units.  A conv layer keeps its
+    ``keep_sets`` holds one index array per gated layer (layer order), of
+    distinct integers in [0, K), or a ContractError is raised; an ungated
+    layer keeps all its units.  A conv layer keeps its
     kept output channels and the input channels its producer kept.  Every
     dense layer is narrowed by one rule: its rows are its own keep set,
     intersected with what the shrunk producer emits.  The raw input emits
@@ -400,15 +401,22 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     leaving pure dense/conv arithmetic (only valid for BB-mode gates: the
     input-dependent factor of a DBB gate cannot be folded).
     """
-    keeps = [np.sort(np.asarray(k, dtype=np.intp)) for k in keep_sets]
+    keeps = [np.asarray(k) for k in keep_sets]
     gated = net.gated_layers()
     if len(keeps) != len(gated):
         raise ContractError(
             f"expected {len(gated)} keep sets, got {len(keeps)}"
         )
-    for (li, _), keep in zip(gated, keeps):
+    for i, ((li, gate), keep) in enumerate(zip(gated, keeps)):
         if keep.size == 0:
             raise PruneCollapseError(f"pruning removes every unit of layer {li}")
+        if keep.ndim != 1 or keep.dtype.kind not in "iu":
+            raise ContractError(f"the keep set of layer {li} must be a 1-D integer array")
+        keep = keeps[i] = np.sort(keep).astype(np.intp)
+        if keep[0] < 0 or keep[-1] >= gate.k or (keep[1:] == keep[:-1]).any():
+            raise ContractError(
+                f"the keep set of layer {li} must hold distinct indices in [0, {gate.k})"
+            )
     if fold_masks and any(g.mode == MODE_DBB for _, g in gated):
         raise ContractError("fold_masks requires all gates in BB mode")
 

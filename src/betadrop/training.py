@@ -163,6 +163,8 @@ def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> flo
     """Top-1 error percentage of the deterministic evaluation pass."""
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
     wrong = 0
     for start in range(0, len(dataset), batch_size):
         x = dataset.images[start : start + batch_size]
@@ -278,7 +280,8 @@ def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     """Stage 2: freeze q(pi), train the input-dependent gate (and weights).
 
     The network must come out of stage 1 (trained and threshold-pruned).
-    Kumaraswamy raws are bit-checked after every step.
+    Kumaraswamy raws are held as constants while it runs, so no gradient
+    is computed for them, and are bit-checked after every step.
     """
     net.gates_enabled = True
     net.set_gate_mode(MODE_DBB)
@@ -299,8 +302,15 @@ def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
         (weights, AdamState.for_params(weights), config.effective_lr_weights()),
         (variational, AdamState.for_params(variational), config.lr_variational),
     ]
-    losses = _run_epochs(net, data, config, epochs, groups,
-                         eval_data, log, after_step=check_frozen)
+    raws = [p for g in net.gates() for p in (g.a_raw, g.b_raw)]
+    for p in raws:
+        p.needs_grad = False
+    try:
+        losses = _run_epochs(net, data, config, epochs, groups,
+                             eval_data, log, after_step=check_frozen)
+    finally:
+        for p in raws:
+            p.needs_grad = True
     net.meta["stage"] = "dbb"
     return losses
 

@@ -161,6 +161,12 @@ class TestRuntimeStats:
         assert (stats.kept_per_input == [6, 4]).all()
         assert stats.mean_flops == stats.static_flops
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_contract_error(self, batch_size):
+        ds = Dataset(d.make_rng(1).normal(size=(10, 6)), np.zeros(10, dtype=np.int64))
+        with pytest.raises(ContractError, match="batch_size"):
+            runtime_prune_stats(make_dbb_net(), ds, batch_size=batch_size)
+
     def test_dominance_per_input(self):
         net = make_dbb_net(seed=3)
         ds = Dataset(d.make_rng(2).normal(size=(60, 6)), np.zeros(60, dtype=np.int64))

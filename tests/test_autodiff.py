@@ -277,6 +277,36 @@ class TestConv2d:
         else:
             assert peak >= dcols_bytes
 
+    @pytest.mark.parametrize("bsz", [5, 1])
+    def test_no_grad_blocks_equal_the_graph_value(self, bsz):
+        # 8 x 25 x 576 doubles of columns per example: under no_grad the batch
+        # of 5 is built in at least 3 blocks of examples, the last one ragged
+        step = max(1, ad._COLS_BLOCK_BYTES // (8 * 5 * 5 * 24 * 24 * 8))
+        assert bsz == 1 or (-(-bsz // step) >= 3 and bsz % step)
+        rng = np.random.default_rng(12)
+        x = ad.constant(rng.normal(size=(8, bsz, 28, 28)))
+        w, b = ad.parameter(rng.normal(size=(6, 8, 5, 5))), ad.parameter(rng.normal(size=6))
+        with ad.no_grad():
+            blocked = ad.conv2d(x, w, b).value
+        assert np.array_equal(blocked, ad.conv2d(x, w, b).value)
+
+    def test_no_grad_columns_stay_within_the_block_budget(self):
+        # conv2 of a shrunk lenet5_caffe (15 -> 38 channels) at batch 500: the
+        # whole batch's columns are 96 MB, against a 9.7 MB output
+        rng = np.random.default_rng(13)
+        x = ad.constant(rng.normal(size=(15, 500, 12, 12)))
+        w, b = ad.constant(rng.normal(size=(38, 15, 5, 5))), ad.constant(np.zeros(38))
+        out_bytes = 38 * 500 * 8 * 8 * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.value.nbytes == out_bytes
+        assert peak < out_bytes + 3 * ad._COLS_BLOCK_BYTES
+
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError, match="larger"):
             ad.conv2d(ad.constant(np.ones((1, 1, 3, 3))), ad.constant(np.ones((1, 1, 5, 5))),

@@ -339,6 +339,16 @@ class TestShrink:
             keeps.append(np.sort(rng.choice(g.k, size=size, replace=False)))
         return keeps
 
+    @pytest.mark.parametrize(
+        "first", [[0, 0, 1], [-1, 0], [0.5, 1], [0, 9], [[0, 1]]],
+        ids=["repeated", "negative", "fractional", "out-of-range", "two-dimensional"])
+    def test_invalid_keep_set_is_contract_error(self, first):
+        # the first four built a net unlike the keep_sets reference, or
+        # raised a bare IndexError
+        net = build_mlp((4, 3, 2), seed=0)
+        with pytest.raises(ContractError, match="keep set of layer 0"):
+            shrink(net, [first, [0, 1, 2]])
+
     def test_keep_everything_identical(self):
         net = toy_net(seed=5)
         keeps = [np.arange(g.k) for g in net.gates()]

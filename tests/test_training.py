@@ -6,7 +6,7 @@ import pytest
 
 from betadrop import autodiff as ad
 from betadrop import distributions as d
-from betadrop import training
+from betadrop import gates, training
 from betadrop.analysis import count_flops, prune_by_threshold, runtime_prune_stats
 from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_cluster
 from betadrop.errors import (
@@ -253,6 +253,13 @@ class TestEvaluateError:
         with pytest.raises(DimensionError, match="2 outputs"):
             evaluate_error(small_net(), data)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # at -1 the batch range was empty and the error read 0 % on any set
+        data = Dataset(np.zeros((4, 6)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ContractError, match="batch_size"):
+            evaluate_error(small_net(), data, batch_size=batch_size)
+
 
 class TestMetricsLog:
     def test_logged_flops_are_those_of_the_shrunk_network(self, tmp_path):
@@ -398,6 +405,19 @@ class TestFinetuneDBB:
         for g, (a0, b0) in zip(dbb_net.gates(), raws_before):
             assert np.array_equal(g.a_raw.value, a0)
             assert np.array_equal(g.b_raw.value, b0)
+
+    def test_frozen_posterior_takes_no_gradient(self, two_stage_nets):
+        _, _, _, dbb_net, _ = two_stage_nets
+        for g in dbb_net.gates():
+            assert g.a_raw._grad is None and g.b_raw._grad is None
+            assert g.a_raw.needs_grad and g.b_raw.needs_grad  # trainable again after
+
+    def test_skipping_the_frozen_gradient_keeps_losses_bit_identical(self, monkeypatch):
+        ds = synthetic_two_cluster(200, 8, seed=1)
+        cfg = TrainConfig(batch_size=50, lr_variational=0.01, seed=0)
+        skipped = finetune_dbb(small_net(seed=1, dims=(8, 6, 2)), ds, cfg, epochs=2)
+        monkeypatch.setattr(gates, "_frozen", lambda gate: False)
+        assert finetune_dbb(small_net(seed=1, dims=(8, 6, 2)), ds, cfg, epochs=2) == skipped
 
     def test_per_input_kept_never_exceeds_static(self, two_stage_nets):
         _, test, _, dbb_net, _ = two_stage_nets
