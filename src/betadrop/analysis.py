@@ -98,6 +98,8 @@ def count_memory(net: Network, keep_counts=None) -> float:
 
 def _gate_info_batches(net: Network, dataset: Dataset, batch_size: int = 500):
     """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
+    if not (net.gates_enabled and net.gates()):
+        raise ContractError("gate statistics require enabled gates")
     if len(dataset) == 0:
         raise ContractError("gate statistics need a non-empty dataset")
     if batch_size < 1:
@@ -128,10 +130,7 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     only when the same input's conv mask keeps its channel.  Per-input FLOPs
     are the :func:`count_flops` formula on those per-input counts.
     """
-    gates = net.gates()
-    if not gates:
-        raise ContractError("runtime statistics require gated layers")
-    if any(g.mode != MODE_DBB for g in gates):
+    if any(g.mode != MODE_DBB for g in net.gates()):
         raise ContractError("runtime statistics require DBB-mode gates")
     units = unit_map(net)
     kept = np.concatenate([

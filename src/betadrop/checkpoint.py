@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .config import check_json
 from .errors import (
     BetadropError,
     CheckpointError,
@@ -29,6 +30,9 @@ FORMAT_VERSION = 2
 _GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor", "stats_initialized")
 _GATE_PARAMS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")
 _GATE_ARRAYS = _GATE_PARAMS + ("run_mean", "run_std")
+# the JSON kind of each meta field that a stage or the layers read
+_META_KINDS = {"arch": "string", "stage": "string", "input_shape": "list",
+               "flops_orig": "number", "speedup": "number", "memory_pct": "number"}
 
 
 def _gate_manifest(gate: GateState) -> dict:
@@ -101,44 +105,18 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
 
 
-_EXPECTED = {int: "a non-negative integer", float: "a finite number", bool: "true or false",
-             list: "a list"}
-
-
-def _checked(value, kind: type, what: str):
-    """A manifest value of the given JSON type, or CheckpointError naming it.
-
-    ``int`` means a non-negative integer and ``float`` any finite number.
-    """
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and math.isfinite(value)
-    else:
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-        ok = ok and (kind is not int or value >= 0)
-    if not ok:
-        raise CheckpointError(f"manifest {what} must be {_EXPECTED[kind]}, got {value!r}")
-    return value
-
-
-def _one_of(value, choices: tuple, what: str):
-    if value not in choices:
-        raise CheckpointError(f"manifest {what} must be one of {choices!r}, got {value!r}")
-    return value
-
-
 def _network_from(manifest: dict, raw: bytes) -> Network:
-    declared = _checked(manifest["payload_len"], int, "payload_len")
+    declared = check_json(manifest["payload_len"], ["int"], "manifest payload_len",
+                          CheckpointError)
     spans = []  # (name, offset, shape)
-    for a in _checked(manifest["arrays"], list, "arrays"):
+    for a in check_json(manifest["arrays"], ["list"], "manifest arrays", CheckpointError):
         name = a["name"]
-        shape = tuple(
-            _checked(n, int, f"shape of {name!r}")
-            for n in _checked(a["shape"], list, f"shape of {name!r}")
-        )
-        spans.append((name, _checked(a["offset"], int, f"offset of {name!r}"), shape))
+        what = f"manifest shape of {name!r}"
+        shape = tuple(check_json(n, ["int"], what, CheckpointError)
+                      for n in check_json(a["shape"], ["list"], what, CheckpointError))
+        offset = check_json(a["offset"], ["int"], f"manifest offset of {name!r}",
+                            CheckpointError)
+        spans.append((name, offset, shape))
     extent = sum(math.prod(shape) for _, _, shape in spans)
     ends = [offset + math.prod(shape) for _, offset, shape in spans]
     if extent != declared or (ends and max(ends) != declared):
@@ -165,8 +143,10 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
             raise CheckpointError(f"array {name!r} holds a non-finite value")
 
     layers = []
-    for i, entry in enumerate(_checked(manifest["layers"], list, "layers")):
-        kind = _one_of(entry["kind"], ("dense", "conv"), f"kind of layer {i}")
+    for i, entry in enumerate(check_json(manifest["layers"], ["list"], "manifest layers",
+                                         CheckpointError)):
+        kind = check_json(entry["kind"], ["string"], f"manifest kind of layer {i}",
+                          CheckpointError, choices=("dense", "conv"))
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]
@@ -176,25 +156,33 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
                 run_mean=arrays["run_mean"].copy(),
                 run_std=arrays["run_std"].copy(),
                 mode=gm["mode"],
-                stats_initialized=_checked(
-                    gm["stats_initialized"], bool, f"stats_initialized of layer {i}'s gate"
-                ),
-                **{key: _checked(gm[key], float, f"{key} of layer {i}'s gate")
+                stats_initialized=check_json(
+                    gm["stats_initialized"], ["bool"],
+                    f"manifest stats_initialized of layer {i}'s gate", CheckpointError),
+                **{key: check_json(gm[key], ["number"], f"manifest {key} of layer {i}'s gate",
+                                   CheckpointError)
                    for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
             )
         w, b = values[f"L{i}.w"], values[f"L{i}.b"]
         if kind == "dense":
             select = entry["input_select"]
             if select is not None:
-                for n in _checked(select, list, f"input_select of layer {i}"):
-                    _checked(n, int, f"entry of input_select of layer {i}")
+                what = f"manifest input_select of layer {i}"
+                for n in check_json(select, ["list"], what, CheckpointError):
+                    check_json(n, ["int"], f"manifest entry of input_select of layer {i}",
+                               CheckpointError)
             layers.append(DenseLayer(w, b, gate=gate, input_select=select))
         else:
             layers.append(ConvLayer(w, b, gate=gate))
-    gates_enabled = _checked(manifest["gates_enabled"], bool, "gates_enabled")
-    net = Network(layers, gates_enabled=gates_enabled, meta=manifest["meta"])
-    for n in _checked(net.meta.get("input_shape", []), list, "input_shape"):
-        _checked(n, int, "entry of input_shape")
+    gates_enabled = check_json(manifest["gates_enabled"], ["bool"], "manifest gates_enabled",
+                               CheckpointError)
+    meta = check_json(manifest["meta"], ["object"], "manifest meta", CheckpointError)
+    for key, kind in _META_KINDS.items():
+        if key in meta:
+            check_json(meta[key], [kind], f"manifest {key}", CheckpointError)
+    for n in meta.get("input_shape", []):
+        check_json(n, ["int"], "manifest entry of input_shape", CheckpointError)
+    net = Network(layers, gates_enabled=gates_enabled, meta=meta)
     _check_selects(net)
     return net
 

@@ -27,7 +27,7 @@ from .analysis import (
     within_cross_gate_correlation,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, describe_defaults, load_config
+from .config import ConfigError, check_json, describe_defaults, load_config
 from .distributions import make_rng
 from .errors import BetadropError, ContractError
 from .gates import MODE_DBB
@@ -356,9 +356,9 @@ def main(argv=None) -> int:
             raise UsageError(parser.format_help())
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["train"]["seed"] = args.seed
-            cfg["model"]["seed"] = args.seed
-            cfg["data"]["seed"] = args.seed
+            seed = check_json(args.seed, ["int"], "--seed")
+            for section in ("train", "model", "data"):
+                cfg[section]["seed"] = seed
         if args.out is not None:
             cfg["output_dir"] = args.out
         return _COMMANDS[args.command](args, cfg)

@@ -7,6 +7,7 @@ unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 from .errors import BetadropError
@@ -21,76 +22,69 @@ def _schema() -> dict:
         return json.load(fh)
 
 
-def _type_ok(value, type_names: list[str]) -> bool:
-    for t in type_names:
-        if t == "null" and value is None:
-            return True
-        if t == "string" and isinstance(value, str):
-            return True
-        if t == "bool" and isinstance(value, bool):
-            return True
-        if t == "int" and isinstance(value, int) and not isinstance(value, bool):
-            return True
-        if t == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return True
-        if t.startswith("list:") and isinstance(value, list):
-            inner = t.split(":", 1)[1]
-            if all(_type_ok(v, [inner]) for v in value):
-                return True
-    return False
+def _is_int(v) -> bool:
+    return type(v) is int and v >= 0  # type(), not isinstance(): true is a bool, not an int
 
 
-def _validate_section(user: dict, schema_fields: dict, path: str) -> dict:
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+# kind -> (how an error message names it, its test)
+_KINDS = {
+    "null": ("null", lambda v: v is None),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("a non-negative integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "list:int": ("a list of non-negative integers",
+                 lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "list:number": ("a list of finite numbers",
+                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
+def check_json(value, kinds, what: str, error: type = ConfigError, choices=None):
+    """``value`` if it is one of ``choices`` (when given) and of the JSON
+    ``kinds``; otherwise raise ``error`` naming ``what``.
+
+    The kinds are the schema's: null, string, bool, int (non-negative),
+    number (finite), object, list, list:int and list:number.
+    """
+    if choices is not None and value not in choices:
+        raise error(f"{what} must be one of {choices!r}, got {value!r}")
+    if not any(_KINDS[kind][1](value) for kind in kinds):
+        expected = " or ".join(_KINDS[kind][0] for kind in kinds)
+        raise error(f"{what} must be {expected}, got {value!r}")
+    return value
+
+
+def _validate_section(user, schema_fields: dict, path: str) -> dict:
+    """``user`` checked against ``schema_fields``, defaults filled in; a field
+    with ``fields`` of its own is a nested section."""
     out = {}
     for key, value in user.items():
         if key not in schema_fields:
-            raise ConfigError(f"unknown config key {path}{key!r}")
+            raise ConfigError(f"unknown config {'key' if path else 'section'} {path}{key!r}")
         spec = schema_fields[key]
-        if not _type_ok(value, spec["type"]):
-            raise ConfigError(
-                f"config key {path}{key!r} expects {'/'.join(spec['type'])}, "
-                f"got {type(value).__name__}"
-            )
-        if "choices" in spec and value not in spec["choices"]:
-            raise ConfigError(
-                f"config key {path}{key!r} must be one of {spec['choices']}, got {value!r}"
-            )
-        out[key] = value
-    for key, spec in schema_fields.items():
-        out.setdefault(key, spec["default"])
-    return out
-
-
-def validate_config(raw: dict) -> dict:
-    """Fill defaults and reject unknown keys/section shapes."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    schema = _schema()
-    out = {}
-    for key, value in raw.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config section {key!r}")
-        spec = schema[key]
         if "fields" in spec:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
+            check_json(value, ["object"], f"config section {key!r}")
             out[key] = _validate_section(value, spec["fields"], f"{key}.")
         else:
-            if not _type_ok(value, spec["type"]):
-                raise ConfigError(
-                    f"config key {key!r} expects {'/'.join(spec['type'])}, "
-                    f"got {type(value).__name__}"
-                )
-            out[key] = value
-    for key, spec in schema.items():
-        if key in out:
-            continue
-        out[key] = (
-            _validate_section({}, spec["fields"], f"{key}.")
-            if "fields" in spec
-            else spec["default"]
-        )
+            out[key] = check_json(value, spec["type"], f"config key {path}{key!r}",
+                                  choices=spec.get("choices"))
+    for key, spec in schema_fields.items():
+        if key not in out:
+            out[key] = (_validate_section({}, spec["fields"], f"{key}.")
+                        if "fields" in spec else spec["default"])
     return out
+
+
+def validate_config(raw) -> dict:
+    """Fill defaults and reject unknown keys, wrong kinds and bad choices."""
+    return _validate_section(check_json(raw, ["object"], "config root"), _schema(), "")
 
 
 def load_config(path) -> dict:

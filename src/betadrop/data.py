@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import make_rng
-from .errors import ContractError, IdxCountMismatchError, IdxMagicError, IdxTruncatedError
+from .errors import (
+    ContractError,
+    DomainError,
+    IdxCountMismatchError,
+    IdxMagicError,
+    IdxTruncatedError,
+)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -34,12 +42,31 @@ class Dataset:
         idx = np.asarray(idx)
         return Dataset(self.images[idx], self.labels[idx], self.name, dict(self.meta))
 
-    def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
-        """Seeded shuffle-split: (1-fraction, fraction) of the examples."""
+    def split(self, val_fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
+        """Seeded shuffle-split: (1-val_fraction, val_fraction) of the examples."""
+        if not 0.0 <= val_fraction < 1.0:
+            raise DomainError(f"val_fraction must lie in [0, 1), got {val_fraction}")
         n = len(self)
         perm = make_rng(seed).permutation(n)
-        cut = n - int(round(fraction * n))
+        cut = n - int(round(val_fraction * n))
         return self.subset(perm[:cut]), self.subset(perm[cut:])
+
+
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 array of one IDX file: a big-endian header of ``magic`` and
+    ``ndim`` unsigned 32-bit counts, then the bytes they declare."""
+    with open(path, "rb") as fh:
+        header = fh.read(4 * (ndim + 1))
+        if len(header) < 4 * (ndim + 1):
+            raise IdxTruncatedError(f"{path}: header truncated")
+        found, *shape = struct.unpack(f">{ndim + 1}I", header)
+        if found != magic:
+            raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+        # checked before the read, so a huge count cannot allocate a huge buffer
+        size, held = math.prod(shape), os.fstat(fh.fileno()).st_size - len(header)
+        if size > held:
+            raise IdxTruncatedError(f"{path}: header declares {size} bytes, file holds {held}")
+        return np.frombuffer(fh.read(size), dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path, labels_path, normalize: bool = True) -> Dataset:
@@ -47,41 +74,12 @@ def load_idx(images_path, labels_path, normalize: bool = True) -> Dataset:
 
     Pixel bytes are scaled to [0, 1] unless ``normalize`` is False.
     """
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise IdxTruncatedError(f"{images_path}: header truncated")
-        magic, n, rows, cols = struct.unpack(">iiii", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}"
-            )
-        buf = fh.read(n * rows * cols)
-        if len(buf) < n * rows * cols:
-            raise IdxTruncatedError(
-                f"{images_path}: expected {n * rows * cols} pixel bytes, got {len(buf)}"
-            )
-    images = np.frombuffer(buf, dtype=np.uint8).astype(np.float64).reshape(n, rows, cols)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3).astype(np.float64)
     if normalize:
         images /= 255.0
-
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise IdxTruncatedError(f"{labels_path}: header truncated")
-        magic, n_labels = struct.unpack(">ii", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}"
-            )
-        buf = fh.read(n_labels)
-        if len(buf) < n_labels:
-            raise IdxTruncatedError(
-                f"{labels_path}: expected {n_labels} label bytes, got {len(buf)}"
-            )
-    if n_labels != n:
-        raise IdxCountMismatchError(f"{n} images but {n_labels} labels")
-    labels = np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
+    if len(labels) != len(images):
+        raise IdxCountMismatchError(f"{len(images)} images but {len(labels)} labels")
     return Dataset(images, labels, name="idx")
 
 
@@ -97,6 +95,8 @@ def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
     """
     if k_signal > d:
         raise ContractError(f"k_signal={k_signal} exceeds d={d}")
+    if not noise >= 0.0:  # NaN too
+        raise DomainError(f"noise must be non-negative, got {noise}")
     rng = make_rng(seed)
     signal_idx = np.sort(rng.choice(d, size=k_signal, replace=False))
     signs = np.where(np.arange(k_signal) % 2 == 0, 1.0, -1.0)
@@ -126,6 +126,8 @@ def synthetic_two_cluster(n: int, d: int, seed: int = 0, active: float = 1.5,
     """
     if d % 2:
         raise ContractError(f"two-cluster fixture needs even d, got {d}")
+    if not noise >= 0.0:  # NaN too
+        raise DomainError(f"noise must be non-negative, got {noise}")
     rng = make_rng(seed)
     half = d // 2
     labels = rng.integers(0, 2, size=n)

@@ -50,7 +50,7 @@ class CheckpointLengthError(CheckpointError):
 
 
 class DataFormatError(BetadropError, RuntimeError):
-    """Base class for dataset parsing failures."""
+    """Base class for dataset and report file parsing failures."""
 
 
 class IdxMagicError(DataFormatError):

@@ -306,6 +306,8 @@ def build_lenet5_caffe(seed: int = 0, **gate_options) -> Network:
 def build_mlp(dims, seed: int = 0, gated: bool = True, **gate_options) -> Network:
     """Generic gated MLP for fixtures and custom runs; gates every layer input."""
     dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or min(dims) < 1:
+        raise DimensionError(f"mlp dims must be two or more positive widths, got {list(dims)}")
     rng = make_rng(seed)
     layers = []
     for i in range(len(dims) - 1):

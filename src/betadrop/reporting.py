@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataFormatError, DomainError
+
 CSV_HEADER = ["method", "kl_scale", "error_pct", "speedup", "memory_pct", "kept_counts"]
 
 
@@ -27,9 +29,9 @@ class SparsityReport:
 
     def __post_init__(self):
         if self.speedup < 1.0 - 1e-12:
-            raise ValueError(f"speedup must be >= 1, got {self.speedup}")
+            raise DomainError(f"speedup must be >= 1, got {self.speedup}")
         if not 0.0 < self.memory_pct <= 100.0 + 1e-12:
-            raise ValueError(f"memory_pct must lie in (0, 100], got {self.memory_pct}")
+            raise DomainError(f"memory_pct must lie in (0, 100], got {self.memory_pct}")
 
     def result_line(self) -> str:
         kept = "-".join(str(k) for k in self.kept_counts)
@@ -58,24 +60,29 @@ def emit_report_csv(reports: list[SparsityReport], path) -> None:
 
 
 def parse_report_csv(path) -> list[SparsityReport]:
+    """The reports of a CSV that :func:`emit_report_csv` wrote; any other
+    content raises :class:`~betadrop.errors.DataFormatError`."""
     out: list[SparsityReport] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected report header {header}")
+            raise DataFormatError(f"{path}: unexpected report header {header}")
         for row in reader:
-            method, kl_scale, err, speedup, mem, kept = row
-            out.append(
-                SparsityReport(
-                    method=method,
-                    kl_scale=float(kl_scale),
-                    error_pct=float(err),
-                    speedup=float(speedup),
-                    memory_pct=float(mem),
-                    kept_counts=[int(k) for k in kept.split("-")] if kept else [],
+            try:
+                method, kl_scale, err, speedup, mem, kept = row
+                out.append(
+                    SparsityReport(
+                        method=method,
+                        kl_scale=float(kl_scale),
+                        error_pct=float(err),
+                        speedup=float(speedup),
+                        memory_pct=float(mem),
+                        kept_counts=[int(k) for k in kept.split("-")] if kept else [],
+                    )
                 )
-            )
+            except ValueError as exc:  # DomainError is a ValueError too
+                raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
     return out
 
 

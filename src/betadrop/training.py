@@ -118,7 +118,7 @@ def adam_step(params: list[Node], grads: list[np.ndarray], state: AdamState,
 
 
 def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
-              config: TrainConfig, rng, force_masks: dict | None = None) -> tuple[Node, dict]:
+              config: TrainConfig, rng) -> tuple[Node, dict]:
     """Negative-ELBO minibatch estimator (a quantity to *minimize*).
 
     loss = N * mean_batch NLL + kl_scale * sum_layers(mult * KL)
@@ -132,8 +132,7 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     if x.shape[0] == 0:
         raise ContractError("empty minibatch")
     logits, kls = forward_train(
-        net, x, rng, tau=config.tau, rho_var=config.rho_var,
-        logit_eps=config.logit_eps, force_masks=force_masks,
+        net, x, rng, tau=config.tau, rho_var=config.rho_var, logit_eps=config.logit_eps
     )
     _check_labels(y, logits.value)
     nll = ad.softmax_cross_entropy(logits, y)
@@ -191,17 +190,15 @@ class MetricsLog:
 
     HEADER = "epoch,nll,kl,train_err,test_err,expected_flops"
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self.path = path
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.HEADER + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.HEADER + "\n")
 
     def append(self, epoch, nll, kl, train_err, test_err, flops):
         row = f"{epoch},{nll:.6f},{kl:.6f},{train_err:.4f},{test_err:.4f},{flops:.1f}"
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(row + "\n")
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
 
 
 def _run_epochs(net: Network, data: Dataset, config: TrainConfig, epochs: int,

@@ -381,6 +381,31 @@ WRONG_TYPED_MANIFESTS = {
         lambda m: m.update(gates_enabled="no"),
         "gates_enabled must be true or false, got 'no'",
     ),
+    # the meta fields that stages read
+    "meta-list": (
+        lambda m: m.update(meta=[]),
+        "meta must be an object, got []",
+    ),
+    "flops-orig-string": (
+        lambda m: m["meta"].update(flops_orig="x"),
+        "flops_orig must be a finite number, got 'x'",
+    ),
+    "speedup-string": (
+        lambda m: m["meta"].update(speedup="fast"),
+        "speedup must be a finite number, got 'fast'",
+    ),
+    "memory-pct-nan": (
+        lambda m: m["meta"].update(memory_pct=float("nan")),
+        "memory_pct must be a finite number, got nan",
+    ),
+    "stage-number": (
+        lambda m: m["meta"].update(stage=5),
+        "stage must be a string, got 5",
+    ),
+    "arch-null": (
+        lambda m: m["meta"].update(arch=None),
+        "arch must be a string, got None",
+    ),
 }
 
 

@@ -344,6 +344,20 @@ def test_empty_dataset_is_contract_error(analysis):
         analysis(make_dbb_net(), empty)
 
 
+@pytest.mark.parametrize(
+    "analysis",
+    [runtime_prune_stats, class_average_gate_correlation, within_cross_gate_correlation],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("disable", ["gates_disabled", "ungated"])
+def test_gate_statistics_without_enabled_gates_is_contract_error(analysis, disable):
+    net = make_dbb_net() if disable == "gates_disabled" else build_mlp((6, 4, 2), gated=False)
+    net.gates_enabled = False
+    ds = Dataset(d.make_rng(4).normal(size=(12, 6)), np.repeat([0, 1], 6).astype(np.int64))
+    with pytest.raises(ContractError, match="require enabled gates"):
+        analysis(net, ds)
+
+
 class TestReports:
     def _reports(self):
         return [

@@ -12,7 +12,7 @@ from betadrop.cli import _train_config, main
 from betadrop.config import validate_config
 from betadrop.errors import CheckpointError
 from betadrop.layers import build_lenet5_caffe, build_mlp, shrink
-from betadrop.reporting import parse_report_csv
+from betadrop.reporting import CSV_HEADER, parse_report_csv
 from betadrop.training import TrainConfig
 
 from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1, write_idx
@@ -48,6 +48,25 @@ def last_result(capsys):
     return lines[-1]
 
 
+# config values of the wrong JSON kind, each with the message it must give
+WRONG_KIND_SETTINGS = [
+    ("data", "val_fraction", float("nan"), "data.'val_fraction' must be a finite number"),
+    ("train", "kl_scale", float("nan"), "train.'kl_scale' must be a finite number"),
+    ("train", "tau", float("inf"), "train.'tau' must be a finite number"),
+    ("train", "seed", -1, "train.'seed' must be a non-negative integer"),
+    ("train", "pretrain_epochs", -1, "'pretrain_epochs' must be a non-negative integer"),
+    ("train", "batch_size", True, "'batch_size' must be a non-negative integer"),
+    ("model", "dims", [20, -4, 2], "'dims' must be a list of non-negative integers or null"),
+    ("data", "n", -5, "data.'n' must be a non-negative integer"),
+    ("data", "k_signal", -1, "'k_signal' must be a non-negative integer"),
+    ("data", "train_subset", -5, "'train_subset' must be a non-negative integer or null"),
+    ("data", "kind", 5, "'kind' must be one of ['idx', 'planted', 'two_cluster'], got 5"),
+]
+
+
+REPORT_HEADER = ",".join(CSV_HEADER) + "\n"
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "--config", "x.json"]) == 1
@@ -68,6 +87,20 @@ class TestUsageErrors:
         cfg.write_text(json.dumps({"model": {"arch": "mlp", "dimz": [4, 2]}}))
         assert main(["pretrain", "--config", str(cfg)]) == 1
         assert "dimz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value,named", WRONG_KIND_SETTINGS,
+                             ids=[f"{section}.{key}" for section, key, _, _ in WRONG_KIND_SETTINGS])
+    def test_wrong_kind_config_value_is_usage_error(self, tmp_path, capsys, section, key,
+                                                    value, named):
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["pretrain", "--config", str(cfg), "--seed", "-3"]) == 1
+        assert "--seed must be a non-negative integer, got -3" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -127,6 +160,32 @@ class TestUsageErrors:
         with pytest.raises(CheckpointError, match=named):
             load_checkpoint(path)
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_idx_header_beyond_the_file_is_runtime_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(np.zeros((4, 2, 10), dtype=np.uint8), np.zeros(4), images, labels)
+        blob = bytearray(images.read_bytes())
+        blob[4:8] = (-5).to_bytes(4, "big", signed=True)
+        images.write_bytes(bytes(blob))
+        cfg = write_config(tmp_path, data={"kind": "idx", "images": str(images),
+                                           "labels": str(labels)})
+        assert main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "header declares" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text,named", [
+        ("method,kl,error_pct\n", "unexpected report header"),
+        (REPORT_HEADER + "bb,1.0,0.5\n", "line 2: not enough values"),
+        (REPORT_HEADER + "bb,abc,0.5,2.0,50.0,4-3\n", "line 2: could not convert string to float"),
+        (REPORT_HEADER + "bb,1.0,0.5,0.5,50.0,4-3\n", "line 2: speedup must be >= 1, got 0.5"),
+    ], ids=["header", "short-row", "text-kl-scale", "speedup-below-1"])
+    def test_malformed_sweep_csv_is_runtime_error(self, tmp_path, capsys, text, named):
+        cfg = write_config(tmp_path)
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "sweep.csv").write_text(text)
+        assert main(["report", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
@@ -212,6 +271,7 @@ class TestConfigHomes:
 
     @pytest.mark.parametrize("section,key,value", [
         ("model", "momentum", 1.5), ("model", "sigma_floor", -1.0), ("train", "logit_eps", 0.7),
+        ("data", "val_fraction", 1.5), ("data", "noise", -1.0), ("model", "dims", [20, 0, 2]),
     ])
     def test_out_of_range_setting_is_runtime_error(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path, **{section: {key: value}})
@@ -294,6 +354,13 @@ class TestPipeline:
         line = last_result(capsys)
         assert "within_corr=" in line and "cross_corr=" in line
         assert (tmp_path / "run" / "gate_correlation_layer0.csv").exists()
+
+    def test_correlation_of_a_pretrained_net_is_runtime_error(self, pipeline, capsys):
+        tmp_path, cfg = pipeline
+        pretrained = str(tmp_path / "run" / "pretrained.ckpt")
+        assert main(["analyze-correlation", "--config", str(cfg), "--init", pretrained]) == 2
+        err = capsys.readouterr().err
+        assert "require enabled gates" in err and "Traceback" not in err
 
     def test_metrics_log_emitted(self, pipeline):
         tmp_path, _ = pipeline

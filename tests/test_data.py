@@ -15,6 +15,7 @@ from betadrop.data import (
 )
 from betadrop.errors import (
     ContractError,
+    DomainError,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -72,6 +73,22 @@ class TestIdx:
         with pytest.raises(IdxTruncatedError):
             load_idx(cut, lp)
 
+    @pytest.mark.parametrize(
+        "which,field,count",
+        [("images", 1, -5), ("images", 2, -28), ("images", 1, 2**31 - 1), ("labels", 1, -1)],
+        ids=["negative-images", "negative-rows", "huge-images", "negative-labels"],
+    )
+    def test_header_count_beyond_the_file_is_truncated(self, idx_pair, which, field, count):
+        # checked against the file size before any read, so the huge count
+        # never becomes a buffer
+        ip, lp, _, _ = idx_pair
+        path = ip if which == "images" else lp
+        blob = bytearray(path.read_bytes())
+        blob[4 * field : 4 * field + 4] = struct.pack(">i", count)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IdxTruncatedError, match="header declares"):
+            load_idx(ip, lp)
+
 
 class TestPlantedSparsity:
     def test_all_features_informative_allowed(self):
@@ -96,6 +113,18 @@ class TestPlantedSparsity:
     def test_k_larger_than_d_rejected(self):
         with pytest.raises(ContractError):
             synthetic_planted_sparsity(10, 4, 5)
+
+
+@pytest.mark.parametrize("noise", [-0.5, float("nan")])
+@pytest.mark.parametrize(
+    "generate",
+    [lambda noise: synthetic_planted_sparsity(10, 4, 2, noise=noise),
+     lambda noise: synthetic_two_cluster(10, 4, noise=noise)],
+    ids=["planted", "two_cluster"],
+)
+def test_noise_below_zero_rejected(generate, noise):
+    with pytest.raises(DomainError, match="noise must be non-negative"):
+        generate(noise)
 
 
 class TestTwoCluster:
@@ -158,3 +187,9 @@ class TestSplit:
         assert len(train) == 90 and len(val) == 10
         joined = np.concatenate([train.images, val.images])
         assert np.unique(joined, axis=0).shape[0] == 100
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, -0.1, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        ds = synthetic_planted_sparsity(100, 6, 2, seed=0)
+        with pytest.raises(DomainError, match=r"val_fraction must lie in \[0, 1\)"):
+            ds.split(fraction, seed=0)

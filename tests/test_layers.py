@@ -102,6 +102,11 @@ class TestBuilders:
         for g in net.gates():
             assert {name: getattr(g, name) for name in options} == options
 
+    @pytest.mark.parametrize("dims", [(20, 0, 2), (4, -1, 2), (5,)])
+    def test_mlp_needs_two_positive_widths(self, dims):
+        with pytest.raises(DimensionError, match="mlp dims must be two or more positive"):
+            build_mlp(dims)
+
     def test_channel_axis_added_for_conv_input(self):
         net = build_lenet5_caffe()
         x = RNG.random((2, 28, 28))
