@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .distributions import make_rng
 from .errors import ContractError, PruneCollapseError
 from .gates import MODE_DBB
 from .layers import LayerUnits, Network, forward_eval, unit_map
@@ -192,10 +193,12 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
 def within_cross_gate_correlation(net: Network, dataset: Dataset, layer: int = -1,
                                   max_pairs: int = 2000, seed: int = 0) -> tuple[float, float]:
     """Mean Pearson correlation of per-input gate vectors for same-class vs
-    different-class input pairs at one gated layer (default: the last)."""
-    from .distributions import make_rng
-
-    mat = _gate_vectors(net, dataset)[layer]
+    different-class input pairs at one gated layer (default: the last).
+    ``layer`` counts gated layers and may be negative, as a list index."""
+    vectors = _gate_vectors(net, dataset)
+    if not -len(vectors) <= layer < len(vectors):
+        raise ContractError(f"layer must lie in [{-len(vectors)}, {len(vectors)}), got {layer}")
+    mat = vectors[layer]
     labels = dataset.labels
     centered = mat - mat.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)

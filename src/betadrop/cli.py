@@ -66,21 +66,15 @@ def _build_parser() -> _Parser:
         "--help-config", action="store_true", help="print all config keys with defaults"
     )
     sub = parser.add_subparsers(dest="command")
-    for name, doc in [
-        ("pretrain", "train the base network without gates"),
-        ("train-bb", "stage 1: fine-tune with input-independent gates"),
-        ("train-dbb", "stage 2: fine-tune the input-dependent gates (needs a pruned stage-1 checkpoint)"),
-        ("prune", "threshold-prune and physically shrink a trained network"),
-        ("evaluate", "report error/speedup/memory of a checkpoint"),
-        ("sweep", "run the KL-scale tradeoff grid and emit CSV + SVG"),
-        ("report", "re-emit CSV/SVG from an existing sweep CSV"),
-        ("analyze-correlation", "class-average gate correlation matrices"),
-    ]:
+    for name, (run, stage, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc, description=doc)
+        p.set_defaults(run=run, input_stage=stage)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override train.seed")
         p.add_argument("--out", default=None, help="override output_dir")
-        p.add_argument("--init", default=None, help="input checkpoint (stage commands)")
+        if stage is not None:
+            p.add_argument("--init", default=None, help="input checkpoint (default: "
+                           f"{STAGE_FILES[stage]} under output_dir)")
     return parser
 
 
@@ -104,23 +98,21 @@ def _build_model(cfg: dict) -> Network:
 
 def _load_data(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     dc = cfg["data"]
+    test = None
     if dc["kind"] == "idx":
         if not dc["images"] or not dc["labels"]:
             raise ConfigError("data.kind=idx requires data.images and data.labels")
         train = data_mod.load_idx(dc["images"], dc["labels"])
-        test = None
         if dc["test_images"] and dc["test_labels"]:
             test = data_mod.load_idx(dc["test_images"], dc["test_labels"])
     elif dc["kind"] == "planted":
         train = data_mod.synthetic_planted_sparsity(
             dc["n"], dc["d"], dc["k_signal"], seed=dc["seed"], noise=dc["noise"]
         )
-        test = None
     else:
         train = data_mod.synthetic_two_cluster(
             dc["n"], dc["d"], seed=dc["seed"], noise=dc["noise"]
         )
-        test = None
     if dc["train_subset"] is not None and dc["train_subset"] < len(train):
         perm = make_rng(dc["seed"]).permutation(len(train))
         train = train.subset(perm[: dc["train_subset"]])
@@ -156,17 +148,39 @@ def _ckpt_path(cfg: dict, stage: str) -> str:
     return os.path.join(_outdir(cfg), STAGE_FILES[stage])
 
 
-def _load_stage(args, cfg, expected_stage: str | None = None) -> Network:
-    path = args.init or (_ckpt_path(cfg, expected_stage) if expected_stage else None)
-    if path is None or not os.path.exists(path):
+def _load_input(args, cfg, any_stage: bool = False) -> Network:
+    """The command's input checkpoint: ``--init``, else its input stage's
+    file under ``output_dir``.  Unless ``any_stage``, it must hold that stage."""
+    stage = args.input_stage
+    path = args.init or _ckpt_path(cfg, stage)
+    if not os.path.exists(path):
         raise ContractError(f"input checkpoint not found: {path}")
     net = load_checkpoint(path)
-    if expected_stage is not None and net.meta.get("stage") != expected_stage:
+    if not any_stage and net.meta.get("stage") != stage:
         raise ContractError(
-            f"checkpoint {path} is stage {net.meta.get('stage')!r}, "
-            f"expected {expected_stage!r}"
+            f"checkpoint {path} is stage {net.meta.get('stage')!r}, expected {stage!r}"
         )
     return net
+
+
+def _is_dbb(net: Network) -> bool:
+    gates = net.gates()
+    return net.gates_enabled and bool(gates) and all(g.mode == MODE_DBB for g in gates)
+
+
+def _prune(net: Network, cfg: dict) -> Network:
+    """Threshold-prune and shrink ``net``.  The smaller network's meta holds
+    the stage, the original FLOPs, the speedup, memory and the kept counts."""
+    keeps = prune_by_threshold(net, cfg["prune"]["threshold"])
+    counts = [int(k.size) for k in keeps]
+    orig, _, speedup = count_flops(net, counts)
+    memory = count_memory(net, counts)
+    small = shrink(net, keeps, fold_masks=cfg["prune"]["fold_masks"])
+    small.meta.update(
+        stage="bb_pruned", flops_orig=orig,
+        speedup=speedup, memory_pct=memory, kept_counts=counts,
+    )
+    return small
 
 
 def _result(**kv) -> None:
@@ -179,83 +193,60 @@ def _result(**kv) -> None:
     print("RESULT " + " ".join(parts))
 
 
-def _cmd_pretrain(args, cfg) -> int:
-    tconf = _train_config(cfg)
-    net = _build_model(cfg)
-    train, test = _load_data(cfg)
-    log = MetricsLog(os.path.join(_outdir(cfg), "pretrain_log.csv"))
-    pretrain(net, train, tconf, epochs=cfg["train"]["pretrain_epochs"],
-             eval_data=test, log=log)
-    path = _ckpt_path(cfg, "pretrained")
-    save_checkpoint(net, path)
-    _result(stage="pretrained", checkpoint=path,
-            train_err=evaluate_error(net, train), test_err=evaluate_error(net, test))
-    return 0
+# training command -> (trainer, epochs key, log file)
+_TRAINING = {
+    "pretrain": (pretrain, "pretrain_epochs", "pretrain_log.csv"),
+    "train-bb": (finetune_bb, "finetune_epochs", "bb_log.csv"),
+    "train-dbb": (finetune_dbb, "finetune_epochs", "dbb_log.csv"),
+}
 
 
-def _cmd_train_bb(args, cfg) -> int:
-    net = _load_stage(args, cfg, "pretrained")
+def _cmd_train(args, cfg) -> int:
+    trainer, epochs_key, log_name = _TRAINING[args.command]
+    if args.input_stage is None:
+        net = _build_model(cfg)
+    else:
+        net = _load_input(args, cfg)
+        if not net.gates():
+            raise ContractError(
+                f"{args.command} requires gates, which prune with fold_masks=true folds "
+                "into the weights; re-run prune with fold_masks=false"
+            )
     tconf = _train_config(cfg, net.meta.get("arch"))
     train, test = _load_data(cfg)
-    log = MetricsLog(os.path.join(_outdir(cfg), "bb_log.csv"))
-    finetune_bb(net, train, tconf, epochs=cfg["train"]["finetune_epochs"],
-                eval_data=test, log=log)
-    path = _ckpt_path(cfg, "bb")
+    log = MetricsLog(os.path.join(_outdir(cfg), log_name))
+    trainer(net, train, tconf, epochs=cfg["train"][epochs_key], eval_data=test, log=log)
+    stage = net.meta["stage"]
+    path = _ckpt_path(cfg, stage)
     save_checkpoint(net, path)
-    _result(stage="bb", checkpoint=path, test_err=evaluate_error(net, test))
+    train_err = {} if net.gates_enabled else {"train_err": evaluate_error(net, train)}
+    runtime = {}
+    if _is_dbb(net):
+        runtime["mean_runtime_flops"] = runtime_prune_stats(
+            net, test, cfg["prune"]["threshold"]).mean_flops
+    _result(stage=stage, checkpoint=path, **train_err, test_err=evaluate_error(net, test),
+            **runtime)
     return 0
 
 
 def _cmd_prune(args, cfg) -> int:
-    net = _load_stage(args, cfg, "bb")
+    net = _load_input(args, cfg)
     _, test = _load_data(cfg)
-    threshold = cfg["prune"]["threshold"]
-    keeps = prune_by_threshold(net, threshold)
-    counts = [int(k.size) for k in keeps]
-    orig, _, speedup = count_flops(net, counts)
-    memory = count_memory(net, counts)
-    small = shrink(net, keeps, fold_masks=cfg["prune"]["fold_masks"])
-    small.meta.update(
-        stage="bb_pruned", flops_orig=orig,
-        speedup=speedup, memory_pct=memory, kept_counts=counts,
-    )
+    small = _prune(net, cfg)
     path = _ckpt_path(cfg, "bb_pruned")
     save_checkpoint(small, path)
     _result(stage="bb_pruned", checkpoint=path, error_pct=evaluate_error(small, test),
-            speedup=speedup, memory_pct=memory,
-            kept="-".join(str(c) for c in counts))
-    return 0
-
-
-def _cmd_train_dbb(args, cfg) -> int:
-    net = _load_stage(args, cfg, "bb_pruned")
-    tconf = _train_config(cfg, net.meta.get("arch"))
-    if not net.gates():
-        raise ContractError(
-            "train-dbb requires gates; re-run prune with fold_masks=false"
-        )
-    train, test = _load_data(cfg)
-    log = MetricsLog(os.path.join(_outdir(cfg), "dbb_log.csv"))
-    finetune_dbb(net, train, tconf, epochs=cfg["train"]["finetune_epochs"],
-                 eval_data=test, log=log)
-    path = _ckpt_path(cfg, "dbb")
-    save_checkpoint(net, path)
-    stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
-    _result(stage="dbb", checkpoint=path, test_err=evaluate_error(net, test),
-            mean_runtime_flops=stats.mean_flops)
+            speedup=small.meta["speedup"], memory_pct=small.meta["memory_pct"],
+            kept="-".join(str(c) for c in small.meta["kept_counts"]))
     return 0
 
 
 def _cmd_evaluate(args, cfg) -> int:
-    path = args.init or _ckpt_path(cfg, "bb_pruned")
-    if not os.path.exists(path):
-        raise ContractError(f"checkpoint not found: {path}")
-    net = load_checkpoint(path)
+    net = _load_input(args, cfg, any_stage=True)
     _, test = _load_data(cfg)
     err = evaluate_error(net, test)
     extras = {}
-    gates = net.gates()
-    if gates and all(g.mode == MODE_DBB for g in gates) and net.gates_enabled:
+    if _is_dbb(net):
         stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
         flops_orig = net.meta.get("flops_orig", stats.static_flops)
         extras["runtime_speedup"] = flops_orig / stats.mean_flops
@@ -265,9 +256,18 @@ def _cmd_evaluate(args, cfg) -> int:
     return 0
 
 
+def _emit_reports(reports: list[SparsityReport], cfg: dict, csv_name: str) -> int:
+    out = _outdir(cfg)
+    csv_path = os.path.join(out, csv_name)
+    svg_path = os.path.join(out, "tradeoff.svg")
+    emit_report_csv(reports, csv_path)
+    emit_tradeoff_svg(reports, svg_path)
+    _result(rows=len(reports), csv=csv_path, svg=svg_path)
+    return 0
+
+
 def _cmd_sweep(args, cfg) -> int:
     tconf = _train_config(cfg)
-    out = _outdir(cfg)
     train, test = _load_data(cfg)
     base = _build_model(cfg)
     pretrain(base, train, tconf, epochs=cfg["train"]["pretrain_epochs"])
@@ -278,46 +278,27 @@ def _cmd_sweep(args, cfg) -> int:
         run_conf = replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i))
         net = load_checkpoint(pre_path)
         finetune_bb(net, train, run_conf, epochs=cfg["train"]["finetune_epochs"])
-        keeps = prune_by_threshold(net, cfg["prune"]["threshold"])
-        counts = [int(k.size) for k in keeps]
-        _, _, speedup = count_flops(net, counts)
-        memory = count_memory(net, counts)
-        small = shrink(net, keeps)
-        err = evaluate_error(small, test)
+        small = _prune(net, cfg)
         reports.append(
             SparsityReport(
-                method="bb", kl_scale=float(scale), error_pct=err,
-                speedup=speedup, memory_pct=memory, kept_counts=counts,
+                method="bb", kl_scale=float(scale), error_pct=evaluate_error(small, test),
+                speedup=small.meta["speedup"], memory_pct=small.meta["memory_pct"],
+                kept_counts=small.meta["kept_counts"],
             )
         )
         print(reports[-1].result_line())
-    csv_path = os.path.join(out, "sweep.csv")
-    svg_path = os.path.join(out, "tradeoff.svg")
-    emit_report_csv(reports, csv_path)
-    emit_tradeoff_svg(reports, svg_path)
-    _result(rows=len(reports), csv=csv_path, svg=svg_path)
-    return 0
+    return _emit_reports(reports, cfg, "sweep.csv")
 
 
 def _cmd_report(args, cfg) -> int:
-    out = _outdir(cfg)
-    csv_path = os.path.join(out, "sweep.csv")
+    csv_path = os.path.join(_outdir(cfg), "sweep.csv")
     if not os.path.exists(csv_path):
         raise ContractError(f"no sweep CSV at {csv_path}")
-    reports = parse_report_csv(csv_path)
-    merged_csv = os.path.join(out, "report.csv")
-    svg_path = os.path.join(out, "tradeoff.svg")
-    emit_report_csv(reports, merged_csv)
-    emit_tradeoff_svg(reports, svg_path)
-    _result(rows=len(reports), csv=merged_csv, svg=svg_path)
-    return 0
+    return _emit_reports(parse_report_csv(csv_path), cfg, "report.csv")
 
 
 def _cmd_analyze_correlation(args, cfg) -> int:
-    path = args.init or _ckpt_path(cfg, "dbb")
-    if not os.path.exists(path):
-        raise ContractError(f"checkpoint not found: {path}")
-    net = load_checkpoint(path)
+    net = _load_input(args, cfg, any_stage=True)
     _, test = _load_data(cfg)
     report = class_average_gate_correlation(net, test)
     out = _outdir(cfg)
@@ -333,15 +314,19 @@ def _cmd_analyze_correlation(args, cfg) -> int:
     return 0
 
 
+# command -> (function, the stage whose checkpoint it reads unless --init
+# names one, or None when it reads none; help)
 _COMMANDS = {
-    "pretrain": _cmd_pretrain,
-    "train-bb": _cmd_train_bb,
-    "train-dbb": _cmd_train_dbb,
-    "prune": _cmd_prune,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
-    "analyze-correlation": _cmd_analyze_correlation,
+    "pretrain": (_cmd_train, None, "train the base network without gates"),
+    "train-bb": (_cmd_train, "pretrained", "stage 1: fine-tune with input-independent gates"),
+    "train-dbb": (_cmd_train, "bb_pruned",
+                  "stage 2: fine-tune the input-dependent gates (needs a pruned stage-1 checkpoint)"),
+    "prune": (_cmd_prune, "bb", "threshold-prune and physically shrink a trained network"),
+    "evaluate": (_cmd_evaluate, "bb_pruned", "report error/speedup/memory of a checkpoint"),
+    "sweep": (_cmd_sweep, None, "run the KL-scale tradeoff grid and emit CSV + SVG"),
+    "report": (_cmd_report, None, "re-emit CSV/SVG from an existing sweep CSV"),
+    "analyze-correlation": (_cmd_analyze_correlation, "dbb",
+                            "class-average gate correlation matrices"),
 }
 
 
@@ -361,7 +346,7 @@ def main(argv=None) -> int:
                 cfg[section]["seed"] = seed
         if args.out is not None:
             cfg["output_dir"] = args.out
-        return _COMMANDS[args.command](args, cfg)
+        return args.run(args, cfg)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

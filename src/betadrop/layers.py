@@ -191,24 +191,19 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
 
 
 def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
-                  rho_var: float = RHO_VAR_DEFAULT, logit_eps: float = LOGIT_EPS,
-                  force_masks: dict | None = None) -> tuple[Node, list[Node]]:
+                  rho_var: float = RHO_VAR_DEFAULT,
+                  logit_eps: float = LOGIT_EPS) -> tuple[Node, list[Node]]:
     """Stochastic training pass.
 
     Returns the logits node and one KL node per gated layer (in layer
     order).  When the network's gates are disabled the pass is a plain
-    forward and the KL list is empty.  ``force_masks`` (gate index -> mask
-    array of shape (K,) or (B, K)) replaces sampling for the named gates;
-    used by equivalence tests.
+    forward and the KL list is empty.
     """
     if net.gates_enabled and not net.gates():
         raise ContractError("gates are enabled but the network has none")
     kl_terms: list[Node] = []
 
     def sampled_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
-        if force_masks is not None and k in force_masks:
-            forced = np.asarray(force_masks[k], dtype=np.float64)
-            return ad.constant(np.broadcast_to(forced, (bsz, forced.shape[-1])))
         pi = sample_pi_node(gate, rng)
         kl = kl_bb_node(gate)
         if gate.mode == MODE_DBB:

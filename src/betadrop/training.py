@@ -201,115 +201,91 @@ class MetricsLog:
             fh.write(row + "\n")
 
 
-def _run_epochs(net: Network, data: Dataset, config: TrainConfig, epochs: int,
-                groups: list[tuple[list[Node], AdamState, float]],
-                eval_data: Dataset | None, log: MetricsLog | None,
-                after_step=None) -> list[float]:
+def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
+           gate_mode: str | None, eval_data: Dataset | None,
+           log: MetricsLog | None) -> list[float]:
+    """The one training loop behind every stage; returns the loss sequence.
+
+    ``gate_mode`` None trains with gates disabled, every parameter at
+    ``lr_variational``.  MODE_BB and MODE_DBB enable the gates in that mode
+    and train the weights at ``effective_lr_weights()`` and the gates'
+    trainable parameters at ``lr_variational``.  In MODE_DBB the
+    Kumaraswamy raws (q(pi)) are held as constants, so no gradient is
+    computed for them, and are bit-checked after every step.
+    """
+    net.gates_enabled = gate_mode is not None
+    if gate_mode is None:
+        rates = [(net.parameters(), config.lr_variational)]
+    else:
+        net.set_gate_mode(gate_mode)
+        rates = [(net.parameters(), config.effective_lr_weights()),
+                 (net.variational_parameters(), config.lr_variational)]
+    groups = [(params, AdamState.for_params(params), lr) for params, lr in rates]
+    all_params = [p for params, _ in rates for p in params]
+    raws = [p for g in net.gates() for p in (g.a_raw, g.b_raw)] if gate_mode == MODE_DBB else []
+    frozen = [(p, p.value.copy()) for p in raws]
     noise_rng = make_rng(config.seed + NOISE_SEED_OFFSET)
     n_total = len(data)
     losses: list[float] = []
     step = 0
     per_epoch = batches_per_epoch(n_total, config.batch_size)
     stream = batch_iterator(data, config.batch_size, seed=config.seed, epochs=epochs)
-    for epoch in range(epochs):
-        epoch_nll = 0.0
-        epoch_kl = 0.0
-        nbatches = 0
-        for x, y in (next(stream) for _ in range(per_epoch)):
-            all_params = [p for params, _, _ in groups for p in params]
-            ad.zero_gradients(all_params)
-            loss, parts = elbo_loss(net, (x, y), n_total, config, noise_rng)
-            if not np.isfinite(loss.value):
-                raise TrainingDivergedError(step)
-            ad.backward(loss)
-            for params, state, lr in groups:
-                adam_step(params, [p.grad for p in params], state, lr)
-            # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
-            if not all(np.isfinite(p.value).all() for p in all_params):
-                raise TrainingDivergedError(step)
-            if after_step is not None:
-                after_step(step)
-            losses.append(float(loss.value))
-            epoch_nll += parts["nll"]
-            epoch_kl += parts["kl"]
-            nbatches += 1
-            step += 1
-        if log is not None:
-            train_err = evaluate_error(net, data) if len(data) <= 20000 else float("nan")
-            test_err = evaluate_error(net, eval_data) if eval_data is not None else float("nan")
-            log.append(
-                epoch, epoch_nll / nbatches, epoch_kl / nbatches,
-                train_err, test_err, _expected_flops(net),
-            )
+    for p in raws:
+        p.needs_grad = False
+    try:
+        for epoch in range(epochs):
+            epoch_nll = 0.0
+            epoch_kl = 0.0
+            for x, y in (next(stream) for _ in range(per_epoch)):
+                ad.zero_gradients(all_params)
+                loss, parts = elbo_loss(net, (x, y), n_total, config, noise_rng)
+                if not np.isfinite(loss.value):
+                    raise TrainingDivergedError(step)
+                ad.backward(loss)
+                for params, state, lr in groups:
+                    adam_step(params, [p.grad for p in params], state, lr)
+                # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
+                if not all(np.isfinite(p.value).all() for p in all_params):
+                    raise TrainingDivergedError(step)
+                if not all(np.array_equal(p.value, v) for p, v in frozen):
+                    raise InvariantViolationError(
+                        f"keep-probability posterior changed at step {step}"
+                    )
+                losses.append(float(loss.value))
+                epoch_nll += parts["nll"]
+                epoch_kl += parts["kl"]
+                step += 1
+            if log is not None:
+                train_err = evaluate_error(net, data) if len(data) <= 20000 else float("nan")
+                test_err = evaluate_error(net, eval_data) if eval_data is not None else float("nan")
+                log.append(
+                    epoch, epoch_nll / per_epoch, epoch_kl / per_epoch,
+                    train_err, test_err, _expected_flops(net),
+                )
+    finally:
+        for p in raws:
+            p.needs_grad = True
+    net.meta["stage"] = gate_mode or "pretrained"  # a gated stage is named after its mode
     return losses
 
 
 def pretrain(net: Network, data: Dataset, config: TrainConfig, epochs: int,
              eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
-    """Plain NLL + weight-decay training with gates disabled; returns the loss
-    sequence."""
-    net.gates_enabled = False
-    params = net.parameters()
-    groups = [(params, AdamState.for_params(params), config.lr_variational)]
-    losses = _run_epochs(net, data, config, epochs, groups, eval_data, log)
-    net.meta["stage"] = "pretrained"
-    return losses
+    """Plain NLL + weight-decay training with gates disabled."""
+    return _train(net, data, config, epochs, None, eval_data, log)
 
 
 def finetune_bb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                 eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
     """Stage 1: SGVB over weights (slow rate) and Kumaraswamy parameters."""
-    net.gates_enabled = True
-    net.set_gate_mode(MODE_BB)
-    weights = net.parameters()
-    variational = net.variational_parameters()
-    groups = [
-        (weights, AdamState.for_params(weights), config.effective_lr_weights()),
-        (variational, AdamState.for_params(variational), config.lr_variational),
-    ]
-    losses = _run_epochs(net, data, config, epochs, groups, eval_data, log)
-    net.meta["stage"] = "bb"
-    return losses
+    return _train(net, data, config, epochs, MODE_BB, eval_data, log)
 
 
 def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                  eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
     """Stage 2: freeze q(pi), train the input-dependent gate (and weights).
-
-    The network must come out of stage 1 (trained and threshold-pruned).
-    Kumaraswamy raws are held as constants while it runs, so no gradient
-    is computed for them, and are bit-checked after every step.
-    """
-    net.gates_enabled = True
-    net.set_gate_mode(MODE_DBB)
-    weights = net.parameters()
-    variational = net.variational_parameters()  # gamma, eta, kappa_raw in DBB mode
-    frozen = [(g.a_raw.value.copy(), g.b_raw.value.copy()) for g in net.gates()]
-
-    def check_frozen(step):
-        for g, (a0, b0) in zip(net.gates(), frozen):
-            if not (
-                np.array_equal(g.a_raw.value, a0) and np.array_equal(g.b_raw.value, b0)
-            ):
-                raise InvariantViolationError(
-                    f"keep-probability posterior changed at step {step}"
-                )
-
-    groups = [
-        (weights, AdamState.for_params(weights), config.effective_lr_weights()),
-        (variational, AdamState.for_params(variational), config.lr_variational),
-    ]
-    raws = [p for g in net.gates() for p in (g.a_raw, g.b_raw)]
-    for p in raws:
-        p.needs_grad = False
-    try:
-        losses = _run_epochs(net, data, config, epochs, groups,
-                             eval_data, log, after_step=check_frozen)
-    finally:
-        for p in raws:
-            p.needs_grad = True
-    net.meta["stage"] = "dbb"
-    return losses
+    The network must come out of stage 1 (trained and threshold-pruned)."""
+    return _train(net, data, config, epochs, MODE_DBB, eval_data, log)
 
 
 def derive_seed(base_seed: int, index: int) -> int:

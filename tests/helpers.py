@@ -9,7 +9,7 @@ import numpy as np
 from scipy import special
 
 from betadrop import autodiff as ad
-from betadrop import gates
+from betadrop import gates, layers
 from betadrop.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from betadrop.distributions import (
     EULER_GAMMA,
@@ -53,6 +53,16 @@ def sum_all(a):
     """Scalar node holding the sum of every entry of ``a``: the objective the
     op tests differentiate."""
     return ad.fused(np.float64(a.value.sum()), (a,), lambda g: [np.full(a.value.shape, g)])
+
+
+def forced_mask_forward(net, x, masks):
+    """Logits node of the training layer walk with gate ``k``'s mask fixed
+    to ``masks[k]`` ((K,) or (B, K)) instead of sampled: no noise, no KL."""
+
+    def forced(k, gate, bsz, gate_input):
+        return ad.constant(np.broadcast_to(np.asarray(masks[k], dtype=np.float64), (bsz, gate.k)))
+
+    return layers._walk(net, x, forced)
 
 
 def gradcheck(build_loss, params, h=1e-5, rtol=1e-4, atol=1e-7):

@@ -326,6 +326,17 @@ class TestCorrelation:
         assert np.allclose(np.diag(mat), 1.0)
         assert mat[0, 1] == UNDEFINED_CORR
 
+    @pytest.mark.parametrize("layer", [5, 2, -3])
+    def test_within_cross_layer_out_of_range_is_contract_error(self, layer):
+        net = build_mlp((20, 8, 2), seed=0)
+        net.gates_enabled = True
+        rng = d.make_rng(12)
+        ds = Dataset(rng.normal(size=(40, 20)), np.repeat([0, 1], 20).astype(np.int64))
+        with pytest.raises(ContractError, match=r"must lie in \[-2, 2\)"):
+            within_cross_gate_correlation(net, ds, layer=layer)
+        assert within_cross_gate_correlation(net, ds, layer=-2) == \
+            within_cross_gate_correlation(net, ds, layer=0)
+
     def test_needs_two_per_class(self):
         net = make_dbb_net(seed=10)
         ds = Dataset(np.zeros((3, 6)), np.array([0, 0, 1]))

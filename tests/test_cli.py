@@ -102,6 +102,14 @@ class TestUsageErrors:
         assert main(["pretrain", "--config", str(cfg), "--seed", "-3"]) == 1
         assert "--seed must be a non-negative integer, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "sweep", "report"])
+    def test_init_on_a_command_that_reads_no_checkpoint_is_usage_error(self, tmp_path, capsys,
+                                                                       command):
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--init", str(tmp_path / "none.ckpt")]) == 1
+        assert "unrecognized arguments: --init" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["evaluate", "--config", str(cfg)]) == 2
@@ -233,13 +241,14 @@ class TestUsageErrors:
             "output_dir": str(tmp_path / "run"),
         }))
         seen = []
-        real = getattr(cli, trainer)
+        real, *rest = cli._TRAINING[command]
+        assert real.__name__ == trainer
 
         def spy(net, data, config, **kwargs):
             seen.append(config.per_layer_kl_multipliers)
             return real(net, data, config, **kwargs)
 
-        monkeypatch.setattr(cli, trainer, spy)
+        monkeypatch.setitem(cli._TRAINING, command, (spy, *rest))
         assert main([command, "--config", str(cfg), "--init", str(tmp_path / "in.ckpt")]) == 0
         assert seen == [(20.0, 8.0, 1.0, 1.0)]
 
@@ -367,6 +376,31 @@ class TestPipeline:
         log = (tmp_path / "run" / "bb_log.csv").read_text().splitlines()
         assert log[0] == "epoch,nll,kl,train_err,test_err,expected_flops"
         assert len(log) == 71  # header + one row per epoch
+
+
+def result_fields(result_line):
+    return dict(token.split("=", 1) for token in result_line.split()[1:])
+
+
+class TestFoldMasks:
+    def test_folded_prune_evaluates_and_refuses_train_dbb(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            data={"kind": "two_cluster", "n": 600, "d": 20, "noise": 0.3},
+            train={"pretrain_epochs": 2, "finetune_epochs": 5},
+            prune={"fold_masks": True},
+        )
+        for command in ("pretrain", "train-bb", "prune"):
+            assert main([command, "--config", str(cfg)]) == 0
+        pruned = result_fields(last_result(capsys))
+        assert load_checkpoint(tmp_path / "run" / "bb_pruned.ckpt").gates() == []
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        evaluated = result_fields(last_result(capsys))
+        for key in ("error_pct", "speedup", "memory_pct"):
+            assert evaluated[key] == pruned[key]
+        assert main(["train-dbb", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "re-run prune with fold_masks=false" in err and "Traceback" not in err
 
 
 class TestSweep:

@@ -33,6 +33,7 @@ from betadrop.layers import (
 from helpers import (
     WRONG_TYPED_MANIFESTS,
     edit_manifest,
+    forced_mask_forward,
     gradcheck,
     sum_all,
     to_format_version_1,
@@ -126,7 +127,7 @@ class TestForwardTrain:
         net = toy_net()
         x = RNG.normal(size=(4, 6))
         forced = {i: np.ones((4, g.k)) for i, g in enumerate(net.gates())}
-        logits, _ = forward_train(net, x, d.make_rng(0), force_masks=forced)
+        logits = forced_mask_forward(net, x, forced)
         net.gates_enabled = False
         plain, kl = forward_train(net, x, d.make_rng(0))
         assert np.array_equal(logits.value, plain.value)
@@ -136,7 +137,7 @@ class TestForwardTrain:
         net = toy_net()
         x = RNG.normal(size=(4, 6))
         forced = {0: np.zeros((4, 6)), 1: np.ones((4, 5))}
-        logits, _ = forward_train(net, x, d.make_rng(0), force_masks=forced)
+        logits = forced_mask_forward(net, x, forced)
         # zeroed input -> first layer output is its bias, downstream deterministic
         h = np.maximum(net.layers[0].b.value, 0.0)
         expected = np.maximum(h, 0.0) @ net.layers[1].w.value + net.layers[1].b.value
@@ -154,7 +155,7 @@ class TestForwardTrain:
             m[RNG.random(m.shape) < 0.3] = 0.0
             masks[i] = m
         coeffs = ad.constant(RNG.normal(size=(6, 10)))
-        logits, _ = forward_train(net, x, d.make_rng(0), force_masks=masks)
+        logits = forced_mask_forward(net, x, masks)
         ad.backward(sum_all(ad.mul(logits, coeffs)))
         walk_grads = [layer.w.grad for layer in net.layers]
         ad.zero_gradients(net.parameters())
@@ -247,7 +248,7 @@ class TestForwardTrain:
             )
             u_z = d.open_unit_uniform(rng, (3, g.k))
             forced[gi] = (u_z > 1.0 - pi[None, :]).astype(float)
-        hard, _ = forward_train(net, x, d.make_rng(seed), force_masks=forced)
+        hard = forced_mask_forward(net, x, forced)
         assert np.abs(logits.value - hard.value).max() < 1e-6
 
 
@@ -288,7 +289,7 @@ class TestForwardEval:
             for gi, g in enumerate(net.gates()):
                 pi = d.kumaraswamy_sample(d.open_unit_uniform(rng, g.k), g.a(), g.b())
                 forced[gi] = (rng.random((2, g.k)) < pi[None, :]).astype(float)
-            logits, _ = forward_train(net, x, rng, force_masks=forced)
+            logits = forced_mask_forward(net, x, forced)
             total += logits.value
         mc = total / n
         det = forward_eval(net, x)
