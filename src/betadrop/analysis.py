@@ -190,10 +190,11 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
     return CorrelationReport(layer_indices, matrices)
 
 
-def within_cross_gate_correlation(net: Network, dataset: Dataset, layer: int = -1,
-                                  max_pairs: int = 2000, seed: int = 0) -> tuple[float, float]:
+def within_cross_gate_correlation(net: Network, dataset: Dataset,
+                                  layer: int = -1) -> tuple[float, float]:
     """Mean Pearson correlation of per-input gate vectors for same-class vs
-    different-class input pairs at one gated layer (default: the last).
+    different-class input pairs at one gated layer (default: the last),
+    over 2000 input pairs drawn with seed 0.
     ``layer`` counts gated layers and may be negative, as a list index."""
     vectors = _gate_vectors(net, dataset)
     if not -len(vectors) <= layer < len(vectors):
@@ -203,10 +204,10 @@ def within_cross_gate_correlation(net: Network, dataset: Dataset, layer: int = -
     centered = mat - mat.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     ok = norms > 0.0
-    rng = make_rng(seed)
+    rng = make_rng(0)
     n = mat.shape[0]
     within, cross = [], []
-    for _ in range(max_pairs):
+    for _ in range(2000):
         i, j = rng.integers(0, n, size=2)
         if i == j or not (ok[i] and ok[j]):
             continue

@@ -1,9 +1,14 @@
 """Self-describing binary checkpoints for networks.
 
-File layout: one line of compact JSON (the manifest: format version, network
-structure, array names/shapes/offsets, total payload length) terminated by a
-single ``\\n``, followed by all arrays concatenated as little-endian IEEE-754
-binary64.  Round trips are bit-exact.
+File layout: one line of compact JSON (the manifest: format version, gate
+flag, ``meta`` and one entry per layer with its kind, weight ``shape``, gate
+scalars and dense ``input_select``) terminated by a single ``\\n``, followed
+by every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
+and, for a gated layer, ``a_raw``, ``b_raw``, ``gamma``, ``eta``,
+``kappa_raw``, ``run_mean`` and ``run_std``.  The weight's shape is the only
+stated shape: the bias has the layer's output width (dense ``shape[1]``,
+conv ``shape[0]``) and every gate array the gate width ``shape[0]``.  Round
+trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .config import check_json
 from .errors import (
-    BetadropError,
     CheckpointError,
     CheckpointLengthError,
     CheckpointTruncatedError,
@@ -25,55 +29,40 @@ from .errors import (
 from .gates import GateState
 from .layers import ConvLayer, DenseLayer, Network, unit_map
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor", "stats_initialized")
 _GATE_PARAMS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")
-_GATE_ARRAYS = _GATE_PARAMS + ("run_mean", "run_std")
-# the JSON kind of each meta field that a stage or the layers read
-_META_KINDS = {"arch": "string", "stage": "string", "input_shape": "list",
+# the number of weight extents of each layer kind
+_RANK = {"dense": 2, "conv": 4}
+# the JSON kind of each optional meta field that a stage reads
+_META_KINDS = {"arch": "string", "stage": "string",
                "flops_orig": "number", "speedup": "number", "memory_pct": "number"}
 
 
-def _gate_manifest(gate: GateState) -> dict:
-    return {key: getattr(gate, key) for key in _GATE_SCALARS}
-
-
-def _gate_array_values(gate: GateState) -> list[np.ndarray]:
-    return [getattr(gate, name).value for name in _GATE_PARAMS] + [gate.run_mean, gate.run_std]
-
-
 def save_checkpoint(net: Network, path) -> None:
-    layers_manifest = []
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(net.layers):
-        entry: dict = {"kind": layer.kind}
+    entries = []
+    arrays: list[np.ndarray] = []
+    for layer in net.layers:
+        entry: dict = {"kind": layer.kind, "shape": list(layer.w.value.shape)}
         if layer.kind == "dense":
             entry["input_select"] = (
                 None if layer.input_select is None else [int(v) for v in layer.input_select]
             )
-        entry["gate"] = None if layer.gate is None else _gate_manifest(layer.gate)
-        layers_manifest.append(entry)
-        arrays.append((f"L{i}.w", layer.w.value))
-        arrays.append((f"L{i}.b", layer.b.value))
-        if layer.gate is not None:
-            for name, value in zip(_GATE_ARRAYS, _gate_array_values(layer.gate)):
-                arrays.append((f"L{i}.gate.{name}", value))
-
-    offset = 0
-    array_manifest = []
-    for name, value in arrays:
-        array_manifest.append({"name": name, "shape": list(value.shape), "offset": offset})
-        offset += value.size
+        gate = layer.gate
+        entry["gate"] = None if gate is None else {key: getattr(gate, key) for key in _GATE_SCALARS}
+        entries.append(entry)
+        arrays += [layer.w.value, layer.b.value]
+        if gate is not None:
+            arrays += [getattr(gate, name).value for name in _GATE_PARAMS]
+            arrays += [gate.run_mean, gate.run_std]
     manifest = {
         "format_version": FORMAT_VERSION,
         "gates_enabled": net.gates_enabled,
         "meta": net.meta,
-        "layers": layers_manifest,
-        "arrays": array_manifest,
-        "payload_len": offset,
+        "layers": entries,
     }
-    payload = np.concatenate([v.reshape(-1) for _, v in arrays]) if arrays else np.empty(0)
+    payload = np.concatenate([v.reshape(-1) for v in arrays]) if arrays else np.empty(0)
     with open(path, "wb") as fh:
         fh.write(json.dumps(manifest, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
@@ -90,7 +79,7 @@ def load_checkpoint(path) -> Network:
         manifest = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
-    version = manifest.get("format_version")
+    version = check_json(manifest, ["object"], "manifest", CheckpointError).get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})"
@@ -100,61 +89,49 @@ def load_checkpoint(path) -> Network:
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, BetadropError):  # DimensionError is a ValueError too
-            raise
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
 
 
 def _network_from(manifest: dict, raw: bytes) -> Network:
-    declared = check_json(manifest["payload_len"], ["int"], "manifest payload_len",
-                          CheckpointError)
-    spans = []  # (name, offset, shape)
-    for a in check_json(manifest["arrays"], ["list"], "manifest arrays", CheckpointError):
-        name = a["name"]
-        what = f"manifest shape of {name!r}"
-        shape = tuple(check_json(n, ["int"], what, CheckpointError)
-                      for n in check_json(a["shape"], ["list"], what, CheckpointError))
-        offset = check_json(a["offset"], ["int"], f"manifest offset of {name!r}",
-                            CheckpointError)
-        spans.append((name, offset, shape))
-    extent = sum(math.prod(shape) for _, _, shape in spans)
-    ends = [offset + math.prod(shape) for _, offset, shape in spans]
-    if extent != declared or (ends and max(ends) != declared):
-        raise CheckpointLengthError(
-            f"manifest declares {declared} values but arrays span {extent}"
-        )
-    if len(raw) < 8 * declared:
-        raise CheckpointTruncatedError(
-            f"payload holds {len(raw)} bytes, manifest declares {8 * declared}"
-        )
-    if len(raw) != 8 * declared:
-        raise CheckpointLengthError(
-            f"payload holds {len(raw)} bytes, manifest declares {8 * declared}"
-        )
-    payload = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    cursor = 0
 
-    values = {
-        name: payload[offset : offset + math.prod(shape)].reshape(shape)
-        for name, offset, shape in spans
-    }
-
-    for name, value in values.items():
+    def read(name: str, shape: tuple) -> np.ndarray:
+        """The next ``shape`` values of the payload, which must all be finite."""
+        nonlocal cursor
+        count = math.prod(shape)
+        end = cursor + 8 * count
+        if end > len(raw):
+            raise CheckpointTruncatedError(
+                f"payload holds {len(raw)} bytes, array {name!r} ends at byte {end}"
+            )
+        value = np.frombuffer(raw, "<f8", count, cursor).astype(np.float64).reshape(shape)
         if not np.isfinite(value).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")
+        cursor = end
+        return value
 
     layers = []
     for i, entry in enumerate(check_json(manifest["layers"], ["list"], "manifest layers",
                                          CheckpointError)):
         kind = check_json(entry["kind"], ["string"], f"manifest kind of layer {i}",
-                          CheckpointError, choices=("dense", "conv"))
+                          CheckpointError, choices=tuple(_RANK))
+        what = f"manifest shape of layer {i}"
+        shape = tuple(check_json(n, ["int"], what, CheckpointError)
+                      for n in check_json(entry["shape"], ["list"], what, CheckpointError))
+        if len(shape) != _RANK[kind]:
+            raise CheckpointError(
+                f"{what} must hold {_RANK[kind]} extents for a {kind} layer, got {list(shape)}"
+            )
+        w = read(f"L{i}.w", shape)
+        b = read(f"L{i}.b", (shape[1] if kind == "dense" else shape[0],))
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]
-            arrays = {name: values[f"L{i}.gate.{name}"] for name in _GATE_ARRAYS}
             gate = GateState(
-                **{name: ad.parameter(arrays[name]) for name in _GATE_PARAMS},
-                run_mean=arrays["run_mean"].copy(),
-                run_std=arrays["run_std"].copy(),
+                **{name: ad.parameter(read(f"L{i}.gate.{name}", shape[:1]))
+                   for name in _GATE_PARAMS},
+                run_mean=read(f"L{i}.gate.run_mean", shape[:1]),
+                run_std=read(f"L{i}.gate.run_std", shape[:1]),
                 mode=gm["mode"],
                 stats_initialized=check_json(
                     gm["stats_initialized"], ["bool"],
@@ -163,7 +140,6 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
                                    CheckpointError)
                    for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
             )
-        w, b = values[f"L{i}.w"], values[f"L{i}.b"]
         if kind == "dense":
             select = entry["input_select"]
             if select is not None:
@@ -174,13 +150,17 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
             layers.append(DenseLayer(w, b, gate=gate, input_select=select))
         else:
             layers.append(ConvLayer(w, b, gate=gate))
+    if cursor != len(raw):
+        raise CheckpointLengthError(
+            f"payload holds {len(raw)} bytes, the layers use {cursor}"
+        )
     gates_enabled = check_json(manifest["gates_enabled"], ["bool"], "manifest gates_enabled",
                                CheckpointError)
     meta = check_json(manifest["meta"], ["object"], "manifest meta", CheckpointError)
     for key, kind in _META_KINDS.items():
         if key in meta:
             check_json(meta[key], [kind], f"manifest {key}", CheckpointError)
-    for n in meta.get("input_shape", []):
+    for n in check_json(meta["input_shape"], ["list"], "manifest input_shape", CheckpointError):
         check_json(n, ["int"], "manifest entry of input_shape", CheckpointError)
     net = Network(layers, gates_enabled=gates_enabled, meta=meta)
     _check_selects(net)
@@ -189,20 +169,15 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
 
 def _check_selects(net: Network) -> None:
     """Each dense ``input_select`` holds ``in_dim`` increasing indices into the
-    values its producer emits, as :func:`~betadrop.layers.unit_map` counts them.
-
-    A first layer's producer is the raw input, whose width is unknown
-    without ``meta["input_shape"]``.
-    """
+    values its producer emits, as :func:`~betadrop.layers.unit_map` counts them."""
     selected = [i for i, l in enumerate(net.layers)
                 if l.kind == "dense" and l.input_select is not None]
     units = unit_map(net) if selected else []
     for i in selected:
         layer, width = net.layers[i], units[i].width
         select = layer.input_select
-        bound = math.inf if width is None else width
-        if select.size != layer.in_dim or not (np.diff([*select, bound]) > 0).all():
+        if select.size != layer.in_dim or not (np.diff([*select, width]) > 0).all():
             raise CheckpointError(
                 f"manifest input_select of layer {i} must hold {layer.in_dim} increasing "
-                f"indices below {bound}, got {select.tolist()}"
+                f"indices below {width}, got {select.tolist()}"
             )

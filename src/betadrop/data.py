@@ -69,18 +69,23 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
         return np.frombuffer(fh.read(size), dtype=np.uint8).reshape(shape)
 
 
-def load_idx(images_path, labels_path, normalize: bool = True) -> Dataset:
-    """Parse the big-endian IDX pair (images magic 0x803, labels magic 0x801).
-
-    Pixel bytes are scaled to [0, 1] unless ``normalize`` is False.
-    """
+def load_idx(images_path, labels_path) -> Dataset:
+    """Parse the big-endian IDX pair (images magic 0x803, labels magic 0x801),
+    with pixel bytes scaled to [0, 1]."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3).astype(np.float64)
-    if normalize:
-        images /= 255.0
+    images /= 255.0
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
     if len(labels) != len(images):
         raise IdxCountMismatchError(f"{len(images)} images but {len(labels)} labels")
     return Dataset(images, labels, name="idx")
+
+
+def _check_synthetic(n: int, d: int, noise: float) -> None:
+    """The generators' shared checks: ``noise >= 0`` and an addressable (n, d)."""
+    if not noise >= 0.0:  # NaN too
+        raise DomainError(f"noise must be non-negative, got {noise}")
+    if int(n) * max(int(d), 1) > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n} x {d} float64 values cannot be addressed")
 
 
 def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
@@ -95,8 +100,7 @@ def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
     """
     if k_signal > d:
         raise ContractError(f"k_signal={k_signal} exceeds d={d}")
-    if not noise >= 0.0:  # NaN too
-        raise DomainError(f"noise must be non-negative, got {noise}")
+    _check_synthetic(n, d, noise)
     rng = make_rng(seed)
     signal_idx = np.sort(rng.choice(d, size=k_signal, replace=False))
     signs = np.where(np.arange(k_signal) % 2 == 0, 1.0, -1.0)
@@ -114,11 +118,10 @@ def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
     )
 
 
-def synthetic_two_cluster(n: int, d: int, seed: int = 0, active: float = 1.5,
-                          noise: float = 0.3) -> Dataset:
+def synthetic_two_cluster(n: int, d: int, seed: int = 0, noise: float = 0.3) -> Dataset:
     """Two classes that live on disjoint feature halves.
 
-    Class 0 activates features [0, d/2) around ``active`` (per-feature signed
+    Class 0 activates features [0, d/2) around +-1.5 (per-feature signed
     pattern), class 1 activates [d/2, d); a class's inactive half stays near
     zero.  Every feature is informative for exactly one class, so an
     input-independent gate must keep all of them while an input-dependent
@@ -126,12 +129,11 @@ def synthetic_two_cluster(n: int, d: int, seed: int = 0, active: float = 1.5,
     """
     if d % 2:
         raise ContractError(f"two-cluster fixture needs even d, got {d}")
-    if not noise >= 0.0:  # NaN too
-        raise DomainError(f"noise must be non-negative, got {noise}")
+    _check_synthetic(n, d, noise)
     rng = make_rng(seed)
     half = d // 2
     labels = rng.integers(0, 2, size=n)
-    pattern = np.where(rng.random(d) < 0.5, 1.0, -1.0) * active
+    pattern = np.where(rng.random(d) < 0.5, 1.5, -1.5)
     x = rng.normal(0.0, noise, size=(n, d))
     for cls, sl in ((0, slice(0, half)), (1, slice(half, d))):
         rows = labels == cls

@@ -87,12 +87,18 @@ class ConvLayer:
 
 
 class Network:
-    """An ordered stack of layers plus gate bookkeeping."""
+    """An ordered stack of layers plus gate bookkeeping.
+
+    ``meta["input_shape"]`` lists the shape of one input example: [D] for a
+    dense net, [C, H, W] for a conv net.
+    """
 
     def __init__(self, layers, gates_enabled: bool = False, meta: dict | None = None):
         self.layers = list(layers)
         self.gates_enabled = gates_enabled
         self.meta = dict(meta or {})
+        if "input_shape" not in self.meta or not isinstance(self.meta["input_shape"], list):
+            raise ContractError("a network needs meta['input_shape'], the shape of one example")
 
     def parameters(self) -> list[Node]:
         out = []
@@ -133,11 +139,12 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     ``gate_input()`` only when it reads the gate's (B, K) input node (the
     dense input itself, or the channel means of the conv output), so a
     policy that needs just the batch size builds no channel means.
-    When ``net.meta`` has an ``input_shape``, each example must hold that
-    many values; a shrunk first layer's ``input_select`` indexes into them.
-    A conv net's examples are reshaped to that (C, H, W) shape, so flat,
-    (B, H, W) and (B, C, H, W) inputs all work, and made channel-major once;
-    ``flatten`` gives the dense head rows in per-example (C, H, W) order.
+    Each example must hold as many values as ``net.meta["input_shape"]``;
+    a shrunk first layer's ``input_select`` indexes into them.  A dense net
+    reads each example flat.  A conv net reshapes it to that (C, H, W) shape,
+    so flat, (B, H, W) and (B, C, H, W) inputs all work, and makes the batch
+    channel-major once; ``flatten`` gives the dense head rows in per-example
+    (C, H, W) order.
 
     A conv layer runs conv, 2x2 max pooling, relu, then the channel mask,
     on a map a quarter the size of the conv output.  This gives the
@@ -147,16 +154,16 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     DBB gate input is still the channel mean of the full-size conv output.
     """
     x = np.asarray(x, dtype=np.float64)
-    shape = net.meta.get("input_shape")
-    if shape and math.prod(x.shape[1:]) != math.prod(shape):
+    shape = net.meta["input_shape"]
+    if math.prod(x.shape[1:]) != math.prod(shape):
         raise DimensionError(
             f"network expects {math.prod(shape)} inputs per example "
-            f"(input_shape {list(shape)}), got {x.shape}"
+            f"(input_shape {shape}), got {x.shape}"
         )
     if net.layers and net.layers[0].kind == "conv":
-        x = x.reshape(len(x), *(shape or x.shape[1:])).swapaxes(0, 1)
-    elif x.ndim > 2:
-        x = x.reshape(len(x), -1)
+        x = x.reshape(len(x), *shape).swapaxes(0, 1)
+    else:
+        x = x.reshape(len(x), math.prod(shape))
     h: Node = ad.constant(x)
     gate_idx = 0
     last = len(net.layers) - 1
@@ -221,26 +228,17 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     return _walk(net, x, sampled_mask), kl_terms
 
 
-def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False,
-                 keep_sets=None):
+def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False):
     """Deterministic evaluation pass with expected masks, built under no_grad.
 
     With ``return_gate_info`` also returns, per gated layer, the gate input
-    and the applied expected mask (both per example).  ``keep_sets`` (one
-    index array per gate) forces the masks of all other units to zero: the
-    reference semantics that :func:`shrink` must reproduce.
+    and the applied expected mask (both per example).
     """
     gate_info: list[tuple[np.ndarray, np.ndarray]] = []
 
     def expected_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
         x_in = gate_input().value if gate.mode == MODE_DBB or return_gate_info else None
-        mask = gate.expected_mask(x_in)
-        if keep_sets is not None:
-            sel = (Ellipsis, np.asarray(keep_sets[k], dtype=np.intp))
-            kept = np.zeros_like(mask)
-            kept[sel] = mask[sel]
-            mask = kept
-        mask = np.broadcast_to(mask, (bsz, gate.k))
+        mask = np.broadcast_to(gate.expected_mask(x_in), (bsz, gate.k))
         if return_gate_info:
             gate_info.append((x_in.copy(), mask.copy()))
         return ad.constant(mask)
@@ -330,7 +328,7 @@ class LayerUnits(NamedTuple):
     out_gate: int | None  # the gate whose keep set holds the kept outputs
     macs: int  # multiply-accumulates per kept (input, output) pair
     weights: int  # weights per kept pair
-    width: int | None  # dense: values per example its input_select picks from
+    width: int  # values per example the layer reads (a dense input_select picks from them)
     source: np.ndarray | None  # dense: per one of those values, the producing conv's channel
 
 
@@ -341,7 +339,7 @@ def unit_map(net: Network) -> list[LayerUnits]:
     layer's input channel c is channel c of the conv before it, so that
     conv's gate keeps it; a dense layer's columns are kept by the gate of
     the dense layer after it (only dense layers follow a dense layer).  A
-    dense layer reads the values its producer emits, through its
+    dense layer reads the ``width`` values its producer emits, through its
     ``input_select``: the raw input (``meta["input_shape"]`` values), a
     dense layer's columns, or a conv layer's pooled map flattened in
     (C, H, W) order, whose value p belongs to channel p // (H*W).  Raw
@@ -350,14 +348,14 @@ def unit_map(net: Network) -> list[LayerUnits]:
     weights, a dense pair one of each.
     """
     gate_of = {li: gi for gi, (li, _) in enumerate(net.gated_layers())}
-    shape = net.meta.get("input_shape")
+    shape = net.meta["input_shape"]
     if any(l.kind == "conv" for l in net.layers):
-        if not shape or len(shape) != 3:
+        if len(shape) != 3:
             raise ContractError(
                 "conv networks need meta['input_shape'] = [C, H, W] for spatial accounting"
             )
         h, w = int(shape[1]), int(shape[2])
-    width = math.prod(shape) if shape else None
+    width = math.prod(shape)
     source = None
     units: list[LayerUnits] = []
     for i, layer in enumerate(net.layers):
@@ -366,13 +364,11 @@ def unit_map(net: Network) -> list[LayerUnits]:
             h, w = h - k + 1, w - k + 1
             units.append(LayerUnits(layer.in_channels, layer.out_channels,
                                     units[-1].out_gate if units else None, gate_of.get(i),
-                                    k * k * h * w, k * k, None, None))
+                                    k * k * h * w, k * k, width, None))
             h, w = h // 2, w // 2
             source = np.arange(layer.out_channels * h * w) // (h * w)
             width = source.size
             continue
-        if width is None and layer.input_select is None:  # a first layer reads its in_dim
-            width = layer.in_dim
         units.append(LayerUnits(layer.in_dim, layer.out_dim, gate_of.get(i), gate_of.get(i + 1),
                                 1, 1, width, source))
         width, source = layer.out_dim, None
@@ -443,10 +439,6 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
         # emitted: the sorted positions of the producer's output that survive
         if u.source is not None:  # a conv producer emits the values of its kept channels
             emitted = np.flatnonzero(np.isin(u.source, channels))
-        elif u.width is None:
-            raise ContractError(
-                "a first layer with an input_select needs meta['input_shape'] to shrink"
-            )
         else:
             emitted = np.arange(u.width)
         prev = new_layers[-1] if new_layers else None

@@ -98,9 +98,9 @@ def _svg_path_points(xs, ys, width, height, pad=45.0):
     return px, py
 
 
-def emit_tradeoff_svg(reports: list[SparsityReport], path,
-                      width: int = 480, height: int = 360) -> None:
-    """Error vs speedup, one polyline per method, SVG 1.1."""
+def emit_tradeoff_svg(reports: list[SparsityReport], path) -> None:
+    """Error vs speedup, one polyline per method, SVG 1.1, 480 x 360 pixels."""
+    width, height = 480, 360
     methods: dict[str, list[SparsityReport]] = {}
     for r in reports:
         methods.setdefault(r.method, []).append(r)

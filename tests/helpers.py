@@ -65,6 +65,22 @@ def forced_mask_forward(net, x, masks):
     return layers._walk(net, x, forced)
 
 
+def keep_set_forward(net, x, keep_sets):
+    """Evaluation logits with gate ``k``'s expected mask zeroed outside
+    ``keep_sets[k]``: the reference that :func:`betadrop.layers.shrink`
+    must reproduce."""
+
+    def kept_mask(k, gate, bsz, gate_input):
+        mask = gate.expected_mask(gate_input().value if gate.mode == gates.MODE_DBB else None)
+        kept = np.zeros_like(mask)
+        sel = (Ellipsis, np.asarray(keep_sets[k], dtype=np.intp))
+        kept[sel] = mask[sel]
+        return ad.constant(np.broadcast_to(kept, (bsz, gate.k)))
+
+    with ad.no_grad():
+        return layers._walk(net, x, kept_mask).value
+
+
 def gradcheck(build_loss, params, h=1e-5, rtol=1e-4, atol=1e-7):
     """Check backward() gradients of every param against central differences.
 
@@ -354,16 +370,16 @@ def glyph_images(n, seed, side=28, stroke=0.08, noise=0.05):
 # CheckpointError must name.
 WRONG_TYPED_MANIFESTS = {
     "shape-string": (
-        lambda m: m["arrays"][0].update(shape="4x3"),
-        "shape of 'L0.w' must be a list, got '4x3'",
+        lambda m: m["layers"][0].update(shape="4x3"),
+        "shape of layer 0 must be a list, got '4x3'",
     ),
-    "payload-len-string": (
-        lambda m: m.update(payload_len="abc"),
-        "payload_len must be a non-negative integer, got 'abc'",
+    "shape-entry-float": (
+        lambda m: m["layers"][0].update(shape=[m["layers"][0]["shape"][0], 2.5]),
+        "shape of layer 0 must be a non-negative integer, got 2.5",
     ),
-    "offset-null": (
-        lambda m: m["arrays"][1].update(offset=None),
-        "offset of 'L0.b' must be a non-negative integer, got None",
+    "shape-rank": (
+        lambda m: m["layers"][0].update(shape=m["layers"][0]["shape"] + [1, 1]),
+        "shape of layer 0 must hold 2 extents for a dense layer",
     ),
     "layers-number": (
         lambda m: m.update(layers=5),
@@ -373,10 +389,11 @@ WRONG_TYPED_MANIFESTS = {
         lambda m: m["layers"][0].update(kind=5),
         "kind of layer 0 must be one of ('dense', 'conv'), got 5",
     ),
-    # the fixtures are dense nets: this turns layer 0 into a conv entry
+    # the fixtures are dense nets: layer 0 becomes a 1x1 conv with as many weights
     "conv-gate-string": (
-        lambda m: (m["layers"][0].pop("input_select"), m["layers"][0].update(kind="conv"),
-                   m["layers"][0]["gate"].update(momentum="fast")),
+        lambda m: m["layers"].__setitem__(0, {
+            "kind": "conv", "shape": m["layers"][0]["shape"][::-1] + [1, 1],
+            "gate": {**m["layers"][0]["gate"], "momentum": "fast"}}),
         "momentum of layer 0's gate must be a finite number, got 'fast'",
     ),
     "alpha-over-k-string": (
@@ -428,6 +445,23 @@ def to_format_version_1(manifest) -> None:
         if entry["kind"] == "conv":
             entry.update(pool=True, stride=1, padding=0)
     manifest["layers"][-1]["activation"] = None
+
+
+def to_format_version_2(manifest) -> None:
+    """Turn a manifest into its format-version-2 form, which listed every
+    array's name, shape and offset and the payload length instead of each
+    layer's weight shape."""
+    arrays, offset = [], 0
+    for i, entry in enumerate(manifest["layers"]):
+        shape = entry.pop("shape")
+        named = [("w", shape), ("b", [shape[1] if entry["kind"] == "dense" else shape[0]])]
+        if entry["gate"] is not None:
+            named += [(f"gate.{name}", shape[:1]) for name in
+                      ("a_raw", "b_raw", "gamma", "eta", "kappa_raw", "run_mean", "run_std")]
+        for name, extents in named:
+            arrays.append({"name": f"L{i}.{name}", "shape": extents, "offset": offset})
+            offset += int(np.prod(extents))
+    manifest.update(format_version=2, arrays=arrays, payload_len=offset)
 
 
 def edit_manifest(path, edit) -> None:

@@ -52,6 +52,7 @@ from helpers import (
     fused_gate_case,
     gate_case_loss,
     gradcheck,
+    keep_set_forward,
     kumaraswamy_log_pdf,
     sum_all,
 )
@@ -469,7 +470,7 @@ def test_criterion_9_shrink_equivalence():
             ]
             small = shrink(net, keeps)
             x = rng.random((100, *in_shape))
-            ref = forward_eval(net, x, keep_sets=keeps)
+            ref = keep_set_forward(net, x, keeps)
             got = forward_eval(small, x)
             assert np.abs(got - ref).max() < 1e-9, build.__name__
             # same predictions, exactly

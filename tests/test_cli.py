@@ -15,7 +15,8 @@ from betadrop.layers import build_lenet5_caffe, build_mlp, shrink
 from betadrop.reporting import CSV_HEADER, parse_report_csv
 from betadrop.training import TrainConfig
 
-from helpers import WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1, write_idx
+from helpers import (WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1, to_format_version_2,
+                     write_idx)
 
 
 def write_config(tmp_path, **overrides):
@@ -123,10 +124,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "old,new,named",
         [
-            (b'"name":"L0.w"', b'"name":"L0.v"', "'L0.w'"),
+            (b'"shape":[20,16],', b"", "'shape'"),
             (b'"kind":"dense",', b"", "'kind'"),
+            (b',"input_shape":[20]', b"", "'input_shape'"),
         ],
-        ids=["renamed-array", "missing-layer-key"],
+        ids=["missing-shape", "missing-layer-key", "missing-input-shape"],
     )
     def test_checkpoint_missing_name_is_runtime_error(self, tmp_path, capsys, old, new,
                                                       named):
@@ -171,6 +173,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["two_cluster", "planted"])
+    @pytest.mark.parametrize("n,d,named", [(2**50, 20, "Unable to allocate"),
+                                           (10, 2**62, "cannot be addressed")],
+                             ids=["beyond-memory", "unaddressable"])
+    def test_data_size_beyond_memory_is_runtime_error(self, tmp_path, capsys, kind, n, d,
+                                                      named):
+        # numpy refuses both sizes at once: 2**50 values exceed any address space
+        cfg = write_config(tmp_path, data={"kind": kind, "n": n, "d": d})
+        assert main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
     def test_idx_header_beyond_the_file_is_runtime_error(self, tmp_path, capsys):
         images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
         write_idx(np.zeros((4, 2, 10), dtype=np.uint8), np.zeros(4), images, labels)
@@ -205,6 +220,15 @@ class TestUsageErrors:
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
         err = capsys.readouterr().err
         assert "format version 1 " in err and "Traceback" not in err
+
+    def test_version_2_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
+        edit_manifest(path, to_format_version_2)
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "format version 2 " in err and "Traceback" not in err
 
     def test_help_config_lists_defaults(self, capsys):
         assert main(["--help-config"]) == 0

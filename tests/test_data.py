@@ -44,8 +44,8 @@ class TestIdx:
 
     def test_round_trip_identical(self, idx_pair):
         ip, lp, images, labels = idx_pair
-        ds = load_idx(ip, lp, normalize=False)
-        assert np.array_equal(ds.images, images.astype(np.float64))
+        ds = load_idx(ip, lp)
+        assert np.array_equal(ds.images, images / 255.0)
         assert np.array_equal(ds.labels, labels.astype(np.int64))
 
     def test_wrong_magic(self, idx_pair, tmp_path):
@@ -125,6 +125,17 @@ class TestPlantedSparsity:
 def test_noise_below_zero_rejected(generate, noise):
     with pytest.raises(DomainError, match="noise must be non-negative"):
         generate(noise)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [lambda n, d: synthetic_planted_sparsity(n, d, 1), synthetic_two_cluster],
+    ids=["planted", "two_cluster"],
+)
+@pytest.mark.parametrize("n,d", [(10, 2**62), (2**62, 2)], ids=["wide", "long"])
+def test_unaddressable_size_rejected(generate, n, d):
+    with pytest.raises(DomainError, match="cannot be addressed"):
+        generate(n, d)
 
 
 class TestTwoCluster:

@@ -27,6 +27,7 @@ from betadrop.layers import (
     build_mlp,
     forward_eval,
     forward_train,
+    Network,
     shrink,
 )
 
@@ -35,8 +36,10 @@ from helpers import (
     edit_manifest,
     forced_mask_forward,
     gradcheck,
+    keep_set_forward,
     sum_all,
     to_format_version_1,
+    to_format_version_2,
 )
 
 RNG = np.random.default_rng(2024)
@@ -107,6 +110,12 @@ class TestBuilders:
     def test_mlp_needs_two_positive_widths(self, dims):
         with pytest.raises(DimensionError, match="mlp dims must be two or more positive"):
             build_mlp(dims)
+
+    def test_network_without_a_list_input_shape_is_contract_error(self):
+        layers = build_mlp((4, 3)).layers
+        for meta in (None, {"arch": "mlp"}, {"input_shape": "4"}):
+            with pytest.raises(ContractError, match="input_shape"):
+                Network(layers, meta=meta)
 
     def test_channel_axis_added_for_conv_input(self):
         net = build_lenet5_caffe()
@@ -368,7 +377,7 @@ class TestShrink:
         keeps = [np.arange(6), np.array([0, 1, 3, 4])]
         small = shrink(net, keeps)
         x = RNG.normal(size=(5, 6))
-        ref = forward_eval(net, x, keep_sets=keeps)
+        ref = keep_set_forward(net, x, keeps)
         assert np.array_equal(
             np.argsort(forward_eval(small, x), axis=1), np.argsort(ref, axis=1)
         )
@@ -385,7 +394,7 @@ class TestShrink:
         small = shrink(net, keeps)
         for _ in range(100):
             x = RNG.normal(size=(3, 8))
-            ref = forward_eval(net, x, keep_sets=keeps)
+            ref = keep_set_forward(net, x, keeps)
             got = forward_eval(small, x)
             assert np.abs(got - ref).max() < 1e-9
 
@@ -398,7 +407,7 @@ class TestShrink:
         keeps = self._random_keeps(net, rng, frac=0.4)
         small = shrink(net, keeps)
         x = RNG.random((2, 1, 28, 28))
-        ref = forward_eval(net, x, keep_sets=keeps)
+        ref = keep_set_forward(net, x, keeps)
         got = forward_eval(small, x)
         assert np.abs(got - ref).max() < 1e-9
 
@@ -412,7 +421,7 @@ class TestShrink:
         small = shrink(net, keeps, fold_masks=True)
         assert small.gates() == []
         x = RNG.random((4, 784))
-        ref = forward_eval(net, x, keep_sets=keeps)
+        ref = keep_set_forward(net, x, keeps)
         assert np.abs(forward_eval(small, x) - ref).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
@@ -426,7 +435,7 @@ class TestShrink:
         once = shrink(net, self._random_keeps(net, rng, frac=0.7))
         keeps = self._random_keeps(once, rng, frac=0.6)
         twice = shrink(once, keeps, fold_masks=seed % 3 == 0)
-        ref = forward_eval(once, x, keep_sets=keeps)
+        ref = keep_set_forward(once, x, keeps)
         assert np.abs(forward_eval(twice, x) - ref).max() < 1e-9
 
     @pytest.mark.parametrize("ungated", [(0,), (1,), (2,), (3,), (0, 2), (1, 3), (1, 2)])
@@ -439,7 +448,7 @@ class TestShrink:
         keeps = self._random_keeps(net, rng, frac=0.5)
         small = shrink(net, keeps)
         x = RNG.random((2, 1, 28, 28))
-        ref = forward_eval(net, x, keep_sets=keeps)
+        ref = keep_set_forward(net, x, keeps)
         assert np.abs(forward_eval(small, x) - ref).max() < 1e-9
         for i in ungated:
             if net.layers[i].kind == "conv":
@@ -453,19 +462,10 @@ class TestShrink:
         keeps = self._random_keeps(net, d.make_rng(sum(ungated)), frac=0.5)
         small = shrink(net, keeps)
         x = RNG.normal(size=(4, 9))
-        ref = forward_eval(net, x, keep_sets=keeps)
+        ref = keep_set_forward(net, x, keeps)
         assert np.abs(forward_eval(small, x) - ref).max() < 1e-9
         if 0 in ungated:
             assert small.layers[0].input_select is None
-
-    def test_selected_raw_input_of_unknown_width_is_contract_error(self):
-        net = toy_net(seed=9)
-        keeps = [np.array([0, 2, 3]), np.arange(5)]
-        del net.meta["input_shape"]
-        small = shrink(net, keeps)  # the input width is the layer's own
-        assert np.array_equal(small.layers[0].input_select, [0, 2, 3])
-        with pytest.raises(ContractError, match="input_shape"):
-            shrink(small, [np.arange(3), np.arange(5)])
 
     def test_fold_masks_rejected_for_dbb(self):
         net = toy_net(mode=MODE_DBB)
@@ -486,7 +486,7 @@ class TestShrink:
         keeps = [np.array([c for c in range(20) if c != 4])] + [
             np.arange(g.k) for g in net.gates()[1:]
         ]
-        masked = forward_eval(net, x, keep_sets=keeps)
+        masked = keep_set_forward(net, x, keeps)
         # zeroing channel 4's gate changes only what flows through channel 4
         direct = forward_eval(net, x)
         assert not np.allclose(masked, direct)
@@ -631,10 +631,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "old,new,missing",
         [
-            (b'"name":"L0.w"', b'"name":"L0.v"', "'L0.w'"),
+            (b'"shape":[6,5],', b"", "'shape'"),
             (b'"alpha_over_k":0.0001,', b"", "'alpha_over_k'"),
+            (b',"input_shape":[6]', b"", "'input_shape'"),
         ],
-        ids=["renamed-array", "missing-gate-key"],
+        ids=["missing-shape", "missing-gate-key", "missing-input-shape"],
     )
     def test_missing_name_is_typed_error(self, tmp_path, old, new, missing):
         path = tmp_path / "net.ckpt"
@@ -655,13 +656,44 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_package_error_passes_through_unwrapped(self, tmp_path):
-        # swapping the (6, 5) weight's extents leaves the payload length alone
-        # but mismatches the 6-wide gate: the layer's own DimensionError
-        # (a ValueError) must reach the caller as it is
+        # the gate's own ContractError for an unknown mode reaches the caller as it is
         path = tmp_path / "net.ckpt"
         save_checkpoint(toy_net(seed=20), path)
-        edit_manifest(path, lambda m: m["arrays"][0].update(shape=[5, 6]))
-        with pytest.raises(DimensionError, match="gate width 6"):
+        edit_manifest(path, lambda m: m["layers"][0]["gate"].update(mode="fast"))
+        with pytest.raises(ContractError, match="unknown gate mode 'fast'"):
+            load_checkpoint(path)
+
+    def test_swapped_weight_extents_are_length_error(self, tmp_path):
+        # the (6, 5) weight keeps its 30 values, but the bias and the gate
+        # arrays follow it, so the layers now use 6 + 7 * 5 values, not 5 + 7 * 6
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=20), path)
+        edit_manifest(path, lambda m: m["layers"][0].update(shape=[5, 6]))
+        with pytest.raises(CheckpointLengthError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape,error", [([3, 1], CheckpointTruncatedError),
+                                             ([1, 1], CheckpointLengthError)],
+                             ids=["one-value-more", "one-value-fewer"])
+    def test_shape_beyond_or_short_of_the_payload(self, tmp_path, shape, error):
+        # an ungated (2, 1) layer stores 2 weights and 1 bias
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(build_mlp((2, 1), gated=False), path)
+        edit_manifest(path, lambda m: m["layers"][0].update(shape=shape))
+        with pytest.raises(error):
+            load_checkpoint(path)
+
+    def test_manifest_that_is_not_an_object_is_typed_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"[1]\n")
+        with pytest.raises(CheckpointError, match=re.escape("manifest must be an object, got [1]")):
+            load_checkpoint(path)
+
+    def test_version_2_file_is_version_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(build_lenet5_caffe(seed=5), path)
+        edit_manifest(path, to_format_version_2)
+        with pytest.raises(CheckpointVersionError, match="version 2 "):
             load_checkpoint(path)
 
     def test_non_finite_payload_rejected(self, tmp_path):

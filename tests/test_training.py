@@ -29,7 +29,7 @@ from betadrop.training import (
     pretrain,
 )
 
-from helpers import glyph_images, gradcheck
+from helpers import glyph_images, gradcheck, keep_set_forward
 
 
 class TestTrainConfig:
@@ -512,7 +512,7 @@ class TestLenet5EndToEnd:
         keeps = prune_by_threshold(net, threshold)
         assert all(0 < len(k) < g.k for k, g in zip(keeps, net.gates()))
         small = shrink(net, keeps)
-        ref = forward_eval(net, test.images, keep_sets=keeps)
+        ref = keep_set_forward(net, test.images, keeps)
         assert np.abs(forward_eval(small, test.images) - ref).max() < 1e-9
 
         small.meta["stage"] = "bb_pruned"
