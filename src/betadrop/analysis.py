@@ -26,17 +26,16 @@ DEFAULT_PRUNE_THRESHOLD = 1e-3
 UNDEFINED_CORR = -2.0
 
 
-def _kept_masks(net: Network, units: list[LayerUnits], masks) -> list[np.ndarray]:
+def _kept_masks(units: list[LayerUnits], masks) -> list[np.ndarray]:
     """Per gate, its (..., K) boolean keep mask intersected with the kept sources.
 
     A dense gate after a conv keeps a row only while the same mask row (one
     per input, or one in all) keeps the conv channel that the row reads.
     """
     masks = list(masks)
-    for layer, u, prev in zip(net.layers, units, [None, *units]):
+    for u, prev in zip(units, [None, *units]):
         if u.source is not None and u.in_gate is not None and prev.out_gate is not None:
-            reads = u.source if layer.input_select is None else u.source[layer.input_select]
-            masks[u.in_gate] = masks[u.in_gate] & masks[prev.out_gate][..., reads]
+            masks[u.in_gate] = masks[u.in_gate] & masks[prev.out_gate][..., u.source]
     return masks
 
 
@@ -50,7 +49,7 @@ def prune_by_threshold(net: Network, threshold: float = DEFAULT_PRUNE_THRESHOLD)
     network :func:`~betadrop.layers.shrink` builds.
     """
     gated = net.gated_layers()
-    masks = _kept_masks(net, unit_map(net), [g.expected_pi() >= threshold for _, g in gated])
+    masks = _kept_masks(unit_map(net), [g.expected_pi() >= threshold for _, g in gated])
     for (li, _), mask in zip(gated, masks):
         if not mask.any():
             raise PruneCollapseError(f"threshold {threshold} prunes every unit of layer {li}")
@@ -72,9 +71,12 @@ def _pair_total(units: list[LayerUnits], counts, per_pair: str):
 
 def _totals(net: Network, keep_counts, per_pair: str) -> tuple[int, int]:
     """The unpruned and the pruned :func:`_pair_total` of a static network."""
-    if keep_counts is not None and len(keep_counts) != len(net.gated_layers()):
+    widths = [g.k for g in net.gates()]
+    if keep_counts is not None and (len(keep_counts) != len(widths) or
+                                    not all(1 <= c <= k for c, k in zip(keep_counts, widths))):
         raise ContractError(
-            f"{len(keep_counts)} keep counts for {len(net.gated_layers())} gates"
+            f"keep counts must be one count in [1, K] per gate of widths K = {widths}, "
+            f"got {list(keep_counts)}"
         )
     units = unit_map(net)
     counts = None if keep_counts is None else np.asarray(keep_counts, dtype=np.int64)
@@ -136,10 +138,14 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     units = unit_map(net)
     kept = np.concatenate([
         np.stack([m.sum(axis=1) for m in
-                  _kept_masks(net, units, [mask >= threshold for _, mask in info])], axis=1)
+                  _kept_masks(units, [mask >= threshold for _, mask in info])], axis=1)
         for info in _gate_info_batches(net, dataset, batch_size)
     ])
     flops = _pair_total(units, kept, "macs").astype(np.float64)
+    if not flops.any():
+        raise PruneCollapseError(
+            f"threshold {threshold} leaves no multiply-accumulate for any input"
+        )
     static = _pair_total(units, None, "macs")
     return RuntimeStats(
         kept_per_input=kept,

@@ -25,9 +25,10 @@ from .errors import (
     CheckpointLengthError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ContractError,
 )
-from .gates import GateState
-from .layers import ConvLayer, DenseLayer, Network, unit_map
+from .gates import MODE_DBB, GateState
+from .layers import ConvLayer, DenseLayer, Network
 
 FORMAT_VERSION = 3
 
@@ -140,13 +141,11 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
                                    CheckpointError)
                    for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
             )
+        if gate is not None and gate.mode == MODE_DBB and not gate.stats_initialized:
+            raise CheckpointError(f"the DBB gate of layer {i} holds no input statistics")
         if kind == "dense":
-            select = entry["input_select"]
-            if select is not None:
-                what = f"manifest input_select of layer {i}"
-                for n in check_json(select, ["list"], what, CheckpointError):
-                    check_json(n, ["int"], f"manifest entry of input_select of layer {i}",
-                               CheckpointError)
+            select = check_json(entry["input_select"], ["null", "list:int"],
+                                f"manifest input_select of layer {i}", CheckpointError)
             layers.append(DenseLayer(w, b, gate=gate, input_select=select))
         else:
             layers.append(ConvLayer(w, b, gate=gate))
@@ -160,24 +159,8 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
     for key, kind in _META_KINDS.items():
         if key in meta:
             check_json(meta[key], [kind], f"manifest {key}", CheckpointError)
-    for n in check_json(meta["input_shape"], ["list"], "manifest input_shape", CheckpointError):
-        check_json(n, ["int"], "manifest entry of input_shape", CheckpointError)
-    net = Network(layers, gates_enabled=gates_enabled, meta=meta)
-    _check_selects(net)
-    return net
-
-
-def _check_selects(net: Network) -> None:
-    """Each dense ``input_select`` holds ``in_dim`` increasing indices into the
-    values its producer emits, as :func:`~betadrop.layers.unit_map` counts them."""
-    selected = [i for i, l in enumerate(net.layers)
-                if l.kind == "dense" and l.input_select is not None]
-    units = unit_map(net) if selected else []
-    for i in selected:
-        layer, width = net.layers[i], units[i].width
-        select = layer.input_select
-        if select.size != layer.in_dim or not (np.diff([*select, width]) > 0).all():
-            raise CheckpointError(
-                f"manifest input_select of layer {i} must hold {layer.in_dim} increasing "
-                f"indices below {width}, got {select.tolist()}"
-            )
+    check_json(meta["input_shape"], ["list"], "manifest input_shape", CheckpointError)
+    try:
+        return Network(layers, gates_enabled=gates_enabled, meta=meta)
+    except ContractError as exc:
+        raise CheckpointError(f"checkpoint network does not fit together: {exc}") from None

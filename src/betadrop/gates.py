@@ -76,6 +76,8 @@ class GateState:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not self.sigma_floor > 0.0:
             raise ContractError(f"sigma_floor must be positive, got {self.sigma_floor}")
+        if not (self.a() > 0.0).all() or not (self.b() > 0.0).all():
+            raise ContractError("a_raw and b_raw must give positive Kumaraswamy shapes")
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":

@@ -45,10 +45,6 @@ class DenseLayer:
         self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
         self.gate = gate
         self.input_select = None if input_select is None else np.asarray(input_select, dtype=np.intp)
-        if gate is not None and gate.k != self.in_dim:
-            raise DimensionError(
-                f"gate width {gate.k} does not match dense input width {self.in_dim}"
-            )
 
     @property
     def in_dim(self) -> int:
@@ -68,10 +64,6 @@ class ConvLayer:
         self.w = w if isinstance(w, Node) else ad.parameter(w)  # (out, in, k, k)
         self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
         self.gate = gate
-        if gate is not None and gate.k != self.out_channels:
-            raise DimensionError(
-                f"gate width {gate.k} does not match conv output channels {self.out_channels}"
-            )
 
     @property
     def in_channels(self) -> int:
@@ -90,15 +82,16 @@ class Network:
     """An ordered stack of layers plus gate bookkeeping.
 
     ``meta["input_shape"]`` lists the shape of one input example: [D] for a
-    dense net, [C, H, W] for a conv net.
+    dense net, [C, H, W] for a conv net.  Building one runs :func:`unit_map`,
+    so a network whose layers do not fit raises ContractError and is never
+    built.  The map is not kept, as callers may still drop a gate.
     """
 
     def __init__(self, layers, gates_enabled: bool = False, meta: dict | None = None):
         self.layers = list(layers)
         self.gates_enabled = gates_enabled
         self.meta = dict(meta or {})
-        if "input_shape" not in self.meta or not isinstance(self.meta["input_shape"], list):
-            raise ContractError("a network needs meta['input_shape'], the shape of one example")
+        unit_map(self)
 
     def parameters(self) -> list[Node]:
         out = []
@@ -140,11 +133,12 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     dense input itself, or the channel means of the conv output), so a
     policy that needs just the batch size builds no channel means.
     Each example must hold as many values as ``net.meta["input_shape"]``;
-    a shrunk first layer's ``input_select`` indexes into them.  A dense net
-    reads each example flat.  A conv net reshapes it to that (C, H, W) shape,
-    so flat, (B, H, W) and (B, C, H, W) inputs all work, and makes the batch
-    channel-major once; ``flatten`` gives the dense head rows in per-example
-    (C, H, W) order.
+    a shrunk first layer's ``input_select`` indexes into them.  That is the
+    walk's one check: building the network checked that its layers fit.  A
+    dense net reads each example flat.  A conv net reshapes it to that
+    (C, H, W) shape, so flat, (B, H, W) and (B, C, H, W) inputs all work, and
+    makes the batch channel-major once; ``flatten`` gives the dense head rows
+    in per-example (C, H, W) order.
 
     A conv layer runs conv, 2x2 max pooling, relu, then the channel mask,
     on a map a quarter the size of the conv output.  This gives the
@@ -160,7 +154,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             f"network expects {math.prod(shape)} inputs per example "
             f"(input_shape {shape}), got {x.shape}"
         )
-    if net.layers and net.layers[0].kind == "conv":
+    if net.layers[0].kind == "conv":
         x = x.reshape(len(x), *shape).swapaxes(0, 1)
     else:
         x = x.reshape(len(x), math.prod(shape))
@@ -175,10 +169,6 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
                 h = ad.flatten(h)
             if layer.input_select is not None:
                 h = ad.gather_cols(h, layer.input_select)
-            if h.value.shape[1:] != (layer.in_dim,):
-                raise DimensionError(
-                    f"dense layer expects {layer.in_dim} inputs per example, got {h.value.shape}"
-                )
             if gated:
                 h = ad.mul(gate_mask(gate_idx, layer.gate, len(h.value), lambda: h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
@@ -329,7 +319,7 @@ class LayerUnits(NamedTuple):
     macs: int  # multiply-accumulates per kept (input, output) pair
     weights: int  # weights per kept pair
     width: int  # values per example the layer reads (a dense input_select picks from them)
-    source: np.ndarray | None  # dense: per one of those values, the producing conv's channel
+    source: np.ndarray | None  # dense after a conv: per row, the conv channel it reads
 
 
 def unit_map(net: Network) -> list[LayerUnits]:
@@ -346,32 +336,63 @@ def unit_map(net: Network) -> list[LayerUnits]:
     values and dense columns have no producer gate (``source`` None).  A
     conv pair costs k^2 * H_out * W_out multiply-accumulates and k^2
     weights, a dense pair one of each.
+
+    The same walk is the one check that the layers fit; :class:`Network`
+    runs it when built.  It raises ContractError unless ``input_shape`` is
+    a non-empty list of positive ints ([C, H, W] if there is a conv); the
+    layers are convs, then one or more dense layers, with positive weight
+    extents; each conv reads its producer's channels through a square kernel
+    and gives even extents of at least 2 for the pooling; each dense layer
+    reads all ``width`` values, or ``in_dim`` strictly increasing ones in
+    [0, width) through its ``input_select``; and each gate masks its units.
     """
+    shape = net.meta.get("input_shape")
+    if not (isinstance(shape, list) and shape and all(type(n) is int and n > 0 for n in shape)):
+        raise ContractError(f"input_shape must list one or more positive ints, got {shape!r}")
+    kinds = [layer.kind for layer in net.layers]
+    n_conv = kinds.count("conv")
+    if kinds[:n_conv] != ["conv"] * n_conv or n_conv == len(kinds):
+        raise ContractError(f"a network is conv layers, then one or more dense layers, got {kinds}")
+    if n_conv and len(shape) != 3:
+        raise ContractError(f"a conv network needs input_shape [C, H, W], got {shape}")
+    channels, h, w = shape if n_conv else (None,) * 3
     gate_of = {li: gi for gi, (li, _) in enumerate(net.gated_layers())}
-    shape = net.meta["input_shape"]
-    if any(l.kind == "conv" for l in net.layers):
-        if len(shape) != 3:
-            raise ContractError(
-                "conv networks need meta['input_shape'] = [C, H, W] for spatial accounting"
-            )
-        h, w = int(shape[1]), int(shape[2])
-    width = math.prod(shape)
-    source = None
+    width, hw = math.prod(shape), None  # hw: values per channel of a conv producer
     units: list[LayerUnits] = []
     for i, layer in enumerate(net.layers):
+        wshape = layer.w.value.shape
+        if min(wshape) < 1:
+            raise ContractError(f"layer {i} has an empty weight of shape {wshape}")
         if layer.kind == "conv":
             k = layer.kernel
+            if wshape[1:] != (channels, k, k):
+                raise ContractError(f"conv layer {i} of shape {wshape} needs {channels} input "
+                                    "channels and a square kernel")
             h, w = h - k + 1, w - k + 1
-            units.append(LayerUnits(layer.in_channels, layer.out_channels,
+            if min(h, w) < 2 or h % 2 or w % 2:
+                raise ContractError(f"conv layer {i} outputs {h}x{w} maps, which 2x2 pooling "
+                                    "cannot take")
+            masked = channels = layer.out_channels
+            units.append(LayerUnits(layer.in_channels, channels,
                                     units[-1].out_gate if units else None, gate_of.get(i),
                                     k * k * h * w, k * k, width, None))
             h, w = h // 2, w // 2
-            source = np.arange(layer.out_channels * h * w) // (h * w)
-            width = source.size
-            continue
-        units.append(LayerUnits(layer.in_dim, layer.out_dim, gate_of.get(i), gate_of.get(i + 1),
-                                1, 1, width, source))
-        width, source = layer.out_dim, None
+            width, hw = channels * h * w, h * w
+        else:
+            select = layer.input_select
+            if select is None and layer.in_dim != width:
+                raise ContractError(f"dense layer {i} has {layer.in_dim} rows for {width} inputs")
+            if select is not None and (select.shape != (layer.in_dim,) or select[0] < 0
+                                       or select[-1] >= width or (np.diff(select) <= 0).any()):
+                raise ContractError(f"input_select of layer {i} must hold {layer.in_dim} "
+                                    f"increasing indices below {width}")
+            source = None if hw is None else (
+                np.arange(layer.in_dim) if select is None else select) // hw
+            units.append(LayerUnits(layer.in_dim, layer.out_dim, gate_of.get(i),
+                                    gate_of.get(i + 1), 1, 1, width, source))
+            masked, width, hw = layer.in_dim, layer.out_dim, None
+        if layer.gate is not None and layer.gate.k != masked:
+            raise ContractError(f"the gate of layer {i} is {layer.gate.k} wide, not {masked}")
     return units
 
 
@@ -397,9 +418,7 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
     keeps = [np.asarray(k) for k in keep_sets]
     gated = net.gated_layers()
     if len(keeps) != len(gated):
-        raise ContractError(
-            f"expected {len(gated)} keep sets, got {len(keeps)}"
-        )
+        raise ContractError(f"expected {len(gated)} keep sets, got {len(keeps)}")
     for i, ((li, gate), keep) in enumerate(zip(gated, keeps)):
         if keep.size == 0:
             raise PruneCollapseError(f"pruning removes every unit of layer {li}")
@@ -436,32 +455,29 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             new_layers.append(ConvLayer(w, b, gate=gate))
             channels = out_keep
             continue
-        # emitted: the sorted positions of the producer's output that survive
-        if u.source is not None:  # a conv producer emits the values of its kept channels
-            emitted = np.flatnonzero(np.isin(u.source, channels))
-        else:
-            emitted = np.arange(u.width)
-        prev = new_layers[-1] if new_layers else None
-        positions = np.arange(layer.in_dim) if layer.input_select is None else layer.input_select
         rows = np.arange(layer.in_dim) if own is None else own
-        rows = rows[np.isin(positions[rows], emitted)]
+        if u.source is not None:  # a conv producer emits only the values of its kept channels
+            rows = rows[np.isin(u.source[rows], channels)]
         if rows.size == 0:
             raise PruneCollapseError(f"pruning removes every input of layer {i}")
-        used = positions[rows]
-        if prev is not None and prev.kind == "dense":  # the producer emits only what is used
+        used = rows if layer.input_select is None else layer.input_select[rows]
+        prev = new_layers[-1] if new_layers else None
+        if prev is None:  # the raw input emits every value
+            select = None if used.size == u.width else used
+        elif prev.kind == "dense":  # the producer emits only what is used
             prev.w = ad.parameter(prev.w.value[:, used].copy())
             prev.b = ad.parameter(prev.b.value[used].copy())
-            emitted = used
+            select = None
+        else:  # value p is offset p % hw of channel p // hw, and the kept channels stay
+            hw = u.width // net.layers[i - 1].out_channels
+            select = (None if used.size == channels.size * hw
+                      else np.searchsorted(channels, u.source[rows]) * hw + used % hw)
         w = layer.w.value[rows]
         gate = gate.subset(rows) if gate is not None else None
         if fold_masks and gate is not None:
             w = w * gate.expected_pi()[:, None]
             gate = None
-        new_layers.append(
-            DenseLayer(w, layer.b.value.copy(), gate=gate,
-                       input_select=None if used.size == emitted.size
-                       else np.searchsorted(emitted, used))
-        )
+        new_layers.append(DenseLayer(w, layer.b.value.copy(), gate=gate, input_select=select))
 
     still_gated = any(l.gate is not None for l in new_layers)
     return Network(new_layers, gates_enabled=net.gates_enabled and still_gated,

@@ -9,6 +9,7 @@ parse round trip reproduces the exact values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,11 @@ class SparsityReport:
     kept_counts: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (math.isfinite(self.kl_scale) and math.isfinite(self.speedup)):
+            raise DomainError(f"kl_scale and speedup must be finite, got {self.kl_scale} and "
+                              f"{self.speedup}")
+        if not 0.0 <= self.error_pct <= 100.0:  # also rejects NaN
+            raise DomainError(f"error_pct must lie in [0, 100], got {self.error_pct}")
         if self.speedup < 1.0 - 1e-12:
             raise DomainError(f"speedup must be >= 1, got {self.speedup}")
         if not 0.0 < self.memory_pct <= 100.0 + 1e-12:

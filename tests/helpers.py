@@ -4,12 +4,14 @@ manifest edits."""
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 
 from betadrop import autodiff as ad
 from betadrop import gates, layers
+from betadrop.checkpoint import save_checkpoint
 from betadrop.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from betadrop.distributions import (
     EULER_GAMMA,
@@ -471,6 +473,44 @@ def edit_manifest(path, edit) -> None:
     manifest = json.loads(blob[:nl])
     edit(manifest)
     path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + blob[nl:])
+
+
+def _lenet5_reading(input_shape):
+    """Write a lenet5_caffe checkpoint whose manifest states ``input_shape``."""
+    def write(path):
+        save_checkpoint(layers.build_lenet5_caffe(seed=0), path)
+        edit_manifest(path, lambda m: m["meta"].update(input_shape=input_shape))
+    return write
+
+
+def _unbuilt(*kinds):
+    """Write a checkpoint of layers that no Network accepts, for a [1, 6, 6]
+    input: ``save_checkpoint`` reads only ``layers``, ``gates_enabled`` and
+    ``meta``.  A "conv" is 4 3x3 filters on 1 channel, giving 4 x 2 x 2
+    pooled values; a "dense<n>" maps n inputs to 2 outputs."""
+    def write(path):
+        stack = [layers.ConvLayer(np.ones((4, 1, 3, 3)), np.zeros(4)) if kind == "conv"
+                 else layers.DenseLayer(np.ones((int(kind[5:]), 2)), np.zeros(2))
+                 for kind in kinds]
+        save_checkpoint(SimpleNamespace(layers=stack, gates_enabled=False,
+                                        meta={"input_shape": [1, 6, 6]}), path)
+    return write
+
+
+# Checkpoints whose layers do not fit together, each with the text that its
+# CheckpointError must hold.  On a lenet5_caffe the two 5x5 convs each need
+# an even output extent for the 2x2 pooling.
+UNFIT_CHECKPOINTS = {
+    "input-shape-empty": (_lenet5_reading([]), "input_shape must list one or more positive"),
+    "input-shape-1x30x30": (_lenet5_reading([1, 30, 30]), "conv layer 1 outputs 9x9 maps"),
+    "input-shape-1x29x29": (_lenet5_reading([1, 29, 29]), "conv layer 0 outputs 25x25 maps"),
+    "input-shape-3x28x28": (_lenet5_reading([3, 28, 28]), "needs 3 input channels"),
+    "input-shape-784": (_lenet5_reading([784]), "needs input_shape [C, H, W], got [784]"),
+    "no-layers": (_unbuilt(), "then one or more dense layers, got []"),
+    "conv-last": (_unbuilt("conv"), "then one or more dense layers, got ['conv']"),
+    "dense-before-conv": (_unbuilt("dense36", "conv"), "got ['dense', 'conv']"),
+    "dense-width": (_unbuilt("conv", "dense15"), "dense layer 1 has 15 rows for 16 inputs"),
+}
 
 
 def kumaraswamy_log_pdf(x, a, b):

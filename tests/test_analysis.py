@@ -1,6 +1,7 @@
 """Pruning, accounting arithmetic, runtime statistics, correlation analysis,
 and report emission."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -138,6 +139,14 @@ class TestFlopsAndMemory:
         with pytest.raises(ContractError):
             count_flops(net, (10, 10))
 
+    @pytest.mark.parametrize("counts", [[0, 0], [9, 9], [6, 0], [7, 5]])
+    def test_keep_counts_outside_one_to_k_rejected(self, counts):
+        # [0, 0] once divided by zero, and [9, 9] gave speedup 0.404 and memory 247.5 %
+        net = build_mlp((6, 5, 2))
+        for count in (count_flops, count_memory):
+            with pytest.raises(ContractError, match=re.escape("in [1, K] per gate")):
+                count(net, counts)
+
 
 def make_dbb_net(seed=0, k=6, hidden=4):
     net = build_mlp((k, hidden, 2), seed=seed)
@@ -152,6 +161,13 @@ def make_dbb_net(seed=0, k=6, hidden=4):
 
 
 class TestRuntimeStats:
+    def test_threshold_that_keeps_no_work_is_collapse(self):
+        # every expected mask is below E[pi] = 0.9 at init, so no input keeps a unit
+        net = make_dbb_net()
+        ds = Dataset(d.make_rng(1).normal(size=(10, 6)), np.zeros(10, dtype=np.int64))
+        with pytest.raises(PruneCollapseError, match="no multiply-accumulate for any input"):
+            runtime_prune_stats(net, ds, threshold=0.95)
+
     def test_saturated_gates_match_static_counts(self):
         net = make_dbb_net()
         for g in net.gates():

@@ -11,12 +11,13 @@ from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
 from betadrop.config import validate_config
 from betadrop.errors import CheckpointError
+from betadrop.gates import MODE_DBB
 from betadrop.layers import build_lenet5_caffe, build_mlp, shrink
 from betadrop.reporting import CSV_HEADER, parse_report_csv
 from betadrop.training import TrainConfig
 
-from helpers import (WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1, to_format_version_2,
-                     write_idx)
+from helpers import (UNFIT_CHECKPOINTS, WRONG_TYPED_MANIFESTS, edit_manifest, to_format_version_1,
+                     to_format_version_2, write_idx)
 
 
 def write_config(tmp_path, **overrides):
@@ -173,6 +174,41 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["input-shape-empty", "input-shape-1x30x30", "no-layers",
+                                      "conv-last"])
+    @pytest.mark.parametrize("command", ["train-bb", "prune", "train-dbb", "evaluate",
+                                         "analyze-correlation"])
+    def test_checkpoint_whose_layers_do_not_fit_is_runtime_error(self, tmp_path, capsys,
+                                                                 command, case):
+        write, named = UNFIT_CHECKPOINTS[case]
+        path = tmp_path / "unfit.ckpt"
+        write(path)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,stage", [("evaluate", "dbb"), ("train-dbb", "bb_pruned")])
+    def test_threshold_that_keeps_no_work_is_runtime_error(self, tmp_path, capsys, command,
+                                                           stage):
+        # every expected mask is below E[pi] = 0.9 at init; evaluate divided by zero
+        net = build_mlp((20, 16, 2), seed=0)
+        net.gates_enabled = True
+        if stage == "dbb":
+            net.set_gate_mode(MODE_DBB)
+            for g in net.gates():
+                g.update_running_stats(np.random.default_rng(0).normal(size=(8, g.k)))
+        net.meta["stage"] = stage
+        path = tmp_path / "in.ckpt"
+        save_checkpoint(net, path)
+        cfg = write_config(tmp_path, data={"kind": "two_cluster", "n": 200},
+                           train={"finetune_epochs": 1}, prune={"threshold": 0.95})
+        assert main([command, "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "threshold 0.95 leaves no multiply-accumulate" in err
+
     @pytest.mark.parametrize("kind", ["two_cluster", "planted"])
     @pytest.mark.parametrize("n,d,named", [(2**50, 20, "Unable to allocate"),
                                            (10, 2**62, "cannot be addressed")],
@@ -203,7 +239,14 @@ class TestUsageErrors:
         (REPORT_HEADER + "bb,1.0,0.5\n", "line 2: not enough values"),
         (REPORT_HEADER + "bb,abc,0.5,2.0,50.0,4-3\n", "line 2: could not convert string to float"),
         (REPORT_HEADER + "bb,1.0,0.5,0.5,50.0,4-3\n", "line 2: speedup must be >= 1, got 0.5"),
-    ], ids=["header", "short-row", "text-kl-scale", "speedup-below-1"])
+        (REPORT_HEADER + "bb,1.0,nan,2.0,50.0,4-3\n",
+         "line 2: error_pct must lie in [0, 100], got nan"),
+        (REPORT_HEADER + "bb,1.0,0.5,inf,50.0,4-3\n",
+         "line 2: kl_scale and speedup must be finite"),
+        (REPORT_HEADER + "bb,1.0,150.0,2.0,50.0,4-3\n",
+         "line 2: error_pct must lie in [0, 100], got 150.0"),
+    ], ids=["header", "short-row", "text-kl-scale", "speedup-below-1", "nan-error",
+            "inf-speedup", "error-above-100"])
     def test_malformed_sweep_csv_is_runtime_error(self, tmp_path, capsys, text, named):
         cfg = write_config(tmp_path)
         (tmp_path / "run").mkdir()

@@ -3,6 +3,8 @@ gate rule, and the fused gate ops: gradients of every stochastic path against
 finite differences, and values and gradients of each op against complex-step
 derivatives of its reference formula in ``helpers``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ class TestInitialization:
     def test_nonpositive_sigma_floor_rejected(self, floor):
         with pytest.raises(ContractError, match="sigma_floor"):
             GateState.create(3, sigma_floor=floor)
+
+    @pytest.mark.parametrize("name", ["a_raw", "b_raw"])
+    def test_shape_that_softplus_sends_to_zero_rejected(self, name):
+        # softplus(-800) is 0.0, which kumaraswamy_mean refused only on the first eval
+        gate = GateState.create(3)
+        with pytest.raises(ContractError, match="positive Kumaraswamy shapes"):
+            replace(gate, **{name: ad.parameter(np.array([0.0, -800.0, 0.0]))})
 
 
 class TestRunningStats:

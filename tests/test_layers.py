@@ -1,6 +1,7 @@
 """Network forwards, builders, shrink equivalence, and checkpoint round trips."""
 
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -10,8 +11,10 @@ import pytest
 from betadrop import autodiff as ad
 from betadrop import checkpoint
 from betadrop import distributions as d
+from betadrop.analysis import count_flops
 from betadrop.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from betadrop.errors import (
+    BetadropError,
     CheckpointError,
     CheckpointLengthError,
     CheckpointTruncatedError,
@@ -20,8 +23,10 @@ from betadrop.errors import (
     DimensionError,
     PruneCollapseError,
 )
-from betadrop.gates import MODE_BB, MODE_DBB
+from betadrop.gates import MODE_BB, MODE_DBB, GateState
 from betadrop.layers import (
+    ConvLayer,
+    DenseLayer,
     build_lenet5_caffe,
     build_lenet_500_300,
     build_mlp,
@@ -32,6 +37,7 @@ from betadrop.layers import (
 )
 
 from helpers import (
+    UNFIT_CHECKPOINTS,
     WRONG_TYPED_MANIFESTS,
     edit_manifest,
     forced_mask_forward,
@@ -43,6 +49,15 @@ from helpers import (
 )
 
 RNG = np.random.default_rng(2024)
+
+
+def conv(c_out=4, c_in=1, k=3, k2=None, gate=None):
+    return ConvLayer(np.ones((c_out, c_in, k, k2 or k)), np.zeros(c_out), gate=gate)
+
+
+def dense(n_in, n_out=2, gate=None, select=None):
+    return DenseLayer(np.ones((n_in, n_out)), np.zeros(n_out), gate=gate, input_select=select)
+
 
 def toy_net(seed=0, dims=(6, 5, 3), mode=MODE_BB):
     net = build_mlp(dims, seed=seed)
@@ -116,6 +131,33 @@ class TestBuilders:
         for meta in (None, {"arch": "mlp"}, {"input_shape": "4"}):
             with pytest.raises(ContractError, match="input_shape"):
                 Network(layers, meta=meta)
+
+    @pytest.mark.parametrize("stack,input_shape,named", [
+        (lambda: [conv(c_in=2), dense(16)], [1, 6, 6], "needs 1 input channels"),
+        (lambda: [conv(), conv(c_out=5, c_in=3), dense(20)], [1, 14, 14],
+         "conv layer 1 of shape (5, 3, 3, 3) needs 4 input channels"),
+        (lambda: [conv(k2=2), dense(16)], [1, 6, 6], "a square kernel"),
+        (lambda: [conv(), dense(36)], [1, 7, 7], "conv layer 0 outputs 5x5 maps"),
+        (lambda: [conv(), dense(4)], [1, 3, 3], "conv layer 0 outputs 1x1 maps"),
+        (lambda: [dense(4, 0), dense(0)], [4], "layer 0 has an empty weight of shape (4, 0)"),
+        (lambda: [conv(gate=GateState.create(3)), dense(16)], [1, 6, 6],
+         "the gate of layer 0 is 3 wide, not 4"),
+        (lambda: [conv(), dense(16, gate=GateState.create(15))], [1, 6, 6],
+         "the gate of layer 1 is 15 wide, not 16"),
+        (lambda: [dense(3, select=[-1, 2, 4])], [6], "must hold 3 increasing indices below 6"),
+        (lambda: [dense(3, select=[0, 2, 6])], [6], "must hold 3 increasing indices below 6"),
+        (lambda: [dense(3, select=[0, 2])], [6], "must hold 3 increasing indices below 6"),
+        (lambda: [dense(3, select=[[0, 2, 4]])], [6], "layer 0 must hold 3 increasing"),
+        (lambda: [dense(1)], [0], "input_shape must list one or more positive ints, got [0]"),
+        (lambda: [dense(1)], [True], "input_shape must list one or more positive ints"),
+        (lambda: [dense(1)], [], "input_shape must list one or more positive ints, got []"),
+    ], ids=["conv-channels", "second-conv-channels", "non-square-kernel", "odd-extent",
+            "extent-below-2", "empty-weight", "conv-gate-width", "dense-gate-width",
+            "select-negative", "select-beyond", "select-short", "select-2d",
+            "input-shape-zero", "input-shape-bool", "input-shape-empty"])
+    def test_network_whose_layers_do_not_fit_is_not_built(self, stack, input_shape, named):
+        with pytest.raises(ContractError, match=re.escape(named)):
+            Network(stack(), meta={"input_shape": input_shape})
 
     def test_channel_axis_added_for_conv_input(self):
         net = build_lenet5_caffe()
@@ -620,6 +662,22 @@ class TestCheckpoint:
                            match="layer 2 must hold 80 increasing indices below 160"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("case", sorted(UNFIT_CHECKPOINTS))
+    def test_checkpoint_whose_layers_do_not_fit_is_typed_error(self, tmp_path, case):
+        # the loader rejects them, not the first forward pass
+        write, named = UNFIT_CHECKPOINTS[case]
+        path = tmp_path / "net.ckpt"
+        write(path)
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            load_checkpoint(path)
+
+    def test_dbb_gate_without_statistics_is_typed_error(self, tmp_path):
+        # such a gate cannot give an expected mask, so the net could not run
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=21, mode=MODE_DBB), path)
+        with pytest.raises(CheckpointError, match="DBB gate of layer 0 holds no input statistics"):
+            load_checkpoint(path)
+
     def test_length_disagreement(self, tmp_path):
         net = toy_net(seed=15)
         path = tmp_path / "net.ckpt"
@@ -715,3 +773,119 @@ class TestCheckpoint:
         assert np.array_equal(loaded.layers[0].input_select, small.layers[0].input_select)
         x = RNG.normal(size=(3, 8))
         assert np.array_equal(forward_eval(small, x), forward_eval(loaded, x))
+
+
+# Values that a manifest substitution puts in the place of any manifest value.
+SUBSTITUTES = (0, 1, 2, 3, 4, 6, 7, 9, 16, 28, -1, 2**40, 0.5, 1e300, "x", "dbb", None, True,
+               False, [], [1], [2, 3], [1, 12, 12], [1, 28, 28], [1, 30, 30], {})
+# Probe inputs above this many values per example are not allocated; count_flops still runs.
+PROBE_LIMIT = 10**6
+
+
+def _value_paths(value, path=()):
+    """The path of ``value`` and of every value inside it, containers included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _value_paths(inner, path + (key,))
+
+
+def _layer_values(entry) -> int:
+    """The payload values of one manifest layer entry."""
+    shape = entry["shape"]
+    gate_values = 0 if entry["gate"] is None else 7 * shape[0]
+    return math.prod(shape) + shape[1 if entry["kind"] == "dense" else 0] + gate_values
+
+
+def _rekind(entry) -> dict:
+    """``entry`` as the other layer kind, with as many weights."""
+    shape = entry["shape"]
+    if entry["kind"] == "dense":
+        return {**entry, "kind": "conv", "shape": [shape[1], shape[0], 1, 1]}
+    return {**entry, "kind": "dense", "shape": [math.prod(shape[1:]), shape[0]],
+            "input_select": None}
+
+
+def _mutants(blob: bytes, rng, count: int):
+    """``count`` seeded edits of a checkpoint: byte flips, manifest value
+    substitutions, and layer entries dropped, duplicated, swapped or
+    re-kinded together with their payload values."""
+    nl = blob.index(b"\n")
+    manifest = json.loads(blob[:nl])
+    paths = list(_value_paths(manifest))
+    sizes = [8 * _layer_values(e) for e in manifest["layers"]]
+    ends = np.cumsum([0] + sizes)
+    parts = [(e, blob[nl + 1 + a:nl + 1 + b])
+             for e, a, b in zip(manifest["layers"], ends, ends[1:])]
+    for n in range(count):
+        kind = n % 5
+        if kind < 2:  # a byte flip, in the manifest for every other one
+            at = int(rng.integers(nl if kind == 0 else len(blob)))
+            out = bytearray(blob)
+            out[at] ^= int(rng.integers(1, 256))
+            yield bytes(out)
+            continue
+        edited = json.loads(blob[:nl])
+        layers = list(parts)
+        if kind < 4:
+            path = paths[int(rng.integers(len(paths)))]
+            value = SUBSTITUTES[int(rng.integers(len(SUBSTITUTES)))]
+            if not path:
+                edited = value
+            else:
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+        else:
+            i, j = (int(v) for v in rng.integers(len(layers), size=2))
+            edit = int(rng.integers(4))
+            if edit == 0:
+                del layers[i]
+            elif edit == 1:
+                layers.insert(i, layers[i])
+            elif edit == 2:
+                layers[i], layers[j] = layers[j], layers[i]
+            else:
+                layers[i] = (_rekind(layers[i][0]), layers[i][1])
+            edited["layers"] = [e for e, _ in layers]
+        payload = b"".join(p for _, p in layers)
+        yield json.dumps(edited, separators=(",", ":")).encode() + b"\n" + payload
+
+
+class TestCheckpointMutations:
+    def _bases(self):
+        """A shrunk BB lenet5_caffe and a shrunk DBB mlp, each with input_selects."""
+        lenet = build_lenet5_caffe(seed=3)
+        lenet.gates_enabled = True
+        lenet = shrink(lenet, [np.arange(0, 20, 5), np.arange(0, 50, 8),
+                               np.arange(0, 800, 3), np.arange(0, 500, 25)])
+        mlp = toy_net(seed=4, dims=(12, 9, 6, 3), mode=MODE_DBB)
+        for g in mlp.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
+        mlp = shrink(mlp, [np.arange(0, 12, 2), np.arange(7), np.arange(1, 6)])
+        return [lenet, mlp]
+
+    def test_mutated_checkpoint_fails_typed_at_load_or_runs(self, tmp_path):
+        rng = np.random.default_rng(16)
+        path = tmp_path / "net.ckpt"
+        outcomes = {"rejected": 0, "ran": 0}
+        for net in self._bases():
+            assert any(l.kind == "dense" and l.input_select is not None for l in net.layers)
+            save_checkpoint(net, path)
+            for blob in _mutants(path.read_bytes(), rng, 450):
+                path.write_bytes(blob)
+                try:
+                    loaded = load_checkpoint(path)
+                except BetadropError as exc:
+                    # the gate's own ContractError (an unknown mode, say) passes unwrapped
+                    assert isinstance(exc, (CheckpointError, ContractError)), blob[:300]
+                    outcomes["rejected"] += 1
+                    continue
+                count_flops(loaded)
+                shape = loaded.meta["input_shape"]
+                if math.prod(shape) <= PROBE_LIMIT:
+                    with np.errstate(all="ignore"):
+                        assert forward_eval(loaded, np.zeros((1, *shape))).shape[0] == 1
+                outcomes["ran"] += 1
+        assert outcomes["rejected"] > 300 and outcomes["ran"] > 100, outcomes
