@@ -79,7 +79,8 @@ def _totals(net: Network, keep_counts, per_pair: str) -> tuple[int, int]:
             f"got {list(keep_counts)}"
         )
     units = unit_map(net)
-    counts = None if keep_counts is None else np.asarray(keep_counts, dtype=np.int64)
+    # Python ints: a large input's per-pair MACs times a count can pass 2**63
+    counts = None if keep_counts is None else np.array([int(c) for c in keep_counts], dtype=object)
     return int(_pair_total(units, None, per_pair)), int(_pair_total(units, counts, per_pair))
 
 

@@ -92,7 +92,7 @@ class Node:
     rewrite leaf values between steps).  ``grad`` has the same shape as
     ``value``, reads as zeros until a gradient reaches the node, and
     accumulates across :func:`backward` calls on leaves.  ``needs_grad`` is
-    False on a :func:`constant`, and on a parameter that a trainer holds
+    False on a :func:`constant`, which is also how a stage holds a value
     fixed (the frozen posterior of DBB fine-tuning).
     """
 
@@ -251,8 +251,12 @@ def fused(value, parents, vjp) -> Node:
     ``value`` is the form's result and ``vjp(g)`` maps the output gradient
     to one gradient per parent, in order, each of its parent's shape, or
     None for a parent that takes none.  A parent that is a constant gets
-    nothing, so ``vjp`` may skip the work for it.
+    nothing, so ``vjp`` may skip the work for it; when no parent takes a
+    gradient the node is built as a :func:`constant`.
     """
+    if not any(p.needs_grad for p in parents):
+        return constant(value)
+
     def bw(g):
         for p, gp in zip(parents, vjp(g)):
             if gp is not None:

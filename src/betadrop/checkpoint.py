@@ -2,10 +2,11 @@
 
 File layout: one line of compact JSON (the manifest: format version, gate
 flag, ``meta`` and one entry per layer with its kind, weight ``shape``, gate
-scalars and dense ``input_select``) terminated by a single ``\\n``, followed
-by every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
-and, for a gated layer, ``a_raw``, ``b_raw``, ``gamma``, ``eta``,
-``kappa_raw``, ``run_mean`` and ``run_std``.  The weight's shape is the only
+mode and scalars, and dense ``input_select``) terminated by a single ``\\n``,
+then every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
+and the arrays of its gate's mode (:data:`~betadrop.gates.MODE_ARRAYS`).  A
+DBB gate loads with constant raws, and one with no input statistics is
+refused at save, before the file opens.  The weight's shape is the only
 stated shape: the bias has the layer's output width (dense ``shape[1]``,
 conv ``shape[0]``) and every gate array the gate width ``shape[0]``.  Round
 trips are bit-exact.
@@ -27,13 +28,12 @@ from .errors import (
     CheckpointVersionError,
     ContractError,
 )
-from .gates import MODE_DBB, GateState
+from .gates import MODE_ARRAYS, MODE_DBB, GateState
 from .layers import ConvLayer, DenseLayer, Network
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-_GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor", "stats_initialized")
-_GATE_PARAMS = ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")
+_GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor")
 # the number of weight extents of each layer kind
 _RANK = {"dense": 2, "conv": 4}
 # the JSON kind of each optional meta field that a stage reads
@@ -44,7 +44,7 @@ _META_KINDS = {"arch": "string", "stage": "string",
 def save_checkpoint(net: Network, path) -> None:
     entries = []
     arrays: list[np.ndarray] = []
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         entry: dict = {"kind": layer.kind, "shape": list(layer.w.value.shape)}
         if layer.kind == "dense":
             entry["input_select"] = (
@@ -55,8 +55,10 @@ def save_checkpoint(net: Network, path) -> None:
         entries.append(entry)
         arrays += [layer.w.value, layer.b.value]
         if gate is not None:
-            arrays += [getattr(gate, name).value for name in _GATE_PARAMS]
-            arrays += [gate.run_mean, gate.run_std]
+            if gate.mode == MODE_DBB and gate.run_mean is None:
+                raise ContractError(f"the DBB gate of layer {i} holds no input statistics")
+            values = (getattr(gate, name) for name in MODE_ARRAYS[gate.mode])
+            arrays += [v.value if isinstance(v, ad.Node) else v for v in values]
     manifest = {
         "format_version": FORMAT_VERSION,
         "gates_enabled": net.gates_enabled,
@@ -128,21 +130,20 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
         gate = None
         if entry["gate"] is not None:
             gm = entry["gate"]
+            mode = check_json(gm["mode"], ["string"], f"manifest mode of layer {i}'s gate",
+                              CheckpointError, choices=tuple(MODE_ARRAYS))
+            values = {name: read(f"L{i}.gate.{name}", shape[:1]) for name in MODE_ARRAYS[mode]}
             gate = GateState(
-                **{name: ad.parameter(read(f"L{i}.gate.{name}", shape[:1]))
-                   for name in _GATE_PARAMS},
-                run_mean=read(f"L{i}.gate.run_mean", shape[:1]),
-                run_std=read(f"L{i}.gate.run_std", shape[:1]),
-                mode=gm["mode"],
-                stats_initialized=check_json(
-                    gm["stats_initialized"], ["bool"],
-                    f"manifest stats_initialized of layer {i}'s gate", CheckpointError),
+                ad.parameter(values["a_raw"]), ad.parameter(values["b_raw"]),
                 **{key: check_json(gm[key], ["number"], f"manifest {key} of layer {i}'s gate",
                                    CheckpointError)
                    for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
             )
-        if gate is not None and gate.mode == MODE_DBB and not gate.stats_initialized:
-            raise CheckpointError(f"the DBB gate of layer {i} holds no input statistics")
+            if mode == MODE_DBB:  # entering DBB freezes the raws, as in training
+                gate.enter_dbb()
+                for name in ("gamma", "eta", "kappa_raw"):
+                    getattr(gate, name).value = values[name]
+                gate.run_mean, gate.run_std = values["run_mean"], values["run_std"]
         if kind == "dense":
             select = check_json(entry["input_select"], ["null", "list:int"],
                                 f"manifest input_select of layer {i}", CheckpointError)

@@ -1,11 +1,11 @@
 """Per-layer dropout gate state and its differentiable sampling rules.
 
-A :class:`GateState` owns the variational parameters of one gated layer:
-Kumaraswamy shapes (a_k, b_k) for the keep probabilities, and, for the
-input-dependent mode, the scale/shift parameters of the standardized-input
-gate together with running input statistics.  Trainable fields are autodiff
-leaf :class:`~betadrop.autodiff.Node` objects; the evaluation-time mask
-:meth:`GateState.expected_mask` reads their ``.value``.
+A :class:`GateState` holds what its stage needs.  A BB gate holds trainable
+Kumaraswamy shapes (a_k, b_k) for the keep probabilities.  Entering DBB
+freezes them as constants and adds the scale/shift parameters of the
+standardized-input gate, whose running input statistics start with the first
+training batch.  The evaluation-time mask :meth:`GateState.expected_mask`
+reads the autodiff leaves' ``.value``.
 
 Each gate quantity of a training pass (the Kumaraswamy sample, the concrete
 mask, the DBB shift draw and keep probabilities, the two KL terms) is one
@@ -48,28 +48,30 @@ INIT_GAMMA = 0.0
 INIT_ETA = 1.0
 INIT_KAPPA = 0.1
 
+# the arrays a gate holds in each mode, in checkpoint payload order
+MODE_ARRAYS = {MODE_BB: ("a_raw", "b_raw"),
+               MODE_DBB: ("a_raw", "b_raw", "gamma", "eta", "kappa_raw", "run_mean", "run_std")}
+
 
 @dataclass
 class GateState:
-    """Variational state for one dropout gate over K units."""
+    """Variational state for one dropout gate over K units.  The five fields
+    after ``sigma_floor`` are None in a BB gate; entering DBB sets the first
+    three, and the first DBB training batch the running statistics."""
 
     a_raw: Node
     b_raw: Node
-    gamma: Node
-    eta: Node
-    kappa_raw: Node
-    run_mean: np.ndarray
-    run_std: np.ndarray
     alpha_over_k: float = 1e-4
     eps: float = 1e-3
-    mode: str = MODE_BB
     momentum: float = 0.9
     sigma_floor: float = 1e-3
-    stats_initialized: bool = False
+    gamma: Node | None = None
+    eta: Node | None = None
+    kappa_raw: Node | None = None
+    run_mean: np.ndarray | None = None
+    run_std: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_BB, MODE_DBB):
-            raise ContractError(f"unknown gate mode {self.mode!r}")
         if not 0.0 < self.eps < 0.5:
             raise ContractError(f"eps must lie in (0, 0.5), got {self.eps}")
         if not 0.0 <= self.momentum < 1.0:
@@ -81,17 +83,28 @@ class GateState:
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":
-        """A fresh gate over ``k`` units; ``options`` set the scalar fields."""
+        """A fresh BB gate over ``k`` units; ``options`` set the scalar fields."""
         return cls(
             a_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_A)))),
             b_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_B)))),
-            gamma=ad.parameter(np.full(k, INIT_GAMMA)),
-            eta=ad.parameter(np.full(k, INIT_ETA)),
-            kappa_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_KAPPA)))),
-            run_mean=np.zeros(k),
-            run_std=np.ones(k),
             **options,
         )
+
+    @property
+    def mode(self) -> str:
+        return MODE_BB if self.gamma is None else MODE_DBB
+
+    def enter_dbb(self) -> None:
+        """Freeze q(pi) as constants and add the input-dependent gate at its
+        initial values; a DBB gate stays as it is."""
+        if self.gamma is not None:
+            return
+        k = self.k
+        self.a_raw = ad.constant(self.a_raw.value)
+        self.b_raw = ad.constant(self.b_raw.value)
+        self.gamma = ad.parameter(np.full(k, INIT_GAMMA))
+        self.eta = ad.parameter(np.full(k, INIT_ETA))
+        self.kappa_raw = ad.parameter(np.full(k, float(softplus_inv(INIT_KAPPA))))
 
     @property
     def k(self) -> int:
@@ -112,32 +125,27 @@ class GateState:
         return kumaraswamy_mean(self.a(), self.b())
 
     def update_running_stats(self, batch: np.ndarray) -> None:
-        """Fold one training batch into the running input statistics.
+        """Fold one training batch into a DBB gate's running input statistics.
 
         The first batch initializes the statistics directly; later batches
         blend in with momentum m (mu <- m*mu + (1-m)*batch_mean).
         """
+        if self.gamma is None:
+            raise ContractError("a BB gate keeps no input statistics")
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.k:
-            raise DimensionError(
-                f"gate expects (B, {self.k}) inputs, got {batch.shape}"
-            )
+            raise DimensionError(f"gate expects (B, {self.k}) inputs, got {batch.shape}")
         if batch.shape[0] < 2:
-            raise ContractError(
-                "running statistics need a batch of at least 2 examples"
-            )
+            raise ContractError("running statistics need a batch of at least 2 examples")
         mean = batch.mean(axis=0)
         std = np.maximum(batch.std(axis=0), self.sigma_floor)
-        if not self.stats_initialized:
+        if self.run_mean is None:
             self.run_mean = mean
             self.run_std = std
-            self.stats_initialized = True
         else:
             m = self.momentum
             self.run_mean = m * self.run_mean + (1.0 - m) * mean
-            self.run_std = np.maximum(
-                m * self.run_std + (1.0 - m) * std, self.sigma_floor
-            )
+            self.run_std = np.maximum(m * self.run_std + (1.0 - m) * std, self.sigma_floor)
 
     def expected_mask(self, x: np.ndarray | None = None) -> np.ndarray:
         """Deterministic evaluation-time mask.
@@ -147,11 +155,11 @@ class GateState:
         and returns E_q[pi] * clamp(gamma * xhat + eta, eps, 1 - eps).
         """
         e_pi = self.expected_pi()
-        if self.mode == MODE_BB:
+        if self.gamma is None:
             return e_pi
         if x is None:
             raise ContractError("DBB expected_mask requires the gate input")
-        if not self.stats_initialized:
+        if self.run_mean is None:
             raise ContractError("DBB expected_mask requires initialized input statistics")
         x = np.asarray(x, dtype=np.float64)
         xhat = (x - self.run_mean) / self.run_std
@@ -162,19 +170,20 @@ class GateState:
         return np.clip(self.gamma.value * xhat + shift, self.eps, 1.0 - self.eps)
 
     def trainable_nodes(self) -> list[Node]:
-        if self.mode == MODE_BB:
+        if self.gamma is None:
             return [self.a_raw, self.b_raw]
         return [self.gamma, self.eta, self.kappa_raw]
 
     def subset(self, keep: np.ndarray) -> "GateState":
+        """The gate over units ``keep``; None stays None and a constant constant."""
         keep = np.asarray(keep, dtype=np.intp)
-        return replace(
-            self,
-            **{name: ad.parameter(getattr(self, name).value[keep])
-               for name in ("a_raw", "b_raw", "gamma", "eta", "kappa_raw")},
-            run_mean=self.run_mean[keep].copy(),
-            run_std=self.run_std[keep].copy(),
-        )
+
+        def cut(v):
+            if isinstance(v, Node):
+                return (ad.parameter if v.needs_grad else ad.constant)(v.value[keep])
+            return None if v is None else v[keep]
+
+        return replace(self, **{name: cut(getattr(self, name)) for name in MODE_ARRAYS[self.mode]})
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +191,11 @@ class GateState:
 # ---------------------------------------------------------------------------
 
 
-def _frozen(gate: GateState) -> bool:
-    """Whether q(pi) takes no gradient: its raws are constants, as during DBB
-    fine-tuning, so the nodes built from them alone are constants too."""
-    return not (gate.a_raw.needs_grad or gate.b_raw.needs_grad)
-
-
 def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
     """Reparameterized Kumaraswamy sample of the keep probabilities, (K,)."""
     u = open_unit_uniform(rng, gate.k)
     a, b = gate.a(), gate.b()
     pi = kumaraswamy_sample(u, a, b)
-    if _frozen(gate):
-        return ad.constant(pi)
 
     def vjp(g):
         inner = u ** (1.0 / b)
@@ -273,8 +274,6 @@ def kl_bb_node(gate: GateState) -> Node:
     """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1)."""
     a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
     kl = kl_kumaraswamy_beta(a, b, ak).sum()
-    if _frozen(gate):
-        return ad.constant(kl)
 
     def vjp(g):
         inner = -(EULER_GAMMA + special.digamma(b) + 1.0 / b)

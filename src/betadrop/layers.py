@@ -21,6 +21,7 @@ from .autodiff import Node
 from .distributions import LOGIT_EPS, make_rng, open_unit_uniform
 from .errors import ContractError, DimensionError, PruneCollapseError
 from .gates import (
+    MODE_BB,
     MODE_DBB,
     GateState,
     beta_sample_node,
@@ -109,14 +110,16 @@ class Network:
         return [(i, l.gate) for i, l in enumerate(self.layers) if l.gate is not None]
 
     def set_gate_mode(self, mode: str) -> None:
-        for g in self.gates():
-            g.mode = mode
+        """Put every gate in ``mode``: MODE_DBB enters DBB on each BB gate
+        (:meth:`GateState.enter_dbb`), and a DBB gate cannot go back to BB."""
+        if mode == MODE_DBB:
+            for g in self.gates():
+                g.enter_dbb()
+        elif mode != MODE_BB or any(g.mode == MODE_DBB for g in self.gates()):
+            raise ContractError(f"gates cannot enter mode {mode!r}: they go from BB to DBB only")
 
     def variational_parameters(self) -> list[Node]:
-        out = []
-        for g in self.gates():
-            out.extend(g.trainable_nodes())
-        return out
+        return [n for g in self.gates() for n in g.trainable_nodes()]
 
 
 # ---------------------------------------------------------------------------

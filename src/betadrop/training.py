@@ -207,11 +207,10 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     """The one training loop behind every stage; returns the loss sequence.
 
     ``gate_mode`` None trains with gates disabled, every parameter at
-    ``lr_variational``.  MODE_BB and MODE_DBB enable the gates in that mode
-    and train the weights at ``effective_lr_weights()`` and the gates'
-    trainable parameters at ``lr_variational``.  In MODE_DBB the
-    Kumaraswamy raws (q(pi)) are held as constants, so no gradient is
-    computed for them, and are bit-checked after every step.
+    ``lr_variational``.  MODE_BB and MODE_DBB set the gates' mode and train
+    the weights at ``effective_lr_weights()`` and the gates' trainable
+    parameters at ``lr_variational``.  In MODE_DBB the Kumaraswamy raws
+    (q(pi)) are constants, and are bit-checked after every step.
     """
     net.gates_enabled = gate_mode is not None
     if gate_mode is None:
@@ -222,49 +221,41 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                  (net.variational_parameters(), config.lr_variational)]
     groups = [(params, AdamState.for_params(params), lr) for params, lr in rates]
     all_params = [p for params, _ in rates for p in params]
-    raws = [p for g in net.gates() for p in (g.a_raw, g.b_raw)] if gate_mode == MODE_DBB else []
-    frozen = [(p, p.value.copy()) for p in raws]
+    frozen = [(p, p.value.copy()) for g in net.gates() for p in (g.a_raw, g.b_raw)
+              if gate_mode == MODE_DBB]
     noise_rng = make_rng(config.seed + NOISE_SEED_OFFSET)
     n_total = len(data)
     losses: list[float] = []
     step = 0
     per_epoch = batches_per_epoch(n_total, config.batch_size)
     stream = batch_iterator(data, config.batch_size, seed=config.seed, epochs=epochs)
-    for p in raws:
-        p.needs_grad = False
-    try:
-        for epoch in range(epochs):
-            epoch_nll = 0.0
-            epoch_kl = 0.0
-            for x, y in (next(stream) for _ in range(per_epoch)):
-                ad.zero_gradients(all_params)
-                loss, parts = elbo_loss(net, (x, y), n_total, config, noise_rng)
-                if not np.isfinite(loss.value):
-                    raise TrainingDivergedError(step)
-                ad.backward(loss)
-                for params, state, lr in groups:
-                    adam_step(params, [p.grad for p in params], state, lr)
-                # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
-                if not all(np.isfinite(p.value).all() for p in all_params):
-                    raise TrainingDivergedError(step)
-                if not all(np.array_equal(p.value, v) for p, v in frozen):
-                    raise InvariantViolationError(
-                        f"keep-probability posterior changed at step {step}"
-                    )
-                losses.append(float(loss.value))
-                epoch_nll += parts["nll"]
-                epoch_kl += parts["kl"]
-                step += 1
-            if log is not None:
-                train_err = evaluate_error(net, data) if len(data) <= 20000 else float("nan")
-                test_err = evaluate_error(net, eval_data) if eval_data is not None else float("nan")
-                log.append(
-                    epoch, epoch_nll / per_epoch, epoch_kl / per_epoch,
-                    train_err, test_err, _expected_flops(net),
-                )
-    finally:
-        for p in raws:
-            p.needs_grad = True
+    for epoch in range(epochs):
+        epoch_nll = 0.0
+        epoch_kl = 0.0
+        for x, y in (next(stream) for _ in range(per_epoch)):
+            ad.zero_gradients(all_params)
+            loss, parts = elbo_loss(net, (x, y), n_total, config, noise_rng)
+            if not np.isfinite(loss.value):
+                raise TrainingDivergedError(step)
+            ad.backward(loss)
+            for params, state, lr in groups:
+                adam_step(params, [p.grad for p in params], state, lr)
+            # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
+            if not all(np.isfinite(p.value).all() for p in all_params):
+                raise TrainingDivergedError(step)
+            if not all(np.array_equal(p.value, v) for p, v in frozen):
+                raise InvariantViolationError(f"keep-probability posterior changed at step {step}")
+            losses.append(float(loss.value))
+            epoch_nll += parts["nll"]
+            epoch_kl += parts["kl"]
+            step += 1
+        if log is not None:
+            train_err = evaluate_error(net, data) if len(data) <= 20000 else float("nan")
+            test_err = evaluate_error(net, eval_data) if eval_data is not None else float("nan")
+            log.append(
+                epoch, epoch_nll / per_epoch, epoch_kl / per_epoch,
+                train_err, test_err, _expected_flops(net),
+            )
     net.meta["stage"] = gate_mode or "pretrained"  # a gated stage is named after its mode
     return losses
 

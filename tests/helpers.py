@@ -83,6 +83,23 @@ def keep_set_forward(net, x, keep_sets):
         return layers._walk(net, x, kept_mask).value
 
 
+def interior_gates(net, rng, mode):
+    """Enable ``net``'s gates in ``mode`` and move their arrays off the
+    symmetric init, so clamp and relu kinks stay away from finite-difference
+    steps.  Each gate draws five arrays from ``rng`` in either mode."""
+    net.gates_enabled = True
+    net.set_gate_mode(mode)
+    for g in net.gates():
+        a, b, gamma, eta, kappa = (rng.normal(mean, spread, g.k) for mean, spread in
+                                   ((0, 0.3), (0, 0.3), (0.6, 0.1), (0.3, 0.05), (0, 0.1)))
+        g.a_raw.value = g.a_raw.value + a
+        g.b_raw.value = g.b_raw.value + b
+        if g.mode == gates.MODE_DBB:
+            g.gamma.value, g.eta.value = gamma, eta
+            g.kappa_raw.value = g.kappa_raw.value + kappa
+    return net
+
+
 def gradcheck(build_loss, params, h=1e-5, rtol=1e-4, atol=1e-7):
     """Check backward() gradients of every param against central differences.
 
@@ -194,12 +211,14 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
     bounds, gate factors clamped at both ``eps`` and ``1 - eps``, and a
     constant gate-input column (the standard-deviation floor fires).
     """
-    gate = gates.GateState.create(k, mode=gates.MODE_DBB)
-    gate.a_raw.value = rng.normal(1.0, scale, k)
-    gate.b_raw.value = rng.normal(0.5, scale, k)
-    gate.gamma.value = rng.normal(0.2, 0.1, k)
-    gate.eta.value = rng.normal(0.4, 0.1 * scale, k)
-    gate.kappa_raw.value = rng.normal(-2.0, scale, k)
+    # Built by hand with every array a parameter, so each builder's whole
+    # gradient is checked; the program's DBB gates hold constant raws.
+    gate = gates.GateState(
+        ad.parameter(rng.normal(1.0, scale, k)), ad.parameter(rng.normal(0.5, scale, k)),
+        gamma=ad.parameter(rng.normal(0.2, 0.1, k)),
+        eta=ad.parameter(rng.normal(0.4, 0.1 * scale, k)),
+        kappa_raw=ad.parameter(rng.normal(-2.0, scale, k)),
+    )
     seed = int(rng.integers(2**31))
     if name == "sample_pi":
         if boundary:
@@ -464,6 +483,16 @@ def to_format_version_2(manifest) -> None:
             arrays.append({"name": f"L{i}.{name}", "shape": extents, "offset": offset})
             offset += int(np.prod(extents))
     manifest.update(format_version=2, arrays=arrays, payload_len=offset)
+
+
+def to_format_version_3(manifest) -> None:
+    """Turn a DBB network's manifest into its format-version-3 form, whose
+    gates also held a ``stats_initialized`` flag.  Format 3 stored seven
+    arrays per gate, as format 4 does for a DBB gate, so the payload fits."""
+    manifest["format_version"] = 3
+    for entry in manifest["layers"]:
+        if entry["gate"] is not None:
+            entry["gate"]["stats_initialized"] = True
 
 
 def edit_manifest(path, edit) -> None:

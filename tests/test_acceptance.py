@@ -52,6 +52,7 @@ from helpers import (
     fused_gate_case,
     gate_case_loss,
     gradcheck,
+    interior_gates,
     keep_set_forward,
     kumaraswamy_log_pdf,
     sum_all,
@@ -91,7 +92,7 @@ def _dbb_runtime_fixture():
     net.set_gate_mode(MODE_DBB)
     first, *hidden = net.gates()
     for g in net.gates():
-        g.stats_initialized = True
+        g.run_mean, g.run_std = np.zeros(g.k), np.ones(g.k)
     first.gamma.value = np.ones(first.k)
     first.eta.value = np.zeros(first.k)
     for g, kept in zip(hidden, (35, 25)):
@@ -232,20 +233,6 @@ def test_criterion_4_concrete_relaxation():
 # -------------------------------------------------------------------------
 
 
-def _interior_toy_net(seed, mode):
-    net = build_mlp((6, 5, 3), seed=seed)
-    net.gates_enabled = True
-    rng = d.make_rng(seed + 90)
-    for g in net.gates():
-        g.mode = mode
-        g.a_raw.value = g.a_raw.value + rng.normal(0, 0.3, g.k)
-        g.b_raw.value = g.b_raw.value + rng.normal(0, 0.3, g.k)
-        g.gamma.value = rng.normal(0.6, 0.1, g.k)
-        g.eta.value = rng.normal(0.3, 0.05, g.k)
-        g.kappa_raw.value = g.kappa_raw.value + rng.normal(0, 0.1, g.k)
-    return net
-
-
 def test_criterion_5_gradient_suite():
     with criterion(5, "ops + full BB/DBB losses match finite differences (<1e-4)"):
         rng = np.random.default_rng(5)
@@ -275,14 +262,11 @@ def test_criterion_5_gradient_suite():
         data_x = rng.normal(size=(4, 6))
         data_y = np.array([0, 1, 2, 0])
         for mode, seed in (("bb", 1), ("dbb", 2)):
-            net = _interior_toy_net(seed, mode)
+            net = build_mlp((6, 5, 3), seed=seed)
+            interior_gates(net, d.make_rng(seed + 90), mode)
             cfg = TrainConfig(weight_decay=1e-3, kl_scale=2.0, tau=0.8,
                               per_layer_kl_multipliers=(2.0, 1.0))
-            params = net.parameters() + [
-                p
-                for g in net.gates()
-                for p in (g.a_raw, g.b_raw, g.gamma, g.eta, g.kappa_raw)
-            ]
+            params = net.parameters() + net.variational_parameters()
 
             def loss():
                 out, _ = elbo_loss(net, (data_x, data_y), 40, cfg, d.make_rng(33))

@@ -21,6 +21,7 @@ from betadrop.data import Dataset
 from betadrop.errors import ContractError, PruneCollapseError
 from betadrop.gates import MODE_DBB
 from betadrop.layers import (
+    Network,
     build_lenet5_caffe,
     build_lenet_500_300,
     build_mlp,
@@ -147,13 +148,28 @@ class TestFlopsAndMemory:
             with pytest.raises(ContractError, match=re.escape("in [1, K] per gate")):
                 count(net, counts)
 
+    @pytest.mark.parametrize("side", [2**27 + 12, 2**33])
+    def test_full_counts_on_a_huge_input_are_exact(self, side):
+        # a count times the first conv's MACs per pair passes 2**63: int64
+        # counts once gave -5.4e18 pruned MACs on the smaller side and an
+        # OverflowError on the larger
+        small = shrink(build_lenet5_caffe(seed=0), [np.arange(0, 20, 2), np.arange(0, 50, 2),
+                                                    np.arange(0, 800, 3), np.arange(500)])
+        net = Network(small.layers, meta={**small.meta, "input_shape": [1, side, side]})
+        widths = [g.k for g in net.gates()]
+        with np.errstate(all="raise"):
+            orig, pruned, speedup = count_flops(net, widths)
+            memory = count_memory(net, widths)
+        assert type(pruned) is int and pruned == orig > 2**63 and speedup == 1.0
+        assert memory == 100.0
+
 
 def make_dbb_net(seed=0, k=6, hidden=4):
     net = build_mlp((k, hidden, 2), seed=seed)
     net.gates_enabled = True
     rng = d.make_rng(seed)
+    net.set_gate_mode(MODE_DBB)
     for g in net.gates():
-        g.mode = MODE_DBB
         g.gamma.value = rng.normal(1.0, 0.2, g.k)
         g.eta.value = rng.normal(0.3, 0.1, g.k)
         g.update_running_stats(rng.normal(size=(32, g.k)))

@@ -166,6 +166,18 @@ class TestElementwise:
         assert np.array_equal(p.grad, [2.0, 4.0, 6.0])
         assert c._grad is None and q._grad is None
 
+    def test_fused_over_constants_is_a_constant(self):
+        def vjp(g):
+            raise AssertionError("a node no gradient reaches runs no backward")
+
+        c = ad.constant(np.ones(2))
+        out = ad.fused(np.full(2, 3.0), (c, ad.constant(1.0)), vjp)
+        assert not out.needs_grad and out._parents == () and out._backward_fn is None
+        assert np.array_equal(out.value, [3.0, 3.0])
+        p = ad.parameter(np.ones(2))
+        ad.backward(sum_all(ad.mul(out, p)))
+        assert np.array_equal(p.grad, [3.0, 3.0]) and c._grad is None
+
 
 class TestConv2d:
     def test_one_by_one_identity(self):

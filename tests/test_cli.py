@@ -431,6 +431,17 @@ class TestPipeline:
         assert "within_corr=" in line and "cross_corr=" in line
         assert (tmp_path / "run" / "gate_correlation_layer0.csv").exists()
 
+    def test_zero_epoch_train_dbb_is_runtime_error(self, pipeline, tmp_path, capsys):
+        # DBB gates take their input statistics from the first training batch,
+        # so a run of no epochs leaves a net that could not be evaluated
+        cfg = write_config(tmp_path, train={"finetune_epochs": 0})
+        init = str(pipeline[0] / "run" / "bb_pruned.ckpt")
+        assert main(["train-dbb", "--config", str(cfg), "--init", init]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "DBB gate of layer 0 holds no input statistics" in err
+        assert not (tmp_path / "run" / "dbb.ckpt").exists()
+
     def test_correlation_of_a_pretrained_net_is_runtime_error(self, pipeline, capsys):
         tmp_path, cfg = pipeline
         pretrained = str(tmp_path / "run" / "pretrained.ckpt")

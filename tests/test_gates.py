@@ -11,7 +11,9 @@ import pytest
 from betadrop import autodiff as ad
 from betadrop import distributions as d
 from betadrop.errors import ContractError, DimensionError
+from betadrop.layers import build_mlp
 from betadrop.gates import (
+    INIT_KAPPA,
     MODE_BB,
     MODE_DBB,
     GateState,
@@ -26,15 +28,24 @@ from betadrop.gates import (
 from helpers import FUSED_GATES, complex_step_grads, fused_gate_case, gradcheck, sum_all
 
 
+def dbb_create(k, **options):
+    """A fresh gate over ``k`` units, entered into DBB."""
+    gate = GateState.create(k, **options)
+    gate.enter_dbb()
+    return gate
+
+
 def make_gate(k=4, mode=MODE_BB, eps=1e-3, seed=0):
-    gate = GateState.create(k, mode=mode, eps=eps)
+    gate = GateState.create(k, eps=eps)
     rng = d.make_rng(seed)
     # move parameters off their symmetric init so gradients are informative
     gate.a_raw.value = gate.a_raw.value + rng.normal(0, 0.3, k)
     gate.b_raw.value = gate.b_raw.value + rng.normal(0, 0.3, k)
-    gate.gamma.value = rng.normal(0.5, 0.2, k)
-    gate.eta.value = rng.normal(0.4, 0.1, k)
-    gate.kappa_raw.value = gate.kappa_raw.value + rng.normal(0, 0.2, k)
+    if mode == MODE_DBB:
+        gate.enter_dbb()
+        gate.gamma.value = rng.normal(0.5, 0.2, k)
+        gate.eta.value = rng.normal(0.4, 0.1, k)
+        gate.kappa_raw.value = gate.kappa_raw.value + rng.normal(0, 0.2, k)
     return gate
 
 
@@ -44,14 +55,38 @@ class TestInitialization:
         assert gate.expected_pi() == pytest.approx(np.full(5, 0.9), abs=1e-12)
 
     def test_initial_gate_params(self):
-        gate = GateState.create(3)
+        gate = dbb_create(3)
         assert np.allclose(gate.gamma.value, 0.0)
         assert np.allclose(gate.eta.value, 1.0)
         assert np.allclose(gate.kappa(), 0.1)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ContractError):
-            GateState.create(3, mode="both")
+        # the mode follows the gate's state: no option sets it, nor does assignment
+        with pytest.raises(ContractError, match="gates cannot enter mode 'both'"):
+            build_mlp((3, 2)).set_gate_mode("both")
+        with pytest.raises(TypeError):
+            GateState.create(3, mode=MODE_DBB)
+        with pytest.raises(AttributeError):
+            GateState.create(3).mode = MODE_DBB
+
+    def test_bb_gate_holds_only_its_posterior(self):
+        gate = GateState.create(3)
+        assert gate.mode == MODE_BB and gate.trainable_nodes() == [gate.a_raw, gate.b_raw]
+        assert all(getattr(gate, name) is None
+                   for name in ("gamma", "eta", "kappa_raw", "run_mean", "run_std"))
+
+    def test_entering_dbb_freezes_the_posterior_and_adds_the_gate(self):
+        gate = make_gate(3, seed=1)
+        a, b = gate.a_raw.value, gate.b_raw.value
+        gate.enter_dbb()
+        assert gate.mode == MODE_DBB and gate.run_mean is None
+        assert not gate.a_raw.needs_grad and not gate.b_raw.needs_grad
+        assert np.array_equal(gate.a_raw.value, a) and np.array_equal(gate.b_raw.value, b)
+        assert gate.trainable_nodes() == [gate.gamma, gate.eta, gate.kappa_raw]
+        assert np.array_equal(gate.kappa_raw.value, np.full(3, d.softplus_inv(INIT_KAPPA)))
+        nodes = gate.trainable_nodes()
+        gate.enter_dbb()  # a DBB gate stays as it is
+        assert gate.trainable_nodes() == nodes
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5, float("nan")])
     def test_momentum_outside_unit_interval_rejected(self, momentum):
@@ -73,14 +108,14 @@ class TestInitialization:
 
 class TestRunningStats:
     def test_first_batch_initializes_directly(self):
-        gate = GateState.create(3)
+        gate = dbb_create(3)
         batch = np.full((8, 3), 2.5)
         gate.update_running_stats(batch)
         assert np.allclose(gate.run_mean, 2.5)
         assert np.allclose(gate.run_std, gate.sigma_floor)
 
     def test_ema_converges_geometrically(self):
-        gate = GateState.create(2)
+        gate = dbb_create(2)
         gate.update_running_stats(np.zeros((4, 2)))  # init at mean 0
         target = np.full(2, 1.0)
         batch = np.concatenate([np.full((2, 2), 0.5), np.full((2, 2), 1.5)])
@@ -92,14 +127,20 @@ class TestRunningStats:
             )
 
     def test_small_batch_rejected(self):
-        gate = GateState.create(2)
+        gate = dbb_create(2)
         with pytest.raises(ContractError):
             gate.update_running_stats(np.ones((1, 2)))
 
     def test_wrong_width_rejected(self):
-        gate = GateState.create(2)
+        gate = dbb_create(2)
         with pytest.raises(DimensionError):
             gate.update_running_stats(np.ones((4, 3)))
+
+    def test_bb_gate_keeps_no_statistics(self):
+        gate = GateState.create(2)
+        with pytest.raises(ContractError, match="BB gate keeps no input statistics"):
+            gate.update_running_stats(np.ones((4, 2)))
+        assert gate.run_mean is None
 
     def test_evaluation_never_mutates(self):
         gate = make_gate(3, mode=MODE_DBB)
@@ -112,14 +153,13 @@ class TestRunningStats:
 
 def dbb_gate(a: float, eps: float, gamma: float, eta: float, mean: float) -> GateState:
     """One-unit DBB gate with b = 1, so E_q[pi] = a / (a + 1), and unit running std."""
-    gate = GateState.create(1, eps=eps, mode=MODE_DBB)
+    gate = dbb_create(1, eps=eps)
     gate.a_raw.value = np.array([float(d.softplus_inv(a))])
     gate.b_raw.value = np.array([float(d.softplus_inv(1.0))])
     gate.gamma.value = np.array([gamma])
     gate.eta.value = np.array([eta])
     gate.run_mean = np.array([mean])
     gate.run_std = np.array([1.0])
-    gate.stats_initialized = True
     return gate
 
 
@@ -162,7 +202,7 @@ class TestExpectedMask:
             gate.expected_mask(np.zeros(3))
 
     def test_dbb_saturating_eta_gives_ceiling(self):
-        gate = GateState.create(2, mode=MODE_DBB, eps=1e-3)
+        gate = dbb_create(2, eps=1e-3)
         gate.eta.value = np.array([5.0, 5.0])
         gate.update_running_stats(np.random.default_rng(0).normal(size=(10, 2)))
         mask = gate.expected_mask(np.zeros(2))
@@ -199,17 +239,23 @@ class TestSubset:
         keep = np.array([0, 3, 4])
         sub = gate.subset(keep)
         assert sub.k == 3
-        assert np.array_equal(sub.a_raw.value, gate.a_raw.value[keep])
+        for name in ("a_raw", "b_raw", "gamma", "eta", "kappa_raw"):
+            node, cut = getattr(gate, name), getattr(sub, name)
+            assert np.array_equal(cut.value, node.value[keep]), name
+            assert cut.needs_grad == node.needs_grad, name  # the raws stay constants
         assert np.array_equal(sub.run_std, gate.run_std[keep])
-        assert sub.stats_initialized
+        assert np.array_equal(sub.run_mean, gate.run_mean[keep])
+
+    def test_subset_of_a_bb_gate_stays_bb(self):
+        sub = make_gate(5).subset(np.array([0, 2]))
+        assert sub.mode == MODE_BB and sub.a_raw.needs_grad and sub.b_raw.needs_grad
+        assert sub.gamma is None and sub.run_mean is None
 
     def test_subset_keeps_scalar_fields(self):
-        gate = GateState.create(5, alpha_over_k=0.5, eps=0.2, mode=MODE_DBB, momentum=0.1,
-                                sigma_floor=0.5)
+        gate = dbb_create(5, alpha_over_k=0.5, eps=0.2, momentum=0.1, sigma_floor=0.5)
         gate.update_running_stats(np.random.default_rng(1).normal(size=(10, 5)))
         sub = gate.subset(np.array([1, 3]))
-        for name in ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor",
-                     "stats_initialized"):
+        for name in ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor"):
             assert getattr(sub, name) == getattr(gate, name), name
 
     def test_subset_is_independent_copy(self):
@@ -252,6 +298,10 @@ class TestGraphPieces:
 
     def test_dbb_phi_gradients_all_parameters(self):
         gate = make_gate(3, mode=MODE_DBB, seed=6)
+        # raws that still train, as no program path builds them, so the
+        # gradient through phi into q(pi) is checked too
+        gate = replace(gate, a_raw=ad.parameter(gate.a_raw.value),
+                       b_raw=ad.parameter(gate.b_raw.value))
         rng_x = np.random.default_rng(5)
         xval = rng_x.normal(size=(6, 3))
         x = ad.parameter(xval)
@@ -276,11 +326,22 @@ class TestGraphPieces:
         assert float(kl.value) == pytest.approx(float(expected), rel=1e-12)
         gradcheck(lambda: kl_bb_node(gate), [gate.a_raw, gate.b_raw])
 
+        gate = make_gate(5, mode=MODE_DBB, seed=7)
         rho = np.sqrt(5.0)
         klb = kl_beta_gaussian_node(gate, rho)
         expected_b = d.gaussian_kl(gate.eta.value, gate.kappa() ** 2, rho)
         assert float(klb.value) == pytest.approx(expected_b, rel=1e-12)
         gradcheck(lambda: kl_beta_gaussian_node(gate, rho), [gate.eta, gate.kappa_raw])
+
+    def test_frozen_posterior_builds_constants(self):
+        # a DBB gate's raws are constants, so its q(pi) sample and KL are too
+        gate = make_gate(3, mode=MODE_DBB, seed=2)
+        for node in (sample_pi_node(gate, d.make_rng(4)), kl_bb_node(gate)):
+            assert not node.needs_grad and node._parents == ()
+        bb = make_gate(3, seed=2)
+        assert np.array_equal(sample_pi_node(gate, d.make_rng(4)).value,
+                              sample_pi_node(bb, d.make_rng(4)).value)
+        assert kl_bb_node(gate).value == kl_bb_node(bb).value
 
     def test_dbb_training_needs_two_examples(self):
         gate = make_gate(3, mode=MODE_DBB)

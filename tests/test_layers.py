@@ -42,10 +42,12 @@ from helpers import (
     edit_manifest,
     forced_mask_forward,
     gradcheck,
+    interior_gates,
     keep_set_forward,
     sum_all,
     to_format_version_1,
     to_format_version_2,
+    to_format_version_3,
 )
 
 RNG = np.random.default_rng(2024)
@@ -60,18 +62,7 @@ def dense(n_in, n_out=2, gate=None, select=None):
 
 
 def toy_net(seed=0, dims=(6, 5, 3), mode=MODE_BB):
-    net = build_mlp(dims, seed=seed)
-    net.gates_enabled = True
-    rng = d.make_rng(seed + 50)
-    for g in net.gates():
-        g.mode = mode
-        # interior gate parameters so clamp/relu kinks stay away from FD steps
-        g.a_raw.value = g.a_raw.value + rng.normal(0, 0.3, g.k)
-        g.b_raw.value = g.b_raw.value + rng.normal(0, 0.3, g.k)
-        g.gamma.value = rng.normal(0.6, 0.1, g.k)
-        g.eta.value = rng.normal(0.3, 0.05, g.k)
-        g.kappa_raw.value = g.kappa_raw.value + rng.normal(0, 0.1, g.k)
-    return net
+    return interior_gates(build_mlp(dims, seed=seed), d.make_rng(seed + 50), mode)
 
 
 class TestBuilders:
@@ -236,9 +227,7 @@ class TestForwardTrain:
         net = toy_net(seed=1, mode=mode)
         x = RNG.normal(size=(4, 6))
         y = np.array([0, 1, 2, 0])
-        params = net.parameters() + [
-            p for g in net.gates() for p in (g.a_raw, g.b_raw, g.gamma, g.eta, g.kappa_raw)
-        ]
+        params = net.parameters() + net.variational_parameters()
 
         def loss():
             logits, kls = forward_train(net, x, d.make_rng(33), tau=0.8)
@@ -350,7 +339,7 @@ class TestForwardEval:
     @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
     def test_wrong_input_width_is_dimension_error(self, mode):
         net = toy_net(mode=mode)
-        for g in net.gates():
+        for g in net.gates() if mode == MODE_DBB else ():
             g.update_running_stats(RNG.normal(size=(16, g.k)))
         with pytest.raises(DimensionError, match="expects 6 inputs"):
             forward_eval(net, RNG.normal(size=(3, 5)))
@@ -564,9 +553,12 @@ class TestCheckpoint:
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert np.array_equal(a.value, b.value)
         for ga, gb in zip(net.gates(), loaded.gates()):
-            assert np.array_equal(ga.a_raw.value, gb.a_raw.value)
+            for name in ("a_raw", "b_raw", "gamma", "eta", "kappa_raw"):
+                node, back = getattr(ga, name), getattr(gb, name)
+                assert np.array_equal(node.value, back.value), name
+                assert back.needs_grad == node.needs_grad, name  # the raws load as constants
+            assert np.array_equal(ga.run_mean, gb.run_mean)
             assert np.array_equal(ga.run_std, gb.run_std)
-            assert ga.stats_initialized == gb.stats_initialized
         x = RNG.normal(size=(4, 6))
         assert np.array_equal(forward_eval(net, x), forward_eval(loaded, x))
 
@@ -641,11 +633,12 @@ class TestCheckpoint:
         rng = d.make_rng(7)
         for g in net.gates():
             g.a_raw.value = g.a_raw.value + rng.normal(0, 0.3, g.k)
-            g.update_running_stats(rng.normal(size=(4, g.k)))
         x = RNG.random((3, 1, 28, 28))
         path = tmp_path / "net.ckpt"
         for mode in (MODE_BB, MODE_DBB):
             net.set_gate_mode(mode)
+            for g in net.gates() if mode == MODE_DBB else ():
+                g.update_running_stats(rng.normal(size=(4, g.k)))
             save_checkpoint(net, path)
             assert np.array_equal(forward_eval(load_checkpoint(path), x), forward_eval(net, x))
 
@@ -672,11 +665,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_dbb_gate_without_statistics_is_typed_error(self, tmp_path):
-        # such a gate cannot give an expected mask, so the net could not run
+        # such a gate cannot give an expected mask, so the net could not run;
+        # it is refused before the file is opened
         path = tmp_path / "net.ckpt"
-        save_checkpoint(toy_net(seed=21, mode=MODE_DBB), path)
-        with pytest.raises(CheckpointError, match="DBB gate of layer 0 holds no input statistics"):
-            load_checkpoint(path)
+        with pytest.raises(ContractError, match="DBB gate of layer 0 holds no input statistics"):
+            save_checkpoint(toy_net(seed=21, mode=MODE_DBB), path)
+        assert not path.exists()
 
     def test_length_disagreement(self, tmp_path):
         net = toy_net(seed=15)
@@ -714,11 +708,18 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_package_error_passes_through_unwrapped(self, tmp_path):
-        # the gate's own ContractError for an unknown mode reaches the caller as it is
+        # the gate's own ContractError for an out-of-range eps reaches the caller as it is
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=20), path)
+        edit_manifest(path, lambda m: m["layers"][0]["gate"].update(eps=0.7))
+        with pytest.raises(ContractError, match=re.escape("eps must lie in (0, 0.5), got 0.7")):
+            load_checkpoint(path)
+
+    def test_unknown_gate_mode_is_typed_error(self, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(toy_net(seed=20), path)
         edit_manifest(path, lambda m: m["layers"][0]["gate"].update(mode="fast"))
-        with pytest.raises(ContractError, match="unknown gate mode 'fast'"):
+        with pytest.raises(CheckpointError, match="mode of layer 0's gate must be one of"):
             load_checkpoint(path)
 
     def test_swapped_weight_extents_are_length_error(self, tmp_path):
@@ -754,8 +755,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointVersionError, match="version 2 "):
             load_checkpoint(path)
 
+    def test_version_3_file_is_version_error(self, tmp_path):
+        net = toy_net(seed=23, mode=MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        edit_manifest(path, to_format_version_3)
+        with pytest.raises(CheckpointVersionError, match="version 3 "):
+            load_checkpoint(path)
+
+    def test_payload_holds_two_arrays_per_bb_gate_and_seven_per_dbb_gate(self, tmp_path):
+        net = toy_net(seed=22, dims=(8, 6, 3))
+        path = tmp_path / "net.ckpt"
+
+        def payload_bytes():
+            save_checkpoint(net, path)
+            blob = path.read_bytes()
+            return len(blob) - blob.index(b"\n") - 1
+
+        weights_and_biases = sum(p.value.size for p in net.parameters())
+        units = sum(g.k for g in net.gates())
+        assert payload_bytes() == 8 * (weights_and_biases + 2 * units)
+        net.set_gate_mode(MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
+        assert payload_bytes() == 8 * (weights_and_biases + 7 * units)
+
     def test_non_finite_payload_rejected(self, tmp_path):
-        net = toy_net(seed=18)
+        net = toy_net(seed=18, mode=MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
         net.layers[0].gate.run_std[2] = np.nan
         net.layers[1].b.value[0] = np.inf
         path = tmp_path / "net.ckpt"
@@ -791,9 +821,11 @@ def _value_paths(value, path=()):
 
 
 def _layer_values(entry) -> int:
-    """The payload values of one manifest layer entry."""
+    """The payload values of one manifest layer entry: a BB gate stores two
+    arrays, a DBB gate seven."""
     shape = entry["shape"]
-    gate_values = 0 if entry["gate"] is None else 7 * shape[0]
+    gate = entry["gate"]
+    gate_values = 0 if gate is None else {"bb": 2, "dbb": 7}[gate["mode"]] * shape[0]
     return math.prod(shape) + shape[1 if entry["kind"] == "dense" else 0] + gate_values
 
 

@@ -1,12 +1,14 @@
 """Trainer tests: Adam arithmetic, ELBO scaling and unbiasedness, stage
 behaviors (pretrain, input-independent fine-tune, frozen stage 2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from betadrop import autodiff as ad
 from betadrop import distributions as d
-from betadrop import gates, training
+from betadrop import training
 from betadrop.analysis import count_flops, prune_by_threshold, runtime_prune_stats
 from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_cluster
 from betadrop.errors import (
@@ -16,7 +18,15 @@ from betadrop.errors import (
     TrainingDivergedError,
 )
 from betadrop.gates import MODE_BB, MODE_DBB
-from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
+from betadrop.checkpoint import load_checkpoint, save_checkpoint
+from betadrop.layers import (
+    build_lenet5_caffe,
+    build_lenet_500_300,
+    build_mlp,
+    forward_eval,
+    forward_train,
+    shrink,
+)
 from betadrop.training import (
     AdamState,
     MetricsLog,
@@ -91,8 +101,6 @@ class TestAdam:
 def small_net(seed=0, dims=(6, 5, 2)):
     net = build_mlp(dims, seed=seed)
     net.gates_enabled = True
-    for g in net.gates():
-        g.mode = MODE_BB
     return net
 
 
@@ -242,7 +250,7 @@ class TestEvaluateError:
     def test_empty_dataset_rejected(self, mode):
         net = small_net()
         net.set_gate_mode(mode)
-        for g in net.gates():
+        for g in net.gates() if mode == MODE_DBB else ():
             g.update_running_stats(np.random.default_rng(0).normal(size=(8, g.k)))
         empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError, match="empty"):
@@ -410,14 +418,20 @@ class TestFinetuneDBB:
         _, _, _, dbb_net, _ = two_stage_nets
         for g in dbb_net.gates():
             assert g.a_raw._grad is None and g.b_raw._grad is None
-            assert g.a_raw.needs_grad and g.b_raw.needs_grad  # trainable again after
+            assert not g.a_raw.needs_grad and not g.b_raw.needs_grad  # constants from DBB on
 
-    def test_skipping_the_frozen_gradient_keeps_losses_bit_identical(self, monkeypatch):
+    def test_skipping_the_frozen_gradient_keeps_losses_bit_identical(self):
+        # raws that take a gradient, which no optimizer group applies, give
+        # the losses of the constant raws that entering DBB makes
         ds = synthetic_two_cluster(200, 8, seed=1)
         cfg = TrainConfig(batch_size=50, lr_variational=0.01, seed=0)
         skipped = finetune_dbb(small_net(seed=1, dims=(8, 6, 2)), ds, cfg, epochs=2)
-        monkeypatch.setattr(gates, "_frozen", lambda gate: False)
-        assert finetune_dbb(small_net(seed=1, dims=(8, 6, 2)), ds, cfg, epochs=2) == skipped
+        net = small_net(seed=1, dims=(8, 6, 2))
+        net.set_gate_mode(MODE_DBB)
+        for g in net.gates():
+            g.a_raw, g.b_raw = ad.parameter(g.a_raw.value), ad.parameter(g.b_raw.value)
+        assert finetune_dbb(net, ds, cfg, epochs=2) == skipped
+        assert all(g.a_raw._grad is not None for g in net.gates())
 
     def test_per_input_kept_never_exceeds_static(self, two_stage_nets):
         _, test, _, dbb_net, _ = two_stage_nets
@@ -458,7 +472,7 @@ class TestFinetuneDBB:
         cfg = TrainConfig(batch_size=20, lr_variational=0.01, seed=0)
         finetune_dbb(net, ds, cfg, epochs=3)
         for g in net.gates():
-            assert g.stats_initialized
+            assert g.run_mean is not None and g.run_std is not None
         assert np.isfinite(forward_eval(net, ds.images[:4])).all()
 
     def test_changed_posterior_is_invariant_violation(self, monkeypatch):
@@ -493,6 +507,55 @@ class TestFinetuneDBB:
         # the input-independent mask is one row repeated for every example
         assert np.allclose(out[0][0], out[1][0], atol=1e-12)
         assert np.allclose(out[0].std(axis=0), 0.0, atol=1e-12)
+
+
+class TestDbbSwitch:
+    """Entering DBB the way the benchmark workloads do: on a shrunk BB net,
+    then writing ``gamma`` and ``eta`` or calling ``finetune_dbb`` per step."""
+
+    def test_written_gates_run_every_pass(self):
+        rng = np.random.default_rng((1, 2))
+        keeps = [np.sort(rng.choice(k, round(0.75 * k), replace=False))
+                 for k in (20, 50, 800, 500)]
+        net = shrink(build_lenet5_caffe(seed=1), keeps)
+        net.gates_enabled = True
+        net.set_gate_mode(MODE_DBB)
+        for g in net.gates():
+            g.gamma.value = rng.normal(1.0, 0.25, g.k)
+            g.eta.value = rng.normal(0.0, 0.3, g.k)
+        x, y = glyph_images(60, seed=8)
+        logits, kls = forward_train(net, x[:20], rng)  # sets the running statistics
+        assert np.isfinite(logits.value).all() and len(kls) == 4
+        assert all(g.run_mean is not None for g in net.gates())
+        assert np.isfinite(forward_eval(net, x[20:])).all()
+        stats = runtime_prune_stats(net, Dataset(x[20:], y[20:]))
+        assert stats.mean_flops < stats.static_flops  # the written gates drop units per input
+        with pytest.raises(ContractError, match="mode 'bb': they go from BB to DBB only"):
+            net.set_gate_mode(MODE_BB)
+        assert all(g.mode == MODE_DBB for g in net.gates())
+
+    def test_each_finetune_dbb_call_continues_the_gate_state(self, tmp_path):
+        def build():
+            rng = np.random.default_rng(6)
+            keeps = [np.sort(rng.choice(k, k // 2, replace=False)) for k in (784, 500, 300)]
+            return shrink(build_lenet_500_300(seed=6), keeps)
+
+        x, y = glyph_images(200, seed=6)
+        first, second = (Dataset(x[i:i + 100].reshape(100, -1), y[i:i + 100]) for i in (0, 100))
+        cfg = TrainConfig(batch_size=100, seed=6)
+        net = build()
+        finetune_dbb(net, first, cfg, epochs=1)
+        nodes = [g.trainable_nodes() for g in net.gates()]
+        path = tmp_path / "dbb.ckpt"
+        save_checkpoint(net, path)
+        cfg = replace(cfg, seed=7)
+        losses = finetune_dbb(net, second, cfg, epochs=1)
+        assert all(a is b for g, before in zip(net.gates(), nodes)
+                   for a, b in zip(g.trainable_nodes(), before))
+        # the state after the first call, saved and loaded, gives the same
+        # second call; a gate entered afresh does not
+        assert finetune_dbb(load_checkpoint(path), second, cfg, epochs=1) == losses
+        assert finetune_dbb(build(), second, cfg, epochs=1) != losses
 
 
 class TestLenet5EndToEnd:
