@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .distributions import make_rng
 from .errors import ContractError, PruneCollapseError
-from .gates import MODE_DBB
+from .gates import MODE_BB
 from .layers import LayerUnits, Network, forward_eval, unit_map
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
@@ -134,7 +134,7 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     only when the same input's conv mask keeps its channel.  Per-input FLOPs
     are the :func:`count_flops` formula on those per-input counts.
     """
-    if any(g.mode != MODE_DBB for g in net.gates()):
+    if net.gate_mode == MODE_BB:
         raise ContractError("runtime statistics require DBB-mode gates")
     units = unit_map(net)
     kept = np.concatenate([

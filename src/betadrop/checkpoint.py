@@ -5,11 +5,10 @@ flag, ``meta`` and one entry per layer with its kind, weight ``shape``, gate
 mode and scalars, and dense ``input_select``) terminated by a single ``\\n``,
 then every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
 and the arrays of its gate's mode (:data:`~betadrop.gates.MODE_ARRAYS`).  A
-DBB gate loads with constant raws, and one with no input statistics is
-refused at save, before the file opens.  The weight's shape is the only
-stated shape: the bias has the layer's output width (dense ``shape[1]``,
-conv ``shape[0]``) and every gate array the gate width ``shape[0]``.  Round
-trips are bit-exact.
+DBB gate with no input statistics is refused at save, before the file opens.
+The weight's shape is the only stated shape: the bias has the layer's output
+width (dense ``shape[1]``, conv ``shape[0]``) and every gate array the gate
+width ``shape[0]``.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import check_json
 from .errors import (
     CheckpointError,
@@ -28,12 +26,12 @@ from .errors import (
     CheckpointVersionError,
     ContractError,
 )
-from .gates import MODE_ARRAYS, MODE_DBB, GateState
+from .gates import MODE_ARRAYS, MODE_DBB, SCALARS, GateState
 from .layers import ConvLayer, DenseLayer, Network
 
 FORMAT_VERSION = 4
 
-_GATE_SCALARS = ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor")
+_GATE_KEYS = sorted(("mode", *SCALARS))  # a gate's manifest keys, in file order
 # the number of weight extents of each layer kind
 _RANK = {"dense": 2, "conv": 4}
 # the JSON kind of each optional meta field that a stage reads
@@ -51,14 +49,13 @@ def save_checkpoint(net: Network, path) -> None:
                 None if layer.input_select is None else [int(v) for v in layer.input_select]
             )
         gate = layer.gate
-        entry["gate"] = None if gate is None else {key: getattr(gate, key) for key in _GATE_SCALARS}
+        entry["gate"] = None if gate is None else {key: getattr(gate, key) for key in _GATE_KEYS}
         entries.append(entry)
         arrays += [layer.w.value, layer.b.value]
         if gate is not None:
             if gate.mode == MODE_DBB and gate.run_mean is None:
                 raise ContractError(f"the DBB gate of layer {i} holds no input statistics")
-            values = (getattr(gate, name) for name in MODE_ARRAYS[gate.mode])
-            arrays += [v.value if isinstance(v, ad.Node) else v for v in values]
+            arrays += gate.arrays().values()
     manifest = {
         "format_version": FORMAT_VERSION,
         "gates_enabled": net.gates_enabled,
@@ -132,18 +129,10 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
             gm = entry["gate"]
             mode = check_json(gm["mode"], ["string"], f"manifest mode of layer {i}'s gate",
                               CheckpointError, choices=tuple(MODE_ARRAYS))
-            values = {name: read(f"L{i}.gate.{name}", shape[:1]) for name in MODE_ARRAYS[mode]}
-            gate = GateState(
-                ad.parameter(values["a_raw"]), ad.parameter(values["b_raw"]),
+            gate = GateState.from_arrays(
+                mode, {name: read(f"L{i}.gate.{name}", shape[:1]) for name in MODE_ARRAYS[mode]},
                 **{key: check_json(gm[key], ["number"], f"manifest {key} of layer {i}'s gate",
-                                   CheckpointError)
-                   for key in ("alpha_over_k", "eps", "momentum", "sigma_floor")},
-            )
-            if mode == MODE_DBB:  # entering DBB freezes the raws, as in training
-                gate.enter_dbb()
-                for name in ("gamma", "eta", "kappa_raw"):
-                    getattr(gate, name).value = values[name]
-                gate.run_mean, gate.run_std = values["run_mean"], values["run_std"]
+                                   CheckpointError) for key in SCALARS})
         if kind == "dense":
             select = check_json(entry["input_select"], ["null", "list:int"],
                                 f"manifest input_select of layer {i}", CheckpointError)

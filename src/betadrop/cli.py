@@ -163,11 +163,6 @@ def _load_input(args, cfg, any_stage: bool = False) -> Network:
     return net
 
 
-def _is_dbb(net: Network) -> bool:
-    gates = net.gates()
-    return net.gates_enabled and bool(gates) and all(g.mode == MODE_DBB for g in gates)
-
-
 def _prune(net: Network, cfg: dict) -> Network:
     """Threshold-prune and shrink ``net``.  The smaller network's meta holds
     the stage, the original FLOPs, the speedup, memory and the kept counts."""
@@ -221,7 +216,7 @@ def _cmd_train(args, cfg) -> int:
     save_checkpoint(net, path)
     train_err = {} if net.gates_enabled else {"train_err": evaluate_error(net, train)}
     runtime = {}
-    if _is_dbb(net):
+    if net.gates_enabled and net.gate_mode == MODE_DBB:
         runtime["mean_runtime_flops"] = runtime_prune_stats(
             net, test, cfg["prune"]["threshold"]).mean_flops
     _result(stage=stage, checkpoint=path, **train_err, test_err=evaluate_error(net, test),
@@ -246,7 +241,7 @@ def _cmd_evaluate(args, cfg) -> int:
     _, test = _load_data(cfg)
     err = evaluate_error(net, test)
     extras = {}
-    if _is_dbb(net):
+    if net.gates_enabled and net.gate_mode == MODE_DBB:
         stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
         flops_orig = net.meta.get("flops_orig", stats.static_flops)
         extras["runtime_speedup"] = flops_orig / stats.mean_flops

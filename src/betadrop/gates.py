@@ -5,7 +5,8 @@ Kumaraswamy shapes (a_k, b_k) for the keep probabilities.  Entering DBB
 freezes them as constants and adds the scale/shift parameters of the
 standardized-input gate, whose running input statistics start with the first
 training batch.  The evaluation-time mask :meth:`GateState.expected_mask`
-reads the autodiff leaves' ``.value``.
+reads the autodiff leaves' ``.value``.  Only this module knows what each mode
+holds (:data:`MODE_ARRAYS`) and which nodes a training pass builds for it.
 
 Each gate quantity of a training pass (the Kumaraswamy sample, the concrete
 mask, the DBB shift draw and keep probabilities, the two KL terms) is one
@@ -15,7 +16,7 @@ in :mod:`betadrop.distributions`, its backward is written out by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -35,7 +36,7 @@ from .distributions import (
     softplus,
     softplus_inv,
 )
-from .errors import ContractError, DimensionError
+from .errors import CheckpointError, ContractError, DimensionError
 
 MODE_BB = "bb"
 MODE_DBB = "dbb"
@@ -48,9 +49,16 @@ INIT_GAMMA = 0.0
 INIT_ETA = 1.0
 INIT_KAPPA = 0.1
 
-# the arrays a gate holds in each mode, in checkpoint payload order
-MODE_ARRAYS = {MODE_BB: ("a_raw", "b_raw"),
-               MODE_DBB: ("a_raw", "b_raw", "gamma", "eta", "kappa_raw", "run_mean", "run_std")}
+# the arrays a gate holds in each mode, in checkpoint payload order, each with
+# how the gate holds it: as a trainable leaf, a constant leaf or a plain array
+MODE_ARRAYS = {
+    MODE_BB: {"a_raw": ad.parameter, "b_raw": ad.parameter},
+    MODE_DBB: {"a_raw": ad.constant, "b_raw": ad.constant, "gamma": ad.parameter,
+               "eta": ad.parameter, "kappa_raw": ad.parameter,
+               "run_mean": np.asarray, "run_std": np.asarray},
+}
+# the scalar fields of every gate
+SCALARS = ("alpha_over_k", "eps", "momentum", "sigma_floor")
 
 
 @dataclass
@@ -84,11 +92,24 @@ class GateState:
     @classmethod
     def create(cls, k: int, **options) -> "GateState":
         """A fresh BB gate over ``k`` units; ``options`` set the scalar fields."""
-        return cls(
-            a_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_A)))),
-            b_raw=ad.parameter(np.full(k, float(softplus_inv(INIT_B)))),
-            **options,
-        )
+        a_raw, b_raw = (np.full(k, float(softplus_inv(v))) for v in (INIT_A, INIT_B))
+        return cls.from_arrays(MODE_BB, {"a_raw": a_raw, "b_raw": b_raw}, **options)
+
+    @classmethod
+    def from_arrays(cls, mode: str, arrays: dict, **scalars) -> "GateState":
+        """A gate of ``mode`` from its named arrays, as :meth:`arrays` gives them.
+        A ``run_std`` below ``sigma_floor``, which :meth:`update_running_stats`
+        never writes, can only come from a file, so it raises CheckpointError."""
+        gate = cls(**{name: MODE_ARRAYS[mode][name](v) for name, v in arrays.items()}, **scalars)
+        if gate.run_std is not None and not (gate.run_std >= gate.sigma_floor).all():
+            raise CheckpointError(f"a DBB gate's run_std must be at least its sigma_floor "
+                                  f"{gate.sigma_floor}, got {gate.run_std.min()}")
+        return gate
+
+    def arrays(self) -> dict:
+        """The gate's arrays by name in :data:`MODE_ARRAYS` order, less unset statistics."""
+        values = ((name, getattr(self, name)) for name in MODE_ARRAYS[self.mode])
+        return {name: getattr(v, "value", v) for name, v in values if v is not None}
 
     @property
     def mode(self) -> str:
@@ -99,12 +120,10 @@ class GateState:
         initial values; a DBB gate stays as it is."""
         if self.gamma is not None:
             return
-        k = self.k
-        self.a_raw = ad.constant(self.a_raw.value)
-        self.b_raw = ad.constant(self.b_raw.value)
-        self.gamma = ad.parameter(np.full(k, INIT_GAMMA))
-        self.eta = ad.parameter(np.full(k, INIT_ETA))
-        self.kappa_raw = ad.parameter(np.full(k, float(softplus_inv(INIT_KAPPA))))
+        init = {"gamma": INIT_GAMMA, "eta": INIT_ETA, "kappa_raw": float(softplus_inv(INIT_KAPPA))}
+        arrays = {**self.arrays(), **{name: np.full(self.k, v) for name, v in init.items()}}
+        for name, value in arrays.items():
+            setattr(self, name, MODE_ARRAYS[MODE_DBB][name](value))
 
     @property
     def k(self) -> int:
@@ -170,25 +189,39 @@ class GateState:
         return np.clip(self.gamma.value * xhat + shift, self.eps, 1.0 - self.eps)
 
     def trainable_nodes(self) -> list[Node]:
-        if self.gamma is None:
-            return [self.a_raw, self.b_raw]
-        return [self.gamma, self.eta, self.kappa_raw]
+        holds = MODE_ARRAYS[self.mode].items()
+        return [getattr(self, name) for name, hold in holds if hold is ad.parameter]
 
     def subset(self, keep: np.ndarray) -> "GateState":
-        """The gate over units ``keep``; None stays None and a constant constant."""
+        """The gate of the same mode over units ``keep``."""
         keep = np.asarray(keep, dtype=np.intp)
-
-        def cut(v):
-            if isinstance(v, Node):
-                return (ad.parameter if v.needs_grad else ad.constant)(v.value[keep])
-            return None if v is None else v[keep]
-
-        return replace(self, **{name: cut(getattr(self, name)) for name in MODE_ARRAYS[self.mode]})
+        cut = {name: v[keep] for name, v in self.arrays().items()}
+        return self.from_arrays(self.mode, cut, **{key: getattr(self, key) for key in SCALARS})
 
 
 # ---------------------------------------------------------------------------
 # the training forward pass's gate quantities, one fused node each
 # ---------------------------------------------------------------------------
+
+
+def training_mask(gate: GateState, rng: np.random.Generator, bsz: int, gate_input, tau: float,
+                  rho_var: float, logit_eps: float) -> tuple[Node, Node]:
+    """One training pass's relaxed (bsz, K) mask node of ``gate`` and its KL node.
+    Only a DBB gate calls ``gate_input()`` for its input node and folds that batch into
+    its statistics.  ``rng`` draws the Kumaraswamy u (K), in DBB the shift noise (K),
+    then the concrete u (bsz, K)."""
+    pi = sample_pi_node(gate, rng)
+    kl = kl_bb_node(gate)
+    if gate.gamma is None:
+        probs = pi
+    else:
+        beta = beta_sample_node(gate, rng)
+        x_in = gate_input()
+        probs = dbb_phi_node(gate, x_in, pi, beta)
+        gate.update_running_stats(x_in.value)
+        kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
+    u = open_unit_uniform(rng, (bsz, gate.k))
+    return concrete_mask_node(probs, u, tau, logit_eps), kl
 
 
 def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:

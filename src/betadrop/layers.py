@@ -18,19 +18,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .distributions import LOGIT_EPS, make_rng, open_unit_uniform
+from .distributions import LOGIT_EPS, make_rng
 from .errors import ContractError, DimensionError, PruneCollapseError
-from .gates import (
-    MODE_BB,
-    MODE_DBB,
-    GateState,
-    beta_sample_node,
-    concrete_mask_node,
-    dbb_phi_node,
-    kl_bb_node,
-    kl_beta_gaussian_node,
-    sample_pi_node,
-)
+from .gates import MODE_BB, MODE_DBB, GateState, training_mask
+from .gates import concrete_mask_node  # noqa: F401  (perfbench/check_smoke.py reads it here)
 
 RHO_VAR_DEFAULT = math.sqrt(5.0)
 
@@ -93,6 +84,7 @@ class Network:
         self.gates_enabled = gates_enabled
         self.meta = dict(meta or {})
         unit_map(self)
+        self.gate_mode  # reading it checks that the gates share one mode
 
     def parameters(self) -> list[Node]:
         out = []
@@ -109,13 +101,22 @@ class Network:
     def gated_layers(self) -> list[tuple[int, GateState]]:
         return [(i, l.gate) for i, l in enumerate(self.layers) if l.gate is not None]
 
+    @property
+    def gate_mode(self) -> str | None:
+        """The mode of every gate, or None without gates; gates in different
+        modes raise ContractError."""
+        modes = {g.mode for g in self.gates()}
+        if len(modes) > 1:
+            raise ContractError(f"a network's gates must share one mode, got {sorted(modes)}")
+        return modes.pop() if modes else None
+
     def set_gate_mode(self, mode: str) -> None:
         """Put every gate in ``mode``: MODE_DBB enters DBB on each BB gate
         (:meth:`GateState.enter_dbb`), and a DBB gate cannot go back to BB."""
         if mode == MODE_DBB:
             for g in self.gates():
                 g.enter_dbb()
-        elif mode != MODE_BB or any(g.mode == MODE_DBB for g in self.gates()):
+        elif mode != MODE_BB or self.gate_mode == MODE_DBB:
             raise ContractError(f"gates cannot enter mode {mode!r}: they go from BB to DBB only")
 
     def variational_parameters(self) -> list[Node]:
@@ -204,19 +205,9 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     kl_terms: list[Node] = []
 
     def sampled_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
-        pi = sample_pi_node(gate, rng)
-        kl = kl_bb_node(gate)
-        if gate.mode == MODE_DBB:
-            beta = beta_sample_node(gate, rng)
-            x_in = gate_input()
-            probs = dbb_phi_node(gate, x_in, pi, beta)
-            gate.update_running_stats(x_in.value)
-            kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
-        else:
-            probs = pi
+        mask, kl = training_mask(gate, rng, bsz, gate_input, tau, rho_var, logit_eps)
         kl_terms.append(kl)
-        u = open_unit_uniform(rng, (bsz, gate.k))
-        return concrete_mask_node(probs, u, tau, logit_eps)
+        return mask
 
     return _walk(net, x, sampled_mask), kl_terms
 
@@ -432,7 +423,7 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             raise ContractError(
                 f"the keep set of layer {li} must hold distinct indices in [0, {gate.k})"
             )
-    if fold_masks and any(g.mode == MODE_DBB for _, g in gated):
+    if fold_masks and net.gate_mode == MODE_DBB:
         raise ContractError("fold_masks requires all gates in BB mode")
 
     keep_of_layer = {li: keep for (li, _), keep in zip(gated, keeps)}

@@ -186,19 +186,20 @@ def _expected_flops(net: Network) -> float:
 
 
 class MetricsLog:
-    """Per-epoch run log: CSV lines epoch,nll,kl,train_err,test_err,expected_flops."""
+    """Per-epoch run log: CSV lines epoch,nll,kl,train_err,test_err,expected_flops,
+    written from the first row on, so a run that ends before one epoch leaves no log."""
 
     HEADER = "epoch,nll,kl,train_err,test_err,expected_flops"
 
     def __init__(self, path):
         self.path = path
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.HEADER + "\n")
+        self._head = self.HEADER + "\n"  # until the first row is written
 
     def append(self, epoch, nll, kl, train_err, test_err, flops):
         row = f"{epoch},{nll:.6f},{kl:.6f},{train_err:.4f},{test_err:.4f},{flops:.1f}"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
+        with open(self.path, "w" if self._head else "a", encoding="utf-8") as fh:
+            fh.write(self._head + row + "\n")
+        self._head = ""
 
 
 def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,

@@ -441,6 +441,7 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert "DBB gate of layer 0 holds no input statistics" in err
         assert not (tmp_path / "run" / "dbb.ckpt").exists()
+        assert not (tmp_path / "run" / "dbb_log.csv").exists()  # no header-only log
 
     def test_correlation_of_a_pretrained_net_is_runtime_error(self, pipeline, capsys):
         tmp_path, cfg = pipeline

@@ -1,5 +1,6 @@
 """Network forwards, builders, shrink equivalence, and checkpoint round trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -116,6 +117,21 @@ class TestBuilders:
     def test_mlp_needs_two_positive_widths(self, dims):
         with pytest.raises(DimensionError, match="mlp dims must be two or more positive"):
             build_mlp(dims)
+
+    def test_gate_mode_is_the_mode_every_gate_shares(self):
+        net = build_mlp((6, 5, 2))
+        assert build_mlp((6, 5, 2), gated=False).gate_mode is None
+        assert net.gate_mode == MODE_BB
+        net.set_gate_mode(MODE_DBB)
+        assert net.gate_mode == MODE_DBB
+
+    def test_gates_in_different_modes_are_refused_when_built(self):
+        net = build_mlp((6, 5, 2))
+        net.gates()[0].enter_dbb()
+        with pytest.raises(ContractError, match=r"share one mode, got \['bb', 'dbb'\]"):
+            Network(net.layers, meta=net.meta)
+        with pytest.raises(ContractError, match="share one mode"):
+            net.gate_mode  # the gates changed after the network was built
 
     def test_network_without_a_list_input_shape_is_contract_error(self):
         layers = build_mlp((4, 3)).layers
@@ -671,6 +687,63 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="DBB gate of layer 0 holds no input statistics"):
             save_checkpoint(toy_net(seed=21, mode=MODE_DBB), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("std", [0.0, 0.5e-3])
+    def test_dbb_run_std_below_sigma_floor_is_typed_error(self, tmp_path, std):
+        # update_running_stats never writes a std below the floor; one read
+        # from a file would divide the gate input by it
+        net = toy_net(seed=24, dims=(6, 5, 2), mode=MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
+        net.gates()[0].run_std[1] = std
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="run_std must be at least its sigma_floor"):
+            load_checkpoint(path)
+
+    def test_dbb_run_std_at_sigma_floor_loads(self, tmp_path):
+        # a constant gate input gives a std of exactly the floor
+        net = toy_net(seed=25, dims=(6, 5, 2), mode=MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(np.ones((4, g.k)))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        assert np.array_equal(load_checkpoint(path).gates()[0].run_std, np.full(6, 1e-3))
+
+    def test_gates_in_different_modes_are_typed_error_at_load(self, tmp_path):
+        net = toy_net(seed=26, dims=(6, 5, 2))
+        gate = net.gates()[0]
+        gate.enter_dbb()
+        gate.update_running_stats(RNG.normal(size=(8, 6)))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="gates must share one mode"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode,manifest,payload", [
+        (MODE_BB, '{"format_version":4,"gates_enabled":false,', (552, "c1e5df30eace9b72")),
+        (MODE_DBB, '{"format_version":4,"gates_enabled":true,', (992, "06a9e2a41cc15f2d")),
+    ], ids=[MODE_BB, MODE_DBB])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, mode, manifest, payload):
+        # key order and payload order are the file format: a change to either
+        # must change FORMAT_VERSION, not slip through a round trip
+        net = build_mlp((6, 5, 2), seed=0)
+        if mode == MODE_DBB:
+            net.gates_enabled = True
+            net.set_gate_mode(MODE_DBB)
+            rng = d.make_rng(1)
+            for g in net.gates():
+                g.update_running_stats(rng.normal(size=(4, g.k)))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        gate = ('{"alpha_over_k":0.0001,"eps":0.001,"mode":"%s","momentum":0.9,'
+                '"sigma_floor":0.001}' % mode)
+        assert head.decode() == (
+            manifest + '"meta":{"arch":"mlp","dims":[6,5,2],"input_shape":[6]},"layers":['
+            '{"kind":"dense","shape":[6,5],"input_select":null,"gate":%s},'
+            '{"kind":"dense","shape":[5,2],"input_select":null,"gate":%s}]}' % (gate, gate))
+        assert (len(body), hashlib.sha256(body).hexdigest()[:16]) == payload
 
     def test_length_disagreement(self, tmp_path):
         net = toy_net(seed=15)
