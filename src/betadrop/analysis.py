@@ -21,9 +21,15 @@ from .layers import LayerUnits, Network, forward_eval, unit_map
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
-# Correlations that cannot be computed (a zero-variance class average) are
-# recorded as this sentinel instead of propagating NaN.
+# Correlations that cannot be computed (a gate vector whose entries are all
+# equal) are recorded as this sentinel instead of propagating NaN.
 UNDEFINED_CORR = -2.0
+
+
+def _spread(rows: np.ndarray) -> np.ndarray:
+    """Which rows have entries that differ.  A row of equal entries has no
+    correlation, though centering it leaves rounding residue of about 1e-16."""
+    return rows.max(axis=1) > rows.min(axis=1)
 
 
 def _kept_masks(units: list[LayerUnits], masks) -> list[np.ndarray]:
@@ -187,10 +193,11 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
         corr = np.full((c, c), UNDEFINED_CORR)
         centered = class_mean - class_mean.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(centered, axis=1)
+        ok = _spread(class_mean)
         for a in range(c):
             corr[a, a] = 1.0
             for b in range(a + 1, c):
-                if norms[a] > 0.0 and norms[b] > 0.0:
+                if ok[a] and ok[b]:
                     r = float(centered[a] @ centered[b] / (norms[a] * norms[b]))
                     corr[a, b] = corr[b, a] = min(1.0, max(-1.0, r))
         matrices.append(corr)
@@ -210,7 +217,7 @@ def within_cross_gate_correlation(net: Network, dataset: Dataset,
     labels = dataset.labels
     centered = mat - mat.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
-    ok = norms > 0.0
+    ok = _spread(mat)
     rng = make_rng(0)
     n = mat.shape[0]
     within, cross = [], []

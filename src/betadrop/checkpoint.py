@@ -4,8 +4,9 @@ File layout: one line of compact JSON (the manifest: format version, gate
 flag, ``meta`` and one entry per layer with its kind, weight ``shape``, gate
 mode and scalars, and dense ``input_select``) terminated by a single ``\\n``,
 then every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
-and the arrays of its gate's mode (:data:`~betadrop.gates.MODE_ARRAYS`).  A
-DBB gate with no input statistics is refused at save, before the file opens.
+and the arrays of its gate's mode (:data:`~betadrop.gates.MODE_ARRAYS`).
+Gates in different modes and a DBB gate with no input statistics are refused
+at save, before the file opens.
 The weight's shape is the only stated shape: the bias has the layer's output
 width (dense ``shape[1]``, conv ``shape[0]``) and every gate array the gate
 width ``shape[0]``.  Round trips are bit-exact.
@@ -40,6 +41,7 @@ _META_KINDS = {"arch": "string", "stage": "string",
 
 
 def save_checkpoint(net: Network, path) -> None:
+    dbb = net.gate_mode == MODE_DBB  # raises ContractError for gates in different modes
     entries = []
     arrays: list[np.ndarray] = []
     for i, layer in enumerate(net.layers):
@@ -53,7 +55,7 @@ def save_checkpoint(net: Network, path) -> None:
         entries.append(entry)
         arrays += [layer.w.value, layer.b.value]
         if gate is not None:
-            if gate.mode == MODE_DBB and gate.run_mean is None:
+            if dbb and gate.run_mean is None:
                 raise ContractError(f"the DBB gate of layer {i} holds no input statistics")
             arrays += gate.arrays().values()
     manifest = {

@@ -1,16 +1,16 @@
 """Distributional machinery for the beta-Bernoulli dropout gates.
 
 Numpy implementations of the Kumaraswamy distribution, the relaxed
-(concrete) Bernoulli sampler, and the closed-form KL terms.  They are the
-values of the fused gate ops in :mod:`betadrop.gates` and of the expected
-masks; their independent oracles (quadrature, Monte Carlo, the analytic CDF)
-are in the tests.
+(concrete) Bernoulli sampler, the closed-form KL terms, and the special
+functions they need (:func:`expit`, :func:`digamma`, :func:`trigamma`,
+:func:`gammaln`).  They are the values of the fused gate ops in
+:mod:`betadrop.gates` and of the expected masks; their independent oracles
+(quadrature, Monte Carlo, the analytic CDF, scipy.special) are in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -24,6 +24,76 @@ LOGIT_EPS = 1e-6
 # once u^(1/b) rounds to 1 (large b, or u next to 1); the floor keeps the
 # sample positive and the log of the base finite.
 KUMARASWAMY_BASE_FLOOR = 1e-30
+
+# e^-x overflows for x below -_LOG_MAX, where expit(x) < 6e-309; expit gives 0 there.
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))
+
+# digamma, trigamma and gammaln take x > 0 up to w = x + _SHIFT by their
+# recurrences, psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2 and
+# lgamma(x) = lgamma(x + 1) - log x, then sum their asymptotic series in 1/w.
+# At w >= 10 the first term cut, in 1/w^16 or 1/w^17, is below 1e-16.
+_SHIFT = 10
+_STEPS = np.arange(_SHIFT, dtype=np.float64)[:, None]  # the k of each x + k
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])  # B_2..B_14
+_N = np.arange(1, 8)
+_HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
+
+
+def _terms(powers, coefs):
+    """The series sum_j c_j / w^k_j as columns (-k_j, c_j)."""
+    return -np.asarray(powers, dtype=np.float64)[:, None], np.asarray(coefs)[:, None]
+
+
+# psi(w) = log w - 1/(2w) - sum_n B_2n / (2n w^2n)
+_DIGAMMA_SERIES = _terms(np.r_[1, 2 * _N], np.r_[-0.5, -_BERNOULLI / (2 * _N)])
+# psi'(w) = 1/w + 1/(2w^2) + sum_n B_2n / w^(2n+1)
+_TRIGAMMA_SERIES = _terms(np.r_[1, 2, 2 * _N + 1], np.r_[1.0, 0.5, _BERNOULLI])
+# lgamma(w) = (w - 1/2) log w - w + log(2 pi)/2 + sum_n B_2n / (2n (2n-1) w^(2n-1))
+_GAMMALN_SERIES = _terms(2 * _N - 1, _BERNOULLI / (2 * _N * (2 * _N - 1)))
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x), as scipy.special.expit forms it;
+    0 below -log(DBL_MAX), where e^-x would overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x > -_LOG_MAX) / (1.0 + np.exp(np.minimum(-x, _LOG_MAX)))
+
+
+def _shifted(x, series):
+    """x as a row, log w and the sum of ``series`` at w = x + _SHIFT.
+
+    Each power 1/w^k is exp(-k log w), so the series costs a few array
+    operations whatever its length: on a gate of a few units, the number of
+    operations is the cost.  Every sum runs down axis 0 of a (terms, entries)
+    array, the same additions for every entry, so equal arguments give equal
+    results wherever they sit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    row = x.ravel()
+    log_w = np.log(row + _SHIFT)
+    neg_powers, coefs = series
+    return row, log_w, np.add.reduce(coefs * np.exp(neg_powers * log_w))
+
+
+def digamma(x):
+    """psi(x) = d/dx log Gamma(x), for x > 0."""
+    row, log_w, tail = _shifted(x, _DIGAMMA_SERIES)
+    return (log_w + tail - np.add.reduce(np.reciprocal(_STEPS + row))).reshape(np.shape(x))
+
+
+def trigamma(x):
+    """psi'(x), for x > 0."""
+    row, _, tail = _shifted(x, _TRIGAMMA_SERIES)
+    z = _STEPS + row
+    return (tail + np.add.reduce(np.reciprocal(z * z))).reshape(np.shape(x))
+
+
+def gammaln(x):
+    """log Gamma(x), for x > 0."""
+    row, log_w, tail = _shifted(x, _GAMMALN_SERIES)
+    w = row + _SHIFT
+    stirling = (w - 0.5) * log_w - w + _HALF_LOG_2PI + tail
+    return (stirling - np.add.reduce(np.log(_STEPS + row))).reshape(np.shape(x))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -39,6 +109,11 @@ def open_unit_uniform(rng: np.random.Generator, shape=()) -> np.ndarray:
 
 def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
+
+
+def softplus_slope(y):
+    """d softplus(r)/dr = expit(r), from the value y = softplus(r): 1 - e^-y."""
+    return -np.expm1(-y)
 
 
 def softplus_inv(y):
@@ -59,8 +134,8 @@ def kumaraswamy_sample(u, a, b):
     u = np.asarray(u, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    _require(bool(np.all((u > 0.0) & (u < 1.0))), "u must lie in the open interval (0, 1)")
-    _require(bool(np.all(a > 0.0) and np.all(b > 0.0)), "a and b must be positive")
+    _require(bool(((u > 0.0) & (u < 1.0)).all()), "u must lie in the open interval (0, 1)")
+    _require(bool((a > 0.0).all() and (b > 0.0).all()), "a and b must be positive")
     return np.maximum(1.0 - u ** (1.0 / b), KUMARASWAMY_BASE_FLOOR) ** (1.0 / a)
 
 
@@ -68,30 +143,29 @@ def kumaraswamy_mean(a, b):
     """b * Gamma(1 + 1/a) * Gamma(b) / Gamma(1 + 1/a + b), via log-gamma."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    _require(bool(np.all(a > 0.0) and np.all(b > 0.0)), "a and b must be positive")
-    inv_a = 1.0 / a
-    return np.exp(
-        np.log(b)
-        + special.gammaln(1.0 + inv_a)
-        + special.gammaln(b)
-        - special.gammaln(1.0 + inv_a + b)
-    )
+    _require(bool((a > 0.0).all() and (b > 0.0).all()), "a and b must be positive")
+    p = 1.0 + 1.0 / a
+    lg_p, lg_b, lg_pb = gammaln(np.array(np.broadcast_arrays(p, b, p + b)))  # one call
+    return np.exp(np.log(b) + lg_p + lg_b - lg_pb)
 
 
-def kl_kumaraswamy_beta(a, b, alpha_over_k):
+def kl_kumaraswamy_beta(a, b, alpha_over_k, digamma_b=None):
     """KL( Kumaraswamy(a, b) || Beta(alpha/K, 1) ), closed form.
 
     The series term of the general Kumaraswamy-vs-Beta divergence vanishes
-    because the prior's second shape parameter is 1.
+    because the prior's second shape parameter is 1.  A caller that holds
+    psi(b) passes it as ``digamma_b``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     ak = np.asarray(alpha_over_k, dtype=np.float64)
     _require(
-        bool(np.all(a > 0.0) and np.all(b > 0.0) and np.all(ak > 0.0)),
+        bool((a > 0.0).all() and (b > 0.0).all() and (ak > 0.0).all()),
         "a, b and alpha/K must be positive",
     )
-    term1 = (a - ak) / a * (-EULER_GAMMA - special.digamma(b) - 1.0 / b)
+    if digamma_b is None:
+        digamma_b = digamma(b)
+    term1 = (a - ak) / a * (-EULER_GAMMA - digamma_b - 1.0 / b)
     term2 = np.log(a * b / ak)
     term3 = -(b - 1.0) / b
     return term1 + term2 + term3
@@ -102,13 +176,13 @@ def gaussian_kl(eta, kappa_sq, rho_var):
     eta = np.asarray(eta, dtype=np.float64)
     kappa_sq = np.asarray(kappa_sq, dtype=np.float64)
     _require(
-        bool(np.all(kappa_sq > 0.0) and rho_var > 0.0),
+        bool((kappa_sq > 0.0).all() and rho_var > 0.0),
         "variances must be positive",
     )
     per_unit = 0.5 * (
         np.log(rho_var / kappa_sq) + (kappa_sq + eta * eta) / rho_var - 1.0
     )
-    return float(np.sum(per_unit))
+    return float(per_unit.sum())
 
 
 def concrete_bernoulli_sample(pi, tau, u, logit_eps: float = LOGIT_EPS):
@@ -117,6 +191,6 @@ def concrete_bernoulli_sample(pi, tau, u, logit_eps: float = LOGIT_EPS):
         raise DomainError(f"temperature must be positive, got {tau}")
     pi = np.clip(np.asarray(pi, dtype=np.float64), logit_eps, 1.0 - logit_eps)
     u = np.asarray(u, dtype=np.float64)
-    _require(bool(np.all((u > 0.0) & (u < 1.0))), "u must lie in the open interval (0, 1)")
+    _require(bool(((u > 0.0) & (u < 1.0)).all()), "u must lie in the open interval (0, 1)")
     logits = (np.log(pi) - np.log1p(-pi) + np.log(u) - np.log1p(-u)) / tau
-    return special.expit(logits)
+    return expit(logits)

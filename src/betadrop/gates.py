@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Node
@@ -28,6 +27,7 @@ from .distributions import (
     KUMARASWAMY_BASE_FLOOR,
     LOGIT_EPS,
     concrete_bernoulli_sample,
+    digamma,
     gaussian_kl,
     kl_kumaraswamy_beta,
     kumaraswamy_mean,
@@ -35,6 +35,8 @@ from .distributions import (
     open_unit_uniform,
     softplus,
     softplus_inv,
+    softplus_slope,
+    trigamma,
 )
 from .errors import CheckpointError, ContractError, DimensionError
 
@@ -236,7 +238,7 @@ def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
         live = base > KUMARASWAMY_BASE_FLOOR  # the floor passes no gradient to b
         g_a = -g * pi * np.log(base) / (a * a)
         g_b = g * pi / (a * base) * inner * np.log(u) / (b * b) * live
-        return g_a * special.expit(gate.a_raw.value), g_b * special.expit(gate.b_raw.value)
+        return g_a * softplus_slope(a), g_b * softplus_slope(b)
 
     return ad.fused(pi, (gate.a_raw, gate.b_raw), vjp)
 
@@ -266,8 +268,9 @@ def concrete_mask_node(
 def beta_sample_node(gate: GateState, rng: np.random.Generator) -> Node:
     """One reparameterized draw beta = eta + kappa * n per unit, (K,)."""
     noise = rng.standard_normal(gate.k)
-    return ad.fused(gate.eta.value + gate.kappa() * noise, (gate.eta, gate.kappa_raw),
-                    lambda g: (g.copy(), g * noise * special.expit(gate.kappa_raw.value)))
+    kappa = gate.kappa()
+    return ad.fused(gate.eta.value + kappa * noise, (gate.eta, gate.kappa_raw),
+                    lambda g: (g.copy(), g * noise * softplus_slope(kappa)))
 
 
 def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
@@ -304,15 +307,18 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
 
 
 def kl_bb_node(gate: GateState) -> Node:
-    """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1)."""
+    """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1).
+    psi(b) serves the value and the backward; psi'(b) only the backward, which
+    a DBB gate's frozen posterior never runs."""
     a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
-    kl = kl_kumaraswamy_beta(a, b, ak).sum()
+    psi_b = digamma(b)
+    kl = kl_kumaraswamy_beta(a, b, ak, psi_b).sum()
 
     def vjp(g):
-        inner = -(EULER_GAMMA + special.digamma(b) + 1.0 / b)
+        inner = -(EULER_GAMMA + psi_b + 1.0 / b)
         g_a = ak / (a * a) * inner + 1.0 / a
-        g_b = (a - ak) / a * (1.0 / (b * b) - special.polygamma(1, b)) + 1.0 / b - 1.0 / (b * b)
-        return g * g_a * special.expit(gate.a_raw.value), g * g_b * special.expit(gate.b_raw.value)
+        g_b = (a - ak) / a * (1.0 / (b * b) - trigamma(b)) + 1.0 / b - 1.0 / (b * b)
+        return g * g_a * softplus_slope(a), g * g_b * softplus_slope(b)
 
     return ad.fused(kl, (gate.a_raw, gate.b_raw), vjp)
 
@@ -320,6 +326,6 @@ def kl_bb_node(gate: GateState) -> Node:
 def kl_beta_gaussian_node(gate: GateState, rho_var: float) -> Node:
     """KL( N(eta, kappa^2) || N(0, rho_var) ), summed over units."""
     eta, kappa = gate.eta.value, gate.kappa()
-    g_kappa = (kappa / rho_var - 1.0 / kappa) * special.expit(gate.kappa_raw.value)
+    g_kappa = (kappa / rho_var - 1.0 / kappa) * softplus_slope(kappa)
     return ad.fused(gaussian_kl(eta, kappa * kappa, rho_var), (gate.eta, gate.kappa_raw),
                     lambda g: (g * eta / rho_var, g * g_kappa))

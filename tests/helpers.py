@@ -514,14 +514,14 @@ def _lenet5_reading(input_shape):
 
 def _unbuilt(*kinds):
     """Write a checkpoint of layers that no Network accepts, for a [1, 6, 6]
-    input: ``save_checkpoint`` reads only ``layers``, ``gates_enabled`` and
-    ``meta``.  A "conv" is 4 3x3 filters on 1 channel, giving 4 x 2 x 2
-    pooled values; a "dense<n>" maps n inputs to 2 outputs."""
+    input: ``save_checkpoint`` reads only ``layers``, ``gates_enabled``,
+    ``gate_mode`` and ``meta``.  A "conv" is 4 3x3 filters on 1 channel,
+    giving 4 x 2 x 2 pooled values; a "dense<n>" maps n inputs to 2 outputs."""
     def write(path):
         stack = [layers.ConvLayer(np.ones((4, 1, 3, 3)), np.zeros(4)) if kind == "conv"
                  else layers.DenseLayer(np.ones((int(kind[5:]), 2)), np.zeros(2))
                  for kind in kinds]
-        save_checkpoint(SimpleNamespace(layers=stack, gates_enabled=False,
+        save_checkpoint(SimpleNamespace(layers=stack, gates_enabled=False, gate_mode=None,
                                         meta={"input_shape": [1, 6, 6]}), path)
     return write
 

@@ -360,13 +360,24 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("layer", [5, 2, -3])
     def test_within_cross_layer_out_of_range_is_contract_error(self, layer):
+        net = make_dbb_net(seed=12)  # input-dependent masks: the gate vectors vary
+        rng = d.make_rng(12)
+        ds = Dataset(rng.normal(size=(40, 6)), np.repeat([0, 1], 20).astype(np.int64))
+        with pytest.raises(ContractError, match=r"must lie in \[-2, 2\)"):
+            within_cross_gate_correlation(net, ds, layer=layer)
+        assert within_cross_gate_correlation(net, ds, layer=-2) == \
+            within_cross_gate_correlation(net, ds, layer=0)
+
+    def test_gate_vectors_of_equal_entries_have_no_correlation(self):
+        # an untrained BB net masks every unit by E[pi] = 0.9: centering those
+        # vectors leaves only rounding residue, which must not read as r = 1
         net = build_mlp((20, 8, 2), seed=0)
         net.gates_enabled = True
         rng = d.make_rng(12)
         ds = Dataset(rng.normal(size=(40, 20)), np.repeat([0, 1], 20).astype(np.int64))
-        with pytest.raises(ContractError, match=r"must lie in \[-2, 2\)"):
-            within_cross_gate_correlation(net, ds, layer=layer)
-        assert within_cross_gate_correlation(net, ds, layer=-2) == \
+        for mat in class_average_gate_correlation(net, ds).matrices:
+            assert np.array_equal(mat, [[1.0, UNDEFINED_CORR], [UNDEFINED_CORR, 1.0]])
+        with pytest.raises(ContractError, match="not enough valid pairs"):
             within_cross_gate_correlation(net, ds, layer=0)
 
     def test_needs_two_per_class(self):

@@ -1,11 +1,15 @@
 """CLI contract tests: exit codes, RESULT lines, stage ordering, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import betadrop
 from betadrop import cli
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
@@ -531,3 +535,14 @@ class TestDeterminism:
             assert main(["pretrain", "--config", str(cfg), "--seed", seed]) == 0
             blobs.append((tmp_path / "s" / "pretrained.ckpt").read_bytes())
         assert blobs[0] != blobs[1]
+
+
+def test_package_and_cli_import_without_scipy():
+    # numpy is the only runtime dependency; every staged command is a fresh
+    # process, so an import of scipy would cost each one its start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(betadrop.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import betadrop, betadrop.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

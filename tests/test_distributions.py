@@ -2,8 +2,11 @@
 
 The closed forms are checked against independent oracles: adaptive
 quadrature for means and normalization, Monte-Carlo estimates for the KL
-terms, and the analytic CDF for the sampler.
+terms, and the analytic CDF for the sampler.  The special functions they use
+are checked against scipy.special.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -240,13 +243,75 @@ class TestConcreteBernoulli:
 
 class TestDigammaContract:
     def test_at_one(self):
-        assert special.digamma(1.0) == pytest.approx(-d.EULER_GAMMA, abs=1e-10)
+        assert d.digamma(1.0) == pytest.approx(-d.EULER_GAMMA, abs=1e-15)
 
     def test_recurrence(self):
         for x in (0.3, 1.0, 2.5, 7.0):
-            assert special.digamma(x + 1.0) == pytest.approx(
-                special.digamma(x) + 1.0 / x, abs=1e-10
-            )
+            assert d.digamma(x + 1.0) == pytest.approx(d.digamma(x) + 1.0 / x, abs=1e-14)
+
+
+# The package's own special functions against scipy.special, the oracle.
+SPECIAL = {
+    "digamma": (d.digamma, special.digamma),
+    "trigamma": (d.trigamma, lambda x: special.polygamma(1, x)),
+    "gammaln": (d.gammaln, special.gammaln),
+}
+# each function's recurrence f(x + 1) = f(x) + step(x)
+RECURRENCE_STEP = {
+    "digamma": lambda x: 1.0 / x,
+    "trigamma": lambda x: -1.0 / (x * x),
+    "gammaln": np.log,
+}
+GRID = np.logspace(-8, 8, 4001)
+
+
+class TestSpecialFunctions:
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_matches_scipy_from_1e_minus_8_to_1e8(self, name):
+        ours, ref = SPECIAL[name]
+        want = ref(GRID)
+        assert (np.abs(ours(GRID) - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_recurrence(self, name):
+        f, step = SPECIAL[name][0], RECURRENCE_STEP[name]
+        lhs, prev, inc = f(GRID + 1.0), f(GRID), step(GRID)
+        # relative to the largest term: the sum may cancel to far below it
+        scale = np.maximum.reduce([np.ones_like(GRID), np.abs(lhs), np.abs(prev), np.abs(inc)])
+        assert (np.abs(lhs - (prev + inc)) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_keeps_the_argument_shape(self, name):
+        f = SPECIAL[name][0]
+        x = np.linspace(0.5, 40.0, 12).reshape(3, 4)
+        assert f(x).shape == (3, 4) and np.shape(f(2.5)) == ()
+        assert np.array_equal(f(x).ravel(), f(x.ravel()))
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_equal_arguments_give_equal_values(self, name):
+        # E[pi] of identical units must be identical wherever the unit sits
+        for x in (0.37, 2.11, 1234.5):
+            out = SPECIAL[name][0](np.full(801, x))
+            assert (out == out[0]).all()
+
+    def test_expit_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = d.expit(np.array([-800.0, 800.0]))
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_expit_matches_scipy(self):
+        # both compute 1 / (1 + e^-x) with their own e^-x, so the two may fall on
+        # either side of the exact value: at x = -37.03 they differ by 4.5e-16
+        # relative, each within 2.4e-16 of it
+        x = np.concatenate([np.linspace(-700.0, 700.0, 100_001), RNG.normal(0.0, 10.0, 10_000)])
+        want = special.expit(x)
+        assert (np.abs(d.expit(x) - want) <= 5e-16 * want).all()
+
+    def test_softplus_slope_is_expit_of_the_argument(self):
+        r = np.concatenate([np.linspace(-700.0, 700.0, 10_001), RNG.normal(0.0, 10.0, 1000)])
+        want = special.expit(r)
+        assert (np.abs(d.softplus_slope(d.softplus(r)) - want) <= 1e-15 * want).all()
 
 
 class TestRng:
