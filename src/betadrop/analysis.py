@@ -26,10 +26,20 @@ DEFAULT_PRUNE_THRESHOLD = 1e-3
 UNDEFINED_CORR = -2.0
 
 
-def _spread(rows: np.ndarray) -> np.ndarray:
-    """Which rows have entries that differ.  A row of equal entries has no
-    correlation, though centering it leaves rounding residue of about 1e-16."""
-    return rows.max(axis=1) > rows.min(axis=1)
+def _pearson(rows: np.ndarray):
+    """``r(i, j)``, the Pearson correlation of rows i and j, or None when either
+    row's entries are all equal: such a row has no correlation, though centering
+    it leaves rounding residue of about 1e-16."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    spread = rows.max(axis=1) > rows.min(axis=1)
+
+    def r(i: int, j: int) -> float | None:
+        if not (spread[i] and spread[j]):
+            return None
+        return float(centered[i] @ centered[j] / (norms[i] * norms[j]))
+
+    return r
 
 
 def _kept_masks(units: list[LayerUnits], masks) -> list[np.ndarray]:
@@ -191,14 +201,12 @@ def class_average_gate_correlation(net: Network, dataset: Dataset) -> Correlatio
         )
         c = len(classes)
         corr = np.full((c, c), UNDEFINED_CORR)
-        centered = class_mean - class_mean.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1)
-        ok = _spread(class_mean)
+        pearson = _pearson(class_mean)
         for a in range(c):
             corr[a, a] = 1.0
             for b in range(a + 1, c):
-                if ok[a] and ok[b]:
-                    r = float(centered[a] @ centered[b] / (norms[a] * norms[b]))
+                r = pearson(a, b)
+                if r is not None:
                     corr[a, b] = corr[b, a] = min(1.0, max(-1.0, r))
         matrices.append(corr)
     return CorrelationReport(layer_indices, matrices)
@@ -215,18 +223,15 @@ def within_cross_gate_correlation(net: Network, dataset: Dataset,
         raise ContractError(f"layer must lie in [{-len(vectors)}, {len(vectors)}), got {layer}")
     mat = vectors[layer]
     labels = dataset.labels
-    centered = mat - mat.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
-    ok = _spread(mat)
+    pearson = _pearson(mat)
     rng = make_rng(0)
     n = mat.shape[0]
     within, cross = [], []
     for _ in range(2000):
         i, j = rng.integers(0, n, size=2)
-        if i == j or not (ok[i] and ok[j]):
-            continue
-        r = float(centered[i] @ centered[j] / (norms[i] * norms[j]))
-        (within if labels[i] == labels[j] else cross).append(r)
+        r = None if i == j else pearson(i, j)
+        if r is not None:
+            (within if labels[i] == labels[j] else cross).append(r)
     if not within or not cross:
         raise ContractError("not enough valid pairs to estimate correlations")
     return float(np.mean(within)), float(np.mean(cross))

@@ -482,7 +482,7 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
             f"softmax_cross_entropy: {bsz} rows but labels shape {labels.shape}"
         )
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= ncls:
-        raise IndexError(f"labels must lie in [0, {ncls})")
+        raise DimensionError(f"labels must lie in [0, {ncls}) for {ncls} outputs")
     z = logits.value - logits.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse

@@ -30,7 +30,7 @@ from .errors import (
 from .gates import MODE_ARRAYS, MODE_DBB, SCALARS, GateState
 from .layers import ConvLayer, DenseLayer, Network
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _GATE_KEYS = sorted(("mode", *SCALARS))  # a gate's manifest keys, in file order
 # the number of weight extents of each layer kind

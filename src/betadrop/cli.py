@@ -85,7 +85,6 @@ def _build_model(cfg: dict) -> Network:
         alpha_over_k=mc["alpha_over_k"],
         eps=mc["eps_gate"],
         momentum=mc["momentum"],
-        sigma_floor=mc["sigma_floor"],
     )
     if mc["arch"] == "lenet_500_300":
         return build_lenet_500_300(**kwargs)

@@ -26,7 +26,6 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     images: np.ndarray  # (N, ...) float64
     labels: np.ndarray  # (N,) int64 class indices
-    name: str = ""
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -40,7 +39,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.images[idx], self.labels[idx], self.name, dict(self.meta))
+        return Dataset(self.images[idx], self.labels[idx], dict(self.meta))
 
     def split(self, val_fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
         """Seeded shuffle-split: (1-val_fraction, val_fraction) of the examples."""
@@ -77,7 +76,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
     if len(labels) != len(images):
         raise IdxCountMismatchError(f"{len(images)} images but {len(labels)} labels")
-    return Dataset(images, labels, name="idx")
+    return Dataset(images, labels)
 
 
 def _check_synthetic(n: int, d: int, noise: float) -> None:
@@ -110,12 +109,8 @@ def synthetic_planted_sparsity(n: int, d: int, k_signal: int, seed: int = 0,
     x[:, signal_idx] = signs[None, :] * y_pm[:, None] + rng.normal(
         0.0, noise, size=(n, k_signal)
     )
-    return Dataset(
-        x,
-        labels.astype(np.int64),
-        name="planted",
-        meta={"signal_idx": [int(i) for i in signal_idx], "d": d, "k_signal": k_signal},
-    )
+    meta = {"signal_idx": [int(i) for i in signal_idx], "d": d, "k_signal": k_signal}
+    return Dataset(x, labels.astype(np.int64), meta)
 
 
 def synthetic_two_cluster(n: int, d: int, seed: int = 0, noise: float = 0.3) -> Dataset:
@@ -138,12 +133,7 @@ def synthetic_two_cluster(n: int, d: int, seed: int = 0, noise: float = 0.3) -> 
     for cls, sl in ((0, slice(0, half)), (1, slice(half, d))):
         rows = labels == cls
         x[np.ix_(rows, np.arange(d)[sl])] += pattern[sl]
-    return Dataset(
-        x,
-        labels.astype(np.int64),
-        name="two_cluster",
-        meta={"d": d, "halves": [[0, half], [half, d]]},
-    )
+    return Dataset(x, labels.astype(np.int64), {"d": d, "halves": [[0, half], [half, d]]})
 
 
 def batches_per_epoch(n: int, batch_size: int) -> int:

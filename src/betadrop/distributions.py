@@ -16,8 +16,7 @@ from .errors import DomainError
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Keep probabilities clear of the logit's poles.  Config-exposed via
-# TrainConfig.logit_eps; this is the documented default.
+# Keep probabilities clear of the logit's poles.
 LOGIT_EPS = 1e-6
 
 # Floor on the Kumaraswamy sampler's base 1 - u^(1/b).  The base rounds to 0
@@ -185,11 +184,11 @@ def gaussian_kl(eta, kappa_sq, rho_var):
     return float(per_unit.sum())
 
 
-def concrete_bernoulli_sample(pi, tau, u, logit_eps: float = LOGIT_EPS):
+def concrete_bernoulli_sample(pi, tau, u):
     """Relaxed Bernoulli draw sigmoid((logit pi + logit u) / tau) in (0, 1)."""
     if tau <= 0.0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    pi = np.clip(np.asarray(pi, dtype=np.float64), logit_eps, 1.0 - logit_eps)
+    pi = np.clip(np.asarray(pi, dtype=np.float64), LOGIT_EPS, 1.0 - LOGIT_EPS)
     u = np.asarray(u, dtype=np.float64)
     _require(bool(((u > 0.0) & (u < 1.0)).all()), "u must lie in the open interval (0, 1)")
     logits = (np.log(pi) - np.log1p(-pi) + np.log(u) - np.log1p(-u)) / tau

@@ -51,6 +51,10 @@ INIT_GAMMA = 0.0
 INIT_ETA = 1.0
 INIT_KAPPA = 0.1
 
+# Floor on every standard deviation that standardizes a DBB gate's input, so a
+# constant input unit divides by a finite number.
+SIGMA_FLOOR = 1e-3
+
 # the arrays a gate holds in each mode, in checkpoint payload order, each with
 # how the gate holds it: as a trainable leaf, a constant leaf or a plain array
 MODE_ARRAYS = {
@@ -60,13 +64,13 @@ MODE_ARRAYS = {
                "run_mean": np.asarray, "run_std": np.asarray},
 }
 # the scalar fields of every gate
-SCALARS = ("alpha_over_k", "eps", "momentum", "sigma_floor")
+SCALARS = ("alpha_over_k", "eps", "momentum")
 
 
 @dataclass
 class GateState:
     """Variational state for one dropout gate over K units.  The five fields
-    after ``sigma_floor`` are None in a BB gate; entering DBB sets the first
+    after ``momentum`` are None in a BB gate; entering DBB sets the first
     three, and the first DBB training batch the running statistics."""
 
     a_raw: Node
@@ -74,7 +78,6 @@ class GateState:
     alpha_over_k: float = 1e-4
     eps: float = 1e-3
     momentum: float = 0.9
-    sigma_floor: float = 1e-3
     gamma: Node | None = None
     eta: Node | None = None
     kappa_raw: Node | None = None
@@ -86,8 +89,6 @@ class GateState:
             raise ContractError(f"eps must lie in (0, 0.5), got {self.eps}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.sigma_floor > 0.0:
-            raise ContractError(f"sigma_floor must be positive, got {self.sigma_floor}")
         if not (self.a() > 0.0).all() or not (self.b() > 0.0).all():
             raise ContractError("a_raw and b_raw must give positive Kumaraswamy shapes")
 
@@ -100,12 +101,12 @@ class GateState:
     @classmethod
     def from_arrays(cls, mode: str, arrays: dict, **scalars) -> "GateState":
         """A gate of ``mode`` from its named arrays, as :meth:`arrays` gives them.
-        A ``run_std`` below ``sigma_floor``, which :meth:`update_running_stats`
+        A ``run_std`` below :data:`SIGMA_FLOOR`, which :meth:`update_running_stats`
         never writes, can only come from a file, so it raises CheckpointError."""
         gate = cls(**{name: MODE_ARRAYS[mode][name](v) for name, v in arrays.items()}, **scalars)
-        if gate.run_std is not None and not (gate.run_std >= gate.sigma_floor).all():
-            raise CheckpointError(f"a DBB gate's run_std must be at least its sigma_floor "
-                                  f"{gate.sigma_floor}, got {gate.run_std.min()}")
+        if gate.run_std is not None and not (gate.run_std >= SIGMA_FLOOR).all():
+            raise CheckpointError(f"a DBB gate's run_std must be at least the floor {SIGMA_FLOOR}, "
+                                  f"got {gate.run_std.min()}")
         return gate
 
     def arrays(self) -> dict:
@@ -159,14 +160,14 @@ class GateState:
         if batch.shape[0] < 2:
             raise ContractError("running statistics need a batch of at least 2 examples")
         mean = batch.mean(axis=0)
-        std = np.maximum(batch.std(axis=0), self.sigma_floor)
+        std = np.maximum(batch.std(axis=0), SIGMA_FLOOR)
         if self.run_mean is None:
             self.run_mean = mean
             self.run_std = std
         else:
             m = self.momentum
             self.run_mean = m * self.run_mean + (1.0 - m) * mean
-            self.run_std = np.maximum(m * self.run_std + (1.0 - m) * std, self.sigma_floor)
+            self.run_std = np.maximum(m * self.run_std + (1.0 - m) * std, SIGMA_FLOOR)
 
     def expected_mask(self, x: np.ndarray | None = None) -> np.ndarray:
         """Deterministic evaluation-time mask.
@@ -207,7 +208,7 @@ class GateState:
 
 
 def training_mask(gate: GateState, rng: np.random.Generator, bsz: int, gate_input, tau: float,
-                  rho_var: float, logit_eps: float) -> tuple[Node, Node]:
+                  rho_var: float) -> tuple[Node, Node]:
     """One training pass's relaxed (bsz, K) mask node of ``gate`` and its KL node.
     Only a DBB gate calls ``gate_input()`` for its input node and folds that batch into
     its statistics.  ``rng`` draws the Kumaraswamy u (K), in DBB the shift noise (K),
@@ -223,7 +224,7 @@ def training_mask(gate: GateState, rng: np.random.Generator, bsz: int, gate_inpu
         gate.update_running_stats(x_in.value)
         kl = ad.add(kl, kl_beta_gaussian_node(gate, rho_var))
     u = open_unit_uniform(rng, (bsz, gate.k))
-    return concrete_mask_node(probs, u, tau, logit_eps), kl
+    return concrete_mask_node(probs, u, tau), kl
 
 
 def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
@@ -243,23 +244,21 @@ def sample_pi_node(gate: GateState, rng: np.random.Generator) -> Node:
     return ad.fused(pi, (gate.a_raw, gate.b_raw), vjp)
 
 
-def concrete_mask_node(
-    probs: Node, u: np.ndarray, tau: float, logit_eps: float = LOGIT_EPS
-) -> Node:
+def concrete_mask_node(probs: Node, u: np.ndarray, tau: float) -> Node:
     """Relaxed Bernoulli mask sigmoid((logit probs + logit u) / tau).
 
     ``probs`` has shape (K,) (shared across the batch) or (B, K); ``u`` has
     shape (B, K).
     """
     p = probs.value
-    z = concrete_bernoulli_sample(p, tau, u, logit_eps)
+    z = concrete_bernoulli_sample(p, tau, u)
 
     def vjp(g):
         g_logit = g * z * (1.0 - z) / tau
         if p.ndim == 1:
             g_logit = g_logit.sum(axis=0)
-        live = (p > logit_eps) & (p < 1.0 - logit_eps)
-        pc = np.clip(p, logit_eps, 1.0 - logit_eps)
+        live = (p > LOGIT_EPS) & (p < 1.0 - LOGIT_EPS)
+        pc = np.clip(p, LOGIT_EPS, 1.0 - LOGIT_EPS)
         return (g_logit * live / (pc * (1.0 - pc)),)
 
     return ad.fused(z, (probs,), vjp)
@@ -286,7 +285,7 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
         raise ContractError("DBB training forward needs a batch of at least 2 examples")
     centered = x.value - x.value.mean(axis=0)
     sigma_raw = np.sqrt((centered * centered).mean(axis=0) + 1e-12)
-    sigma = np.maximum(sigma_raw, gate.sigma_floor)
+    sigma = np.maximum(sigma_raw, SIGMA_FLOOR)
     xhat = centered * (1.0 / sigma)
     factor = gate.gate_factor(xhat, beta.value)
 
@@ -297,7 +296,7 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
         if x.needs_grad:
             g_xhat = g_pre * gate.gamma.value
             g_sigma = -(g_xhat * centered).sum(axis=0) / (sigma * sigma)
-            g_var = 0.5 * g_sigma / sigma_raw * (sigma_raw > gate.sigma_floor)
+            g_var = 0.5 * g_sigma / sigma_raw * (sigma_raw > SIGMA_FLOOR)
             g_centered = g_xhat / sigma + (2.0 / n) * g_var * centered
             g_x = g_centered - g_centered.mean(axis=0)
         g_pi = (g * factor).sum(axis=0) if pi.needs_grad else None

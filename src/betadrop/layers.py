@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .distributions import LOGIT_EPS, make_rng
+from .distributions import make_rng
 from .errors import ContractError, DimensionError, PruneCollapseError
 from .gates import MODE_BB, MODE_DBB, GateState, training_mask
 from .gates import concrete_mask_node  # noqa: F401  (perfbench/check_smoke.py reads it here)
@@ -33,8 +33,8 @@ class DenseLayer:
 
     def __init__(self, w, b, gate: GateState | None = None,
                  input_select: np.ndarray | None = None):
-        self.w = w if isinstance(w, Node) else ad.parameter(w)  # (in, out)
-        self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
+        self.w = ad.parameter(w)  # (in, out)
+        self.b = ad.parameter(b)  # (out,)
         self.gate = gate
         self.input_select = None if input_select is None else np.asarray(input_select, dtype=np.intp)
 
@@ -53,8 +53,8 @@ class ConvLayer:
     kind = "conv"
 
     def __init__(self, w, b, gate: GateState | None = None):
-        self.w = w if isinstance(w, Node) else ad.parameter(w)  # (out, in, k, k)
-        self.b = b if isinstance(b, Node) else ad.parameter(b)  # (out,)
+        self.w = ad.parameter(w)  # (out, in, k, k)
+        self.b = ad.parameter(b)  # (out,)
         self.gate = gate
 
     @property
@@ -192,8 +192,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
 
 
 def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
-                  rho_var: float = RHO_VAR_DEFAULT,
-                  logit_eps: float = LOGIT_EPS) -> tuple[Node, list[Node]]:
+                  rho_var: float = RHO_VAR_DEFAULT) -> tuple[Node, list[Node]]:
     """Stochastic training pass.
 
     Returns the logits node and one KL node per gated layer (in layer
@@ -205,7 +204,7 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     kl_terms: list[Node] = []
 
     def sampled_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
-        mask, kl = training_mask(gate, rng, bsz, gate_input, tau, rho_var, logit_eps)
+        mask, kl = training_mask(gate, rng, bsz, gate_input, tau, rho_var)
         kl_terms.append(kl)
         return mask
 

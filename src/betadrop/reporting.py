@@ -92,16 +92,10 @@ def parse_report_csv(path) -> list[SparsityReport]:
     return out
 
 
-def _svg_path_points(xs, ys, width, height, pad=45.0):
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    x0, x1 = xs.min(), xs.max()
-    y0, y1 = ys.min(), ys.max()
-    xr = x1 - x0 or 1.0
-    yr = y1 - y0 or 1.0
-    px = pad + (xs - x0) / xr * (width - 2 * pad)
-    py = height - pad - (ys - y0) / yr * (height - 2 * pad)
-    return px, py
+def _extent(values) -> tuple[float, float]:
+    """The least of ``values`` and their span, or 1 for a span of 0."""
+    lo = min(values, default=0.0)
+    return lo, (max(values, default=0.0) - lo) or 1.0
 
 
 def emit_tradeoff_svg(reports: list[SparsityReport], path) -> None:
@@ -111,8 +105,10 @@ def emit_tradeoff_svg(reports: list[SparsityReport], path) -> None:
     for r in reports:
         methods.setdefault(r.method, []).append(r)
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    all_x = [r.speedup for r in reports] or [1.0]
-    all_y = [r.error_pct for r in reports] or [0.0]
+    pad = 45.0
+    # every method is mapped against the extents of all points, so methods share axes
+    x0, xr = _extent([r.speedup for r in reports])
+    y0, yr = _extent([r.error_pct for r in reports])
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
@@ -126,13 +122,10 @@ def emit_tradeoff_svg(reports: list[SparsityReport], path) -> None:
     ]
     for mi, (method, rs) in enumerate(sorted(methods.items())):
         rs = sorted(rs, key=lambda r: r.speedup)
-        xs = [r.speedup for r in rs]
-        ys = [r.error_pct for r in rs]
-        # scale against the global extent so methods share axes
-        gx, gy = _svg_path_points(
-            np.concatenate([all_x, xs]), np.concatenate([all_y, ys]), width, height
-        )
-        px, py = gx[len(all_x):], gy[len(all_y):]
+        xs = np.array([r.speedup for r in rs])
+        ys = np.array([r.error_pct for r in rs])
+        px = pad + (xs - x0) / xr * (width - 2 * pad)
+        py = height - pad - (ys - y0) / yr * (height - 2 * pad)
         color = palette[mi % len(palette)]
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
         lines.append(

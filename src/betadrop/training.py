@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .analysis import count_flops, prune_by_threshold
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
-from .distributions import LOGIT_EPS, make_rng
+from .distributions import make_rng
 from .errors import (
     ContractError,
     DimensionError,
@@ -45,7 +45,6 @@ class TrainConfig:
     rho_var: float = RHO_VAR_DEFAULT
     weight_decay: float = 5e-4
     seed: int = 0
-    logit_eps: float = LOGIT_EPS
 
     def effective_lr_weights(self) -> float:
         return 0.1 * self.lr_variational if self.lr_weights is None else self.lr_weights
@@ -59,8 +58,6 @@ class TrainConfig:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
-        if not 0.0 < self.logit_eps < 0.5:
-            raise ContractError(f"logit_eps must lie in (0, 0.5), got {self.logit_eps}")
         return self
 
     def multipliers_for(self, net: Network) -> tuple:
@@ -131,10 +128,7 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     x, y = batch
     if x.shape[0] == 0:
         raise ContractError("empty minibatch")
-    logits, kls = forward_train(
-        net, x, rng, tau=config.tau, rho_var=config.rho_var, logit_eps=config.logit_eps
-    )
-    _check_labels(y, logits.value)
+    logits, kls = forward_train(net, x, rng, tau=config.tau, rho_var=config.rho_var)
     nll = ad.softmax_cross_entropy(logits, y)
     n, kl_scale, wd = float(n_total), config.kl_scale, config.weight_decay
     mult = config.multipliers_for(net) if kls else ()
@@ -151,13 +145,6 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     return loss, {"nll": float(nll.value), "kl": float(kl)}
 
 
-def _check_labels(labels: np.ndarray, logits: np.ndarray) -> None:
-    """Raise DimensionError unless every label names a column of the logits."""
-    width = logits.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= width):
-        raise DimensionError(f"labels must lie in [0, {width}) for a network with {width} outputs")
-
-
 def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> float:
     """Top-1 error percentage of the deterministic evaluation pass."""
     if len(dataset) == 0:
@@ -169,7 +156,9 @@ def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> flo
         x = dataset.images[start : start + batch_size]
         y = dataset.labels[start : start + batch_size]
         logits = forward_eval(net, x)
-        _check_labels(y, logits)
+        width = logits.shape[1]
+        if y.size and (y.min() < 0 or y.max() >= width):
+            raise DimensionError(f"labels must lie in [0, {width}) for {width} outputs")
         wrong += int((logits.argmax(axis=1) != y).sum())
     return 100.0 * wrong / len(dataset)
 

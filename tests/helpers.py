@@ -251,7 +251,7 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
             beta[1:3] = (-2.0, 3.0)
         x, pi, beta = ad.parameter(x), ad.parameter(pi), ad.parameter(beta)
         return (lambda: gates.dbb_phi_node(gate, x, pi, beta),
-                lambda *v: ref_dbb_phi(*v, gate.eps, gate.sigma_floor),
+                lambda *v: ref_dbb_phi(*v, gate.eps, gates.SIGMA_FLOOR),
                 [x, pi, gate.gamma, beta])
     if name == "kl_bb":
         if boundary:
@@ -488,11 +488,20 @@ def to_format_version_2(manifest) -> None:
 def to_format_version_3(manifest) -> None:
     """Turn a DBB network's manifest into its format-version-3 form, whose
     gates also held a ``stats_initialized`` flag.  Format 3 stored seven
-    arrays per gate, as format 4 does for a DBB gate, so the payload fits."""
+    arrays per gate, as format 5 does for a DBB gate, so the payload fits."""
     manifest["format_version"] = 3
     for entry in manifest["layers"]:
         if entry["gate"] is not None:
             entry["gate"]["stats_initialized"] = True
+
+
+def to_format_version_4(manifest) -> None:
+    """Turn a manifest into its format-version-4 form, whose gates also held a
+    ``sigma_floor``.  Format 4 stored the payload as format 5 does."""
+    manifest["format_version"] = 4
+    for entry in manifest["layers"]:
+        if entry["gate"] is not None:
+            entry["gate"]["sigma_floor"] = 0.001
 
 
 def edit_manifest(path, edit) -> None:

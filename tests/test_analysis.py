@@ -448,6 +448,18 @@ class TestReports:
         points = polylines[0].attrib["points"].split()
         assert len(points) == 3
 
+    def test_svg_methods_share_axes(self, tmp_path):
+        # each method is placed against the extents of every point: speedup
+        # 10..50 spans x 45..435, error 1.2..2.5 spans y 315..45
+        path = tmp_path / "plot.svg"
+        emit_tradeoff_svg(self._reports() + [SparsityReport("dbb", 1.0, 2.5, 50.0, 2.0, [30]),
+                                             SparsityReport("dbb", 2.0, 1.2, 12.0, 8.0, [90])], path)
+        ns = "{http://www.w3.org/2000/svg}"
+        points = {p.attrib["class"]: p.attrib["points"]
+                  for p in ET.parse(path).getroot().findall(f"{ns}polyline")}
+        assert points == {"series-bb": "45.00,252.69 191.25,190.38 337.50,107.31",
+                          "series-dbb": "64.50,315.00 435.00,45.00"}
+
     def test_invalid_report_values_rejected(self):
         with pytest.raises(ValueError):
             SparsityReport("bb", 1.0, 1.0, 0.5, 50.0, [])

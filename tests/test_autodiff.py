@@ -456,7 +456,7 @@ class TestSoftmaxCrossEntropy:
         assert float(loss.value) == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_out_of_range_label(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionError, match=r"labels must lie in \[0, 3\) for 3 outputs"):
             ad.softmax_cross_entropy(ad.constant(np.zeros((2, 3))), [0, 3])
 
     def test_gradients_match_finite_differences(self):

@@ -329,7 +329,6 @@ GATE_OPTIONS = {
     "alpha_over_k": ("alpha_over_k", 0.5),
     "eps_gate": ("eps", 0.2),
     "momentum": ("momentum", 0.1),
-    "sigma_floor": ("sigma_floor", 0.5),
 }
 
 
@@ -350,8 +349,8 @@ class TestConfigHomes:
         assert all(getattr(g, name) == value for g in net.gates())
 
     @pytest.mark.parametrize("section,key,value", [
-        ("model", "momentum", 1.5), ("model", "sigma_floor", -1.0), ("train", "logit_eps", 0.7),
-        ("data", "val_fraction", 1.5), ("data", "noise", -1.0), ("model", "dims", [20, 0, 2]),
+        ("model", "momentum", 1.5), ("data", "val_fraction", 1.5), ("data", "noise", -1.0),
+        ("model", "dims", [20, 0, 2]),
     ])
     def test_out_of_range_setting_is_runtime_error(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path, **{section: {key: value}})
@@ -359,13 +358,22 @@ class TestConfigHomes:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "sigma_floor", -1.0), ("train", "sigma_floor", 0.5), ("train", "logit_eps", 0.7),
+    ])
+    def test_numerical_floor_is_unknown_key(self, tmp_path, capsys, section, key, value):
+        # the floors are the constants gates.SIGMA_FLOOR and distributions.LOGIT_EPS
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        assert f"unknown config key {section}.{key!r}" in capsys.readouterr().err
+
     def test_train_section_fills_train_config_by_field_name(self):
         defaults = validate_config({})["train"]
         del defaults["pretrain_epochs"], defaults["finetune_epochs"]
         assert defaults == {f.name: f.default for f in fields(TrainConfig)}
         custom = {"batch_size": 7, "lr_variational": 0.02, "lr_weights": 0.003,
                   "kl_scale": 2.0, "per_layer_kl_multipliers": [1.0, 2.0], "tau": 0.3,
-                  "rho_var": 1.5, "weight_decay": 0.0, "seed": 9, "logit_eps": 1e-5}
+                  "rho_var": 1.5, "weight_decay": 0.0, "seed": 9}
         assert custom.keys() == defaults.keys()
         tconf = _train_config(validate_config({"model": {"arch": "mlp"}, "train": custom}))
         assert {key: getattr(tconf, key) for key in custom} == {

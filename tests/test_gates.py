@@ -16,6 +16,7 @@ from betadrop.gates import (
     INIT_KAPPA,
     MODE_BB,
     MODE_DBB,
+    SIGMA_FLOOR,
     GateState,
     beta_sample_node,
     concrete_mask_node,
@@ -93,11 +94,6 @@ class TestInitialization:
         with pytest.raises(ContractError, match="momentum"):
             GateState.create(3, momentum=momentum)
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
-    def test_nonpositive_sigma_floor_rejected(self, floor):
-        with pytest.raises(ContractError, match="sigma_floor"):
-            GateState.create(3, sigma_floor=floor)
-
     @pytest.mark.parametrize("name", ["a_raw", "b_raw"])
     def test_shape_that_softplus_sends_to_zero_rejected(self, name):
         # softplus(-800) is 0.0, which kumaraswamy_mean refused only on the first eval
@@ -112,7 +108,7 @@ class TestRunningStats:
         batch = np.full((8, 3), 2.5)
         gate.update_running_stats(batch)
         assert np.allclose(gate.run_mean, 2.5)
-        assert np.allclose(gate.run_std, gate.sigma_floor)
+        assert np.allclose(gate.run_std, SIGMA_FLOOR)
 
     def test_ema_converges_geometrically(self):
         gate = dbb_create(2)
@@ -252,10 +248,10 @@ class TestSubset:
         assert sub.gamma is None and sub.run_mean is None
 
     def test_subset_keeps_scalar_fields(self):
-        gate = dbb_create(5, alpha_over_k=0.5, eps=0.2, momentum=0.1, sigma_floor=0.5)
+        gate = dbb_create(5, alpha_over_k=0.5, eps=0.2, momentum=0.1)
         gate.update_running_stats(np.random.default_rng(1).normal(size=(10, 5)))
         sub = gate.subset(np.array([1, 3]))
-        for name in ("alpha_over_k", "eps", "mode", "momentum", "sigma_floor"):
+        for name in ("alpha_over_k", "eps", "mode", "momentum"):
             assert getattr(sub, name) == getattr(gate, name), name
 
     def test_subset_is_independent_copy(self):

@@ -24,7 +24,7 @@ from betadrop.errors import (
     DimensionError,
     PruneCollapseError,
 )
-from betadrop.gates import MODE_BB, MODE_DBB, GateState
+from betadrop.gates import MODE_BB, MODE_DBB, SIGMA_FLOOR, GateState
 from betadrop.layers import (
     ConvLayer,
     DenseLayer,
@@ -49,6 +49,7 @@ from helpers import (
     to_format_version_1,
     to_format_version_2,
     to_format_version_3,
+    to_format_version_4,
 )
 
 RNG = np.random.default_rng(2024)
@@ -108,7 +109,7 @@ class TestBuilders:
         ids=["lenet_500_300", "lenet5_caffe", "mlp"],
     )
     def test_gate_options_reach_every_gate(self, build):
-        options = dict(alpha_over_k=0.5, eps=0.2, momentum=0.1, sigma_floor=0.5)
+        options = dict(alpha_over_k=0.5, eps=0.2, momentum=0.1)
         net = build(seed=0, **options)
         for g in net.gates():
             assert {name: getattr(g, name) for name in options} == options
@@ -698,7 +699,7 @@ class TestCheckpoint:
         net.gates()[0].run_std[1] = std
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        with pytest.raises(CheckpointError, match="run_std must be at least its sigma_floor"):
+        with pytest.raises(CheckpointError, match=f"run_std must be at least the floor {SIGMA_FLOOR}"):
             load_checkpoint(path)
 
     def test_dbb_run_std_at_sigma_floor_loads(self, tmp_path):
@@ -708,7 +709,7 @@ class TestCheckpoint:
             g.update_running_stats(np.ones((4, g.k)))
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        assert np.array_equal(load_checkpoint(path).gates()[0].run_std, np.full(6, 1e-3))
+        assert np.array_equal(load_checkpoint(path).gates()[0].run_std, np.full(6, SIGMA_FLOOR))
 
     def test_gates_in_different_modes_are_typed_error_at_load(self, tmp_path):
         net = toy_net(seed=26, dims=(6, 5, 2))
@@ -726,8 +727,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mode,manifest,payload", [
-        (MODE_BB, '{"format_version":4,"gates_enabled":false,', (552, "c1e5df30eace9b72")),
-        (MODE_DBB, '{"format_version":4,"gates_enabled":true,', (992, "06a9e2a41cc15f2d")),
+        (MODE_BB, '{"format_version":5,"gates_enabled":false,', (552, "c1e5df30eace9b72")),
+        (MODE_DBB, '{"format_version":5,"gates_enabled":true,', (992, "06a9e2a41cc15f2d")),
     ], ids=[MODE_BB, MODE_DBB])
     def test_checkpoint_bytes_are_pinned(self, tmp_path, mode, manifest, payload):
         # key order and payload order are the file format: a change to either
@@ -742,8 +743,7 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         head, body = path.read_bytes().split(b"\n", 1)
-        gate = ('{"alpha_over_k":0.0001,"eps":0.001,"mode":"%s","momentum":0.9,'
-                '"sigma_floor":0.001}' % mode)
+        gate = '{"alpha_over_k":0.0001,"eps":0.001,"mode":"%s","momentum":0.9}' % mode
         assert head.decode() == (
             manifest + '"meta":{"arch":"mlp","dims":[6,5,2],"input_shape":[6]},"layers":['
             '{"kind":"dense","shape":[6,5],"input_select":null,"gate":%s},'
@@ -841,6 +841,17 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         edit_manifest(path, to_format_version_3)
         with pytest.raises(CheckpointVersionError, match="version 3 "):
+            load_checkpoint(path)
+
+    def test_version_4_file_is_version_error(self, tmp_path):
+        # format 4 stored a sigma_floor per gate, which need not be today's floor
+        net = toy_net(seed=27, mode=MODE_DBB)
+        for g in net.gates():
+            g.update_running_stats(RNG.normal(size=(8, g.k)))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        edit_manifest(path, to_format_version_4)
+        with pytest.raises(CheckpointVersionError, match="version 4 "):
             load_checkpoint(path)
 
     def test_payload_holds_two_arrays_per_bb_gate_and_seven_per_dbb_gate(self, tmp_path):
