@@ -42,6 +42,8 @@ from .training import (
     finetune_bb,
     finetune_dbb,
     pretrain,
+    prune,
+    run_stages,
 )
 
 __version__ = "0.1.0"

@@ -20,9 +20,6 @@ import numpy as np
 from . import data as data_mod
 from .analysis import (
     class_average_gate_correlation,
-    count_flops,
-    count_memory,
-    prune_by_threshold,
     runtime_prune_stats,
     within_cross_gate_correlation,
 )
@@ -31,7 +28,8 @@ from .config import ConfigError, check_json, describe_defaults, load_config
 from .distributions import make_rng
 from .errors import BetadropError, ContractError
 from .gates import MODE_DBB
-from .layers import Network, build_lenet5_caffe, build_lenet_500_300, build_mlp, shrink
+from .layers import Network, build_lenet5_caffe, build_lenet_500_300, build_mlp
+from .layers import shrink  # noqa: F401  (perfbench reads it here)
 from .reporting import SparsityReport, emit_report_csv, emit_tradeoff_svg, parse_report_csv
 from .training import (
     MetricsLog,
@@ -41,6 +39,8 @@ from .training import (
     finetune_bb,
     finetune_dbb,
     pretrain,
+    prune,
+    run_stages,
 )
 
 STAGE_FILES = {
@@ -162,21 +162,6 @@ def _load_input(args, cfg, any_stage: bool = False) -> Network:
     return net
 
 
-def _prune(net: Network, cfg: dict) -> Network:
-    """Threshold-prune and shrink ``net``.  The smaller network's meta holds
-    the stage, the original FLOPs, the speedup, memory and the kept counts."""
-    keeps = prune_by_threshold(net, cfg["prune"]["threshold"])
-    counts = [int(k.size) for k in keeps]
-    orig, _, speedup = count_flops(net, counts)
-    memory = count_memory(net, counts)
-    small = shrink(net, keeps, fold_masks=cfg["prune"]["fold_masks"])
-    small.meta.update(
-        stage="bb_pruned", flops_orig=orig,
-        speedup=speedup, memory_pct=memory, kept_counts=counts,
-    )
-    return small
-
-
 def _result(**kv) -> None:
     parts = []
     for k, v in kv.items():
@@ -226,7 +211,7 @@ def _cmd_train(args, cfg) -> int:
 def _cmd_prune(args, cfg) -> int:
     net = _load_input(args, cfg)
     _, test = _load_data(cfg)
-    small = _prune(net, cfg)
+    small = prune(net, cfg["prune"]["threshold"], cfg["prune"]["fold_masks"])
     path = _ckpt_path(cfg, "bb_pruned")
     save_checkpoint(small, path)
     _result(stage="bb_pruned", checkpoint=path, error_pct=evaluate_error(small, test),
@@ -262,25 +247,20 @@ def _emit_reports(reports: list[SparsityReport], cfg: dict, csv_name: str) -> in
 
 def _cmd_sweep(args, cfg) -> int:
     tconf = _train_config(cfg)
+    run_confs = [replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i)).validate()
+                 for i, scale in enumerate(cfg["sweep"]["kl_scales"])]
     train, test = _load_data(cfg)
     base = _build_model(cfg)
     pretrain(base, train, tconf, epochs=cfg["train"]["pretrain_epochs"])
     pre_path = _ckpt_path(cfg, "pretrained")
     save_checkpoint(base, pre_path)
     reports = []
-    for i, scale in enumerate(cfg["sweep"]["kl_scales"]):
-        run_conf = replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i))
-        net = load_checkpoint(pre_path)
-        finetune_bb(net, train, run_conf, epochs=cfg["train"]["finetune_epochs"])
-        small = _prune(net, cfg)
-        reports.append(
-            SparsityReport(
-                method="bb", kl_scale=float(scale), error_pct=evaluate_error(small, test),
-                speedup=small.meta["speedup"], memory_pct=small.meta["memory_pct"],
-                kept_counts=small.meta["kept_counts"],
-            )
-        )
-        print(reports[-1].result_line())
+    for run_conf in run_confs:
+        report = run_stages(load_checkpoint(pre_path), train, test, run_conf,
+                            cfg["train"]["finetune_epochs"], threshold=cfg["prune"]["threshold"],
+                            fold_masks=cfg["prune"]["fold_masks"]).report
+        print(report.result_line())
+        reports.append(report)
     return _emit_reports(reports, cfg, "sweep.csv")
 
 

@@ -5,11 +5,12 @@ with the keep-probability posterior frozen)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import count_flops, prune_by_threshold
+from .analysis import DEFAULT_PRUNE_THRESHOLD, count_flops, count_memory, prune_by_threshold
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
 from .distributions import make_rng
@@ -21,7 +22,8 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gates import MODE_BB, MODE_DBB
-from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train
+from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train, shrink
+from .reporting import SparsityReport
 
 NOISE_SEED_OFFSET = 1_000_003  # decorrelates the noise stream from the shuffle stream
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -267,6 +269,46 @@ def finetune_dbb(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     """Stage 2: freeze q(pi), train the input-dependent gate (and weights).
     The network must come out of stage 1 (trained and threshold-pruned)."""
     return _train(net, data, config, epochs, MODE_DBB, eval_data, log)
+
+
+def prune(net: Network, threshold: float = DEFAULT_PRUNE_THRESHOLD,
+          fold_masks: bool = False) -> Network:
+    """Threshold-prune and shrink ``net``.  The smaller network's meta holds
+    the stage, the original FLOPs, the speedup, memory and the kept counts."""
+    keeps = prune_by_threshold(net, threshold)
+    counts = [int(k.size) for k in keeps]
+    orig, _, speedup = count_flops(net, counts)
+    memory = count_memory(net, counts)
+    small = shrink(net, keeps, fold_masks=fold_masks)
+    small.meta.update(stage="bb_pruned", flops_orig=orig, speedup=speedup, memory_pct=memory,
+                      kept_counts=counts)
+    return small
+
+
+class Stages(NamedTuple):
+    bb: Network  # BB-trained, pruned and shrunk
+    dbb: Network | None  # None without DBB epochs
+    report: SparsityReport  # the BB row, as ``sweep`` writes it
+
+
+def run_stages(net: Network, train: Dataset, test: Dataset, config: TrainConfig,
+               bb_epochs: int, dbb_epochs: int = 0,
+               threshold: float = DEFAULT_PRUNE_THRESHOLD, fold_masks: bool = False) -> Stages:
+    """The two stages from a pretrained ``net``: BB fine-tuning in place, then
+    :func:`prune`; with ``dbb_epochs``, DBB fine-tuning of a second pruned copy,
+    never folded, so the BB-pruned network stays as it was."""
+    finetune_bb(net, train, config, epochs=bb_epochs)
+    bb = prune(net, threshold, fold_masks)
+    report = SparsityReport(
+        method="bb", kl_scale=config.kl_scale, error_pct=evaluate_error(bb, test),
+        speedup=bb.meta["speedup"], memory_pct=bb.meta["memory_pct"],
+        kept_counts=bb.meta["kept_counts"],
+    )
+    dbb = None
+    if dbb_epochs > 0:
+        dbb = prune(net, threshold)
+        finetune_dbb(dbb, train, config, epochs=dbb_epochs)
+    return Stages(bb, dbb, report)
 
 
 def derive_seed(base_seed: int, index: int) -> int:

@@ -9,6 +9,7 @@ sweep also run end-to-end on scikit-learn's bundled digits (criterion 8a),
 which skips when scikit-learn is not installed.
 """
 
+import copy
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -22,13 +23,12 @@ import betadrop.distributions as d
 from betadrop.analysis import (
     count_flops,
     count_memory,
-    prune_by_threshold,
     runtime_prune_stats,
     within_cross_gate_correlation,
     class_average_gate_correlation,
 )
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
-from betadrop.data import Dataset, load_idx, synthetic_planted_sparsity, synthetic_two_cluster
+from betadrop.data import Dataset, load_idx, synthetic_planted_sparsity
 from betadrop.gates import MODE_DBB
 from betadrop.layers import (
     build_lenet5_caffe,
@@ -41,10 +41,9 @@ from betadrop.training import (
     TrainConfig,
     derive_seed,
     elbo_loss,
-    evaluate_error,
     finetune_bb,
-    finetune_dbb,
     pretrain,
+    run_stages,
 )
 
 from helpers import (
@@ -280,17 +279,13 @@ def test_criterion_5_gradient_suite():
 # -------------------------------------------------------------------------
 
 
-def test_criterion_6_planted_sparsity():
+def test_criterion_6_planted_sparsity(planted_bb):
     with criterion(6, "BB fine-tune prunes the 16 noise features, keeps the 4 signals (>=2/3 seeds)"):
         successes = 0
         for seed in (0, 1, 2):
-            ds = synthetic_planted_sparsity(2000, 20, 4, seed=seed)
+            ds, net = planted_bb(seed)
             sig = np.array(ds.meta["signal_idx"])
             noise = np.setdiff1d(np.arange(20), sig)
-            net = build_mlp((20, 32, 2), seed=seed)
-            cfg = TrainConfig(batch_size=100, lr_variational=0.02, seed=seed)
-            pretrain(net, ds, cfg, epochs=5)
-            finetune_bb(net, ds, cfg, epochs=100)
             e_pi = net.gates()[0].expected_pi()
             if (e_pi[noise] < 1e-3).all() and (e_pi[sig] >= 1e-3).all():
                 successes += 1
@@ -300,22 +295,6 @@ def test_criterion_6_planted_sparsity():
 # -------------------------------------------------------------------------
 # 7 & 11. two-stage pipeline: dominance and gate correlation structure
 # -------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def two_stage():
-    ds = synthetic_two_cluster(2000, 20, seed=0)
-    train, test = ds.split(0.15, seed=0)
-    net = build_mlp((20, 16, 2), seed=0)
-    cfg = TrainConfig(batch_size=100, lr_variational=0.02, seed=0)
-    pretrain(net, train, cfg, epochs=5)
-    finetune_bb(net, train, cfg, epochs=60)
-    keeps = prune_by_threshold(net)
-    stage1 = shrink(net, keeps)
-    stage1.meta["stage"] = "bb_pruned"
-    stage2 = shrink(net, keeps)
-    finetune_dbb(stage2, train, cfg, epochs=40)
-    return train, test, stage1, stage2
 
 
 def test_criterion_7_two_stage_dominance(two_stage):
@@ -366,30 +345,22 @@ def _find_mnist():
 
 
 def _desk_scale_run(train, test, dims, pretrain_epochs, finetune_epochs, lr_v, seed=0):
-    """Shared pipeline: pretrain once, sweep kl_scale, return reports."""
+    """Shared pipeline: pretrain once, sweep kl_scale, return the BB reports."""
     base = build_mlp(dims, seed=seed)
     cfg = TrainConfig(batch_size=100, lr_variational=lr_v, seed=seed)
     pretrain(base, train, cfg, epochs=pretrain_epochs)
-    rows = []
-    for i, scale in enumerate((1.0, 2.0, 4.0, 6.0, 8.0)):
-        net = build_mlp(dims, seed=seed)
-        for p, q in zip(net.parameters(), base.parameters()):
-            p.value = q.value.copy()
-        run_cfg = replace(cfg, kl_scale=scale, seed=derive_seed(seed, i))
-        finetune_bb(net, train, run_cfg, epochs=finetune_epochs)
-        keeps = prune_by_threshold(net)
-        counts = [len(k) for k in keeps]
-        _, _, speedup = count_flops(net, counts)
-        small = shrink(net, keeps)
-        rows.append((scale, evaluate_error(small, test), speedup, counts))
-    return rows
+    return [
+        run_stages(copy.deepcopy(base), train, test,
+                   replace(cfg, kl_scale=scale, seed=derive_seed(seed, i)), finetune_epochs).report
+        for i, scale in enumerate((1.0, 2.0, 4.0, 6.0, 8.0))
+    ]
 
 
 def _check_desk_scale(rows):
     scale1 = rows[0]
-    assert scale1[1] <= 2.5, f"pruned error {scale1[1]:.2f}% exceeds 2.5%"
-    assert scale1[2] >= 2.0, f"speedup {scale1[2]:.2f} below 2x"
-    speedups = [r[2] for r in rows]
+    assert scale1.error_pct <= 2.5, f"pruned error {scale1.error_pct:.2f}% exceeds 2.5%"
+    assert scale1.speedup >= 2.0, f"speedup {scale1.speedup:.2f} below 2x"
+    speedups = [r.speedup for r in rows]
     inversions = sum(1 for a, b in zip(speedups, speedups[1:]) if b < a)
     assert inversions <= 1, f"speedups {speedups} invert more than once"
 

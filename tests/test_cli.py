@@ -514,6 +514,15 @@ class TestSweep:
         assert main(["report", "--config", str(cfg)]) == 0
         assert "rows=5" in last_result(capsys)
 
+    def test_scale_below_one_is_runtime_error_before_pretraining(self, tmp_path, capsys):
+        # each scale's TrainConfig is validated as train.kl_scale is
+        cfg = write_config(tmp_path, sweep={"kl_scales": [1.0, 0.5]})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kl_scale must be >= 1, got 0.5" in err and "Traceback" not in err
+        for name in ("pretrained.ckpt", "sweep.csv"):
+            assert not (tmp_path / "run" / name).exists()
+
 
 def strip_paths(result_line):
     return " ".join(t for t in result_line.split() if not t.startswith("checkpoint="))
@@ -535,6 +544,23 @@ class TestDeterminism:
             blobs.append((tmp_path / run / "bb.ckpt").read_bytes())
         assert lines[0] == lines[1]
         assert blobs[0] == blobs[1]
+
+    def test_same_sweep_config_same_rows_and_files(self, tmp_path, capsys):
+        lines, files = [], []
+        for run in ("a", "b"):
+            cfg = write_config(
+                tmp_path,
+                output_dir=str(tmp_path / run),
+                train={"batch_size": 100, "pretrain_epochs": 2, "finetune_epochs": 3,
+                       "lr_variational": 0.02, "seed": 0},
+                sweep={"kl_scales": [1.0, 4.0]},
+            )
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            out = capsys.readouterr().out.replace(str(tmp_path / run), "<out>")
+            lines.append([l for l in out.splitlines() if l.startswith("RESULT")])
+            files.append([(tmp_path / run / n).read_bytes() for n in ("sweep.csv", "tradeoff.svg")])
+        assert len(lines[0]) == 3 and lines[0] == lines[1]
+        assert files[0] == files[1]
 
     def test_seed_override_changes_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output_dir=str(tmp_path / "s"))

@@ -37,6 +37,8 @@ from betadrop.training import (
     finetune_bb,
     finetune_dbb,
     pretrain,
+    prune,
+    run_stages,
 )
 
 from helpers import glyph_images, gradcheck, keep_set_forward
@@ -365,14 +367,10 @@ class TestFinetuneBB:
         for g in net.gates():
             assert np.abs(g.expected_pi() - 0.9).max() < 0.05
 
-    def test_planted_sparsity_recovers_signal_features(self):
-        ds = synthetic_planted_sparsity(2000, 20, 4, seed=0)
+    def test_planted_sparsity_recovers_signal_features(self, planted_bb):
+        ds, net = planted_bb(0)
         sig = np.array(ds.meta["signal_idx"])
         noise = np.setdiff1d(np.arange(20), sig)
-        net = build_mlp((20, 32, 2), seed=0)
-        cfg = TrainConfig(batch_size=100, lr_variational=0.02, seed=0)
-        pretrain(net, ds, cfg, epochs=5)
-        finetune_bb(net, ds, cfg, epochs=100)
         e_pi = net.gates()[0].expected_pi()
         assert (e_pi[noise] < 1e-3).all()
         assert (e_pi[sig] > 0.5).all()
@@ -380,37 +378,15 @@ class TestFinetuneBB:
         assert np.array_equal(keeps[0], sig)
 
 
-@pytest.fixture(scope="module")
-def two_stage_nets():
-    """Shared stage-1 + stage-2 pipeline on the two-cluster fixture."""
-    ds = synthetic_two_cluster(2000, 20, seed=0)
-    train, test = ds.split(0.15, seed=0)
-    net = build_mlp((20, 16, 2), seed=0)
-    cfg = TrainConfig(batch_size=100, lr_variational=0.02, seed=0)
-    pretrain(net, train, cfg, epochs=5)
-    finetune_bb(net, train, cfg, epochs=60)
-    keeps = prune_by_threshold(net)
-    bb_net = shrink(net, keeps)
-    bb_net.meta["stage"] = "bb_pruned"
-    import copy
-
-    dbb_net = shrink(net, keeps)
-    raws_before = [
-        (g.a_raw.value.copy(), g.b_raw.value.copy()) for g in dbb_net.gates()
-    ]
-    finetune_dbb(dbb_net, train, cfg, epochs=40)
-    return train, test, bb_net, dbb_net, raws_before
-
-
 class TestFinetuneDBB:
-    def test_keep_probability_posterior_frozen_bitwise(self, two_stage_nets):
-        _, _, _, dbb_net, raws_before = two_stage_nets
-        for g, (a0, b0) in zip(dbb_net.gates(), raws_before):
-            assert np.array_equal(g.a_raw.value, a0)
-            assert np.array_equal(g.b_raw.value, b0)
+    def test_keep_probability_posterior_frozen_bitwise(self, two_stage):
+        _, _, bb_net, dbb_net = two_stage  # bb_net's gates are dbb_net's before DBB
+        for g, g0 in zip(dbb_net.gates(), bb_net.gates()):
+            assert np.array_equal(g.a_raw.value, g0.a_raw.value)
+            assert np.array_equal(g.b_raw.value, g0.b_raw.value)
 
-    def test_frozen_posterior_takes_no_gradient(self, two_stage_nets):
-        _, _, _, dbb_net, _ = two_stage_nets
+    def test_frozen_posterior_takes_no_gradient(self, two_stage):
+        _, _, _, dbb_net = two_stage
         for g in dbb_net.gates():
             assert g.a_raw._grad is None and g.b_raw._grad is None
             assert not g.a_raw.needs_grad and not g.b_raw.needs_grad  # constants from DBB on
@@ -428,15 +404,15 @@ class TestFinetuneDBB:
         assert finetune_dbb(net, ds, cfg, epochs=2) == skipped
         assert all(g.a_raw._grad is not None for g in net.gates())
 
-    def test_per_input_kept_never_exceeds_static(self, two_stage_nets):
-        _, test, _, dbb_net, _ = two_stage_nets
+    def test_per_input_kept_never_exceeds_static(self, two_stage):
+        _, test, _, dbb_net = two_stage
         stats = runtime_prune_stats(dbb_net, test)
         widths = np.array([g.k for g in dbb_net.gates()])
         assert (stats.kept_per_input <= widths[None, :]).all()
         assert stats.mean_flops <= stats.static_flops
 
-    def test_per_cluster_masks_differ_on_surviving_units(self, two_stage_nets):
-        _, test, _, dbb_net, _ = two_stage_nets
+    def test_per_cluster_masks_differ_on_surviving_units(self, two_stage):
+        _, test, _, dbb_net = two_stage
         masks = {}
         for cls in (0, 1):
             _, info = forward_eval(
@@ -491,8 +467,8 @@ class TestFinetuneDBB:
         losses = finetune_dbb(net, ds, cfg, epochs=2)
         assert len(losses) == 4 and np.isfinite(losses).all()
 
-    def test_bb_masks_are_cluster_independent(self, two_stage_nets):
-        _, test, bb_net, _, _ = two_stage_nets
+    def test_bb_masks_are_cluster_independent(self, two_stage):
+        _, test, bb_net, _ = two_stage
         out = {}
         for cls in (0, 1):
             _, info = forward_eval(
@@ -502,6 +478,23 @@ class TestFinetuneDBB:
         # the input-independent mask is one row repeated for every example
         assert np.allclose(out[0][0], out[1][0], atol=1e-12)
         assert np.allclose(out[0].std(axis=0), 0.0, atol=1e-12)
+
+
+class TestRunStages:
+    def test_dbb_trains_an_unfolded_copy_and_the_row_reads_the_bb_net(self):
+        train, test = synthetic_two_cluster(300, 8, seed=2).split(0.2, seed=2)
+        cfg = TrainConfig(batch_size=60, lr_variational=0.02, kl_scale=2.0, seed=2)
+        net = build_mlp((8, 6, 2), seed=2)
+        pretrain(net, train, cfg, epochs=2)
+        bb, dbb, report = run_stages(net, train, test, cfg, bb_epochs=3, dbb_epochs=1,
+                                     threshold=0.89, fold_masks=True)  # E[pi] 0.888-0.904
+        assert not bb.gates() and bb.meta["stage"] == "bb_pruned" and bb.meta["speedup"] > 1.0
+        assert dbb.gate_mode == MODE_DBB and dbb.meta["stage"] == "dbb"
+        assert [g.k for g in dbb.gates()] == bb.meta["kept_counts"] == report.kept_counts
+        assert (report.method, report.kl_scale) == ("bb", 2.0)
+        assert report.error_pct == evaluate_error(bb, test)
+        assert (report.speedup, report.memory_pct) == (bb.meta["speedup"], bb.meta["memory_pct"])
+        assert run_stages(build_mlp((8, 6, 2), seed=2), train, test, cfg, bb_epochs=1).dbb is None
 
 
 class TestDbbSwitch:
@@ -569,11 +562,10 @@ class TestLenet5EndToEnd:
         threshold = min(np.median(g.expected_pi()) for g in net.gates())
         keeps = prune_by_threshold(net, threshold)
         assert all(0 < len(k) < g.k for k, g in zip(keeps, net.gates()))
-        small = shrink(net, keeps)
+        small = prune(net, threshold)
         ref = keep_set_forward(net, test.images, keeps)
         assert np.abs(forward_eval(small, test.images) - ref).max() < 1e-9
 
-        small.meta["stage"] = "bb_pruned"
         losses += finetune_dbb(small, train, cfg, epochs=1)
         assert len(losses) == 20 and np.isfinite(losses).all()
         assert 0.0 <= evaluate_error(small, test) <= 100.0
