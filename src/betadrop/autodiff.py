@@ -10,7 +10,7 @@ a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 With nothing to keep, `conv2d` builds its im2col columns one cache-sized
-block of examples at a time instead of for the whole batch.
+tile of output rows and examples at a time instead of for the whole batch.
 
 The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 (`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
@@ -18,10 +18,11 @@ The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 `softmax_cross_entropy`.  :func:`fused` makes one node of a closed form
 computed in numpy with a hand-written backward; the dropout gates in
 :mod:`betadrop.gates` and the training loss (NLL, weighted KL and weight
-decay) are built that way.  Conv activations are channel-major,
-(C, B, H, W); `flatten` turns them into the (B, C*H*W) rows of a dense
-layer, and per-example channel quantities (gate masks, channel means) stay
-(B, C).
+decay) are built that way.  Conv activations are batch-innermost,
+(C, H, W, B), so the copies around the conv GEMMs and the pooling windows
+move runs of B values; `flatten` turns them into the (B, C*H*W) rows of a
+dense layer, and per-example channel quantities (gate masks, channel means)
+stay (B, C).
 
 There is no broadcasting: binary elementwise ops accept equal shapes only.
 The few mixed-rank products the models need are dedicated ops
@@ -30,7 +31,6 @@ The few mixed-rank products the models need are dedicated ops
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -314,32 +314,37 @@ def gather_cols(x: Node, idx) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# convolution / pooling, on channel-major (C, B, H, W) activations
+# convolution / pooling, on batch-innermost (C, H, W, B) activations
 # ---------------------------------------------------------------------------
 
-# Byte budget of one block of im2col columns under no_grad: about an L2 cache.
+# Byte budget of one tile of im2col columns and its GEMM output under
+# no_grad: about an L2 cache.
 _COLS_BLOCK_BYTES = 2 << 20
 
 
-def conv2d(x: Node, w: Node, b: Node) -> Node:
-    """Unpadded stride-1 cross-correlation of a (C, B, H, W) input with
-    (O, C, k, k), plus (O,) bias, giving (O, B, H - k + 1, W - k + 1).
+def _even_part(n: int, most: int) -> int:
+    """The size of the fewest equal parts of at most ``most`` (at least 1) that cover ``n``."""
+    return -(-n // -(-n // max(1, most)))
 
-    im2col as GEMM, channel-major: with P = ho*wo output positions and
-    ``wmat`` the kernel as (O, C*k*k), the input's k x k windows are
-    gathered into ``cols`` (C*k*k, B*P), and the forward is the GEMM
-    ``wmat @ cols`` written into one (O, B*P) buffer, bias added in place,
-    which is already (O, B, ho, wo).  A graph keeps the whole batch's
-    ``cols`` for backward.  Under :func:`no_grad` nothing keeps them, so
-    they are built and multiplied one block of examples at a time, each
-    block about ``_COLS_BLOCK_BYTES`` (an L2 cache), while still in cache.
-    With OpenBLAS, splitting the GEMM's columns this way leaves the value
-    bit for bit the same; a test checks it.  Backward reads the
-    output gradient as ``gmat`` (O, B*P) with no copy: dW = ``gmat @
-    cols.T`` and db = ``gmat.sum(1)``.  Unless ``x`` is a constant, the
-    column gradient ``wmat.T @ gmat``, laid out
-    (C, k, k, B, ho, wo), is added back one contiguous slab per kernel tap
-    into a (C, B, H, W) buffer (col2im).
+
+def conv2d(x: Node, w: Node, b: Node) -> Node:
+    """Unpadded stride-1 cross-correlation of a (C, H, W, B) input with
+    (O, C, k, k), plus (O,) bias, giving (O, H - k + 1, W - k + 1, B).
+
+    im2col as GEMM, batch innermost: the input's k x k windows are copied
+    into ``cols`` (C*k*k, N) in runs of B values, N = ho*wo*B, and with the
+    kernel as ``wmat`` (O, C*k*k) the output is ``wmat @ cols``, already
+    (O, ho, wo, B), plus the bias.  A graph keeps the whole batch's ``cols``
+    for backward.  Under :func:`no_grad` the output is built in tiles of
+    output rows x examples whose columns and GEMM result take about
+    ``_COLS_BLOCK_BYTES`` (an L2 cache), the examples split evenly so that
+    no tile is tiny.  With OpenBLAS a column's value is then the same bit
+    for bit in a tile as in the whole GEMM when column counts are multiples
+    of 8 (LeNet's output rows are 24 and 8 wide); tests check it.  Backward
+    reads the output gradient as ``gmat`` (O, N): dW = ``gmat @ cols.T``,
+    db = ``gmat.sum(1)`` and, unless ``x`` is a constant, the column
+    gradient ``wmat.T @ gmat`` (C, k, k, ho, wo, B) is added back one kernel
+    tap at a time into a (C, H, W, B) buffer (col2im), in runs of wo*B values.
     """
     xv, wv = x.value, w.value
     if (xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1]
@@ -347,7 +352,7 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
         raise DimensionError(
             f"conv2d: incompatible shapes {xv.shape}, {wv.shape} and {b.value.shape}"
         )
-    cin, bsz, h, wd = xv.shape
+    cin, h, wd, bsz = xv.shape
     cout, _, k, k2 = wv.shape
     if k != k2:
         raise DimensionError(f"conv2d: kernel must be square, got {wv.shape}")
@@ -355,33 +360,41 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
         raise DimensionError(f"conv2d: kernel {k}x{k} larger than input {h}x{wd}")
     ho, wo = h - k + 1, wd - k + 1
 
-    npos = ho * wo
-    win = sliding_window_view(xv, (k, k), axis=(2, 3))
+    win = sliding_window_view(xv, (k, k), axis=(1, 2))  # (C, ho, wo, B, k, k)
     wmat = wv.reshape(cout, cin * k * k)
-    # examples per block of columns: the whole batch when a graph keeps them
-    step = max(1, bsz if _grad_enabled else _COLS_BLOCK_BYTES // (cin * k * k * npos * 8))
-    val = np.empty((cout, bsz * npos))
-    for b0 in range(0, bsz, step):
-        b1 = min(b0 + step, bsz)
-        # cols[c*k*k + i*k + j, (b - b0)*P + p]
-        cols = np.ascontiguousarray(win[:, b0:b1].transpose(0, 4, 5, 1, 2, 3)).reshape(
-            cin * k * k, (b1 - b0) * npos
-        )
-        np.matmul(wmat, cols, out=val[:, b0 * npos:b1 * npos])
-    val += b.value[:, None]
+
+    def columns(rows, examples):
+        # cols[c*k*k + i*k + j, (r*wo + s)*n + e] for the tile's n examples
+        tile = win[:, rows, :, examples].transpose(0, 4, 5, 1, 2, 3)
+        return np.ascontiguousarray(tile).reshape(cin * k * k, -1)
+
+    if _grad_enabled:
+        cols = columns(slice(None), slice(None))
+        val = (wmat @ cols).reshape(cout, ho, wo, bsz)
+    else:
+        val = np.empty((cout, ho, wo, bsz))
+        ncols = _COLS_BLOCK_BYTES // (8 * (cin * k * k + cout))
+        nex = _even_part(bsz, ncols // wo)  # examples per tile
+        nrows = _even_part(ho, ncols // (wo * nex))  # output rows per tile
+        for r0 in range(0, ho, nrows):
+            for b0 in range(0, bsz, nex):
+                out = val[:, r0:r0 + nrows, :, b0:b0 + nex]
+                out[...] = (wmat @ columns(slice(r0, r0 + nrows), slice(b0, b0 + nex))).reshape(
+                    out.shape)
+    val += b.value[:, None, None, None]
 
     def bw(g):
-        gmat = g.reshape(cout, bsz * npos)
+        gmat = g.reshape(cout, ho * wo * bsz)
         _acc(w, (gmat @ cols.T).reshape(wv.shape))
         _acc(b, gmat.sum(axis=1))
         if x.needs_grad:
-            dcols = (wmat.T @ gmat).reshape(cin, k, k, bsz, ho, wo)
+            dcols = (wmat.T @ gmat).reshape(cin, k, k, ho, wo, bsz)
             dx = np.zeros(xv.shape)
             for i, j in np.ndindex(k, k):
-                dx[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
+                dx[:, i:i + ho, j:j + wo] += dcols[:, i, j]
             _acc(x, dx)
 
-    return Node(val.reshape(cout, bsz, ho, wo), (x, w, b), bw)
+    return Node(val, (x, w, b), bw)
 
 
 def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -390,10 +403,11 @@ def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 def maxpool2x2(x: Node) -> Node:
-    """2x2 max pooling with stride 2 on the trailing two axes.
+    """2x2 max pooling with stride 2 over axes 1 and 2 of a (C, H, W, B) input.
 
     The value is an ``np.maximum`` chain over the four strided quadrant views
-    ``x[..., i::2, j::2]``: the top pair, the bottom pair, then the two
+    ``x[:, i::2, j::2]``, each made of contiguous runs of B values: the top
+    pair, the bottom pair, then the two
     pair maxima.  Each window's whole gradient belongs to its first argmax
     in row-major order, as with ``numpy.argmax``: ties go to the earliest
     position and a NaN wins its window.  That winner is found only for an
@@ -403,13 +417,13 @@ def maxpool2x2(x: Node) -> Node:
     the gradient into a zeroed buffer at the winners' flat offsets.
     """
     shp = x.value.shape
-    if len(shp) < 2 or shp[-1] % 2 or shp[-2] % 2:
-        raise DimensionError(f"maxpool2x2 requires even trailing extents, got {shp}")
-    q00, q01, q10, q11 = (x.value[..., i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    if len(shp) != 4 or shp[1] % 2 or shp[2] % 2:
+        raise DimensionError(f"maxpool2x2 needs a (C, H, W, B) input, H and W even, got {shp}")
+    q00, q01, q10, q11 = (x.value[:, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     top, bottom = np.maximum(q00, q01), np.maximum(q10, q11)
+    if not (_grad_enabled and x.needs_grad):  # no winners to find: top may hold the value
+        return Node(np.maximum(top, bottom, out=top), (x,))
     out = np.maximum(top, bottom)
-    if not (_grad_enabled and x.needs_grad):
-        return Node(out, (x,))
     later = _later_wins if np.isnan(out).any() else np.greater
     lower = later(bottom, top)  # winner row
     right = later(q01, q00)
@@ -418,11 +432,13 @@ def maxpool2x2(x: Node) -> Node:
     def bw(g):
         # flat offset of each winner: its row and column in the window, plus
         # the offset of the window's top-left entry
-        h, w = shp[-2:]
+        c, h, w, bsz = shp
         idx = lower * np.intp(w)
         idx += right
-        idx += (np.arange(math.prod(shp[:-2]))[:, None, None] * (h * w)
-                + np.arange(0, h * w, 2 * w)[:, None] + np.arange(0, w, 2)).reshape(out.shape)
+        idx *= bsz
+        idx += (np.arange(0, c * h * w * bsz, h * w * bsz)[:, None, None, None]
+                + np.arange(0, h * w * bsz, 2 * w * bsz)[:, None, None]
+                + np.arange(0, w * bsz, 2 * bsz)[:, None] + np.arange(bsz))
         dx = np.zeros(shp)
         dx.reshape(-1)[idx.reshape(-1)] = g.reshape(-1)
         _acc(x, dx)
@@ -431,42 +447,42 @@ def maxpool2x2(x: Node) -> Node:
 
 
 def scale_channels(x: Node, s: Node) -> Node:
-    """(C, B, H, W) * (B, C): one multiplier per example and channel."""
-    if x.value.ndim != 4 or s.value.shape != (x.value.shape[1], x.value.shape[0]):
+    """(C, H, W, B) * (B, C): one multiplier per example and channel."""
+    if x.value.ndim != 4 or s.value.shape != (x.value.shape[3], x.value.shape[0]):
         raise DimensionError(
             f"scale_channels: incompatible shapes {x.value.shape} and {s.value.shape}"
         )
-    sv = s.value.T[:, :, None, None]
+    sv = np.ascontiguousarray(s.value.T)[:, None, None, :]
 
     def bw(g):
         _acc(x, g * sv)
-        _acc(s, (g * x.value).sum(axis=(2, 3)).T)
+        _acc(s, (g * x.value).sum(axis=(1, 2)).T)
 
     return Node(x.value * sv, (x, s), bw)
 
 
 def global_avg_pool(x: Node) -> Node:
-    """(C, B, H, W) -> (B, C): per-example channel means over the spatial extent."""
+    """(C, H, W, B) -> (B, C): per-example channel means over the spatial extent."""
     if x.value.ndim != 4:
         raise DimensionError(f"global_avg_pool expects a 4-D input, got {x.value.shape}")
-    area = x.value.shape[2] * x.value.shape[3]
+    area = x.value.shape[1] * x.value.shape[2]
 
     def bw(g):
-        _pass(x, np.broadcast_to((g.T / area)[:, :, None, None], x.value.shape))
+        _pass(x, np.broadcast_to((g.T / area)[:, None, None, :], x.value.shape))
 
-    return Node(x.value.mean(axis=(2, 3)).T, (x,), bw)
+    return Node(x.value.mean(axis=(1, 2)).T, (x,), bw)
 
 
 def flatten(x: Node) -> Node:
-    """(C, B, H, W) -> (B, C*H*W): each example's row in (C, H, W) order."""
+    """(C, H, W, B) -> (B, C*H*W): each example's row in (C, H, W) order."""
     if x.value.ndim != 4:
         raise DimensionError(f"flatten expects a 4-D input, got {x.value.shape}")
-    c, bsz, h, wd = x.value.shape
+    shp = x.value.shape
 
     def bw(g):
-        _pass(x, g.reshape(bsz, c, h, wd).transpose(1, 0, 2, 3))
+        _pass(x, g.T.reshape(shp))
 
-    return Node(x.value.transpose(1, 0, 2, 3).reshape(bsz, c * h * wd), (x,), bw)
+    return Node(x.value.reshape(-1, shp[3]).T, (x,), bw)
 
 
 def softmax_cross_entropy(logits: Node, labels) -> Node:

@@ -249,6 +249,8 @@ def _cmd_sweep(args, cfg) -> int:
     tconf = _train_config(cfg)
     run_confs = [replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i)).validate()
                  for i, scale in enumerate(cfg["sweep"]["kl_scales"])]
+    if not run_confs:
+        raise ContractError("sweep.kl_scales must hold at least one scale")
     train, test = _load_data(cfg)
     base = _build_model(cfg)
     pretrain(base, train, tconf, epochs=cfg["train"]["pretrain_epochs"])

@@ -16,7 +16,7 @@ in :mod:`betadrop.distributions`, its backward is written out by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,10 @@ SCALARS = ("alpha_over_k", "eps", "momentum")
 class GateState:
     """Variational state for one dropout gate over K units.  The five fields
     after ``momentum`` are None in a BB gate; entering DBB sets the first
-    three, and the first DBB training batch the running statistics."""
+    three, and the first DBB training batch the running statistics.  A DBB
+    gate's q(pi) is frozen, so ``frozen`` holds its E[pi] and KL, computed
+    once when it enters DBB or is built; it is None in a BB gate and is no
+    checkpoint array."""
 
     a_raw: Node
     b_raw: Node
@@ -83,6 +86,7 @@ class GateState:
     kappa_raw: Node | None = None
     run_mean: np.ndarray | None = None
     run_std: np.ndarray | None = None
+    frozen: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
@@ -91,6 +95,12 @@ class GateState:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not (self.a() > 0.0).all() or not (self.b() > 0.0).all():
             raise ContractError("a_raw and b_raw must give positive Kumaraswamy shapes")
+        self._freeze()
+
+    def _freeze(self) -> None:
+        if self.gamma is not None:
+            kl = kl_kumaraswamy_beta(self.a(), self.b(), self.alpha_over_k, digamma(self.b()))
+            self.frozen = (self.expected_pi(), kl.sum())
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":
@@ -127,6 +137,7 @@ class GateState:
         arrays = {**self.arrays(), **{name: np.full(self.k, v) for name, v in init.items()}}
         for name, value in arrays.items():
             setattr(self, name, MODE_ARRAYS[MODE_DBB][name](value))
+        self._freeze()
 
     @property
     def k(self) -> int:
@@ -176,16 +187,15 @@ class GateState:
         standardizes ``x`` (shape (K,) or (B, K)) with the running statistics
         and returns E_q[pi] * clamp(gamma * xhat + eta, eps, 1 - eps).
         """
-        e_pi = self.expected_pi()
         if self.gamma is None:
-            return e_pi
+            return self.expected_pi()
         if x is None:
             raise ContractError("DBB expected_mask requires the gate input")
         if self.run_mean is None:
             raise ContractError("DBB expected_mask requires initialized input statistics")
         x = np.asarray(x, dtype=np.float64)
         xhat = (x - self.run_mean) / self.run_std
-        return e_pi * self.gate_factor(xhat, self.eta.value)
+        return self.frozen[0] * self.gate_factor(xhat, self.eta.value)
 
     def gate_factor(self, xhat: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """clamp(gamma * xhat + shift, eps, 1 - eps) for standardized inputs."""
@@ -307,8 +317,10 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
 
 def kl_bb_node(gate: GateState) -> Node:
     """Closed-form KL of the Kumaraswamy posterior against Beta(alpha/K, 1).
-    psi(b) serves the value and the backward; psi'(b) only the backward, which
-    a DBB gate's frozen posterior never runs."""
+    psi(b) serves the value and the backward; psi'(b) only the backward.  A
+    DBB gate's frozen posterior gives the constant stored in ``gate.frozen``."""
+    if gate.frozen is not None:
+        return ad.constant(gate.frozen[1])
     a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
     psi_b = digamma(b)
     kl = kl_kumaraswamy_beta(a, b, ak, psi_b).sum()

@@ -5,7 +5,7 @@ channels*, shared across all spatial positions of a channel.  Training passes
 and evaluation passes share one layer walk and differ in the mask policy:
 training builds an autodiff graph with sampled relaxed masks, evaluation runs
 the same ops under :func:`~betadrop.autodiff.no_grad` with the deterministic
-expected masks.  Conv activations are channel-major, (C, B, H, W); weights,
+expected masks.  Conv activations are batch-innermost, (C, H, W, B); weights,
 gate inputs and masks, and the flattened dense input keep per-example layouts.
 """
 
@@ -141,8 +141,8 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     walk's one check: building the network checked that its layers fit.  A
     dense net reads each example flat.  A conv net reshapes it to that
     (C, H, W) shape, so flat, (B, H, W) and (B, C, H, W) inputs all work, and
-    makes the batch channel-major once; ``flatten`` gives the dense head rows
-    in per-example (C, H, W) order.
+    moves the batch innermost, (C, H, W, B), once; ``flatten`` gives the
+    dense head rows in per-example (C, H, W) order.
 
     A conv layer runs conv, 2x2 max pooling, relu, then the channel mask,
     on a map a quarter the size of the conv output.  This gives the
@@ -159,7 +159,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             f"(input_shape {shape}), got {x.shape}"
         )
     if net.layers[0].kind == "conv":
-        x = x.reshape(len(x), *shape).swapaxes(0, 1)
+        x = x.reshape(len(x), *shape).transpose(1, 2, 3, 0)
     else:
         x = x.reshape(len(x), math.prod(shape))
     h: Node = ad.constant(x)
@@ -181,7 +181,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
         else:
             h = ad.conv2d(h, layer.w, layer.b)
             if gated:
-                mask = gate_mask(gate_idx, layer.gate, h.value.shape[1],
+                mask = gate_mask(gate_idx, layer.gate, h.value.shape[3],
                                  lambda: ad.global_avg_pool(h))
             h = ad.maxpool2x2(h)  # rebinding h frees the full-size map under no_grad
             h = ad.relu(h)

@@ -86,14 +86,16 @@ def keep_set_forward(net, x, keep_sets):
 def interior_gates(net, rng, mode):
     """Enable ``net``'s gates in ``mode`` and move their arrays off the
     symmetric init, so clamp and relu kinks stay away from finite-difference
-    steps.  Each gate draws five arrays from ``rng`` in either mode."""
+    steps.  Each gate draws five arrays from ``rng`` in either mode.  The
+    raws move before the gates enter ``mode``, as a DBB gate's are frozen."""
     net.gates_enabled = True
-    net.set_gate_mode(mode)
-    for g in net.gates():
-        a, b, gamma, eta, kappa = (rng.normal(mean, spread, g.k) for mean, spread in
-                                   ((0, 0.3), (0, 0.3), (0.6, 0.1), (0.3, 0.05), (0, 0.1)))
+    draws = [[rng.normal(mean, spread, g.k) for mean, spread in
+              ((0, 0.3), (0, 0.3), (0.6, 0.1), (0.3, 0.05), (0, 0.1))] for g in net.gates()]
+    for g, (a, b, *_) in zip(net.gates(), draws):
         g.a_raw.value = g.a_raw.value + a
         g.b_raw.value = g.b_raw.value + b
+    net.set_gate_mode(mode)
+    for g, (_, _, gamma, eta, kappa) in zip(net.gates(), draws):
         if g.mode == gates.MODE_DBB:
             g.gamma.value, g.eta.value = gamma, eta
             g.kappa_raw.value = g.kappa_raw.value + kappa
@@ -253,7 +255,8 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
         return (lambda: gates.dbb_phi_node(gate, x, pi, beta),
                 lambda *v: ref_dbb_phi(*v, gate.eps, gates.SIGMA_FLOOR),
                 [x, pi, gate.gamma, beta])
-    if name == "kl_bb":
+    if name == "kl_bb":  # on the raws of a BB gate: a DBB gate's KL is a stored constant
+        gate = gates.GateState(gate.a_raw, gate.b_raw)
         if boundary:
             gate.b_raw.value[0] = 1e20
         return (lambda: gates.kl_bb_node(gate),

@@ -248,8 +248,8 @@ def test_criterion_5_gradient_suite():
         a = ad.parameter(rng.normal(size=(4, 3)))
         b = ad.parameter(rng.normal(size=(3, 2)))
         gradcheck(lambda: sum_all(ad.matmul(a, b)), [a, b])
-        # conv activations are channel-major (C, B, H, W)
-        cx = ad.parameter(rng.normal(size=(2, 2, 6, 6)).transpose(1, 0, 2, 3))
+        # conv activations are batch-innermost (C, H, W, B)
+        cx = ad.parameter(rng.normal(size=(2, 2, 6, 6)).transpose(1, 2, 3, 0))
         cw = ad.parameter(rng.normal(size=(3, 2, 3, 3)))
         cb = ad.parameter(rng.normal(size=3))
         gradcheck(lambda: sum_all(ad.conv2d(cx, cw, cb)), [cx, cw, cb])

@@ -3,8 +3,9 @@
 Every differentiable op is checked against central finite differences;
 matmul and conv2d forwards, the batched conv2d gradients and 2x2 max pooling
 are additionally checked against naive nested-loop oracles.  The conv ops
-take channel-major (C, B, H, W) activations; the oracles are per-example
-(B, C, H, W), so the tests transpose around them (``cm``).  The fused gate
+take batch-innermost (C, H, W, B) activations; the oracles are per-example
+(B, C, H, W), so the tests transpose around them (``to_chwb`` and
+``from_chwb``).  The fused gate
 ops built on :func:`~betadrop.autodiff.fused` get random-input finite-output
 and gradient checks here; their complex-step oracle tests are in
 ``test_gates``.
@@ -45,9 +46,14 @@ BATCHED_CONV_CASES = [(k, c_in, s) for k in (3, 5) for c_in in (1, 2) for s in (
 RNG = np.random.default_rng(12345)
 
 
-def cm(a):
-    """(B, C, H, W) <-> channel-major (C, B, H, W): the same swap both ways."""
-    return np.ascontiguousarray(np.asarray(a).transpose(1, 0, 2, 3))
+def to_chwb(a):
+    """(B, C, H, W) -> batch-innermost (C, H, W, B), C-contiguous."""
+    return np.ascontiguousarray(np.asarray(a).transpose(1, 2, 3, 0))
+
+
+def from_chwb(a):
+    """Batch-innermost (C, H, W, B) -> (B, C, H, W)."""
+    return np.ascontiguousarray(np.asarray(a).transpose(3, 0, 1, 2))
 
 
 class TestMatmul:
@@ -129,7 +135,7 @@ class TestElementwise:
         )
 
     def test_channel_ops(self):
-        x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
+        x = ad.parameter(to_chwb(RNG.normal(size=(2, 3, 4, 4))))
         s = ad.parameter(RNG.uniform(0.5, 1.5, size=(2, 3)))
         b = ad.parameter(RNG.normal(size=3))
         gradcheck(lambda: sum_all(ad.scale_channels(x, s)), [x, s], rtol=1e-5)
@@ -140,14 +146,14 @@ class TestElementwise:
     def test_scale_channels_scales_each_example_and_channel(self):
         x = RNG.normal(size=(2, 3, 4, 4))
         s = RNG.uniform(0.5, 1.5, size=(2, 3))
-        out = ad.scale_channels(ad.constant(cm(x)), ad.constant(s)).value
-        assert np.array_equal(cm(out), x * s[:, :, None, None])
+        out = ad.scale_channels(ad.constant(to_chwb(x)), ad.constant(s)).value
+        assert np.array_equal(from_chwb(out), x * s[:, :, None, None])
 
     def test_flatten_rows_are_per_example_chw(self):
         x = RNG.normal(size=(3, 2, 4, 5))
-        out = ad.flatten(ad.constant(cm(x))).value
+        out = ad.flatten(ad.constant(to_chwb(x))).value
         assert out.shape == (3, 40) and np.array_equal(out, x.reshape(3, -1))
-        xp = ad.parameter(cm(x))
+        xp = ad.parameter(to_chwb(x))
         coeffs = ad.constant(RNG.normal(size=(3, 40)))
         gradcheck(lambda: sum_all(ad.mul(ad.flatten(xp), coeffs)), [xp], rtol=1e-6)
 
@@ -181,38 +187,38 @@ class TestElementwise:
 
 class TestConv2d:
     def test_one_by_one_identity(self):
-        x = RNG.normal(size=(1, 1, 3, 3))
+        x = RNG.normal(size=(1, 3, 3, 1))
         k = np.ones((1, 1, 1, 1))
         out = ad.conv2d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
         assert np.array_equal(out.value, x)
 
     def test_all_ones_window_sum(self):
-        x = np.ones((1, 1, 3, 3))
+        x = np.ones((1, 3, 3, 1))
         k = np.ones((1, 1, 2, 2))
         out = ad.conv2d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
-        assert np.array_equal(out.value, np.full((1, 1, 2, 2), 4.0))
+        assert np.array_equal(out.value, np.full((1, 2, 2, 1), 4.0))
 
     @pytest.mark.parametrize("c_in,s", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_against_nested_loop_oracle(self, c_in, s):
         x = RNG.normal(size=(c_in, *CONV_SHAPES[s]))
         w = RNG.normal(size=(3, c_in, 3, 3))
         b = RNG.normal(size=3)
-        out = ad.conv2d(ad.constant(x[:, None]), ad.constant(w), ad.constant(b))
+        out = ad.conv2d(ad.constant(x[..., None]), ad.constant(w), ad.constant(b))
         expected = conv2d_oracle(x, w) + b[:, None, None]
-        assert np.allclose(out.value[:, 0], expected, atol=1e-12)
+        assert np.allclose(out.value[..., 0], expected, atol=1e-12)
 
     def test_batched_matches_single(self):
         xs = RNG.normal(size=(3, 2, 6, 6))
         w = RNG.normal(size=(4, 2, 3, 3))
         b = ad.constant(RNG.normal(size=4))
-        batched = ad.conv2d(ad.constant(cm(xs)), ad.constant(w), b).value
+        batched = ad.conv2d(ad.constant(to_chwb(xs)), ad.constant(w), b).value
         for i in range(3):
-            single = ad.conv2d(ad.constant(xs[i][:, None]), ad.constant(w), b).value
-            assert np.array_equal(batched[:, i], single[:, 0])
+            single = ad.conv2d(ad.constant(xs[i][..., None]), ad.constant(w), b).value
+            assert np.array_equal(batched[..., i], single[..., 0])
 
     @pytest.mark.parametrize("c_in,s", [(1, 0), (2, 1)])
     def test_gradients_match_finite_differences(self, c_in, s):
-        x = ad.parameter(RNG.normal(size=(c_in, *CONV_SHAPES[s]))[:, None])
+        x = ad.parameter(RNG.normal(size=(c_in, *CONV_SHAPES[s]))[..., None])
         w = ad.parameter(RNG.normal(size=(3, c_in, 3, 3)))
         b = ad.parameter(RNG.normal(size=3))
         coeffs = None
@@ -228,7 +234,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k,c_in,s", BATCHED_CONV_CASES)
     def test_batched_gradients_match_finite_differences(self, k, c_in, s):
-        x = ad.parameter(cm(RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))))
+        x = ad.parameter(to_chwb(RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))))
         w = ad.parameter(RNG.normal(size=(3, c_in, k, k)))
         b = ad.parameter(RNG.normal(size=3))
         coeffs = None
@@ -246,12 +252,12 @@ class TestConv2d:
     def test_batched_gradients_match_loop_oracle(self, k, c_in, s):
         xv = RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))
         wv = RNG.normal(size=(3, c_in, k, k))
-        x, w, b = ad.parameter(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
+        x, w, b = ad.parameter(to_chwb(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
         out = ad.conv2d(x, w, b)
         g = RNG.normal(size=out.value.shape)
         ad.backward(sum_all(ad.mul(out, ad.constant(g))))
-        dx, dw = conv2d_grad_oracle(xv, wv, cm(g))
-        assert np.allclose(cm(x.grad), dx, rtol=1e-12, atol=1e-12)
+        dx, dw = conv2d_grad_oracle(xv, wv, from_chwb(g))
+        assert np.allclose(from_chwb(x.grad), dx, rtol=1e-12, atol=1e-12)
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)
 
@@ -259,11 +265,11 @@ class TestConv2d:
     def test_constant_input_takes_no_gradient(self, k, c_in, s):
         xv = RNG.normal(size=(3, c_in, *CONV_SHAPES[s]))
         wv = RNG.normal(size=(3, c_in, k, k))
-        x, w, b = ad.constant(cm(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
+        x, w, b = ad.constant(to_chwb(xv)), ad.parameter(wv), ad.parameter(RNG.normal(size=3))
         out = ad.conv2d(x, w, b)
         g = RNG.normal(size=out.value.shape)
         ad.backward(sum_all(ad.mul(out, ad.constant(g))))
-        _, dw = conv2d_grad_oracle(xv, wv, cm(g))
+        _, dw = conv2d_grad_oracle(xv, wv, from_chwb(g))
         assert x._grad is None and np.array_equal(x.grad, np.zeros(x.shape))
         assert np.allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, g.sum(axis=(1, 2, 3)), rtol=1e-12, atol=1e-12)
@@ -273,7 +279,7 @@ class TestConv2d:
         # conv1's input and kernel at batch 20: the column gradient alone is
         # 25 x 11520 doubles (2.3 MB), against 0.18 MB for the output gradient
         # of two channels; backward on a constant input allocates none of it
-        x = make_input(RNG.normal(size=(1, 20, 28, 28)))
+        x = make_input(RNG.normal(size=(1, 28, 28, 20)))
         out = ad.conv2d(x, ad.parameter(RNG.normal(size=(2, 1, 5, 5))),
                         ad.parameter(np.zeros(2)))
         loss = sum_all(out)
@@ -291,22 +297,44 @@ class TestConv2d:
 
     @pytest.mark.parametrize("bsz", [5, 1])
     def test_no_grad_blocks_equal_the_graph_value(self, bsz):
-        # 8 x 25 x 576 doubles of columns per example: under no_grad the batch
-        # of 5 is built in at least 3 blocks of examples, the last one ragged
-        step = max(1, ad._COLS_BLOCK_BYTES // (8 * 5 * 5 * 24 * 24 * 8))
-        assert bsz == 1 or (-(-bsz // step) >= 3 and bsz % step)
+        # a tile's columns and GEMM result take 8 * (8 * 5 * 5 + 6) bytes per
+        # output position and example: under no_grad the batch of 5 is built
+        # in 3 tiles of 8 output rows each
+        ncols = ad._COLS_BLOCK_BYTES // (8 * (8 * 5 * 5 + 6))
+        assert bsz == 1 or (ncols >= 24 * bsz and ad._even_part(24, ncols // (24 * bsz)) == 8)
         rng = np.random.default_rng(12)
-        x = ad.constant(rng.normal(size=(8, bsz, 28, 28)))
+        x = ad.constant(rng.normal(size=(8, 28, 28, bsz)))
         w, b = ad.parameter(rng.normal(size=(6, 8, 5, 5))), ad.parameter(rng.normal(size=6))
         with ad.no_grad():
             blocked = ad.conv2d(x, w, b).value
         assert np.array_equal(blocked, ad.conv2d(x, w, b).value)
 
+    @pytest.mark.parametrize("cin,h,cout,bsz", [(8, 28, 6, 10), (8, 28, 6, 61), (20, 12, 50, 61)],
+                             ids=["ragged-rows", "ragged-examples", "lenet-conv2"])
+    def test_no_grad_tiles_equal_the_graph_value(self, cin, h, cout, bsz):
+        # A tile holds some output rows of every example, or one output row of
+        # an even share of the examples; here the last tile is the smaller one.
+        # ragged-rows: 5 tiles of 5, 5, 5, 5 and 4 rows; ragged-examples: 24
+        # rows of 31 then 30 examples.  lenet-conv2, conv2 of lenet5_caffe:
+        # tiles of 59 and 2 examples would hold a 16-column GEMM, whose values
+        # OpenBLAS computes with other bits than the graph's 3,904 columns.
+        ho = h - 4
+        ncols = ad._COLS_BLOCK_BYTES // (8 * (cin * 25 + cout))
+        nex = ad._even_part(bsz, ncols // ho)
+        nrows = ad._even_part(ho, ncols // (ho * nex))
+        assert (bsz % nex if nex < bsz else ho % nrows) > 0
+        rng = np.random.default_rng(14)
+        x = ad.constant(rng.normal(size=(cin, h, h, bsz)))
+        w, b = ad.parameter(rng.normal(size=(cout, cin, 5, 5))), ad.parameter(rng.normal(size=cout))
+        with ad.no_grad():
+            tiled = ad.conv2d(x, w, b).value
+        assert np.array_equal(tiled, ad.conv2d(x, w, b).value)
+
     def test_no_grad_columns_stay_within_the_block_budget(self):
         # conv2 of a shrunk lenet5_caffe (15 -> 38 channels) at batch 500: the
         # whole batch's columns are 96 MB, against a 9.7 MB output
         rng = np.random.default_rng(13)
-        x = ad.constant(rng.normal(size=(15, 500, 12, 12)))
+        x = ad.constant(rng.normal(size=(15, 12, 12, 500)))
         w, b = ad.constant(rng.normal(size=(38, 15, 5, 5))), ad.constant(np.zeros(38))
         out_bytes = 38 * 500 * 8 * 8 * 8
         tracemalloc.start()
@@ -321,32 +349,32 @@ class TestConv2d:
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError, match="larger"):
-            ad.conv2d(ad.constant(np.ones((1, 1, 3, 3))), ad.constant(np.ones((1, 1, 5, 5))),
+            ad.conv2d(ad.constant(np.ones((1, 3, 3, 1))), ad.constant(np.ones((1, 1, 5, 5))),
                       ad.constant(np.zeros(1)))
 
 
 class TestPooling:
     def test_maxpool_basic(self):
-        out = ad.maxpool2x2(ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]])))
-        assert np.array_equal(out.value, [[4.0]])
+        out = ad.maxpool2x2(ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]))
+        assert out.shape == (1, 1, 1, 1) and np.array_equal(out.value[0, :, :, 0], [[4.0]])
 
     def test_maxpool_odd_extent_rejected(self):
         with pytest.raises(DimensionError, match="even"):
-            ad.maxpool2x2(ad.constant(np.ones((3, 4))))
+            ad.maxpool2x2(ad.constant(np.ones((1, 3, 4, 1))))
 
     def test_maxpool_gradient_routes_to_argmax(self):
-        x = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        x = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None])
         ad.backward(sum_all(ad.maxpool2x2(x)))
-        assert np.array_equal(x.grad, [[0.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(x.grad[0, :, :, 0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_maxpool_tie_break_first_row_major(self):
-        x = ad.parameter(np.full((2, 2), 7.0))
+        x = ad.parameter(np.full((1, 2, 2, 1), 7.0))
         ad.backward(sum_all(ad.maxpool2x2(x)))
-        assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(x.grad[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_maxpool_gradients_match_fd_when_argmax_unique(self):
-        x = ad.parameter(RNG.normal(size=(2, 4, 4)))
-        coeffs = ad.constant(RNG.normal(size=(2, 2, 2)))
+        x = ad.parameter(RNG.normal(size=(2, 4, 4, 1)))
+        coeffs = ad.constant(RNG.normal(size=(2, 2, 2, 1)))
         gradcheck(
             lambda: sum_all(ad.mul(ad.maxpool2x2(x), coeffs)), [x], rtol=1e-5
         )
@@ -356,13 +384,13 @@ class TestPooling:
         xv = RNG.uniform(-1.0, 1.0, size=(2, 3, 4, 6))
         xv[..., i::2, j::2] += 3.0
         g = RNG.normal(size=(2, 3, 2, 3))
-        x = ad.parameter(xv)
+        x = ad.parameter(to_chwb(xv))
         out = ad.maxpool2x2(x)
-        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(to_chwb(g)))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
-        assert np.array_equal(out.value, ref_out)
-        assert np.array_equal(x.grad, ref_dx)
-        assert np.array_equal(x.grad[..., i::2, j::2], g)
+        assert np.array_equal(from_chwb(out.value), ref_out)
+        assert np.array_equal(from_chwb(x.grad), ref_dx)
+        assert np.array_equal(from_chwb(x.grad)[..., i::2, j::2], g)
 
     def test_maxpool_4d_every_tie_pattern_routes_to_first_row_major(self):
         # window n holds tie pattern n % 15: the positions tied at the window
@@ -378,38 +406,43 @@ class TestPooling:
             xv[b, c, 2 * r : 2 * r + 2, 2 * s : 2 * s + 2] = window.reshape(2, 2)
             pos = int(np.argmax(tied))
             expected_dx[b, c, 2 * r + pos // 2, 2 * s + pos % 2] = g[b, c, r, s]
-        x = ad.parameter(xv)
+        x = ad.parameter(to_chwb(xv))
         out = ad.maxpool2x2(x)
-        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(to_chwb(g)))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
-        assert np.array_equal(out.value, ref_out)
-        assert np.array_equal(x.grad, ref_dx)
-        assert np.array_equal(x.grad, expected_dx)
+        assert np.array_equal(from_chwb(out.value), ref_out)
+        assert np.array_equal(from_chwb(x.grad), ref_dx)
+        assert np.array_equal(from_chwb(x.grad), expected_dx)
 
     def test_maxpool_4d_nan_wins_its_window(self):
         xv = RNG.normal(size=(2, 3, 4, 6))
         xv[RNG.random(xv.shape) < 0.3] = np.nan
         g = RNG.normal(size=(2, 3, 2, 3))
-        x = ad.parameter(xv)
+        x = ad.parameter(to_chwb(xv))
         out = ad.maxpool2x2(x)
-        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(to_chwb(g)))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
         assert np.isnan(out.value).any() and not np.isnan(out.value).all()
-        assert np.array_equal(out.value, ref_out, equal_nan=True)
-        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(from_chwb(out.value), ref_out, equal_nan=True)
+        assert np.array_equal(from_chwb(x.grad), ref_dx)
 
     @pytest.mark.parametrize("shape", [(4, 512), (2, 3, 2, 260)], ids=["2d", "wide-rows"])
     def test_maxpool_wide_rows_and_2d_input_match_oracle(self, shape):
         # half-integer values make many tied windows; the winners' flat
-        # offsets exceed any small integer type
+        # offsets exceed any small integer type.  The 2-D map is one channel
+        # of one example, a (1, H, W, 1) input.
         xv = np.round(RNG.normal(size=shape) * 2.0) / 2.0
         g = -RNG.uniform(0.5, 1.0, size=(*shape[:-2], shape[-2] // 2, shape[-1] // 2))
-        x = ad.parameter(xv)
+        if len(shape) == 2:
+            to, back = (lambda a: a[None, :, :, None]), (lambda a: a[0, :, :, 0])
+        else:
+            to, back = to_chwb, from_chwb
+        x = ad.parameter(to(xv))
         out = ad.maxpool2x2(x)
-        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(to(g)))))
         ref_out, ref_dx = maxpool2x2_oracle(xv, g)
-        assert np.array_equal(out.value, ref_out)
-        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(back(out.value), ref_out)
+        assert np.array_equal(back(x.grad), ref_dx)
         assert not np.signbit(x.grad[x.grad == 0.0]).any()  # non-winners get +0.0
 
     @pytest.mark.parametrize("mode", ["constant", "no_grad"])
@@ -419,25 +452,25 @@ class TestPooling:
         ref_out, _ = maxpool2x2_oracle(xv, np.zeros((3, 2, 2, 3)))
         if mode == "no_grad":
             with ad.no_grad():
-                out = ad.maxpool2x2(ad.parameter(xv))
+                out = ad.maxpool2x2(ad.parameter(to_chwb(xv)))
             assert out._parents == () and out._backward_fn is None
         else:
-            out = ad.maxpool2x2(ad.constant(xv))
+            out = ad.maxpool2x2(ad.constant(to_chwb(xv)))
             assert out._backward_fn is None
             p = ad.parameter(RNG.normal(size=out.shape))
             ad.backward(sum_all(ad.mul(out, p)))
-            assert np.array_equal(p.grad, ref_out, equal_nan=True)
+            assert np.array_equal(from_chwb(p.grad), ref_out, equal_nan=True)
         assert np.isnan(out.value).any() and not np.isnan(out.value).all()
-        assert np.array_equal(out.value, ref_out, equal_nan=True)
+        assert np.array_equal(from_chwb(out.value), ref_out, equal_nan=True)
 
     def test_global_avg_pool_constant_channel(self):
         x = np.full((3, 4, 4), 0.0)
         x[1] = 2.5
-        out = ad.global_avg_pool(ad.constant(x[:, None]))
+        out = ad.global_avg_pool(ad.constant(x[..., None]))
         assert np.array_equal(out.value, [[0.0, 2.5, 0.0]])
 
     def test_global_avg_pool_gradient(self):
-        x = ad.parameter(cm(RNG.normal(size=(2, 3, 4, 4))))
+        x = ad.parameter(to_chwb(RNG.normal(size=(2, 3, 4, 4))))
         coeffs = ad.constant(RNG.normal(size=(2, 3)))
         gradcheck(
             lambda: sum_all(ad.mul(ad.global_avg_pool(x), coeffs)), [x], rtol=1e-6
@@ -519,11 +552,11 @@ class TestBackward:
     def test_pass_through_gradients_are_not_shared(self):
         # add hands its output gradient to both inputs and flatten hands on
         # a view of its own: each leaf must still own its gradient buffer
-        a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
-        b = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
+        a = ad.parameter(to_chwb(RNG.normal(size=(2, 3, 2, 2))))
+        b = ad.parameter(to_chwb(RNG.normal(size=(2, 3, 2, 2))))
         coeffs = RNG.normal(size=(2, 12))
         ad.backward(sum_all(ad.mul(ad.flatten(ad.add(a, b)), ad.constant(coeffs))))
-        expected = cm(coeffs.reshape(2, 3, 2, 2))
+        expected = to_chwb(coeffs.reshape(2, 3, 2, 2))
         assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
         a.grad += 1.0
         assert np.array_equal(b.grad, expected)
@@ -544,10 +577,10 @@ class TestBackward:
         assert np.allclose(y.grad, 2.0 * yv + 6.0 * xv**2 * yv, rtol=1e-12, atol=0)
 
     def test_leaf_used_twice_gets_both_contributions(self):
-        a = ad.parameter(cm(RNG.normal(size=(2, 3, 2, 2))))
+        a = ad.parameter(to_chwb(RNG.normal(size=(2, 3, 2, 2))))
         coeffs = RNG.normal(size=(2, 12))
         ad.backward(sum_all(ad.mul(ad.flatten(ad.add(a, a)), ad.constant(coeffs))))
-        assert np.array_equal(a.grad, 2.0 * cm(coeffs.reshape(2, 3, 2, 2)))
+        assert np.array_equal(a.grad, 2.0 * to_chwb(coeffs.reshape(2, 3, 2, 2)))
 
     def test_scalar_leaf_grad_is_an_array(self):
         x = ad.parameter(3.0)

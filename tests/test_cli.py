@@ -523,6 +523,14 @@ class TestSweep:
         for name in ("pretrained.ckpt", "sweep.csv"):
             assert not (tmp_path / "run" / name).exists()
 
+    def test_empty_scale_grid_is_runtime_error_before_pretraining(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"kl_scales": []})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.kl_scales must hold at least one scale" in err and "Traceback" not in err
+        for name in ("pretrained.ckpt", "sweep.csv", "tradeoff.svg"):
+            assert not (tmp_path / "run" / name).exists()
+
 
 def strip_paths(result_line):
     return " ".join(t for t in result_line.split() if not t.startswith("checkpoint="))

@@ -149,9 +149,10 @@ class TestRunningStats:
 
 def dbb_gate(a: float, eps: float, gamma: float, eta: float, mean: float) -> GateState:
     """One-unit DBB gate with b = 1, so E_q[pi] = a / (a + 1), and unit running std."""
-    gate = dbb_create(1, eps=eps)
+    gate = GateState.create(1, eps=eps)
     gate.a_raw.value = np.array([float(d.softplus_inv(a))])
     gate.b_raw.value = np.array([float(d.softplus_inv(1.0))])
+    gate.enter_dbb()  # after the raws: entering DBB freezes q(pi)
     gate.gamma.value = np.array([gamma])
     gate.eta.value = np.array([eta])
     gate.run_mean = np.array([mean])
@@ -226,6 +227,51 @@ class TestExpectedMask:
             x = rng.normal(scale=rng.uniform(0.1, 5.0), size=(8, 6))
             dbb = gate.expected_mask(x)
             assert (dbb <= (1.0 - gate.eps) * bb[None, :] + 1e-15).all()
+
+
+class TestFrozenPosterior:
+    """A DBB gate stores E[pi] and the KL of its frozen q(pi) when it enters
+    DBB or is built from arrays; evaluation and training read them."""
+
+    @staticmethod
+    def closed_forms(gate):
+        a, b = d.softplus(gate.a_raw.value), d.softplus(gate.b_raw.value)
+        kl = d.kl_kumaraswamy_beta(a, b, gate.alpha_over_k, d.digamma(b)).sum()
+        return d.kumaraswamy_mean(a, b), kl
+
+    def test_stored_values_equal_the_closed_forms(self, tmp_path):
+        from betadrop.checkpoint import load_checkpoint, save_checkpoint
+        from betadrop.layers import forward_train
+
+        net = build_mlp((5, 4, 2), seed=3, alpha_over_k=0.3)
+        net.gates_enabled = True
+        for g in net.gates():
+            assert g.frozen is None  # a BB gate's raws train
+            g.a_raw.value = g.a_raw.value + np.linspace(-0.5, 0.5, g.k)
+        net.set_gate_mode(MODE_DBB)
+        forward_train(net, np.random.default_rng(0).normal(size=(6, 5)), d.make_rng(1))
+        save_checkpoint(net, tmp_path / "dbb.ckpt")
+        for how, gate in [("enter_dbb", net.gates()[0]), ("subset", net.gates()[0].subset([3, 1])),
+                          ("load", load_checkpoint(tmp_path / "dbb.ckpt").gates()[1])]:
+            e_pi, kl = self.closed_forms(gate)
+            assert np.array_equal(gate.frozen[0], e_pi) and gate.frozen[1] == kl, how
+
+    def test_evaluation_and_training_read_the_stored_values(self, monkeypatch):
+        gate = make_gate(4, mode=MODE_DBB)
+        gate.update_running_stats(np.random.default_rng(0).normal(size=(8, 4)))
+        e_pi, kl = self.closed_forms(gate)
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        want = e_pi * gate.gate_factor((x - gate.run_mean) / gate.run_std, gate.eta.value)
+
+        def recomputed(*args):
+            raise AssertionError("a frozen value was computed again")
+
+        import betadrop.gates as gates_mod
+        for name in ("kumaraswamy_mean", "digamma", "kl_kumaraswamy_beta"):
+            monkeypatch.setattr(gates_mod, name, recomputed)
+        assert np.array_equal(gate.expected_mask(x), want)
+        node = kl_bb_node(gate)
+        assert not node.needs_grad and node.value == kl
 
 
 class TestSubset:

@@ -98,9 +98,9 @@ class TestBuilders:
         logits, _ = forward_train(net, x, d.make_rng(0))
         ad.backward(sum_all(logits))
         leaves = [n for n in ad._topo_order(logits) if not n._parents]
-        (inp,) = [n for n in leaves if n.shape == (1, 3, 28, 28)]
+        (inp,) = [n for n in leaves if n.shape == (1, 28, 28, 3)]
         assert not inp.needs_grad and inp._grad is None
-        assert np.array_equal(inp.value[0], x)
+        assert np.array_equal(inp.value[0].transpose(2, 0, 1), x)
         assert np.abs(net.layers[0].w.grad).sum() > 0
 
     @pytest.mark.parametrize(
@@ -219,7 +219,7 @@ class TestForwardTrain:
         walk_grads = [layer.w.grad for layer in net.layers]
         ad.zero_gradients(net.parameters())
 
-        h = ad.constant(x[None])
+        h = ad.constant(x.transpose(1, 2, 0)[None])  # (C, H, W, B)
         for i, layer in enumerate(net.layers[:2]):
             h = ad.conv2d(h, layer.w, layer.b)
             h = ad.maxpool2x2(ad.relu(ad.scale_channels(h, ad.constant(masks[i]))))
@@ -231,6 +231,27 @@ class TestForwardTrain:
         ad.backward(sum_all(ad.mul(h, coeffs)))
         for layer, grad in zip(net.layers, walk_grads):
             assert np.allclose(grad, layer.w.grad, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_walk_hands_conv2d_contiguous_batch_innermost_maps(self, monkeypatch, train):
+        # the walk moves the batch innermost once: every conv reads a
+        # C-contiguous (C, H, W, B) map, however the images come in
+        seen = []
+        conv2d = ad.conv2d
+
+        def recording(x, w, b):
+            seen.append((x.value.shape, x.value.flags.c_contiguous))
+            return conv2d(x, w, b)
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        net = build_lenet5_caffe(seed=4)
+        net.gates_enabled = True
+        x = RNG.random((3, 28, 28))
+        if train:
+            forward_train(net, x.reshape(3, -1), d.make_rng(0))
+        else:
+            forward_eval(net, x[:, None])
+        assert seen == [((1, 28, 28, 3), True), ((20, 12, 12, 3), True)]
 
     def test_missing_gate_contract(self):
         net = build_mlp((4, 3), gated=False)
