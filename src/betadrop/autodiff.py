@@ -378,9 +378,9 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
         nrows = _even_part(ho, ncols // (wo * nex))  # output rows per tile
         for r0 in range(0, ho, nrows):
             for b0 in range(0, bsz, nex):
+                tile = wmat @ columns(slice(r0, r0 + nrows), slice(b0, b0 + nex))
                 out = val[:, r0:r0 + nrows, :, b0:b0 + nex]
-                out[...] = (wmat @ columns(slice(r0, r0 + nrows), slice(b0, b0 + nex))).reshape(
-                    out.shape)
+                out[...] = tile.reshape(out.shape)
     val += b.value[:, None, None, None]
 
     def bw(g):
@@ -407,14 +407,14 @@ def maxpool2x2(x: Node) -> Node:
 
     The value is an ``np.maximum`` chain over the four strided quadrant views
     ``x[:, i::2, j::2]``, each made of contiguous runs of B values: the top
-    pair, the bottom pair, then the two
-    pair maxima.  Each window's whole gradient belongs to its first argmax
-    in row-major order, as with ``numpy.argmax``: ties go to the earliest
-    position and a NaN wins its window.  That winner is found only for an
-    input that takes a gradient, by the same tournament in which a later
-    position wins only when strictly greater (``np.greater``), or, when the
-    output holds a NaN, also as a NaN against a number.  Backward scatters
-    the gradient into a zeroed buffer at the winners' flat offsets.
+    pair, the bottom pair, then the two pair maxima.  Each window's whole
+    gradient belongs to its first argmax in row-major order, as with
+    ``numpy.argmax``: ties go to the earliest position and a NaN wins its
+    window.  That winner is found only for an input that takes a gradient,
+    by the same tournament in which a later position wins only when strictly
+    greater (``np.greater``), or, when the output holds a NaN, also as a NaN
+    against a number.  Backward scatters the gradient into a zeroed buffer
+    at the winners' flat offsets.
     """
     shp = x.value.shape
     if len(shp) != 4 or shp[1] % 2 or shp[2] % 2:

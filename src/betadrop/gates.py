@@ -99,8 +99,9 @@ class GateState:
 
     def _freeze(self) -> None:
         if self.gamma is not None:
-            kl = kl_kumaraswamy_beta(self.a(), self.b(), self.alpha_over_k, digamma(self.b()))
-            self.frozen = (self.expected_pi(), kl.sum())
+            a, b = self.a(), self.b()
+            kl = kl_kumaraswamy_beta(a, b, self.alpha_over_k, digamma(b)).sum()
+            self.frozen = (kumaraswamy_mean(a, b), kl)
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":
