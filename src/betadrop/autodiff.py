@@ -9,8 +9,9 @@ so ops skip input gradients nobody reads.  The first gradient contribution to
 a node is stored as is and later ones are added out of place, so no node gets
 a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
-With nothing to keep, `conv2d` builds its im2col columns one cache-sized
-tile of output rows and examples at a time instead of for the whole batch.
+Evaluation runs a conv layer through :func:`conv2d_pool_means` instead: it
+builds the conv output one cache-sized tile of output rows and examples at a
+time and keeps only the pooled map and the channel means.
 
 The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 (`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
@@ -327,6 +328,24 @@ def _even_part(n: int, most: int) -> int:
     return -(-n // -(-n // max(1, most)))
 
 
+def _conv_windows(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray):
+    """The checked input's k x k windows, (C, ho, wo, B, k, k), and the kernel as (O, C*k*k)."""
+    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1] or bv.shape != wv.shape[:1]:
+        raise DimensionError(f"conv2d: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
+    k = wv.shape[2]
+    if wv.shape[3] != k:
+        raise DimensionError(f"conv2d: kernel must be square, got {wv.shape}")
+    if k > xv.shape[1] or k > xv.shape[2]:
+        raise DimensionError(f"conv2d: kernel {k}x{k} larger than input {xv.shape[1:3]}")
+    return sliding_window_view(xv, (k, k), axis=(1, 2)), wv.reshape(len(wv), -1)
+
+
+def _columns(win: np.ndarray, rows: slice, examples: slice) -> np.ndarray:
+    """im2col of some output rows and examples: cols[c*k*k + i*k + j, (r*wo + s)*n + e]."""
+    tile = win[:, rows, :, examples].transpose(0, 4, 5, 1, 2, 3)
+    return np.ascontiguousarray(tile).reshape(win.shape[0] * win.shape[4] ** 2, -1)
+
+
 def conv2d(x: Node, w: Node, b: Node) -> Node:
     """Unpadded stride-1 cross-correlation of a (C, H, W, B) input with
     (O, C, k, k), plus (O,) bias, giving (O, H - k + 1, W - k + 1, B).
@@ -334,57 +353,23 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
     im2col as GEMM, batch innermost: the input's k x k windows are copied
     into ``cols`` (C*k*k, N) in runs of B values, N = ho*wo*B, and with the
     kernel as ``wmat`` (O, C*k*k) the output is ``wmat @ cols``, already
-    (O, ho, wo, B), plus the bias.  A graph keeps the whole batch's ``cols``
-    for backward.  Under :func:`no_grad` the output is built in tiles of
-    output rows x examples whose columns and GEMM result take about
-    ``_COLS_BLOCK_BYTES`` (an L2 cache), the examples split evenly so that
-    no tile is tiny.  With OpenBLAS a column's value is then the same bit
-    for bit in a tile as in the whole GEMM when column counts are multiples
-    of 8 (LeNet's output rows are 24 and 8 wide); tests check it.  Backward
-    reads the output gradient as ``gmat`` (O, N): dW = ``gmat @ cols.T``,
-    db = ``gmat.sum(1)`` and, unless ``x`` is a constant, the column
-    gradient ``wmat.T @ gmat`` (C, k, k, ho, wo, B) is added back one kernel
-    tap at a time into a (C, H, W, B) buffer (col2im), in runs of wo*B values.
+    (O, ho, wo, B), plus the bias.  The graph keeps ``cols`` for backward;
+    evaluation runs :func:`conv2d_pool_means` instead, which never builds
+    the whole output.  Backward reads the output gradient as ``gmat``
+    (O, N): dW = ``gmat @ cols.T``, db = ``gmat.sum(1)`` and, unless ``x``
+    is a constant, the column gradient ``wmat.T @ gmat`` (C, k, k, ho, wo, B)
+    is added back one kernel tap at a time into a (C, H, W, B) buffer
+    (col2im), in runs of wo*B values.
     """
     xv, wv = x.value, w.value
-    if (xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1]
-            or b.value.shape != wv.shape[:1]):
-        raise DimensionError(
-            f"conv2d: incompatible shapes {xv.shape}, {wv.shape} and {b.value.shape}"
-        )
-    cin, h, wd, bsz = xv.shape
-    cout, _, k, k2 = wv.shape
-    if k != k2:
-        raise DimensionError(f"conv2d: kernel must be square, got {wv.shape}")
-    if k > h or k > wd:
-        raise DimensionError(f"conv2d: kernel {k}x{k} larger than input {h}x{wd}")
-    ho, wo = h - k + 1, wd - k + 1
-
-    win = sliding_window_view(xv, (k, k), axis=(1, 2))  # (C, ho, wo, B, k, k)
-    wmat = wv.reshape(cout, cin * k * k)
-
-    def columns(rows, examples):
-        # cols[c*k*k + i*k + j, (r*wo + s)*n + e] for the tile's n examples
-        tile = win[:, rows, :, examples].transpose(0, 4, 5, 1, 2, 3)
-        return np.ascontiguousarray(tile).reshape(cin * k * k, -1)
-
-    if _grad_enabled:
-        cols = columns(slice(None), slice(None))
-        val = (wmat @ cols).reshape(cout, ho, wo, bsz)
-    else:
-        val = np.empty((cout, ho, wo, bsz))
-        ncols = _COLS_BLOCK_BYTES // (8 * (cin * k * k + cout))
-        nex = _even_part(bsz, ncols // wo)  # examples per tile
-        nrows = _even_part(ho, ncols // (wo * nex))  # output rows per tile
-        for r0 in range(0, ho, nrows):
-            for b0 in range(0, bsz, nex):
-                tile = wmat @ columns(slice(r0, r0 + nrows), slice(b0, b0 + nex))
-                out = val[:, r0:r0 + nrows, :, b0:b0 + nex]
-                out[...] = tile.reshape(out.shape)
+    win, wmat = _conv_windows(xv, wv, b.value)
+    cin, ho, wo, bsz, k, _ = win.shape
+    cols = _columns(win, slice(None), slice(None))
+    val = (wmat @ cols).reshape(len(wv), ho, wo, bsz)
     val += b.value[:, None, None, None]
 
     def bw(g):
-        gmat = g.reshape(cout, ho * wo * bsz)
+        gmat = g.reshape(len(wv), ho * wo * bsz)
         _acc(w, (gmat @ cols.T).reshape(wv.shape))
         _acc(b, gmat.sum(axis=1))
         if x.needs_grad:
@@ -395,6 +380,40 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
             _acc(x, dx)
 
     return Node(val, (x, w, b), bw)
+
+
+def conv2d_pool_means(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays ``maxpool2x2(conv2d(x, w, b))`` and (B, C) channel means of
+    the conv output, in one pass that never builds that output (not in
+    ``__all__``: no node).  Tiles of 2k output rows x an even share of the
+    examples (so none is tiny) hold columns and a GEMM result of about
+    ``_COLS_BLOCK_BYTES``, an L2 cache; in cache, a tile gets its bias, adds
+    its channel sums and writes the 2x2 max of its row pairs.  With OpenBLAS
+    a column's value is the same bit for bit in a tile as in the whole GEMM
+    when column counts are multiples of 8 (LeNet's rows are 24 and 8 wide),
+    so the pooled map is the graph's; the means are ``global_avg_pool``'s to
+    rounding, bit for bit when one tile holds the map.
+    """
+    win, wmat = _conv_windows(x, w, b)
+    cin, ho, wo, bsz, k, _ = win.shape
+    cout = len(wmat)
+    if ho % 2 or wo % 2:
+        raise DimensionError(f"2x2 pooling needs even conv extents, got {ho}x{wo}")
+    pooled = np.empty((cout, ho // 2, wo // 2, bsz))
+    sums = np.zeros((cout, bsz))
+    ncols = _COLS_BLOCK_BYTES // (8 * (cin * k * k + cout))
+    nex = _even_part(bsz, ncols // (2 * wo))  # examples per tile
+    npairs = _even_part(ho // 2, ncols // (2 * wo * nex))  # output row pairs per tile
+    for p0 in range(0, ho // 2, npairs):
+        for b0 in range(0, bsz, nex):
+            out = pooled[:, p0:p0 + npairs, :, b0:b0 + nex]
+            tile = wmat @ _columns(win, slice(2 * p0, 2 * p0 + 2 * npairs), slice(b0, b0 + nex))
+            tile = tile.reshape(cout, 2 * out.shape[1], wo, out.shape[3])
+            tile += b[:, None, None, None]
+            sums[:, b0:b0 + nex] += tile.sum(axis=(1, 2))
+            np.maximum(tile[:, 0::2, 0::2], tile[:, 0::2, 1::2], out=out)
+            np.maximum(out, np.maximum(tile[:, 1::2, 0::2], tile[:, 1::2, 1::2]), out=out)
+    return pooled, (sums / (ho * wo)).T
 
 
 def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

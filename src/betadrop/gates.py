@@ -73,7 +73,8 @@ class GateState:
     after ``momentum`` are None in a BB gate; entering DBB sets the first
     three, and the first DBB training batch the running statistics.  A DBB
     gate's q(pi) is frozen, so ``frozen`` holds its E[pi] and KL, computed
-    once when it enters DBB or is built; it is None in a BB gate and is no
+    once when it enters DBB or is built, and the two raw arrays they come
+    from, which it makes read-only; it is None in a BB gate and is no
     checkpoint array."""
 
     a_raw: Node
@@ -101,7 +102,17 @@ class GateState:
         if self.gamma is not None:
             a, b = self.a(), self.b()
             kl = kl_kumaraswamy_beta(a, b, self.alpha_over_k, digamma(b)).sum()
-            self.frozen = (kumaraswamy_mean(a, b), kl)
+            raws = (self.a_raw.value, self.b_raw.value)
+            for raw in raws:
+                raw.flags.writeable = False
+            self.frozen = (kumaraswamy_mean(a, b), kl, raws)
+
+    def _frozen(self) -> tuple:
+        """A DBB gate's stored (E[pi], KL); ContractError if a raw was rebound since."""
+        pi, kl, (a_raw, b_raw) = self.frozen
+        if self.a_raw.value is not a_raw or self.b_raw.value is not b_raw:
+            raise ContractError("a DBB gate's a_raw and b_raw are frozen: they cannot be rebound")
+        return pi, kl
 
     @classmethod
     def create(cls, k: int, **options) -> "GateState":
@@ -196,7 +207,7 @@ class GateState:
             raise ContractError("DBB expected_mask requires initialized input statistics")
         x = np.asarray(x, dtype=np.float64)
         xhat = (x - self.run_mean) / self.run_std
-        return self.frozen[0] * self.gate_factor(xhat, self.eta.value)
+        return self._frozen()[0] * self.gate_factor(xhat, self.eta.value)
 
     def gate_factor(self, xhat: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """clamp(gamma * xhat + shift, eps, 1 - eps) for standardized inputs."""
@@ -321,7 +332,7 @@ def kl_bb_node(gate: GateState) -> Node:
     psi(b) serves the value and the backward; psi'(b) only the backward.  A
     DBB gate's frozen posterior gives the constant stored in ``gate.frozen``."""
     if gate.frozen is not None:
-        return ad.constant(gate.frozen[1])
+        return ad.constant(gate._frozen()[1])
     a, b, ak = gate.a(), gate.b(), gate.alpha_over_k
     psi_b = digamma(b)
     kl = kl_kumaraswamy_beta(a, b, ak, psi_b).sum()

@@ -2,10 +2,11 @@
 
 Dense gates mask the layer *input* units; conv gates mask the *output
 channels*, shared across all spatial positions of a channel.  Training passes
-and evaluation passes share one layer walk and differ in the mask policy:
-training builds an autodiff graph with sampled relaxed masks, evaluation runs
-the same ops under :func:`~betadrop.autodiff.no_grad` with the deterministic
-expected masks.  Conv activations are batch-innermost, (C, H, W, B); weights,
+and evaluation passes share one layer walk and differ in its policy: training
+builds an autodiff graph with sampled relaxed masks, evaluation runs under
+:func:`~betadrop.autodiff.no_grad` with the deterministic expected masks and
+runs each conv layer as one tiled pass that keeps only the pooled map and the
+channel means.  Conv activations are batch-innermost, (C, H, W, B); weights,
 gate inputs and masks, and the flattened dense input keep per-example layouts.
 """
 
@@ -128,21 +129,23 @@ class Network:
 # ---------------------------------------------------------------------------
 
 
-def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
+def _walk(net: Network, x: np.ndarray, gate_mask, conv_block) -> Node:
     """The one layer walk behind :func:`forward_train` and :func:`forward_eval`.
 
-    ``gate_mask(gate_index, gate, batch_size, gate_input)`` is the mask
-    policy: it returns the (batch_size, K) mask node to apply.  It calls
+    The policy is two functions.  ``gate_mask(gate_index, gate, batch_size,
+    gate_input)`` returns the (batch_size, K) mask node to apply, and calls
     ``gate_input()`` only when it reads the gate's (B, K) input node (the
-    dense input itself, or the channel means of the conv output), so a
-    policy that needs just the batch size builds no channel means.
-    Each example must hold as many values as ``net.meta["input_shape"]``;
-    a shrunk first layer's ``input_select`` indexes into them.  That is the
-    walk's one check: building the network checked that its layers fit.  A
-    dense net reads each example flat.  A conv net reshapes it to that
-    (C, H, W) shape, so flat, (B, H, W) and (B, C, H, W) inputs all work, and
-    moves the batch innermost, (C, H, W, B), once; ``flatten`` gives the
-    dense head rows in per-example (C, H, W) order.
+    dense input, or the conv output's channel means).  ``conv_block(h,
+    layer)`` returns a conv layer's pooled conv output and its gate's
+    ``gate_input``: :func:`_graph_conv` in training, :func:`_tiled_conv` in
+    evaluation.  The walk checks only that the batch holds at least one
+    example, each of as many values as ``net.meta["input_shape"]`` (a shrunk
+    first layer's ``input_select`` indexes into them): building the network
+    checked that its layers fit.  A dense net reads each example flat.  A
+    conv net reshapes it to that (C, H, W) shape, so flat, (B, H, W) and
+    (B, C, H, W) inputs all work, and moves the batch innermost,
+    (C, H, W, B), once; ``flatten`` gives the dense head rows in per-example
+    (C, H, W) order.
 
     A conv layer runs conv, 2x2 max pooling, relu, then the channel mask,
     on a map a quarter the size of the conv output.  This gives the
@@ -158,6 +161,8 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
             f"network expects {math.prod(shape)} inputs per example "
             f"(input_shape {shape}), got {x.shape}"
         )
+    if len(x) == 0:
+        raise ContractError("a forward pass needs at least one example")
     if net.layers[0].kind == "conv":
         x = x.reshape(len(x), *shape).transpose(1, 2, 3, 0)
     else:
@@ -167,28 +172,36 @@ def _walk(net: Network, x: np.ndarray, gate_mask) -> Node:
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         gated = net.gates_enabled and layer.gate is not None
-        # the policy calls gate_input before h is rebound, so it reads this layer's node
         if layer.kind == "dense":
             if h.value.ndim == 4:
                 h = ad.flatten(h)
             if layer.input_select is not None:
                 h = ad.gather_cols(h, layer.input_select)
-            if gated:
+            if gated:  # the policy calls gate_input before h is rebound
                 h = ad.mul(gate_mask(gate_idx, layer.gate, len(h.value), lambda: h), h)
             h = ad.add_rowwise(ad.matmul(h, layer.w), layer.b)
             if i != last:
                 h = ad.relu(h)
         else:
-            h = ad.conv2d(h, layer.w, layer.b)
-            if gated:
-                mask = gate_mask(gate_idx, layer.gate, h.value.shape[3],
-                                 lambda: ad.global_avg_pool(h))
-            h = ad.maxpool2x2(h)  # rebinding h frees the full-size map under no_grad
+            h, gate_input = conv_block(h, layer)
             h = ad.relu(h)
             if gated:
-                h = ad.scale_channels(h, mask)
+                h = ad.scale_channels(h, gate_mask(gate_idx, layer.gate, h.value.shape[3],
+                                                   gate_input))
         gate_idx += gated
     return h
+
+
+def _graph_conv(h: Node, layer: ConvLayer):
+    """Conv and 2x2 max pooling as graph ops, with the conv output's channel means."""
+    conv = ad.conv2d(h, layer.w, layer.b)
+    return ad.maxpool2x2(conv), lambda: ad.global_avg_pool(conv)
+
+
+def _tiled_conv(h: Node, layer: ConvLayer):
+    """The same in the one tiled pass of :func:`~betadrop.autodiff.conv2d_pool_means`."""
+    pooled, means = ad.conv2d_pool_means(h.value, layer.w.value, layer.b.value)
+    return ad.constant(pooled), lambda: ad.constant(means)
 
 
 def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
@@ -208,7 +221,7 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
         kl_terms.append(kl)
         return mask
 
-    return _walk(net, x, sampled_mask), kl_terms
+    return _walk(net, x, sampled_mask, _graph_conv), kl_terms
 
 
 def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False):
@@ -227,7 +240,7 @@ def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False):
         return ad.constant(mask)
 
     with ad.no_grad():
-        logits = _walk(net, x, expected_mask).value
+        logits = _walk(net, x, expected_mask, _tiled_conv).value
     return (logits, gate_info) if return_gate_info else logits
 
 

@@ -128,8 +128,6 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     ``(g * kl_scale) * mult`` and ``(g * weight_decay) * W``.
     """
     x, y = batch
-    if x.shape[0] == 0:
-        raise ContractError("empty minibatch")
     logits, kls = forward_train(net, x, rng, tau=config.tau, rho_var=config.rho_var)
     nll = ad.softmax_cross_entropy(logits, y)
     n, kl_scale, wd = float(n_total), config.kl_scale, config.weight_decay

@@ -64,7 +64,7 @@ def forced_mask_forward(net, x, masks):
     def forced(k, gate, bsz, gate_input):
         return ad.constant(np.broadcast_to(np.asarray(masks[k], dtype=np.float64), (bsz, gate.k)))
 
-    return layers._walk(net, x, forced)
+    return layers._walk(net, x, forced, layers._graph_conv)
 
 
 def keep_set_forward(net, x, keep_sets):
@@ -80,7 +80,7 @@ def keep_set_forward(net, x, keep_sets):
         return ad.constant(np.broadcast_to(kept, (bsz, gate.k)))
 
     with ad.no_grad():
-        return layers._walk(net, x, kept_mask).value
+        return layers._walk(net, x, kept_mask, layers._graph_conv).value
 
 
 def interior_gates(net, rng, mode):
@@ -214,9 +214,13 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
     constant gate-input column (the standard-deviation floor fires).
     """
     # Built by hand with every array a parameter, so each builder's whole
-    # gradient is checked; the program's DBB gates hold constant raws.
+    # gradient is checked.  The raws' builders run on a BB gate: a DBB gate
+    # makes its raws read-only, so it holds constant copies, as the
+    # program's DBB gates hold constant raws.
+    bb = gates.GateState(ad.parameter(rng.normal(1.0, scale, k)),
+                         ad.parameter(rng.normal(0.5, scale, k)))
     gate = gates.GateState(
-        ad.parameter(rng.normal(1.0, scale, k)), ad.parameter(rng.normal(0.5, scale, k)),
+        ad.constant(bb.a_raw.value.copy()), ad.constant(bb.b_raw.value.copy()),
         gamma=ad.parameter(rng.normal(0.2, 0.1, k)),
         eta=ad.parameter(rng.normal(0.4, 0.1 * scale, k)),
         kappa_raw=ad.parameter(rng.normal(-2.0, scale, k)),
@@ -224,11 +228,11 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
     seed = int(rng.integers(2**31))
     if name == "sample_pi":
         if boundary:
-            gate.b_raw.value[0] = 1e20
+            bb.b_raw.value[0] = 1e20
         u = open_unit_uniform(make_rng(seed), k)
-        return (lambda: gates.sample_pi_node(gate, make_rng(seed)),
+        return (lambda: gates.sample_pi_node(bb, make_rng(seed)),
                 lambda a_raw, b_raw: ref_sample_pi(u, a_raw, b_raw),
-                [gate.a_raw, gate.b_raw])
+                [bb.a_raw, bb.b_raw])
     if name.startswith("concrete_mask"):
         shape = (k,) if name.endswith("shared") else (bsz, k)
         probs = rng.uniform(0.05, 0.95, shape)
@@ -255,13 +259,12 @@ def fused_gate_case(name, rng, scale=1.0, boundary=False, k=5, bsz=4):
         return (lambda: gates.dbb_phi_node(gate, x, pi, beta),
                 lambda *v: ref_dbb_phi(*v, gate.eps, gates.SIGMA_FLOOR),
                 [x, pi, gate.gamma, beta])
-    if name == "kl_bb":  # on the raws of a BB gate: a DBB gate's KL is a stored constant
-        gate = gates.GateState(gate.a_raw, gate.b_raw)
+    if name == "kl_bb":  # a DBB gate's KL is a stored constant
         if boundary:
-            gate.b_raw.value[0] = 1e20
-        return (lambda: gates.kl_bb_node(gate),
-                lambda a_raw, b_raw: ref_kl_bb(a_raw, b_raw, gate.alpha_over_k),
-                [gate.a_raw, gate.b_raw])
+            bb.b_raw.value[0] = 1e20
+        return (lambda: gates.kl_bb_node(bb),
+                lambda a_raw, b_raw: ref_kl_bb(a_raw, b_raw, bb.alpha_over_k),
+                [bb.a_raw, bb.b_raw])
     rho_var = float(np.sqrt(5.0))
     return (lambda: gates.kl_beta_gaussian_node(gate, rho_var),
             lambda eta, kappa_raw: ref_kl_beta_gaussian(eta, kappa_raw, rho_var),

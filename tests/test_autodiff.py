@@ -185,6 +185,18 @@ class TestElementwise:
         assert np.array_equal(p.grad, [3.0, 3.0]) and c._grad is None
 
 
+def assert_pooled_conv_equals_the_graph(x, w, b, means_bit_equal=False):
+    """The tiled pass's pooled map equals the graph's ``maxpool2x2(conv2d)`` bit
+    for bit, and its channel means ``global_avg_pool`` within 1e-13 of the
+    largest mean (a mean near 0 is a sum that cancels), or bit for bit."""
+    pooled, means = ad.conv2d_pool_means(x, w, b)
+    conv = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b))
+    assert np.array_equal(pooled, ad.maxpool2x2(conv).value)
+    ref = ad.global_avg_pool(conv).value
+    assert np.array_equal(means, ref) or not means_bit_equal
+    assert np.abs(means - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         x = RNG.normal(size=(1, 3, 3, 1))
@@ -298,54 +310,62 @@ class TestConv2d:
     @pytest.mark.parametrize("bsz", [5, 1])
     def test_no_grad_blocks_equal_the_graph_value(self, bsz):
         # a tile's columns and GEMM result take 8 * (8 * 5 * 5 + 6) bytes per
-        # output position and example: under no_grad the batch of 5 is built
-        # in 3 tiles of 8 output rows each
+        # output position and example: the tiled pass builds the batch of 5
+        # in 3 tiles of 4 output row pairs each, batch 1 in one tile
         ncols = ad._COLS_BLOCK_BYTES // (8 * (8 * 5 * 5 + 6))
-        assert bsz == 1 or (ncols >= 24 * bsz and ad._even_part(24, ncols // (24 * bsz)) == 8)
+        assert ncols >= 48 * bsz
+        assert ad._even_part(12, ncols // (48 * bsz)) == (12 if bsz == 1 else 4)
         rng = np.random.default_rng(12)
-        x = ad.constant(rng.normal(size=(8, 28, 28, bsz)))
-        w, b = ad.parameter(rng.normal(size=(6, 8, 5, 5))), ad.parameter(rng.normal(size=6))
-        with ad.no_grad():
-            blocked = ad.conv2d(x, w, b).value
-        assert np.array_equal(blocked, ad.conv2d(x, w, b).value)
+        x = rng.normal(size=(8, 28, 28, bsz))
+        w, b = rng.normal(size=(6, 8, 5, 5)), rng.normal(size=6)
+        assert_pooled_conv_equals_the_graph(x, w, b, means_bit_equal=bsz == 1)
 
-    @pytest.mark.parametrize("cin,h,cout,bsz", [(8, 28, 6, 10), (8, 28, 6, 61), (20, 12, 50, 61)],
-                             ids=["ragged-rows", "ragged-examples", "lenet-conv2"])
+    @pytest.mark.parametrize("cin,h,cout,bsz", [(8, 28, 6, 10), (8, 28, 6, 61), (20, 12, 50, 61),
+                                                (8, 36, 6, 5)],
+                             ids=["ragged-rows", "ragged-examples", "lenet-conv2",
+                                  "ragged-row-pairs"])
     def test_no_grad_tiles_equal_the_graph_value(self, cin, h, cout, bsz):
-        # A tile holds some output rows of every example, or one output row of
-        # an even share of the examples; here the last tile is the smaller one.
-        # ragged-rows: 5 tiles of 5, 5, 5, 5 and 4 rows; ragged-examples: 24
-        # rows of 31 then 30 examples.  lenet-conv2, conv2 of lenet5_caffe:
-        # tiles of 59 and 2 examples would hold a 16-column GEMM, whose values
+        # A tile holds some output row pairs of every example, or one row pair
+        # of an even share of the examples; here the last tile is the smaller
+        # one.  ragged-row-pairs: 16 pairs in tiles of 3, the last of 1;
+        # ragged-examples: 12 pairs of 21, 21 then 19 examples.  ragged-rows:
+        # 24 rows are 12 pairs, which even parts always split evenly, here
+        # into 6 tiles of 2.  lenet-conv2, conv2 of lenet5_caffe: tiles of 29,
+        # 29 and 3 examples would end in a 48-column GEMM, whose values
         # OpenBLAS computes with other bits than the graph's 3,904 columns.
         ho = h - 4
         ncols = ad._COLS_BLOCK_BYTES // (8 * (cin * 25 + cout))
-        nex = ad._even_part(bsz, ncols // ho)
-        nrows = ad._even_part(ho, ncols // (ho * nex))
-        assert (bsz % nex if nex < bsz else ho % nrows) > 0
+        nex = ad._even_part(bsz, ncols // (2 * ho))
+        npairs = ad._even_part(ho // 2, ncols // (2 * ho * nex))
+        if (h, bsz) == (28, 10):
+            assert nex == bsz and npairs == 2
+        else:
+            assert (bsz % nex if nex < bsz else ho // 2 % npairs) > 0
         rng = np.random.default_rng(14)
-        x = ad.constant(rng.normal(size=(cin, h, h, bsz)))
-        w, b = ad.parameter(rng.normal(size=(cout, cin, 5, 5))), ad.parameter(rng.normal(size=cout))
-        with ad.no_grad():
-            tiled = ad.conv2d(x, w, b).value
-        assert np.array_equal(tiled, ad.conv2d(x, w, b).value)
+        x = rng.normal(size=(cin, h, h, bsz))
+        w, b = rng.normal(size=(cout, cin, 5, 5)), rng.normal(size=cout)
+        assert_pooled_conv_equals_the_graph(x, w, b)
 
     def test_no_grad_columns_stay_within_the_block_budget(self):
         # conv2 of a shrunk lenet5_caffe (15 -> 38 channels) at batch 500: the
-        # whole batch's columns are 96 MB, against a 9.7 MB output
+        # whole batch's columns are 96 MB and its conv output 9.7 MB, against
+        # a 2.4 MB pooled output
         rng = np.random.default_rng(13)
-        x = ad.constant(rng.normal(size=(15, 12, 12, 500)))
-        w, b = ad.constant(rng.normal(size=(38, 15, 5, 5))), ad.constant(np.zeros(38))
-        out_bytes = 38 * 500 * 8 * 8 * 8
+        x = rng.normal(size=(15, 12, 12, 500))
+        w, b = rng.normal(size=(38, 15, 5, 5)), np.zeros(38)
+        out_bytes = 38 * 500 * 4 * 4 * 8
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                out = ad.conv2d(x, w, b)
+            pooled, means = ad.conv2d_pool_means(x, w, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.value.nbytes == out_bytes
+        assert pooled.nbytes == out_bytes and means.shape == (500, 38)
         assert peak < out_bytes + 3 * ad._COLS_BLOCK_BYTES
+
+    def test_tiled_pass_rejects_odd_conv_extents(self):
+        with pytest.raises(DimensionError, match="even"):
+            ad.conv2d_pool_means(np.ones((1, 8, 9, 2)), np.ones((1, 1, 5, 5)), np.zeros(1))
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError, match="larger"):

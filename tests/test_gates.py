@@ -274,6 +274,22 @@ class TestFrozenPosterior:
         assert not node.needs_grad and node.value == kl
 
 
+    @pytest.mark.parametrize("raw", ["a_raw", "b_raw"])
+    def test_a_rebound_raw_is_refused(self, raw):
+        # the stored values describe the raws that entered DBB: those cannot
+        # change in place, and reading a stored value after a rebind raises
+        gate = make_gate(4, mode=MODE_DBB)
+        gate.update_running_stats(np.random.default_rng(0).normal(size=(8, 4)))
+        node = getattr(gate, raw)
+        with pytest.raises(ValueError, match="read-only"):
+            node.value[0] += 1.0
+        node.value = node.value + 1.0
+        with pytest.raises(ContractError, match="rebound"):
+            gate.expected_mask(np.zeros(4))
+        with pytest.raises(ContractError, match="rebound"):
+            kl_bb_node(gate)
+
+
 class TestSubset:
     def test_subset_slices_all_fields(self):
         gate = make_gate(5, mode=MODE_DBB)
@@ -340,17 +356,17 @@ class TestGraphPieces:
 
     def test_dbb_phi_gradients_all_parameters(self):
         gate = make_gate(3, mode=MODE_DBB, seed=6)
-        # raws that still train, as no program path builds them, so the
-        # gradient through phi into q(pi) is checked too
-        gate = replace(gate, a_raw=ad.parameter(gate.a_raw.value),
-                       b_raw=ad.parameter(gate.b_raw.value))
+        # pi drawn from trainable copies of the raws, as no program path has
+        # them in DBB (a DBB gate makes its raws read-only), so the gradient
+        # through phi into q(pi) is checked too
+        bb = GateState(ad.parameter(gate.a_raw.value.copy()), ad.parameter(gate.b_raw.value.copy()))
         rng_x = np.random.default_rng(5)
         xval = rng_x.normal(size=(6, 3))
         x = ad.parameter(xval)
         coeffs = ad.constant(rng_x.normal(size=(6, 3)))
 
         def loss():
-            pi = sample_pi_node(gate, d.make_rng(21))
+            pi = sample_pi_node(bb, d.make_rng(21))
             beta = beta_sample_node(gate, d.make_rng(22))
             phi = dbb_phi_node(gate, x, pi, beta)
             return sum_all(ad.mul(phi, coeffs))
@@ -358,7 +374,7 @@ class TestGraphPieces:
         # gradient flows into the gate input through the batch statistics too
         gradcheck(
             loss,
-            [gate.a_raw, gate.b_raw, gate.gamma, gate.eta, gate.kappa_raw, x],
+            [bb.a_raw, bb.b_raw, gate.gamma, gate.eta, gate.kappa_raw, x],
         )
 
     def test_kl_nodes_match_numpy_and_fd(self):

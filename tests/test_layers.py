@@ -234,16 +234,19 @@ class TestForwardTrain:
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_walk_hands_conv2d_contiguous_batch_innermost_maps(self, monkeypatch, train):
-        # the walk moves the batch innermost once: every conv reads a
-        # C-contiguous (C, H, W, B) map, however the images come in
+        # the walk moves the batch innermost once: every conv, the graph op in
+        # training and the tiled pass in evaluation, reads a C-contiguous
+        # (C, H, W, B) map, however the images come in
         seen = []
-        conv2d = ad.conv2d
+        name = "conv2d" if train else "conv2d_pool_means"
+        op = getattr(ad, name)
 
         def recording(x, w, b):
-            seen.append((x.value.shape, x.value.flags.c_contiguous))
-            return conv2d(x, w, b)
+            xv = x.value if train else x
+            seen.append((xv.shape, xv.flags.c_contiguous))
+            return op(x, w, b)
 
-        monkeypatch.setattr(ad, "conv2d", recording)
+        monkeypatch.setattr(ad, name, recording)
         net = build_lenet5_caffe(seed=4)
         net.gates_enabled = True
         x = RNG.random((3, 28, 28))
@@ -331,6 +334,30 @@ class TestForwardTrain:
 
 
 class TestForwardEval:
+    @pytest.mark.parametrize("mode,bsz", [(MODE_BB, 1), (MODE_BB, 61), (MODE_DBB, 1)],
+                             ids=["bb-1", "bb-ragged", "dbb-1"])
+    def test_eval_equals_the_graph_walk_bit_for_bit(self, mode, bsz):
+        # at batch 61 conv2's tiles hold 21, 21 and 19 examples; at batch 1
+        # each conv is one tile, so the DBB gate inputs are bit-equal too
+        rng = np.random.default_rng(5)
+        net = interior_gates(build_lenet5_caffe(seed=5), rng, mode)
+        if mode == MODE_DBB:
+            forward_train(net, rng.random((8, 784)), d.make_rng(0))  # running statistics
+        x = rng.random((bsz, 784))
+        graph = keep_set_forward(net, x, [np.arange(g.k) for g in net.gates()])
+        assert np.array_equal(forward_eval(net, x), graph)
+
+    @pytest.mark.parametrize("case", ["conv-eval", "conv-train", "dense-eval"])
+    def test_an_empty_batch_is_refused(self, case):
+        net = build_lenet5_caffe(seed=0) if case.startswith("conv") else build_lenet_500_300()
+        net.gates_enabled = True
+        x = np.zeros((0, 784))
+        with pytest.raises(ContractError, match="at least one example"):
+            if case.endswith("train"):
+                forward_train(net, x, d.make_rng(0))
+            else:
+                forward_eval(net, x)
+
     def test_gate_means_one_equal_ungated(self):
         net = toy_net()
         for g in net.gates():
