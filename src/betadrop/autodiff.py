@@ -11,7 +11,8 @@ a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 Evaluation runs a conv layer through :func:`conv2d_pool_means` instead: it
 builds the conv output one cache-sized tile of output rows and examples at a
-time and keeps only the pooled map and the channel means.
+time and keeps only the pooled map and the channel means.  Its example shares
+run on one thread per CPU, with the same bits for any number of threads.
 
 The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 (`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
@@ -32,6 +33,8 @@ The few mixed-rank products the models need are dedicated ops
 
 from __future__ import annotations
 
+import functools
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -392,7 +395,9 @@ def conv2d_pool_means(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.n
     a column's value is the same bit for bit in a tile as in the whole GEMM
     when column counts are multiples of 8 (LeNet's rows are 24 and 8 wide),
     so the pooled map is the graph's; the means are ``global_avg_pool``'s to
-    rounding, bit for bit when one tile holds the map.
+    rounding, bit for bit when one tile holds the map.  A share of the
+    examples walks its row pairs in order and writes only its own slices, so
+    the shares run on :func:`_share_pool` with the same bits for any count.
     """
     win, wmat = _conv_windows(x, w, b)
     cin, ho, wo, bsz, k, _ = win.shape
@@ -404,8 +409,9 @@ def conv2d_pool_means(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.n
     ncols = _COLS_BLOCK_BYTES // (8 * (cin * k * k + cout))
     nex = _even_part(bsz, ncols // (2 * wo))  # examples per tile
     npairs = _even_part(ho // 2, ncols // (2 * wo * nex))  # output row pairs per tile
-    for p0 in range(0, ho // 2, npairs):
-        for b0 in range(0, bsz, nex):
+
+    def share(b0):
+        for p0 in range(0, ho // 2, npairs):
             out = pooled[:, p0:p0 + npairs, :, b0:b0 + nex]
             tile = wmat @ _columns(win, slice(2 * p0, 2 * p0 + 2 * npairs), slice(b0, b0 + nex))
             tile = tile.reshape(cout, 2 * out.shape[1], wo, out.shape[3])
@@ -413,7 +419,21 @@ def conv2d_pool_means(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.n
             sums[:, b0:b0 + nex] += tile.sum(axis=(1, 2))
             np.maximum(tile[:, 0::2, 0::2], tile[:, 0::2, 1::2], out=out)
             np.maximum(out, np.maximum(tile[:, 1::2, 0::2], tile[:, 1::2, 1::2]), out=out)
+
+    if nex < bsz:  # a forked child makes its own pool; list waits and raises
+        list(_share_pool(os.getpid()).map(share, range(0, bsz, nex)))
+    else:
+        share(0)
     return pooled, (sums / (ho * wo)).T
+
+
+@functools.cache
+def _share_pool(pid: int):
+    """Process ``pid``'s threads for :func:`conv2d_pool_means`, one per CPU it may use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(n or 1)
 
 
 def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

@@ -138,7 +138,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask, conv_block) -> Node:
     dense input, or the conv output's channel means).  ``conv_block(h,
     layer)`` returns a conv layer's pooled conv output and its gate's
     ``gate_input``: :func:`_graph_conv` in training, :func:`_tiled_conv` in
-    evaluation.  The walk checks only that the batch holds at least one
+    evaluation.  The walk checks only that a batch axis holds at least one
     example, each of as many values as ``net.meta["input_shape"]`` (a shrunk
     first layer's ``input_select`` indexes into them): building the network
     checked that its layers fit.  A dense net reads each example flat.  A
@@ -156,7 +156,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask, conv_block) -> Node:
     """
     x = np.asarray(x, dtype=np.float64)
     shape = net.meta["input_shape"]
-    if math.prod(x.shape[1:]) != math.prod(shape):
+    if x.ndim == 0 or math.prod(x.shape[1:]) != math.prod(shape):
         raise DimensionError(
             f"network expects {math.prod(shape)} inputs per example "
             f"(input_shape {shape}), got {x.shape}"

@@ -200,7 +200,8 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     ``lr_variational``.  MODE_BB and MODE_DBB set the gates' mode and train
     the weights at ``effective_lr_weights()`` and the gates' trainable
     parameters at ``lr_variational``.  In MODE_DBB the Kumaraswamy raws
-    (q(pi)) are constants, and are bit-checked after every step.
+    (q(pi)) are read-only constants, checked after every step to still be
+    the arrays each gate froze.
     """
     net.gates_enabled = gate_mode is not None
     if gate_mode is None:
@@ -211,8 +212,8 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                  (net.variational_parameters(), config.lr_variational)]
     groups = [(params, AdamState.for_params(params), lr) for params, lr in rates]
     all_params = [p for params, _ in rates for p in params]
-    frozen = [(p, p.value.copy()) for g in net.gates() for p in (g.a_raw, g.b_raw)
-              if gate_mode == MODE_DBB]
+    frozen = [(p, raw) for g in net.gates() if gate_mode == MODE_DBB
+              for p, raw in zip((g.a_raw, g.b_raw), g.frozen[2])]
     noise_rng = make_rng(config.seed + NOISE_SEED_OFFSET)
     n_total = len(data)
     losses: list[float] = []
@@ -233,7 +234,7 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
             # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
             if not all(np.isfinite(p.value).all() for p in all_params):
                 raise TrainingDivergedError(step)
-            if not all(np.array_equal(p.value, v) for p, v in frozen):
+            if any(p.value is not raw for p, raw in frozen):
                 raise InvariantViolationError(f"keep-probability posterior changed at step {step}")
             losses.append(float(loss.value))
             epoch_nll += parts["nll"]

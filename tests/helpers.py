@@ -4,9 +4,12 @@ manifest edits."""
 
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy import special
 
 from betadrop import autodiff as ad
@@ -55,6 +58,15 @@ def sum_all(a):
     """Scalar node holding the sum of every entry of ``a``: the objective the
     op tests differentiate."""
     return ad.fused(np.float64(a.value.sum()), (a,), lambda g: [np.full(a.value.shape, g)])
+
+
+@contextmanager
+def share_workers(n):
+    """Within the block, ``conv2d_pool_means`` runs its example shares on a
+    pool of ``n`` threads, whatever the number of CPUs."""
+    with ThreadPoolExecutor(n) as pool, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_share_pool", lambda pid: pool)
+        yield
 
 
 def forced_mask_forward(net, x, masks):

@@ -14,6 +14,8 @@ and gradient checks here; their complex-step oracle tests are in
 import ast
 import itertools
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from helpers import (
     gradcheck,
     matmul_oracle,
     maxpool2x2_oracle,
+    share_workers,
     sum_all,
 )
 
@@ -354,14 +357,78 @@ class TestConv2d:
         x = rng.normal(size=(15, 12, 12, 500))
         w, b = rng.normal(size=(38, 15, 5, 5)), np.zeros(38)
         out_bytes = 38 * 500 * 4 * 4 * 8
-        tracemalloc.start()
-        try:
-            pooled, means = ad.conv2d_pool_means(x, w, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # two workers hold a tile each; tracemalloc traces every thread
+        with share_workers(2):
+            tracemalloc.start()
+            try:
+                pooled, means = ad.conv2d_pool_means(x, w, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert pooled.nbytes == out_bytes and means.shape == (500, 38)
         assert peak < out_bytes + 3 * ad._COLS_BLOCK_BYTES
+
+    @pytest.mark.parametrize("cin,h,cout,bsz,shares", [(15, 12, 38, 500, 13), (8, 28, 6, 61, 3)],
+                             ids=["shrunk-lenet-conv2", "ragged-examples"])
+    def test_shares_give_the_same_bits_on_any_worker_count(self, cin, h, cout, bsz, shares):
+        # shrunk-lenet-conv2: 13 shares of 39 or 32 examples over 2 workers;
+        # ragged-examples: shares of 21, 21 and 19
+        ncols = ad._COLS_BLOCK_BYTES // (8 * (cin * 25 + cout))
+        assert -(-bsz // ad._even_part(bsz, ncols // (2 * (h - 4)))) == shares
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(cin, h, h, bsz))
+        w, b = rng.normal(size=(cout, cin, 5, 5)), rng.normal(size=cout)
+        runs = []
+        for n in (1, 2):
+            with share_workers(n):
+                runs.append(ad.conv2d_pool_means(x, w, b))
+        (pooled1, means1), (pooled2, means2) = runs
+        assert np.array_equal(pooled1, pooled2) and np.array_equal(means1, means2)
+
+    def test_shares_keep_their_bits_under_thread_switching(self):
+        # 8 shares of 25 examples on 8 workers, more than the cores, switching
+        # threads every microsecond: a share that wrote outside its own
+        # examples would lose an update
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(8, 28, 28, 200))
+        assert ad._even_part(200, ad._COLS_BLOCK_BYTES // (8 * (8 * 25 + 6)) // 48) == 25
+        w, b = rng.normal(size=(6, 8, 5, 5)), rng.normal(size=6)
+        with share_workers(1):
+            ref = ad.conv2d_pool_means(x, w, b)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with share_workers(8):
+                caller = threading.Thread(
+                    target=lambda: runs.extend(ad.conv2d_pool_means(x, w, b) for _ in range(5)))
+                caller.start()
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(runs) == 5
+        for pooled, means in runs:
+            assert np.array_equal(pooled, ref[0]) and np.array_equal(means, ref[1])
+
+    def test_one_share_runs_on_the_calling_thread(self, monkeypatch):
+        def no_pool(pid):
+            raise AssertionError("the pool was asked for")
+
+        monkeypatch.setattr(ad, "_share_pool", no_pool)
+        rng = np.random.default_rng(16)
+        w, b = rng.normal(size=(6, 8, 5, 5)), rng.normal(size=6)
+        pooled, means = ad.conv2d_pool_means(rng.normal(size=(8, 28, 28, 1)), w, b)
+        assert pooled.shape == (6, 12, 12, 1) and means.shape == (1, 6)
+        with pytest.raises(AssertionError, match="pool"):  # 61 examples are 3 shares
+            ad.conv2d_pool_means(rng.normal(size=(8, 28, 28, 61)), w, b)
+
+    def test_a_share_error_reaches_the_caller(self, monkeypatch):
+        def failing_columns(win, rows, examples):
+            raise MemoryError(f"examples {examples.start}")
+
+        monkeypatch.setattr(ad, "_columns", failing_columns)
+        with share_workers(2), pytest.raises(MemoryError, match="examples 0"):
+            ad.conv2d_pool_means(np.ones((8, 28, 28, 61)), np.ones((6, 8, 5, 5)), np.zeros(6))
 
     def test_tiled_pass_rejects_odd_conv_extents(self):
         with pytest.raises(DimensionError, match="even"):

@@ -45,6 +45,7 @@ from helpers import (
     gradcheck,
     interior_gates,
     keep_set_forward,
+    share_workers,
     sum_all,
     to_format_version_1,
     to_format_version_2,
@@ -346,6 +347,26 @@ class TestForwardEval:
         x = rng.random((bsz, 784))
         graph = keep_set_forward(net, x, [np.arange(g.k) for g in net.gates()])
         assert np.array_equal(forward_eval(net, x), graph)
+
+    @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
+    def test_eval_logits_do_not_depend_on_the_worker_count(self, mode):
+        # at batch 61 conv2's 3 example shares run on the pool
+        rng = np.random.default_rng(6)
+        net = interior_gates(build_lenet5_caffe(seed=6), rng, mode)
+        if mode == MODE_DBB:
+            forward_train(net, rng.random((8, 784)), d.make_rng(0))  # running statistics
+        x = rng.random((61, 784))
+        logits = []
+        for n in (1, 2):
+            with share_workers(n):
+                logits.append(forward_eval(net, x))
+        assert np.array_equal(*logits)
+
+    def test_an_input_with_no_batch_axis_is_refused(self):
+        net = build_mlp((1, 2), gated=False)
+        assert forward_eval(net, [3.0]).shape == (1, 2)
+        with pytest.raises(DimensionError, match=r"got \(\)"):
+            forward_eval(net, np.float64(3.0))
 
     @pytest.mark.parametrize("case", ["conv-eval", "conv-train", "dense-eval"])
     def test_an_empty_batch_is_refused(self, case):
