@@ -118,8 +118,8 @@ def count_memory(net: Network, keep_counts=None) -> float:
 
 def _gate_info_batches(net: Network, dataset: Dataset, batch_size: int = 500):
     """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
-    if not (net.gates_enabled and net.gates()):
-        raise ContractError("gate statistics require enabled gates")
+    if not net.gates():
+        raise ContractError("gate statistics require gates")
     if len(dataset) == 0:
         raise ContractError("gate statistics need a non-empty dataset")
     if batch_size < 1:

@@ -1,7 +1,7 @@
 """Self-describing binary checkpoints for networks.
 
-File layout: one line of compact JSON (the manifest: format version, gate
-flag, ``meta`` and one entry per layer with its kind, weight ``shape``, gate
+File layout: one line of compact JSON (the manifest: format version,
+``meta`` and one entry per layer with its kind, weight ``shape``, gate
 mode and scalars, and dense ``input_select``) terminated by a single ``\\n``,
 then every layer's arrays as little-endian IEEE-754 binary64: ``w``, ``b``
 and the arrays of its gate's mode (:data:`~betadrop.gates.MODE_ARRAYS`).
@@ -9,7 +9,8 @@ Gates in different modes and a DBB gate with no input statistics are refused
 at save, before the file opens.
 The weight's shape is the only stated shape: the bias has the layer's output
 width (dense ``shape[1]``, conv ``shape[0]``) and every gate array the gate
-width ``shape[0]``.  Round trips are bit-exact.
+width ``shape[0]``.  Round trips are bit-exact.  Gates act exactly when a
+layer holds one, so a layer without one (as in a pretrained network) has gate null.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 from .gates import MODE_ARRAYS, MODE_DBB, SCALARS, GateState
 from .layers import ConvLayer, DenseLayer, Network
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _GATE_KEYS = sorted(("mode", *SCALARS))  # a gate's manifest keys, in file order
 # the number of weight extents of each layer kind
@@ -60,7 +61,6 @@ def save_checkpoint(net: Network, path) -> None:
             arrays += gate.arrays().values()
     manifest = {
         "format_version": FORMAT_VERSION,
-        "gates_enabled": net.gates_enabled,
         "meta": net.meta,
         "layers": entries,
     }
@@ -145,14 +145,12 @@ def _network_from(manifest: dict, raw: bytes) -> Network:
         raise CheckpointLengthError(
             f"payload holds {len(raw)} bytes, the layers use {cursor}"
         )
-    gates_enabled = check_json(manifest["gates_enabled"], ["bool"], "manifest gates_enabled",
-                               CheckpointError)
     meta = check_json(manifest["meta"], ["object"], "manifest meta", CheckpointError)
     for key, kind in _META_KINDS.items():
         if key in meta:
             check_json(meta[key], [kind], f"manifest {key}", CheckpointError)
     check_json(meta["input_shape"], ["list"], "manifest input_shape", CheckpointError)
     try:
-        return Network(layers, gates_enabled=gates_enabled, meta=meta)
+        return Network(layers, meta=meta)
     except ContractError as exc:
         raise CheckpointError(f"checkpoint network does not fit together: {exc}") from None

@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, check_json, describe_defaults, load_config
 from .distributions import make_rng
 from .errors import BetadropError, ContractError
-from .gates import MODE_DBB
+from .gates import MODE_BB, MODE_DBB
 from .layers import Network, build_lenet5_caffe, build_lenet_500_300, build_mlp
 from .layers import shrink  # noqa: F401  (perfbench reads it here)
 from .reporting import SparsityReport, emit_report_csv, emit_tradeoff_svg, parse_report_csv
@@ -78,14 +78,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _gate_options(cfg: dict) -> dict:
+    """The GateState fields that ``model`` sets; pretrain's gates only check them."""
+    mc = cfg["model"]
+    return dict(alpha_over_k=mc["alpha_over_k"], eps=mc["eps_gate"], momentum=mc["momentum"])
+
+
 def _build_model(cfg: dict) -> Network:
     mc = cfg["model"]
-    kwargs = dict(
-        seed=mc["seed"],
-        alpha_over_k=mc["alpha_over_k"],
-        eps=mc["eps_gate"],
-        momentum=mc["momentum"],
-    )
+    kwargs = dict(seed=mc["seed"], **_gate_options(cfg))
     if mc["arch"] == "lenet_500_300":
         return build_lenet_500_300(**kwargs)
     if mc["arch"] == "lenet5_caffe":
@@ -186,7 +187,9 @@ def _cmd_train(args, cfg) -> int:
         net = _build_model(cfg)
     else:
         net = _load_input(args, cfg)
-        if not net.gates():
+        if args.command == "train-bb":
+            net.set_gate_mode(MODE_BB, **_gate_options(cfg))
+        elif not net.gates():
             raise ContractError(
                 f"{args.command} requires gates, which prune with fold_masks=true folds "
                 "into the weights; re-run prune with fold_masks=false"
@@ -198,9 +201,9 @@ def _cmd_train(args, cfg) -> int:
     stage = net.meta["stage"]
     path = _ckpt_path(cfg, stage)
     save_checkpoint(net, path)
-    train_err = {} if net.gates_enabled else {"train_err": evaluate_error(net, train)}
+    train_err = {} if net.gates() else {"train_err": evaluate_error(net, train)}
     runtime = {}
-    if net.gates_enabled and net.gate_mode == MODE_DBB:
+    if net.gate_mode == MODE_DBB:
         runtime["mean_runtime_flops"] = runtime_prune_stats(
             net, test, cfg["prune"]["threshold"]).mean_flops
     _result(stage=stage, checkpoint=path, **train_err, test_err=evaluate_error(net, test),
@@ -225,7 +228,7 @@ def _cmd_evaluate(args, cfg) -> int:
     _, test = _load_data(cfg)
     err = evaluate_error(net, test)
     extras = {}
-    if net.gates_enabled and net.gate_mode == MODE_DBB:
+    if net.gate_mode == MODE_DBB:
         stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
         flops_orig = net.meta.get("flops_orig", stats.static_flops)
         extras["runtime_speedup"] = flops_orig / stats.mean_flops
@@ -258,7 +261,9 @@ def _cmd_sweep(args, cfg) -> int:
     save_checkpoint(base, pre_path)
     reports = []
     for run_conf in run_confs:
-        report = run_stages(load_checkpoint(pre_path), train, test, run_conf,
+        net = load_checkpoint(pre_path)
+        net.set_gate_mode(MODE_BB, **_gate_options(cfg))
+        report = run_stages(net, train, test, run_conf,
                             cfg["train"]["finetune_epochs"], threshold=cfg["prune"]["threshold"],
                             fold_masks=cfg["prune"]["fold_masks"]).report
         print(report.result_line())

@@ -90,6 +90,8 @@ class GateState:
     frozen: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not 0.0 < self.alpha_over_k < np.inf:
+            raise ContractError(f"alpha_over_k must lie in (0, inf), got {self.alpha_over_k}")
         if not 0.0 < self.eps < 0.5:
             raise ContractError(f"eps must lie in (0, 0.5), got {self.eps}")
         if not 0.0 <= self.momentum < 1.0:

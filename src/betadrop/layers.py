@@ -80,9 +80,8 @@ class Network:
     built.  The map is not kept, as callers may still drop a gate.
     """
 
-    def __init__(self, layers, gates_enabled: bool = False, meta: dict | None = None):
+    def __init__(self, layers, meta: dict | None = None):
         self.layers = list(layers)
-        self.gates_enabled = gates_enabled
         self.meta = dict(meta or {})
         unit_map(self)
         self.gate_mode  # reading it checks that the gates share one mode
@@ -111,14 +110,29 @@ class Network:
             raise ContractError(f"a network's gates must share one mode, got {sorted(modes)}")
         return modes.pop() if modes else None
 
-    def set_gate_mode(self, mode: str) -> None:
-        """Put every gate in ``mode``: MODE_DBB enters DBB on each BB gate
-        (:meth:`GateState.enter_dbb`), and a DBB gate cannot go back to BB."""
-        if mode == MODE_DBB:
+    def set_gate_mode(self, mode: str | None, **options) -> None:
+        """Add, change or drop the gates, which act exactly when the network
+        holds them.  None drops every gate.  MODE_BB gives a network without
+        gates a fresh BB gate per layer, ``GateState.create(width, **options)``,
+        on a conv layer's output channels and a dense layer's input units, and
+        leaves a BB network as it is.  MODE_DBB enters DBB on each BB gate
+        (:meth:`GateState.enter_dbb`).  Anything else raises ContractError:
+        ``options`` for any other change, DBB without gates, and DBB back to BB."""
+        current = self.gate_mode
+        if mode is None and not options:
+            for layer in self.layers:
+                layer.gate = None
+        elif mode == MODE_BB and current is None:
+            for layer in self.layers:
+                width = layer.out_channels if layer.kind == "conv" else layer.in_dim
+                layer.gate = GateState.create(width, **options)
+        elif mode == MODE_DBB and current is not None and not options:
             for g in self.gates():
                 g.enter_dbb()
-        elif mode != MODE_BB or self.gate_mode == MODE_DBB:
-            raise ContractError(f"gates cannot enter mode {mode!r}: they go from BB to DBB only")
+        elif options or mode != MODE_BB or current == MODE_DBB:
+            raise ContractError(
+                f"gates cannot enter mode {mode!r}{' with options' if options else ''} from "
+                f"mode {current!r}: new BB gates take options, and DBB is entered from BB")
 
     def variational_parameters(self) -> list[Node]:
         return [n for g in self.gates() for n in g.trainable_nodes()]
@@ -171,7 +185,7 @@ def _walk(net: Network, x: np.ndarray, gate_mask, conv_block) -> Node:
     gate_idx = 0
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        gated = net.gates_enabled and layer.gate is not None
+        gated = layer.gate is not None
         if layer.kind == "dense":
             if h.value.ndim == 4:
                 h = ad.flatten(h)
@@ -209,11 +223,9 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     """Stochastic training pass.
 
     Returns the logits node and one KL node per gated layer (in layer
-    order).  When the network's gates are disabled the pass is a plain
-    forward and the KL list is empty.
+    order).  A network without gates gets a plain forward and an empty KL
+    list.
     """
-    if net.gates_enabled and not net.gates():
-        raise ContractError("gates are enabled but the network has none")
     kl_terms: list[Node] = []
 
     def sampled_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
@@ -264,50 +276,37 @@ def build_lenet_500_300(seed: int = 0, **gate_options) -> Network:
 
     ``gate_options`` are :class:`GateState` scalar fields, set on every gate.
     """
-    rng = make_rng(seed)
-    dims = (784, 500, 300, 10)
-    layers = []
-    for i in range(3):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        layers.append(
-            DenseLayer(
-                _init_dense(rng, fan_in, fan_out, relu_gain=i < 2),
-                np.zeros(fan_out),
-                gate=GateState.create(fan_in, **gate_options),
-            )
-        )
-    return Network(layers, meta={"arch": "lenet_500_300", "input_shape": [784]})
+    net = build_mlp((784, 500, 300, 10), seed, **gate_options)
+    net.meta = {"arch": "lenet_500_300", "input_shape": [784]}
+    return net
 
 
 def build_lenet5_caffe(seed: int = 0, **gate_options) -> Network:
     """20/50-channel 5x5 conv stack + 800-500-10 dense head, gated 20-50-800-500."""
     rng = make_rng(seed)
-    g = lambda k: GateState.create(k, **gate_options)
     layers = [
-        ConvLayer(_init_conv(rng, 20, 1, 5), np.zeros(20), gate=g(20)),
-        ConvLayer(_init_conv(rng, 50, 20, 5), np.zeros(50), gate=g(50)),
-        DenseLayer(_init_dense(rng, 800, 500, True), np.zeros(500), gate=g(800)),
-        DenseLayer(_init_dense(rng, 500, 10, False), np.zeros(10), gate=g(500)),
+        ConvLayer(_init_conv(rng, 20, 1, 5), np.zeros(20)),
+        ConvLayer(_init_conv(rng, 50, 20, 5), np.zeros(50)),
+        DenseLayer(_init_dense(rng, 800, 500, True), np.zeros(500)),
+        DenseLayer(_init_dense(rng, 500, 10, False), np.zeros(10)),
     ]
-    return Network(layers, meta={"arch": "lenet5_caffe", "input_shape": [1, 28, 28]})
+    net = Network(layers, meta={"arch": "lenet5_caffe", "input_shape": [1, 28, 28]})
+    net.set_gate_mode(MODE_BB, **gate_options)
+    return net
 
 
-def build_mlp(dims, seed: int = 0, gated: bool = True, **gate_options) -> Network:
+def build_mlp(dims, seed: int = 0, **gate_options) -> Network:
     """Generic gated MLP for fixtures and custom runs; gates every layer input."""
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or min(dims) < 1:
         raise DimensionError(f"mlp dims must be two or more positive widths, got {list(dims)}")
     rng = make_rng(seed)
-    layers = []
-    for i in range(len(dims) - 1):
-        layers.append(
-            DenseLayer(
-                _init_dense(rng, dims[i], dims[i + 1], relu_gain=i < len(dims) - 2),
-                np.zeros(dims[i + 1]),
-                gate=GateState.create(dims[i], **gate_options) if gated else None,
-            )
-        )
-    return Network(layers, meta={"arch": "mlp", "dims": list(dims), "input_shape": [dims[0]]})
+    layers = [DenseLayer(_init_dense(rng, dims[i], dims[i + 1], relu_gain=i < len(dims) - 2),
+                         np.zeros(dims[i + 1]))
+              for i in range(len(dims) - 1)]
+    net = Network(layers, meta={"arch": "mlp", "dims": list(dims), "input_shape": [dims[0]]})
+    net.set_gate_mode(MODE_BB, **gate_options)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +484,4 @@ def shrink(net: Network, keep_sets, fold_masks: bool = False) -> Network:
             gate = None
         new_layers.append(DenseLayer(w, layer.b.value.copy(), gate=gate, input_select=select))
 
-    still_gated = any(l.gate is not None for l in new_layers)
-    return Network(new_layers, gates_enabled=net.gates_enabled and still_gated,
-                   meta=dict(net.meta))
+    return Network(new_layers, meta=dict(net.meta))

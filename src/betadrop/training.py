@@ -165,8 +165,6 @@ def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> flo
 
 def _expected_flops(net: Network) -> float:
     """MACs of the network that pruning at the default threshold would leave."""
-    if not net.gates():
-        return float(count_flops(net)[0])
     try:
         counts = [k.size for k in prune_by_threshold(net)]
     except PruneCollapseError:  # a gate momentarily empty mid-training
@@ -196,18 +194,18 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
            log: MetricsLog | None) -> list[float]:
     """The one training loop behind every stage; returns the loss sequence.
 
-    ``gate_mode`` None trains with gates disabled, every parameter at
-    ``lr_variational``.  MODE_BB and MODE_DBB set the gates' mode and train
+    It first calls ``net.set_gate_mode(gate_mode)``.  ``gate_mode`` None
+    drops the gates and trains every parameter at ``lr_variational``.
+    MODE_BB (default BB gates on a network without them) and MODE_DBB train
     the weights at ``effective_lr_weights()`` and the gates' trainable
     parameters at ``lr_variational``.  In MODE_DBB the Kumaraswamy raws
     (q(pi)) are read-only constants, checked after every step to still be
     the arrays each gate froze.
     """
-    net.gates_enabled = gate_mode is not None
+    net.set_gate_mode(gate_mode)
     if gate_mode is None:
         rates = [(net.parameters(), config.lr_variational)]
     else:
-        net.set_gate_mode(gate_mode)
         rates = [(net.parameters(), config.effective_lr_weights()),
                  (net.variational_parameters(), config.lr_variational)]
     groups = [(params, AdamState.for_params(params), lr) for params, lr in rates]
@@ -253,7 +251,7 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
 
 def pretrain(net: Network, data: Dataset, config: TrainConfig, epochs: int,
              eval_data: Dataset | None = None, log: MetricsLog | None = None) -> list[float]:
-    """Plain NLL + weight-decay training with gates disabled."""
+    """Plain NLL + weight-decay training; drops the network's gates first."""
     return _train(net, data, config, epochs, None, eval_data, log)
 
 

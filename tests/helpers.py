@@ -100,7 +100,6 @@ def interior_gates(net, rng, mode):
     symmetric init, so clamp and relu kinks stay away from finite-difference
     steps.  Each gate draws five arrays from ``rng`` in either mode.  The
     raws move before the gates enter ``mode``, as a DBB gate's are frozen."""
-    net.gates_enabled = True
     draws = [[rng.normal(mean, spread, g.k) for mean, spread in
               ((0, 0.3), (0, 0.3), (0.6, 0.1), (0.3, 0.05), (0, 0.1))] for g in net.gates()]
     for g, (a, b, *_) in zip(net.gates(), draws):
@@ -443,10 +442,6 @@ WRONG_TYPED_MANIFESTS = {
         lambda m: m["meta"].update(input_shape="abcd"),
         "input_shape must be a list, got 'abcd'",
     ),
-    "gates-enabled-string": (
-        lambda m: m.update(gates_enabled="no"),
-        "gates_enabled must be true or false, got 'no'",
-    ),
     # the meta fields that stages read
     "meta-list": (
         lambda m: m.update(meta=[]),
@@ -506,7 +501,7 @@ def to_format_version_2(manifest) -> None:
 def to_format_version_3(manifest) -> None:
     """Turn a DBB network's manifest into its format-version-3 form, whose
     gates also held a ``stats_initialized`` flag.  Format 3 stored seven
-    arrays per gate, as format 5 does for a DBB gate, so the payload fits."""
+    arrays per gate, as format 6 does for a DBB gate, so the payload fits."""
     manifest["format_version"] = 3
     for entry in manifest["layers"]:
         if entry["gate"] is not None:
@@ -515,11 +510,18 @@ def to_format_version_3(manifest) -> None:
 
 def to_format_version_4(manifest) -> None:
     """Turn a manifest into its format-version-4 form, whose gates also held a
-    ``sigma_floor``.  Format 4 stored the payload as format 5 does."""
+    ``sigma_floor``.  Format 4 stored the payload as format 6 does."""
     manifest["format_version"] = 4
     for entry in manifest["layers"]:
         if entry["gate"] is not None:
             entry["gate"]["sigma_floor"] = 0.001
+
+
+def to_format_version_5(manifest) -> None:
+    """Give a manifest format version 5.  Format 5 also held a boolean switch
+    saying whether the gates act, and stored the payload as format 6 does;
+    the loader refuses the version before it reads any other key."""
+    manifest["format_version"] = 5
 
 
 def edit_manifest(path, edit) -> None:
@@ -541,14 +543,14 @@ def _lenet5_reading(input_shape):
 
 def _unbuilt(*kinds):
     """Write a checkpoint of layers that no Network accepts, for a [1, 6, 6]
-    input: ``save_checkpoint`` reads only ``layers``, ``gates_enabled``,
-    ``gate_mode`` and ``meta``.  A "conv" is 4 3x3 filters on 1 channel,
+    input: ``save_checkpoint`` reads only ``layers``, ``gate_mode`` and
+    ``meta``.  A "conv" is 4 3x3 filters on 1 channel,
     giving 4 x 2 x 2 pooled values; a "dense<n>" maps n inputs to 2 outputs."""
     def write(path):
         stack = [layers.ConvLayer(np.ones((4, 1, 3, 3)), np.zeros(4)) if kind == "conv"
                  else layers.DenseLayer(np.ones((int(kind[5:]), 2)), np.zeros(2))
                  for kind in kinds]
-        save_checkpoint(SimpleNamespace(layers=stack, gates_enabled=False, gate_mode=None,
+        save_checkpoint(SimpleNamespace(layers=stack, gate_mode=None,
                                         meta={"input_shape": [1, 6, 6]}), path)
     return write
 

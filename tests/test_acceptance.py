@@ -87,7 +87,6 @@ def _dbb_runtime_fixture():
     the 1e-3 prune threshold.
     """
     net = build_lenet_500_300()
-    net.gates_enabled = True
     net.set_gate_mode(MODE_DBB)
     first, *hidden = net.gates()
     for g in net.gates():
@@ -416,7 +415,6 @@ def test_criterion_9_shrink_equivalence():
             (build_lenet5_caffe, (1, 28, 28)),
         ):
             net = build(seed=4)
-            net.gates_enabled = True
             for g in net.gates():
                 g.a_raw.value = g.a_raw.value + rng.normal(0, 0.4, g.k)
             keeps = [

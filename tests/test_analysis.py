@@ -166,7 +166,6 @@ class TestFlopsAndMemory:
 
 def make_dbb_net(seed=0, k=6, hidden=4):
     net = build_mlp((k, hidden, 2), seed=seed)
-    net.gates_enabled = True
     rng = d.make_rng(seed)
     net.set_gate_mode(MODE_DBB)
     for g in net.gates():
@@ -253,7 +252,6 @@ class TestRuntimeStats:
         # only the inputs above its running mean keep: the others must not
         # count its 16 flattened positions in the dense gate either
         net = build_lenet5_caffe(seed=0)
-        net.gates_enabled = True
         net.set_gate_mode(MODE_DBB)
         x = d.make_rng(5).random((12, 1, 28, 28))
         forward_train(net, x, d.make_rng(6))  # sets the running statistics
@@ -281,7 +279,6 @@ class TestRuntimeStats:
         keeps = [np.sort(rng.choice(k, round(0.75 * k), replace=False))
                  for k in (20, 50, 800, 500)]
         net = shrink(net, keeps)
-        net.gates_enabled = True
         net.set_gate_mode(MODE_DBB)
         for g in net.gates():
             g.gamma.value = rng.normal(1.0, 0.25, g.k)
@@ -302,7 +299,6 @@ class TestRuntimeStats:
 
     def test_requires_dbb_mode(self):
         net = build_mlp((4, 2))
-        net.gates_enabled = True
         ds = Dataset(np.zeros((4, 4)), np.zeros(4, dtype=np.int64))
         with pytest.raises(ContractError):
             runtime_prune_stats(net, ds)
@@ -372,7 +368,6 @@ class TestCorrelation:
         # an untrained BB net masks every unit by E[pi] = 0.9: centering those
         # vectors leaves only rounding residue, which must not read as r = 1
         net = build_mlp((20, 8, 2), seed=0)
-        net.gates_enabled = True
         rng = d.make_rng(12)
         ds = Dataset(rng.normal(size=(40, 20)), np.repeat([0, 1], 20).astype(np.int64))
         for mat in class_average_gate_correlation(net, ds).matrices:
@@ -403,12 +398,17 @@ def test_empty_dataset_is_contract_error(analysis):
     [runtime_prune_stats, class_average_gate_correlation, within_cross_gate_correlation],
     ids=lambda f: f.__name__,
 )
-@pytest.mark.parametrize("disable", ["gates_disabled", "ungated"])
+@pytest.mark.parametrize("disable", ["ungated", "folded"])
 def test_gate_statistics_without_enabled_gates_is_contract_error(analysis, disable):
-    net = make_dbb_net() if disable == "gates_disabled" else build_mlp((6, 4, 2), gated=False)
-    net.gates_enabled = False
+    # a network loses its gates when a stage drops them or a prune folds them
+    if disable == "ungated":
+        net = make_dbb_net()
+        net.set_gate_mode(None)
+    else:
+        net = build_mlp((6, 4, 2))
+        net = shrink(net, [np.arange(g.k) for g in net.gates()], fold_masks=True)
     ds = Dataset(d.make_rng(4).normal(size=(12, 6)), np.repeat([0, 1], 6).astype(np.int64))
-    with pytest.raises(ContractError, match="require enabled gates"):
+    with pytest.raises(ContractError, match="require gates"):
         analysis(net, ds)
 
 

@@ -188,13 +188,16 @@ class TestElementwise:
         assert np.array_equal(p.grad, [3.0, 3.0]) and c._grad is None
 
 
-def assert_pooled_conv_equals_the_graph(x, w, b, means_bit_equal=False):
+def assert_pooled_conv_equals_the_graph(x, w, b, means_bit_equal=False, pooled_bit_equal=True):
     """The tiled pass's pooled map equals the graph's ``maxpool2x2(conv2d)`` bit
-    for bit, and its channel means ``global_avg_pool`` within 1e-13 of the
-    largest mean (a mean near 0 is a sum that cancels), or bit for bit."""
+    for bit, or within 1e-14 of its largest value, and its channel means
+    ``global_avg_pool`` within 1e-13 of the largest mean (a mean near 0 is a
+    sum that cancels), or bit for bit."""
     pooled, means = ad.conv2d_pool_means(x, w, b)
     conv = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b))
-    assert np.array_equal(pooled, ad.maxpool2x2(conv).value)
+    graph = ad.maxpool2x2(conv).value
+    assert np.array_equal(pooled, graph) or not pooled_bit_equal
+    assert np.abs(pooled - graph).max() <= 1e-14 * np.abs(graph).max()
     ref = ad.global_avg_pool(conv).value
     assert np.array_equal(means, ref) or not means_bit_equal
     assert np.abs(means - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -324,9 +327,9 @@ class TestConv2d:
         assert_pooled_conv_equals_the_graph(x, w, b, means_bit_equal=bsz == 1)
 
     @pytest.mark.parametrize("cin,h,cout,bsz", [(8, 28, 6, 10), (8, 28, 6, 61), (20, 12, 50, 61),
-                                                (8, 36, 6, 5)],
+                                                (8, 36, 6, 5), (20, 20, 6, 200)],
                              ids=["ragged-rows", "ragged-examples", "lenet-conv2",
-                                  "ragged-row-pairs"])
+                                  "ragged-row-pairs", "rounded-16-wide"])
     def test_no_grad_tiles_equal_the_graph_value(self, cin, h, cout, bsz):
         # A tile holds some output row pairs of every example, or one row pair
         # of an even share of the examples; here the last tile is the smaller
@@ -336,6 +339,8 @@ class TestConv2d:
         # into 6 tiles of 2.  lenet-conv2, conv2 of lenet5_caffe: tiles of 29,
         # 29 and 3 examples would end in a 48-column GEMM, whose values
         # OpenBLAS computes with other bits than the graph's 3,904 columns.
+        # rounded-16-wide: tiles of 16 examples give pooled values that differ
+        # from the graph's in the last bits, though 16 is a multiple of 8.
         ho = h - 4
         ncols = ad._COLS_BLOCK_BYTES // (8 * (cin * 25 + cout))
         nex = ad._even_part(bsz, ncols // (2 * ho))
@@ -347,7 +352,7 @@ class TestConv2d:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(cin, h, h, bsz))
         w, b = rng.normal(size=(cout, cin, 5, 5)), rng.normal(size=cout)
-        assert_pooled_conv_equals_the_graph(x, w, b)
+        assert_pooled_conv_equals_the_graph(x, w, b, pooled_bit_equal=h != 20)
 
     def test_no_grad_columns_stay_within_the_block_budget(self):
         # conv2 of a shrunk lenet5_caffe (15 -> 38 channels) at batch 500: the

@@ -65,7 +65,6 @@ def test_every_gate_a_network_holds_is_a_gate_state(tmp_path):
     # a subclass overriding the patched methods would escape the trace
     net = layers.build_lenet5_caffe(seed=0)
     nets = [net]
-    net.gates_enabled = True
     net.set_gate_mode(gates.MODE_DBB)
     for g in net.gates():
         g.gamma.value = g.gamma.value + 0.5  # the DBB workload sets these two leaves
@@ -96,7 +95,6 @@ def test_training_builds_its_gate_graph_through_the_names_the_tracer_rebinds(mon
                     if value is original:
                         monkeypatch.setattr(mod, attr, counted)
     net = layers.build_mlp((6, 5, 2))
-    net.gates_enabled = True
     if dbb:
         net.set_gate_mode(gates.MODE_DBB)
     layers.forward_train(net, make_rng(1).normal(size=(4, 6)), make_rng(2))

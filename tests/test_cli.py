@@ -198,7 +198,6 @@ class TestUsageErrors:
                                                            stage):
         # every expected mask is below E[pi] = 0.9 at init; evaluate divided by zero
         net = build_mlp((20, 16, 2), seed=0)
-        net.gates_enabled = True
         if stage == "dbb":
             net.set_gate_mode(MODE_DBB)
             for g in net.gates():
@@ -302,6 +301,8 @@ class TestUsageErrors:
         write_idx(rng.integers(0, 256, (20, 28, 28), dtype=np.uint8), rng.integers(0, 10, 20),
                   images, labels)
         net = build_lenet5_caffe()
+        if stage == "pretrained":
+            net.set_gate_mode(None)
         net.meta["stage"] = stage
         save_checkpoint(net, tmp_path / "in.ckpt")
         cfg = tmp_path / "config.json"
@@ -341,16 +342,35 @@ class TestConfigHomes:
 
     @pytest.mark.parametrize("key", sorted(GATE_OPTIONS))
     def test_gate_option_under_model_reaches_every_gate(self, tmp_path, key):
+        # pretraining drops the gates; train-bb adds them with the model's options
         name, value = GATE_OPTIONS[key]
-        cfg = write_config(tmp_path, model={key: value}, train={"pretrain_epochs": 1})
+        cfg = write_config(tmp_path, model={key: value},
+                           train={"pretrain_epochs": 1, "finetune_epochs": 1})
         assert main(["pretrain", "--config", str(cfg)]) == 0
-        net = load_checkpoint(tmp_path / "run" / "pretrained.ckpt")
+        assert load_checkpoint(tmp_path / "run" / "pretrained.ckpt").gates() == []
+        assert main(["train-bb", "--config", str(cfg)]) == 0
+        net = load_checkpoint(tmp_path / "run" / "bb.ckpt")
         assert len(net.gates()) == 2
         assert all(getattr(g, name) == value for g in net.gates())
 
+    def test_sweep_gives_every_run_gates_with_the_model_options(self, tmp_path, monkeypatch):
+        real, seen = cli.run_stages, []
+
+        def spy(net, *args, **kwargs):
+            seen.append([(g.alpha_over_k, g.eps, g.momentum) for g in net.gates()])
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stages", spy)
+        cfg = write_config(tmp_path, model={key: value for key, (_, value) in GATE_OPTIONS.items()},
+                           train={"pretrain_epochs": 1, "finetune_epochs": 1},
+                           sweep={"kl_scales": [1.0, 2.0]})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert load_checkpoint(tmp_path / "run" / "pretrained.ckpt").gates() == []
+        assert seen == [[(0.5, 0.2, 0.1)] * 2] * 2
+
     @pytest.mark.parametrize("section,key,value", [
         ("model", "momentum", 1.5), ("data", "val_fraction", 1.5), ("data", "noise", -1.0),
-        ("model", "dims", [20, 0, 2]),
+        ("model", "dims", [20, 0, 2]), ("model", "alpha_over_k", 0.0),
     ])
     def test_out_of_range_setting_is_runtime_error(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path, **{section: {key: value}})
@@ -460,7 +480,7 @@ class TestPipeline:
         pretrained = str(tmp_path / "run" / "pretrained.ckpt")
         assert main(["analyze-correlation", "--config", str(cfg), "--init", pretrained]) == 2
         err = capsys.readouterr().err
-        assert "require enabled gates" in err and "Traceback" not in err
+        assert "require gates" in err and "Traceback" not in err
 
     def test_metrics_log_emitted(self, pipeline):
         tmp_path, _ = pipeline

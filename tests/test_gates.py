@@ -94,6 +94,12 @@ class TestInitialization:
         with pytest.raises(ContractError, match="momentum"):
             GateState.create(3, momentum=momentum)
 
+    @pytest.mark.parametrize("alpha_over_k", [0.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_over_k_not_finite_and_positive_rejected(self, alpha_over_k):
+        # these failed only at the first KL, or gave a NaN one
+        with pytest.raises(ContractError, match="alpha_over_k"):
+            GateState.create(3, alpha_over_k=alpha_over_k)
+
     @pytest.mark.parametrize("name", ["a_raw", "b_raw"])
     def test_shape_that_softplus_sends_to_zero_rejected(self, name):
         # softplus(-800) is 0.0, which kumaraswamy_mean refused only on the first eval
@@ -244,7 +250,6 @@ class TestFrozenPosterior:
         from betadrop.layers import forward_train
 
         net = build_mlp((5, 4, 2), seed=3, alpha_over_k=0.3)
-        net.gates_enabled = True
         for g in net.gates():
             assert g.frozen is None  # a BB gate's raws train
             g.a_raw.value = g.a_raw.value + np.linspace(-0.5, 0.5, g.k)

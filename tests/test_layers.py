@@ -51,6 +51,7 @@ from helpers import (
     to_format_version_2,
     to_format_version_3,
     to_format_version_4,
+    to_format_version_5,
 )
 
 RNG = np.random.default_rng(2024)
@@ -66,6 +67,13 @@ def dense(n_in, n_out=2, gate=None, select=None):
 
 def toy_net(seed=0, dims=(6, 5, 3), mode=MODE_BB):
     return interior_gates(build_mlp(dims, seed=seed), d.make_rng(seed + 50), mode)
+
+
+def mlp_in_mode(mode):
+    """A (6, 5, 2) MLP with its gates in ``mode``, or with none for None."""
+    net = build_mlp((6, 5, 2))
+    net.set_gate_mode(mode)
+    return net
 
 
 class TestBuilders:
@@ -85,7 +93,6 @@ class TestBuilders:
         net = build_lenet5_caffe()
         x = RNG.random((2, 1, 28, 28))
         assert forward_eval(net, x).shape == (2, 10)
-        net.gates_enabled = True
         logits, kl = forward_train(net, x, d.make_rng(0))
         assert logits.value.shape == (2, 10)
         assert len(kl) == 4
@@ -94,7 +101,6 @@ class TestBuilders:
         # the network input is a constant, so conv1's backward skips its
         # column gradient and col2im, and no gradient is stored for it
         net = build_lenet5_caffe()
-        net.gates_enabled = True
         x = np.random.default_rng(7).random((3, 28, 28))
         logits, _ = forward_train(net, x, d.make_rng(0))
         ad.backward(sum_all(logits))
@@ -122,10 +128,11 @@ class TestBuilders:
 
     def test_gate_mode_is_the_mode_every_gate_shares(self):
         net = build_mlp((6, 5, 2))
-        assert build_mlp((6, 5, 2), gated=False).gate_mode is None
         assert net.gate_mode == MODE_BB
         net.set_gate_mode(MODE_DBB)
         assert net.gate_mode == MODE_DBB
+        net.set_gate_mode(None)
+        assert net.gate_mode is None
 
     def test_gates_in_different_modes_are_refused_when_built(self):
         net = build_mlp((6, 5, 2))
@@ -175,11 +182,53 @@ class TestBuilders:
 
     def test_flat_and_image_inputs_give_the_same_conv_logits(self):
         net = build_lenet5_caffe(seed=1)
-        net.gates_enabled = True
         x = RNG.random((3, 1, 28, 28))
         logits = forward_eval(net, x)
         for shaped in (x.reshape(3, 784), x.reshape(3, 28, 28)):
             assert np.array_equal(forward_eval(net, shaped), logits)
+
+
+class TestSetGateMode:
+    @pytest.mark.parametrize("start", [None, MODE_BB, MODE_DBB], ids=str)
+    @pytest.mark.parametrize("mode", [None, MODE_BB, MODE_DBB], ids=str)
+    def test_each_transition(self, start, mode):
+        # gates are added in BB to a network without them and enter DBB from
+        # BB; None drops them from any mode, and DBB stays DBB
+        net = mlp_in_mode(start)
+        ids = [id(g) for g in net.gates()]
+        if (start, mode) in [(None, MODE_DBB), (MODE_DBB, MODE_BB)]:
+            with pytest.raises(ContractError, match=f"enter mode {mode!r} from mode {start!r}"):
+                net.set_gate_mode(mode)
+            assert net.gate_mode == start and [id(g) for g in net.gates()] == ids
+            return
+        net.set_gate_mode(mode)
+        assert net.gate_mode == mode
+        if mode is None:
+            assert net.gates() == [] and all(layer.gate is None for layer in net.layers)
+        elif start is None:
+            assert [g.k for g in net.gates()] == [6, 5]
+        else:  # the same gates, a BB one entering DBB in place
+            assert [id(g) for g in net.gates()] == ids
+
+    @pytest.mark.parametrize("start,mode", [(None, None), (None, MODE_DBB), (MODE_BB, MODE_BB),
+                                            (MODE_BB, MODE_DBB), (MODE_DBB, MODE_DBB)], ids=str)
+    def test_options_go_only_to_new_bb_gates(self, start, mode):
+        net = mlp_in_mode(start)
+        with pytest.raises(ContractError, match="with options"):
+            net.set_gate_mode(mode, eps=0.2)
+        assert net.gate_mode == start
+        assert all(g.eps == GateState.create(1).eps for g in net.gates())
+
+    def test_new_bb_gates_are_those_the_builder_makes(self):
+        built = build_lenet5_caffe(seed=0, alpha_over_k=0.5, eps=0.2, momentum=0.1)
+        net = build_lenet5_caffe(seed=0)
+        net.set_gate_mode(None)
+        net.set_gate_mode(MODE_BB, alpha_over_k=0.5, eps=0.2, momentum=0.1)
+        assert [g.k for g in net.gates()] == [20, 50, 800, 500]
+        for gate, ref in zip(net.gates(), built.gates(), strict=True):
+            assert (gate.alpha_over_k, gate.eps, gate.momentum) == (0.5, 0.2, 0.1)
+            assert gate.arrays().keys() == ref.arrays().keys()
+            assert all(np.array_equal(v, ref.arrays()[k]) for k, v in gate.arrays().items())
 
 
 class TestForwardTrain:
@@ -188,7 +237,7 @@ class TestForwardTrain:
         x = RNG.normal(size=(4, 6))
         forced = {i: np.ones((4, g.k)) for i, g in enumerate(net.gates())}
         logits = forced_mask_forward(net, x, forced)
-        net.gates_enabled = False
+        net.set_gate_mode(None)
         plain, kl = forward_train(net, x, d.make_rng(0))
         assert np.array_equal(logits.value, plain.value)
         assert kl == []
@@ -207,7 +256,6 @@ class TestForwardTrain:
         # the walk runs conv, pool, relu, mask; the logits equal those of
         # conv, mask, relu, pool bit for bit, also for masks with exact zeros
         net = build_lenet5_caffe(seed=2)
-        net.gates_enabled = True
         x = RNG.random((6, 28, 28))
         masks = {}
         for i, g in enumerate(net.gates()):
@@ -249,7 +297,6 @@ class TestForwardTrain:
 
         monkeypatch.setattr(ad, name, recording)
         net = build_lenet5_caffe(seed=4)
-        net.gates_enabled = True
         x = RNG.random((3, 28, 28))
         if train:
             forward_train(net, x.reshape(3, -1), d.make_rng(0))
@@ -258,11 +305,12 @@ class TestForwardTrain:
         assert seen == [((1, 28, 28, 3), True), ((20, 12, 12, 3), True)]
 
     def test_missing_gate_contract(self):
-        net = build_mlp((4, 3), gated=False)
-        net.gates_enabled = True
-        x = RNG.normal(size=(2, 4))
-        with pytest.raises(ContractError):
-            forward_train(net, x, d.make_rng(0))
+        # a DBB pass needs the BB gates that DBB is entered from
+        net = build_mlp((4, 3))
+        net.set_gate_mode(None)
+        with pytest.raises(ContractError, match="enter mode 'dbb' from mode None"):
+            net.set_gate_mode(MODE_DBB)
+        assert net.gates() == []
 
     @pytest.mark.parametrize("mode", [MODE_BB, MODE_DBB])
     def test_full_loss_gradients_match_fd(self, mode):
@@ -281,7 +329,6 @@ class TestForwardTrain:
         gradcheck(loss, params, rtol=1e-4, atol=1e-7)
 
     def test_conv_net_loss_gradients_match_fd(self):
-        net = build_mlp((4, 3), seed=0, gated=False)  # placeholder, replaced below
         from betadrop.gates import GateState
         from betadrop.layers import ConvLayer, DenseLayer, Network
 
@@ -298,7 +345,6 @@ class TestForwardTrain:
                 ConvLayer(conv_w, rng.normal(0, 0.1, 3), gate=gate_c),
                 DenseLayer(dense_w, np.zeros(3), gate=gate_d),
             ],
-            gates_enabled=True,
             meta={"input_shape": [1, 6, 6]},
         )
         x = rng.normal(size=(2, 1, 6, 6))
@@ -363,7 +409,8 @@ class TestForwardEval:
         assert np.array_equal(*logits)
 
     def test_an_input_with_no_batch_axis_is_refused(self):
-        net = build_mlp((1, 2), gated=False)
+        net = build_mlp((1, 2))
+        net.set_gate_mode(None)
         assert forward_eval(net, [3.0]).shape == (1, 2)
         with pytest.raises(DimensionError, match=r"got \(\)"):
             forward_eval(net, np.float64(3.0))
@@ -371,7 +418,6 @@ class TestForwardEval:
     @pytest.mark.parametrize("case", ["conv-eval", "conv-train", "dense-eval"])
     def test_an_empty_batch_is_refused(self, case):
         net = build_lenet5_caffe(seed=0) if case.startswith("conv") else build_lenet_500_300()
-        net.gates_enabled = True
         x = np.zeros((0, 784))
         with pytest.raises(ContractError, match="at least one example"):
             if case.endswith("train"):
@@ -388,7 +434,7 @@ class TestForwardEval:
             assert g.expected_pi() == pytest.approx(np.ones(g.k), abs=2e-8)
         x = RNG.normal(size=(5, 6))
         gated = forward_eval(net, x)
-        net.gates_enabled = False
+        net.set_gate_mode(None)
         plain = forward_eval(net, x)
         assert np.allclose(gated, plain, atol=1e-6)
 
@@ -403,7 +449,6 @@ class TestForwardEval:
         # positive weights keep relus in their linear region, where averaging
         # independent hard masks commutes with the forward pass
         net = build_mlp((4, 3, 2), seed=9)
-        net.gates_enabled = True
         for layer in net.layers:
             layer.w.value = np.abs(layer.w.value)
         x = np.abs(RNG.normal(size=(2, 4))) + 0.1
@@ -517,7 +562,6 @@ class TestShrink:
 
     def test_equivalence_random_keeps_lenet5(self):
         net = build_lenet5_caffe(seed=1)
-        net.gates_enabled = True
         rng = d.make_rng(9)
         for g in net.gates():
             g.a_raw.value = g.a_raw.value + rng.normal(0, 0.4, g.k)
@@ -530,7 +574,6 @@ class TestShrink:
 
     def test_equivalence_lenet_500_300_folded(self):
         net = build_lenet_500_300(seed=2)
-        net.gates_enabled = True
         rng = d.make_rng(10)
         for g in net.gates():
             g.a_raw.value = g.a_raw.value + rng.normal(0, 0.4, g.k)
@@ -547,7 +590,6 @@ class TestShrink:
         # once-shrunk net, including a dense gate reading through input_select
         rng = d.make_rng(seed)
         net = build_lenet5_caffe(seed=seed) if seed % 2 else toy_net(seed, dims=(9, 8, 6, 3))
-        net.gates_enabled = True
         x = RNG.random((3, 1, 28, 28)) if seed % 2 else RNG.normal(size=(3, 9))
         once = shrink(net, self._random_keeps(net, rng, frac=0.7))
         keeps = self._random_keeps(once, rng, frac=0.6)
@@ -558,7 +600,6 @@ class TestShrink:
     @pytest.mark.parametrize("ungated", [(0,), (1,), (2,), (3,), (0, 2), (1, 3), (1, 2)])
     def test_ungated_layers_keep_all_their_units(self, ungated):
         net = build_lenet5_caffe(seed=4)
-        net.gates_enabled = True
         for i in ungated:
             net.layers[i].gate = None
         rng = d.make_rng(len(ungated) + 10 * ungated[0])
@@ -596,7 +637,6 @@ class TestShrink:
 
     def test_conv_channel_mask_zeroes_whole_channel(self):
         net = build_lenet5_caffe(seed=3)
-        net.gates_enabled = True
         x = RNG.random((2, 1, 28, 28))
         ref = forward_eval(net, x)
         g0 = net.gates()[0]
@@ -715,7 +755,6 @@ class TestCheckpoint:
 
     def test_lenet5_round_trip_gives_identical_logits(self, tmp_path):
         net = build_lenet5_caffe(seed=7)
-        net.gates_enabled = True
         rng = d.make_rng(7)
         for g in net.gates():
             g.a_raw.value = g.a_raw.value + rng.normal(0, 0.3, g.k)
@@ -790,21 +829,19 @@ class TestCheckpoint:
             save_checkpoint(net, path)  # refused before the file opens
         assert not path.exists()
         # so write the file past the save-time check
-        save_checkpoint(SimpleNamespace(layers=net.layers, gates_enabled=net.gates_enabled,
-                                        gate_mode=None, meta=net.meta), path)
+        save_checkpoint(SimpleNamespace(layers=net.layers, gate_mode=None, meta=net.meta), path)
         with pytest.raises(CheckpointError, match="gates must share one mode"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mode,manifest,payload", [
-        (MODE_BB, '{"format_version":5,"gates_enabled":false,', (552, "c1e5df30eace9b72")),
-        (MODE_DBB, '{"format_version":5,"gates_enabled":true,', (992, "06a9e2a41cc15f2d")),
+        (MODE_BB, '{"format_version":6,', (552, "c1e5df30eace9b72")),
+        (MODE_DBB, '{"format_version":6,', (992, "06a9e2a41cc15f2d")),
     ], ids=[MODE_BB, MODE_DBB])
     def test_checkpoint_bytes_are_pinned(self, tmp_path, mode, manifest, payload):
         # key order and payload order are the file format: a change to either
         # must change FORMAT_VERSION, not slip through a round trip
         net = build_mlp((6, 5, 2), seed=0)
         if mode == MODE_DBB:
-            net.gates_enabled = True
             net.set_gate_mode(MODE_DBB)
             rng = d.make_rng(1)
             for g in net.gates():
@@ -884,7 +921,9 @@ class TestCheckpoint:
     def test_shape_beyond_or_short_of_the_payload(self, tmp_path, shape, error):
         # an ungated (2, 1) layer stores 2 weights and 1 bias
         path = tmp_path / "net.ckpt"
-        save_checkpoint(build_mlp((2, 1), gated=False), path)
+        net = build_mlp((2, 1))
+        net.set_gate_mode(None)
+        save_checkpoint(net, path)
         edit_manifest(path, lambda m: m["layers"][0].update(shape=shape))
         with pytest.raises(error):
             load_checkpoint(path)
@@ -921,6 +960,14 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         edit_manifest(path, to_format_version_4)
         with pytest.raises(CheckpointVersionError, match="version 4 "):
+            load_checkpoint(path)
+
+    def test_version_5_file_is_version_error(self, tmp_path):
+        # format 5 held a switch beside the gates that said whether they act
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(toy_net(seed=28), path)
+        edit_manifest(path, to_format_version_5)
+        with pytest.raises(CheckpointVersionError, match="version 5 "):
             load_checkpoint(path)
 
     def test_payload_holds_two_arrays_per_bb_gate_and_seven_per_dbb_gate(self, tmp_path):
@@ -1047,7 +1094,6 @@ class TestCheckpointMutations:
     def _bases(self):
         """A shrunk BB lenet5_caffe and a shrunk DBB mlp, each with input_selects."""
         lenet = build_lenet5_caffe(seed=3)
-        lenet.gates_enabled = True
         lenet = shrink(lenet, [np.arange(0, 20, 5), np.arange(0, 50, 8),
                                np.arange(0, 800, 3), np.arange(0, 500, 25)])
         mlp = toy_net(seed=4, dims=(12, 9, 6, 3), mode=MODE_DBB)

@@ -97,7 +97,6 @@ class TestAdam:
 
 def small_net(seed=0, dims=(6, 5, 2)):
     net = build_mlp(dims, seed=seed)
-    net.gates_enabled = True
     return net
 
 
@@ -116,7 +115,7 @@ class TestElboLoss:
 
     def test_duplicated_batch_same_scaled_loss(self):
         net = small_net()
-        net.gates_enabled = False  # deterministic pass isolates the N/|B| scaling
+        net.set_gate_mode(None)  # deterministic pass isolates the N/|B| scaling
         cfg = TrainConfig(weight_decay=0.0)
         x = np.random.default_rng(1).normal(size=(8, 6))
         y = np.tile([0, 1], 4)
@@ -128,7 +127,7 @@ class TestElboLoss:
 
     def test_weight_decay_adds_half_wd_squared_norm_with_gradient_wd_w(self):
         net = small_net()
-        net.gates_enabled = False
+        net.set_gate_mode(None)
         x = np.random.default_rng(2).normal(size=(4, 6))
         y = np.array([0, 1, 1, 0])
         plain, _ = elbo_loss(net, (x, y), 10, TrainConfig(weight_decay=0.0), d.make_rng(0))
@@ -214,8 +213,7 @@ class TestElboLoss:
         ) / (2 * h)
 
         # single-sample pathwise gradients via the graph
-        net = build_mlp((1, 2), seed=0, gated=True)
-        net.gates_enabled = True
+        net = build_mlp((1, 2), seed=0)
         net.layers[0].w.value = w.copy()
         net.layers[0].b.value = np.zeros(2)
         gate = net.gates()[0]
@@ -506,7 +504,6 @@ class TestDbbSwitch:
         keeps = [np.sort(rng.choice(k, round(0.75 * k), replace=False))
                  for k in (20, 50, 800, 500)]
         net = shrink(build_lenet5_caffe(seed=1), keeps)
-        net.gates_enabled = True
         net.set_gate_mode(MODE_DBB)
         for g in net.gates():
             g.gamma.value = rng.normal(1.0, 0.25, g.k)
@@ -518,7 +515,7 @@ class TestDbbSwitch:
         assert np.isfinite(forward_eval(net, x[20:])).all()
         stats = runtime_prune_stats(net, Dataset(x[20:], y[20:]))
         assert stats.mean_flops < stats.static_flops  # the written gates drop units per input
-        with pytest.raises(ContractError, match="mode 'bb': they go from BB to DBB only"):
+        with pytest.raises(ContractError, match="enter mode 'bb' from mode 'dbb'"):
             net.set_gate_mode(MODE_BB)
         assert all(g.mode == MODE_DBB for g in net.gates())
 
