@@ -21,24 +21,26 @@ from .layers import LayerUnits, Network, forward_eval, unit_map
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
+# Examples per forward pass of the gate statistics, and evaluate_error's default
+EVAL_BATCH_SIZE = 500
+
 # Correlations that cannot be computed (a gate vector whose entries are all
 # equal) are recorded as this sentinel instead of propagating NaN.
 UNDEFINED_CORR = -2.0
 
 
-def _pearson(rows: np.ndarray):
-    """``r(i, j)``, the Pearson correlation of rows i and j, or None when either
-    row's entries are all equal: such a row has no correlation, though centering
-    it leaves rounding residue of about 1e-16."""
+def _pearson(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The Pearson correlations of the row pairs ``(i[n], j[n])``, NaN where
+    either row's entries are all equal: such a row has no correlation, though
+    centering it leaves rounding residue of about 1e-16."""
     centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     spread = rows.max(axis=1) > rows.min(axis=1)
-
-    def r(i: int, j: int) -> float | None:
-        if not (spread[i] and spread[j]):
-            return None
-        return float(centered[i] @ centered[j] / (norms[i] * norms[j]))
-
+    ok = spread[i] & spread[j]
+    a, b = i[ok], j[ok]
+    r = np.full(ok.shape, np.nan)
+    # (1, K) @ (K, 1) per pair: the dot that ``centered[a[n]] @ centered[b[n]]`` takes
+    r[ok] = (centered[a][:, None] @ centered[b][..., None])[:, 0, 0] / (norms[a] * norms[b])
     return r
 
 
@@ -116,16 +118,14 @@ def count_memory(net: Network, keep_counts=None) -> float:
     return 100.0 * pruned / orig
 
 
-def _gate_info_batches(net: Network, dataset: Dataset, batch_size: int = 500):
+def _gate_info_batches(net: Network, dataset: Dataset):
     """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
     if not net.gates():
         raise ContractError("gate statistics require gates")
     if len(dataset) == 0:
         raise ContractError("gate statistics need a non-empty dataset")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be positive, got {batch_size}")
-    for start in range(0, len(dataset), batch_size):
-        yield forward_eval(net, dataset.images[start : start + batch_size],
+    for start in range(0, len(dataset), EVAL_BATCH_SIZE):
+        yield forward_eval(net, dataset.images[start : start + EVAL_BATCH_SIZE],
                            return_gate_info=True)[1]
 
 
@@ -141,8 +141,7 @@ class RuntimeStats:
 
 
 def runtime_prune_stats(net: Network, dataset: Dataset,
-                        threshold: float = DEFAULT_PRUNE_THRESHOLD,
-                        batch_size: int = 500) -> RuntimeStats:
+                        threshold: float = DEFAULT_PRUNE_THRESHOLD) -> RuntimeStats:
     """Count, per test input, the units whose expected mask clears ``threshold``.
 
     Each input's masks go through the unit map, as keep sets do in
@@ -156,7 +155,7 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     kept = np.concatenate([
         np.stack([m.sum(axis=1) for m in
                   _kept_masks(units, [mask >= threshold for _, mask in info])], axis=1)
-        for info in _gate_info_batches(net, dataset, batch_size)
+        for info in _gate_info_batches(net, dataset)
     ])
     flops = _pair_total(units, kept, "macs").astype(np.float64)
     if not flops.any():
@@ -189,27 +188,19 @@ def _gate_vectors(net: Network, dataset: Dataset) -> list[np.ndarray]:
 
 def class_average_gate_correlation(net: Network, dataset: Dataset) -> CorrelationReport:
     """Correlate the per-class averages of the gate activations phi(x)."""
-    classes = np.unique(dataset.labels)
-    if any((dataset.labels == c).sum() < 2 for c in classes):
+    classes, counts = np.unique(dataset.labels, return_counts=True)
+    if (counts < 2).any():
         raise ContractError("correlation analysis needs >= 2 examples per class")
     vectors = _gate_vectors(net, dataset)
-    layer_indices = [li for li, _ in net.gated_layers()]
+    a, b = np.triu_indices(len(classes), k=1)
     matrices = []
     for mat in vectors:
-        class_mean = np.stack(
-            [mat[dataset.labels == c].mean(axis=0) for c in classes]
-        )
-        c = len(classes)
-        corr = np.full((c, c), UNDEFINED_CORR)
-        pearson = _pearson(class_mean)
-        for a in range(c):
-            corr[a, a] = 1.0
-            for b in range(a + 1, c):
-                r = pearson(a, b)
-                if r is not None:
-                    corr[a, b] = corr[b, a] = min(1.0, max(-1.0, r))
+        class_mean = np.stack([mat[dataset.labels == c].mean(axis=0) for c in classes])
+        r = _pearson(class_mean, a, b)
+        corr = np.eye(len(classes))
+        corr[a, b] = corr[b, a] = np.where(np.isnan(r), UNDEFINED_CORR, np.clip(r, -1.0, 1.0))
         matrices.append(corr)
-    return CorrelationReport(layer_indices, matrices)
+    return CorrelationReport([li for li, _ in net.gated_layers()], matrices)
 
 
 def within_cross_gate_correlation(net: Network, dataset: Dataset,
@@ -221,17 +212,11 @@ def within_cross_gate_correlation(net: Network, dataset: Dataset,
     vectors = _gate_vectors(net, dataset)
     if not -len(vectors) <= layer < len(vectors):
         raise ContractError(f"layer must lie in [{-len(vectors)}, {len(vectors)}), got {layer}")
-    mat = vectors[layer]
-    labels = dataset.labels
-    pearson = _pearson(mat)
-    rng = make_rng(0)
-    n = mat.shape[0]
-    within, cross = [], []
-    for _ in range(2000):
-        i, j = rng.integers(0, n, size=2)
-        r = None if i == j else pearson(i, j)
-        if r is not None:
-            (within if labels[i] == labels[j] else cross).append(r)
-    if not within or not cross:
+    i, j = make_rng(0).integers(0, len(dataset), size=(2000, 2)).T
+    r = _pearson(vectors[layer], i, j)
+    valid = (i != j) & ~np.isnan(r)
+    same = dataset.labels[i] == dataset.labels[j]
+    within, cross = r[valid & same], r[valid & ~same]
+    if not within.size or not cross.size:
         raise ContractError("not enough valid pairs to estimate correlations")
     return float(np.mean(within)), float(np.mean(cross))

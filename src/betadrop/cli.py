@@ -123,17 +123,11 @@ def _load_data(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     return train, test
 
 
-def _train_config(cfg: dict, arch: str | None = None) -> TrainConfig:
-    """The ``train`` section as a TrainConfig.  ``arch`` names the network
-    trained (default: the config's ``model.arch``); it picks the default
-    per-layer KL multipliers."""
+def _train_config(cfg: dict) -> TrainConfig:
+    """The ``train`` section as a TrainConfig."""
     names = {f.name for f in fields(TrainConfig)}
     tc = {key: value for key, value in cfg["train"].items() if key in names}
     multipliers = tc["per_layer_kl_multipliers"]
-    if multipliers is None and (arch or cfg["model"]["arch"]) == "lenet5_caffe":
-        # conv-layer KL is underweighted by the small filter counts;
-        # conventional compensation for this architecture
-        multipliers = [20.0, 8.0, 1.0, 1.0]
     tc["per_layer_kl_multipliers"] = None if multipliers is None else tuple(multipliers)
     return TrainConfig(**tc).validate()
 
@@ -194,7 +188,7 @@ def _cmd_train(args, cfg) -> int:
                 f"{args.command} requires gates, which prune with fold_masks=true folds "
                 "into the weights; re-run prune with fold_masks=false"
             )
-    tconf = _train_config(cfg, net.meta.get("arch"))
+    tconf = _train_config(cfg)
     train, test = _load_data(cfg)
     log = MetricsLog(os.path.join(_outdir(cfg), log_name))
     trainer(net, train, tconf, epochs=cfg["train"][epochs_key], eval_data=test, log=log)

@@ -138,26 +138,34 @@ def synthetic_two_cluster(n: int, d: int, seed: int = 0, noise: float = 0.3) -> 
 
 def batches_per_epoch(n: int, batch_size: int) -> int:
     """Number of minibatches :func:`batch_iterator` yields per epoch of n examples."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
     count = -(-n // batch_size)
     return count - 1 if n % batch_size == 1 else count
 
 
 def batch_iterator(dataset: Dataset, batch_size: int, seed: int, epochs: int = 1):
-    """Yield (images, labels) minibatches; each epoch is a fresh seeded permutation.
+    """An iterator of (images, labels) minibatches, a fresh seeded permutation per epoch.
 
     The final partial batch of an epoch is kept.  When it would hold a single
     example, that example is folded into the batch before it, which then
     holds ``batch_size + 1``: batch statistics (DBB gates) need at least two
-    examples.  Two iterators constructed with the same seed produce identical
-    batch sequences.
+    examples, so a dataset of fewer than two has no batch.  The arguments are
+    checked at the call, not at the first batch.  Two iterators constructed
+    with the same seed produce identical batch sequences.
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be positive, got {batch_size}")
     n = len(dataset)
+    count = batches_per_epoch(n, batch_size)
     if batch_size > n:
         raise ContractError(f"batch_size {batch_size} exceeds dataset size {n}")
-    rng = make_rng(seed)
-    count = batches_per_epoch(n, batch_size)
+    if n < 2:
+        raise ContractError(f"batching needs at least 2 examples, got {n}")
+    return _batches(dataset, batch_size, count, make_rng(seed), epochs)
+
+
+def _batches(dataset: Dataset, batch_size: int, count: int, rng, epochs: int):
+    """The generator behind :func:`batch_iterator`, once its checks have passed."""
+    n = len(dataset)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for i in range(count):

@@ -55,6 +55,10 @@ INIT_KAPPA = 0.1
 # constant input unit divides by a finite number.
 SIGMA_FLOOR = 1e-3
 
+# Added under the square root of a DBB gate's batch variance, so a constant input
+# unit's raw standard deviation is not 0 and its gradient stays finite.
+VARIANCE_EPS = 1e-12
+
 # the arrays a gate holds in each mode, in checkpoint payload order, each with
 # how the gate holds it: as a trainable leaf, a constant leaf or a plain array
 MODE_ARRAYS = {
@@ -308,7 +312,7 @@ def dbb_phi_node(gate: GateState, x: Node, pi: Node, beta: Node) -> Node:
     if n < 2:
         raise ContractError("DBB training forward needs a batch of at least 2 examples")
     centered = x.value - x.value.mean(axis=0)
-    sigma_raw = np.sqrt((centered * centered).mean(axis=0) + 1e-12)
+    sigma_raw = np.sqrt((centered * centered).mean(axis=0) + VARIANCE_EPS)
     sigma = np.maximum(sigma_raw, SIGMA_FLOOR)
     xhat = centered * (1.0 / sigma)
     factor = gate.gate_factor(xhat, beta.value)

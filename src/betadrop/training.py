@@ -10,7 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import DEFAULT_PRUNE_THRESHOLD, count_flops, count_memory, prune_by_threshold
+from .analysis import (DEFAULT_PRUNE_THRESHOLD, EVAL_BATCH_SIZE, count_flops, count_memory,
+                       prune_by_threshold)
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
 from .distributions import make_rng
@@ -27,6 +28,9 @@ from .reporting import SparsityReport
 
 NOISE_SEED_OFFSET = 1_000_003  # decorrelates the noise stream from the shuffle stream
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# KL multipliers per architecture when the config sets none (else all 1): the
+# conventional compensation for lenet5_caffe's small conv filter counts
+DEFAULT_KL_MULTIPLIERS = {"lenet5_caffe": (20.0, 8.0, 1.0, 1.0)}
 
 
 @dataclass
@@ -63,10 +67,12 @@ class TrainConfig:
         return self
 
     def multipliers_for(self, net: Network) -> tuple:
+        """One KL multiplier per gate: as configured, else the defaults of ``net``'s arch."""
         gates = net.gates()
-        if self.per_layer_kl_multipliers is None:
-            return tuple(1.0 for _ in gates)
-        mult = tuple(float(m) for m in self.per_layer_kl_multipliers)
+        mult = self.per_layer_kl_multipliers
+        if mult is None:
+            mult = DEFAULT_KL_MULTIPLIERS.get(net.meta.get("arch"), (1.0,) * len(gates))
+        mult = tuple(float(m) for m in mult)
         if len(mult) != len(gates):
             raise ContractError(
                 f"{len(mult)} KL multipliers for {len(gates)} gated layers"
@@ -145,7 +151,7 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
     return loss, {"nll": float(nll.value), "kl": float(kl)}
 
 
-def evaluate_error(net: Network, dataset: Dataset, batch_size: int = 500) -> float:
+def evaluate_error(net: Network, dataset: Dataset, batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Top-1 error percentage of the deterministic evaluation pass."""
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
@@ -202,6 +208,10 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     (q(pi)) are read-only constants, checked after every step to still be
     the arrays each gate froze.
     """
+    n_total = len(data)
+    per_epoch = batches_per_epoch(n_total, config.batch_size)
+    # built first: a dataset it cannot batch is refused before the network changes
+    stream = batch_iterator(data, config.batch_size, seed=config.seed, epochs=epochs)
     net.set_gate_mode(gate_mode)
     if gate_mode is None:
         rates = [(net.parameters(), config.lr_variational)]
@@ -213,11 +223,8 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     frozen = [(p, raw) for g in net.gates() if gate_mode == MODE_DBB
               for p, raw in zip((g.a_raw, g.b_raw), g.frozen[2])]
     noise_rng = make_rng(config.seed + NOISE_SEED_OFFSET)
-    n_total = len(data)
     losses: list[float] = []
     step = 0
-    per_epoch = batches_per_epoch(n_total, config.batch_size)
-    stream = batch_iterator(data, config.batch_size, seed=config.seed, epochs=epochs)
     for epoch in range(epochs):
         epoch_nll = 0.0
         epoch_kl = 0.0

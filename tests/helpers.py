@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference and complex-step gradient
-oracles, the Kumaraswamy density, assertions, IDX writing, and checkpoint
-manifest edits."""
+oracles, the Kumaraswamy density, a per-pair Pearson correlation, assertions,
+IDX writing, and checkpoint manifest edits."""
 
 import json
 import struct
@@ -93,6 +93,16 @@ def keep_set_forward(net, x, keep_sets):
 
     with ad.no_grad():
         return layers._walk(net, x, kept_mask, layers._graph_conv).value
+
+
+def pearson_oracle(rows, i, j):
+    """The Pearson correlation of rows i and j of ``rows``, one pair at a time,
+    or None when either row's entries are all equal."""
+    if not (rows[i].max() > rows[i].min() and rows[j].max() > rows[j].min()):
+        return None
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    return float(centered[i] @ centered[j] / (norms[i] * norms[j]))
 
 
 def interior_gates(net, rng, mode):

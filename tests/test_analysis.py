@@ -10,6 +10,7 @@ import pytest
 from betadrop import distributions as d
 from betadrop.analysis import (
     UNDEFINED_CORR,
+    _pearson,
     class_average_gate_correlation,
     count_flops,
     count_memory,
@@ -36,7 +37,7 @@ from betadrop.reporting import (
     parse_report_csv,
 )
 
-from helpers import glyph_images
+from helpers import glyph_images, pearson_oracle
 
 
 class TestPruneByThreshold:
@@ -191,12 +192,6 @@ class TestRuntimeStats:
         stats = runtime_prune_stats(net, ds)
         assert (stats.kept_per_input == [6, 4]).all()
         assert stats.mean_flops == stats.static_flops
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_is_contract_error(self, batch_size):
-        ds = Dataset(d.make_rng(1).normal(size=(10, 6)), np.zeros(10, dtype=np.int64))
-        with pytest.raises(ContractError, match="batch_size"):
-            runtime_prune_stats(make_dbb_net(), ds, batch_size=batch_size)
 
     def test_dominance_per_input(self):
         net = make_dbb_net(seed=3)
@@ -380,6 +375,59 @@ class TestCorrelation:
         ds = Dataset(np.zeros((3, 6)), np.array([0, 0, 1]))
         with pytest.raises(ContractError):
             class_average_gate_correlation(net, ds)
+
+
+class TestPearson:
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    def test_matches_the_per_pair_oracle(self, n_rows):
+        rng = d.make_rng(n_rows)
+        rows = rng.random((n_rows, 12))
+        rows[1::3] = rows[1::3, :1]  # constant rows, each of its own value
+        i, j = rng.integers(0, n_rows, size=(2, 400))
+        i[:n_rows] = j[:n_rows] = np.arange(n_rows)  # every i == j pair
+        r = _pearson(rows, i, j)
+        assert r.shape == (400,)
+        for n in range(400):
+            want = pearson_oracle(rows, i[n], j[n])
+            if want is None:
+                assert np.isnan(r[n])
+            else:
+                assert abs(r[n] - want) <= 1e-15
+
+    @pytest.mark.parametrize("n_classes", [1, 4])
+    def test_class_matrix_is_the_clipped_oracle(self, n_classes):
+        net = make_dbb_net(seed=13)
+        rng = d.make_rng(13)
+        labels = np.arange(60) % n_classes
+        ds = Dataset(rng.normal(size=(60, 6)) + labels[:, None], labels.astype(np.int64))
+        report = class_average_gate_correlation(net, ds)
+        gate_vectors = forward_eval(net, ds.images, return_gate_info=True)[1]
+        for mat, (_, masks) in zip(report.matrices, gate_vectors):
+            means = np.stack([masks[labels == c].mean(axis=0) for c in range(n_classes)])
+            for a in range(n_classes):
+                for b in range(n_classes):
+                    want = 1.0 if a == b else pearson_oracle(means, a, b)
+                    want = UNDEFINED_CORR if want is None else min(1.0, max(-1.0, want))
+                    assert abs(mat[a, b] - want) <= 1e-15
+
+    def test_within_cross_is_a_loop_over_the_oracle(self, two_stage):
+        _, test, _, net = two_stage
+        masks = forward_eval(net, test.images, return_gate_info=True)[1][-1][1]
+        rng = d.make_rng(0)
+        within, cross = [], []
+        for _ in range(2000):
+            i, j = rng.integers(0, len(masks), size=2)
+            r = None if i == j else pearson_oracle(masks, i, j)
+            if r is not None:
+                (within if test.labels[i] == test.labels[j] else cross).append(r)
+        got = within_cross_gate_correlation(net, test)
+        assert np.abs(np.subtract(got, (np.mean(within), np.mean(cross)))).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [7, 300, 10_000])
+    def test_one_draw_of_all_pairs_gives_the_pairs_drawn_one_by_one(self, n):
+        rng = d.make_rng(0)
+        one_by_one = [rng.integers(0, n, size=2) for _ in range(2000)]
+        assert np.array_equal(d.make_rng(0).integers(0, n, size=(2000, 2)), one_by_one)
 
 
 @pytest.mark.parametrize(

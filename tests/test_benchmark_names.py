@@ -1,9 +1,11 @@
-"""The names that the benchmark under ``perfbench/`` reads from betadrop.
+"""The names that the benchmark under ``perfbench/`` reads from betadrop, and
+the shapes of the calls it makes.
 
 Its tracer wraps functions by identity, in every betadrop module that holds
 them, and patches ``GateState.expected_mask`` and ``update_running_stats`` on
 the class; its workloads and smoke check call further names.  A dropped or
-moved name breaks the benchmark while the rest of this suite still passes.
+moved name, or a changed signature, breaks the benchmark while the rest of
+this suite still passes.
 """
 
 import functools
@@ -13,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from betadrop import autodiff, gates, layers
+from betadrop import analysis, autodiff, data, gates, layers, training
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.distributions import make_rng
 from betadrop.gates import GateState
@@ -102,3 +104,33 @@ def test_training_builds_its_gate_graph_through_the_names_the_tracer_rebinds(mon
     assert calls == {"sample_pi_node": 2, "kl_bb_node": 2, "concrete_mask_node": 2,
                      "beta_sample_node": per_gate, "dbb_phi_node": per_gate,
                      "kl_beta_gaussian_node": per_gate}
+
+
+def test_the_benchmark_calls_keep_their_shapes(monkeypatch):
+    # the tracer reads each batch iterator through its __next__
+    iterators = []
+    original = data.batch_iterator
+
+    def traced(*args, **kwargs):
+        wait = original(*args, **kwargs).__next__
+        iterators.append(wait)
+        while True:
+            try:
+                item = wait()
+            except StopIteration:
+                return
+            yield item
+
+    monkeypatch.setattr(training, "batch_iterator", traced)
+    # a train workload's step: one finetune call on one batch, again and again on one network
+    batch = data.synthetic_two_cluster(10, 6, seed=0)
+    net = layers.build_mlp((6, 5, 2), seed=0)
+    config = training.TrainConfig(batch_size=10, seed=0)
+    for _ in range(2):
+        assert len(training.finetune_dbb(net, batch, config, epochs=1)) == 1
+    assert len(iterators) == 2
+    # the inference workload
+    test = data.synthetic_two_cluster(30, 6, seed=1)
+    assert 0.0 <= training.evaluate_error(net, test, batch_size=500) <= 100.0
+    stats = analysis.runtime_prune_stats(net, test, 1e-3)
+    assert stats.kept_per_input.shape == (30, 2)

@@ -282,13 +282,14 @@ class TestUsageErrors:
         assert "kl_scales" in out and "threshold" in out
 
     def test_lenet5_kl_multiplier_convention(self):
+        net = build_lenet5_caffe()
         cfg = validate_config({"model": {"arch": "lenet5_caffe"}})
-        assert _train_config(cfg).per_layer_kl_multipliers == (20.0, 8.0, 1.0, 1.0)
+        assert _train_config(cfg).multipliers_for(net) == (20.0, 8.0, 1.0, 1.0)
         explicit = validate_config(
             {"model": {"arch": "lenet5_caffe"},
              "train": {"per_layer_kl_multipliers": [1, 1, 1, 1]}}
         )
-        assert _train_config(explicit).per_layer_kl_multipliers == (1, 1, 1, 1)
+        assert _train_config(explicit).multipliers_for(net) == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("command,stage,trainer", [
         ("train-bb", "pretrained", "finetune_bb"), ("train-dbb", "bb_pruned", "finetune_dbb"),
@@ -317,7 +318,7 @@ class TestUsageErrors:
         assert real.__name__ == trainer
 
         def spy(net, data, config, **kwargs):
-            seen.append(config.per_layer_kl_multipliers)
+            seen.append(config.multipliers_for(net))
             return real(net, data, config, **kwargs)
 
         monkeypatch.setitem(cli._TRAINING, command, (spy, *rest))

@@ -190,6 +190,18 @@ class TestBatchIterator:
         with pytest.raises(ContractError):
             next(batch_iterator(ds, 11, seed=0))
 
+    @pytest.mark.parametrize("n,batch_size", [(10, 0), (10, -1), (10, 11), (0, 1), (1, 1)],
+                             ids=["zero", "negative", "oversized", "empty", "one-example"])
+    def test_unbatchable_arguments_refused_at_the_call(self, n, batch_size):
+        ds = Dataset(np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
+        with pytest.raises(ContractError):
+            batch_iterator(ds, batch_size, seed=0)  # no next(): the call itself refuses
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batches_per_epoch_refuses_a_batch_size_below_one(self, batch_size):
+        with pytest.raises(ContractError, match="batch_size must be positive"):
+            batches_per_epoch(10, batch_size)
+
 
 class TestSplit:
     def test_split_sizes_and_disjoint(self):

@@ -286,6 +286,19 @@ class TestMetricsLog:
         assert (tmp_path / "log.csv").read_text().splitlines()[1].endswith(",nan")
 
 
+@pytest.mark.parametrize("n,batch_size", [(0, 100), (1, 100), (1, 1), (10, 0)],
+                         ids=["empty", "one-example", "one-example-batch-1", "batch-0"])
+@pytest.mark.parametrize("trainer", [pretrain, finetune_bb], ids=lambda f: f.__name__)
+def test_data_it_cannot_batch_is_refused_before_the_network_changes(trainer, n, batch_size):
+    net = build_mlp((4, 3, 2), seed=0)
+    before = [p.value.copy() for p in net.parameters()]
+    data = Dataset(np.zeros((n, 4)), np.zeros(n, dtype=np.int64))
+    with pytest.raises(ContractError):
+        trainer(net, data, TrainConfig(batch_size=batch_size), epochs=2)
+    assert "stage" not in net.meta and len(net.gates()) == 2
+    assert all(np.array_equal(p.value, v) for p, v in zip(net.parameters(), before))
+
+
 class TestPretrain:
     def test_linearly_separable_low_error(self):
         ds = synthetic_planted_sparsity(400, 8, 8, seed=0)  # every feature useful
