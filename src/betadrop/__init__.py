@@ -3,13 +3,14 @@ dropout gates (input-independent and input-dependent), structured pruning,
 and accuracy/FLOPs/memory reporting."""
 
 from .analysis import (
-    CorrelationReport,
     RuntimeStats,
     class_average_gate_correlation,
     count_flops,
     count_memory,
+    gate_masks,
     prune_by_threshold,
     runtime_prune_stats,
+    within_cross_gate_correlation,
 )
 from .autodiff import Node, backward
 from .checkpoint import load_checkpoint, save_checkpoint

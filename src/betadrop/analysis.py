@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .distributions import make_rng
-from .errors import ContractError, PruneCollapseError
+from .errors import ContractError, DimensionError, PruneCollapseError
 from .gates import MODE_BB
 from .layers import LayerUnits, Network, forward_eval, unit_map
 
@@ -118,15 +118,20 @@ def count_memory(net: Network, keep_counts=None) -> float:
     return 100.0 * pruned / orig
 
 
-def _gate_info_batches(net: Network, dataset: Dataset):
-    """Per batch of ``dataset``, the per-gate (input, expected mask) pairs."""
+def _mask_batches(net: Network, images: np.ndarray):
+    """Per batch of ``images``, the per-gate masks that one evaluation pass applies."""
     if not net.gates():
         raise ContractError("gate statistics require gates")
-    if len(dataset) == 0:
+    if len(images) == 0:
         raise ContractError("gate statistics need a non-empty dataset")
-    for start in range(0, len(dataset), EVAL_BATCH_SIZE):
-        yield forward_eval(net, dataset.images[start : start + EVAL_BATCH_SIZE],
-                           return_gate_info=True)[1]
+    for start in range(0, len(images), EVAL_BATCH_SIZE):
+        yield forward_eval(net, images[start : start + EVAL_BATCH_SIZE], return_masks=True)[1]
+
+
+def gate_masks(net: Network, images: np.ndarray) -> list[np.ndarray]:
+    """Per gated layer, the (N, K) expected masks of the N ``images``, from one
+    evaluation pass: the input of both gate correlation statistics."""
+    return [np.concatenate(chunks) for chunks in zip(*_mask_batches(net, images))]
 
 
 @dataclass
@@ -154,68 +159,55 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     units = unit_map(net)
     kept = np.concatenate([
         np.stack([m.sum(axis=1) for m in
-                  _kept_masks(units, [mask >= threshold for _, mask in info])], axis=1)
-        for info in _gate_info_batches(net, dataset)
+                  _kept_masks(units, [mask >= threshold for mask in masks])], axis=1)
+        for masks in _mask_batches(net, dataset.images)
     ])
     flops = _pair_total(units, kept, "macs").astype(np.float64)
     if not flops.any():
-        raise PruneCollapseError(
-            f"threshold {threshold} leaves no multiply-accumulate for any input"
-        )
-    static = _pair_total(units, None, "macs")
-    return RuntimeStats(
-        kept_per_input=kept,
-        mean_kept=kept.mean(axis=0),
-        flops_per_input=flops,
-        mean_flops=float(flops.mean()),
-        static_flops=static,
-    )
+        raise PruneCollapseError(f"threshold {threshold} leaves no multiply-accumulate "
+                                 "for any input")
+    return RuntimeStats(kept_per_input=kept, mean_kept=kept.mean(axis=0), flops_per_input=flops,
+                        mean_flops=float(flops.mean()),
+                        static_flops=_pair_total(units, None, "macs"))
 
 
-@dataclass
-class CorrelationReport:
-    """Per gated layer, Pearson correlations between class-average gate vectors."""
-
-    layer_indices: list[int]
-    matrices: list[np.ndarray]  # each (C, C); UNDEFINED_CORR marks undefined entries
-
-
-def _gate_vectors(net: Network, dataset: Dataset) -> list[np.ndarray]:
-    """Per gated layer, the (N, K) matrix of per-input expected masks."""
-    masks = [[mask for _, mask in info] for info in _gate_info_batches(net, dataset)]
-    return [np.concatenate(chunks) for chunks in zip(*masks)]
+def _check_rows(mask: np.ndarray, labels: np.ndarray) -> None:
+    """A mask matrix must hold one row per label, and at least one row."""
+    if len(mask) != len(labels):
+        raise DimensionError(f"{len(labels)} labels for a mask matrix of {len(mask)} rows")
+    if len(mask) == 0:
+        raise ContractError("gate statistics need a non-empty dataset")
 
 
-def class_average_gate_correlation(net: Network, dataset: Dataset) -> CorrelationReport:
-    """Correlate the per-class averages of the gate activations phi(x)."""
-    classes, counts = np.unique(dataset.labels, return_counts=True)
+def class_average_gate_correlation(masks, labels) -> list[np.ndarray]:
+    """Per (N, K) mask matrix of :func:`gate_masks`, the (C, C) Pearson
+    correlations between the C classes' average masks, in label order, with
+    UNDEFINED_CORR where a class average's entries are all equal."""
+    labels = np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     if (counts < 2).any():
         raise ContractError("correlation analysis needs >= 2 examples per class")
-    vectors = _gate_vectors(net, dataset)
     a, b = np.triu_indices(len(classes), k=1)
     matrices = []
-    for mat in vectors:
-        class_mean = np.stack([mat[dataset.labels == c].mean(axis=0) for c in classes])
+    for mask in masks:
+        _check_rows(mask, labels)
+        class_mean = np.stack([mask[labels == c].mean(axis=0) for c in classes])
         r = _pearson(class_mean, a, b)
         corr = np.eye(len(classes))
         corr[a, b] = corr[b, a] = np.where(np.isnan(r), UNDEFINED_CORR, np.clip(r, -1.0, 1.0))
         matrices.append(corr)
-    return CorrelationReport([li for li, _ in net.gated_layers()], matrices)
+    return matrices
 
 
-def within_cross_gate_correlation(net: Network, dataset: Dataset,
-                                  layer: int = -1) -> tuple[float, float]:
-    """Mean Pearson correlation of per-input gate vectors for same-class vs
-    different-class input pairs at one gated layer (default: the last),
-    over 2000 input pairs drawn with seed 0.
-    ``layer`` counts gated layers and may be negative, as a list index."""
-    vectors = _gate_vectors(net, dataset)
-    if not -len(vectors) <= layer < len(vectors):
-        raise ContractError(f"layer must lie in [{-len(vectors)}, {len(vectors)}), got {layer}")
-    i, j = make_rng(0).integers(0, len(dataset), size=(2000, 2)).T
-    r = _pearson(vectors[layer], i, j)
+def within_cross_gate_correlation(mask: np.ndarray, labels) -> tuple[float, float]:
+    """Mean Pearson correlation of one (N, K) mask matrix's rows over same-class
+    and over different-class pairs, of 2000 input pairs drawn with seed 0."""
+    labels = np.asarray(labels)
+    _check_rows(mask, labels)
+    i, j = make_rng(0).integers(0, len(mask), size=(2000, 2)).T
+    r = _pearson(mask, i, j)
     valid = (i != j) & ~np.isnan(r)
-    same = dataset.labels[i] == dataset.labels[j]
+    same = labels[i] == labels[j]
     within, cross = r[valid & same], r[valid & ~same]
     if not within.size or not cross.size:
         raise ContractError("not enough valid pairs to estimate correlations")

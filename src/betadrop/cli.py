@@ -20,6 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .analysis import (
     class_average_gate_correlation,
+    gate_masks,
     runtime_prune_stats,
     within_cross_gate_correlation,
 )
@@ -275,17 +276,17 @@ def _cmd_report(args, cfg) -> int:
 def _cmd_analyze_correlation(args, cfg) -> int:
     net = _load_input(args, cfg, any_stage=True)
     _, test = _load_data(cfg)
-    report = class_average_gate_correlation(net, test)
+    masks = gate_masks(net, test.images)
+    matrices = class_average_gate_correlation(masks, test.labels)
     out = _outdir(cfg)
-    for li, matrix in zip(report.layer_indices, report.matrices):
+    for (li, _), matrix in zip(net.gated_layers(), matrices):
         mat_path = os.path.join(out, f"gate_correlation_layer{li}.csv")
         with open(mat_path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for row in matrix:
                 writer.writerow([repr(float(v)) for v in row])
-    within, cross = within_cross_gate_correlation(net, test)
-    _result(layers=len(report.matrices), within_corr=within, cross_corr=cross,
-            out=out)
+    within, cross = within_cross_gate_correlation(masks[-1], test.labels)
+    _result(layers=len(matrices), within_corr=within, cross_corr=cross, out=out)
     return 0
 
 

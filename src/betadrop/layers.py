@@ -236,24 +236,24 @@ def forward_train(net: Network, x: np.ndarray, rng, tau: float = 0.1,
     return _walk(net, x, sampled_mask, _graph_conv), kl_terms
 
 
-def forward_eval(net: Network, x: np.ndarray, return_gate_info: bool = False):
+def forward_eval(net: Network, x: np.ndarray, return_masks: bool = False):
     """Deterministic evaluation pass with expected masks, built under no_grad.
 
-    With ``return_gate_info`` also returns, per gated layer, the gate input
-    and the applied expected mask (both per example).
+    With ``return_masks`` also returns, per gated layer, the (batch, K) mask it
+    applied, uncopied and read-only; a BB gate's is one row broadcast.
     """
-    gate_info: list[tuple[np.ndarray, np.ndarray]] = []
+    masks: list[np.ndarray] = []
 
     def expected_mask(k: int, gate: GateState, bsz: int, gate_input) -> Node:
-        x_in = gate_input().value if gate.mode == MODE_DBB or return_gate_info else None
+        x_in = gate_input().value if gate.mode == MODE_DBB else None
         mask = np.broadcast_to(gate.expected_mask(x_in), (bsz, gate.k))
-        if return_gate_info:
-            gate_info.append((x_in.copy(), mask.copy()))
+        if return_masks:
+            masks.append(mask)
         return ad.constant(mask)
 
     with ad.no_grad():
         logits = _walk(net, x, expected_mask, _tiled_conv).value
-    return (logits, gate_info) if return_gate_info else logits
+    return (logits, masks) if return_masks else logits
 
 
 # ---------------------------------------------------------------------------

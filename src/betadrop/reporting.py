@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,10 @@ class SparsityReport:
     kept_counts: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        # the name goes unescaped into the SVG and the RESULT line's key=value pairs
+        if not (isinstance(self.method, str) and re.fullmatch(r"[\w.-]+", self.method, re.ASCII)):
+            raise DomainError(f"method must be a non-empty run of letters, digits, '_', '.' "
+                              f"and '-', got {self.method!r}")
         if not (math.isfinite(self.kl_scale) and math.isfinite(self.speedup)):
             raise DomainError(f"kl_scale and speedup must be finite, got {self.kl_scale} and "
                               f"{self.speedup}")

@@ -23,6 +23,7 @@ import betadrop.distributions as d
 from betadrop.analysis import (
     count_flops,
     count_memory,
+    gate_masks,
     runtime_prune_stats,
     within_cross_gate_correlation,
     class_average_gate_correlation,
@@ -302,13 +303,13 @@ def test_criterion_7_two_stage_dominance(two_stage):
         threshold = 1e-3
         stats = runtime_prune_stats(stage2, test, threshold)
         # stage-1 keep decision re-evaluated on the frozen posterior
-        for gi, g in enumerate(stage2.gates()):
+        _, masks = forward_eval(stage2, test.images, return_masks=True)
+        for g, mask in zip(stage2.gates(), masks):
             e_pi = g.expected_pi()
             static_kept = e_pi >= threshold
-            _, info = forward_eval(stage2, test.images, return_gate_info=True)
-            per_input = info[gi][1] >= threshold
+            per_input = mask >= threshold
             assert (per_input <= static_kept[None, :]).all()
-            assert (info[gi][1] <= (1 - g.eps) * e_pi[None, :] + 1e-15).all()
+            assert (mask <= (1 - g.eps) * e_pi[None, :] + 1e-15).all()
         assert stats.mean_flops <= stats.static_flops
         assert (stats.flops_per_input <= stats.static_flops).all()
 
@@ -316,10 +317,10 @@ def test_criterion_7_two_stage_dominance(two_stage):
 def test_criterion_11_correlation_structure(two_stage):
     with criterion(11, "within-class gate correlation exceeds cross-class at the last gated layer"):
         _, test, _, stage2 = two_stage
-        within, cross = within_cross_gate_correlation(stage2, test, layer=-1)
+        masks = gate_masks(stage2, test.images)
+        within, cross = within_cross_gate_correlation(masks[-1], test.labels)
         assert within > cross, f"within {within:.3f} vs cross {cross:.3f}"
-        report = class_average_gate_correlation(stage2, test)
-        off_diag = report.matrices[-1][0, 1]
+        off_diag = class_average_gate_correlation(masks, test.labels)[-1][0, 1]
         assert off_diag < 1.0
 
 

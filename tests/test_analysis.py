@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from betadrop import autodiff as ad
 from betadrop import distributions as d
 from betadrop.analysis import (
     UNDEFINED_CORR,
@@ -14,12 +15,13 @@ from betadrop.analysis import (
     class_average_gate_correlation,
     count_flops,
     count_memory,
+    gate_masks,
     prune_by_threshold,
     runtime_prune_stats,
     within_cross_gate_correlation,
 )
 from betadrop.data import Dataset
-from betadrop.errors import ContractError, PruneCollapseError
+from betadrop.errors import ContractError, DimensionError, DomainError, PruneCollapseError
 from betadrop.gates import MODE_DBB
 from betadrop.layers import (
     Network,
@@ -216,8 +218,7 @@ class TestRuntimeStats:
         a = stats.kept_per_input[:20, 0].mean()
         b = stats.kept_per_input[20:, 0].mean()
         assert a == b  # symmetric construction keeps counts equal...
-        _, info = forward_eval(net, x, return_gate_info=True)
-        mask = info[0][1]
+        mask = forward_eval(net, x, return_masks=True)[1][0]
         # ...but the kept *sets* are disjoint halves
         kept_a = mask[0] >= 1e-3
         kept_b = mask[-1] >= 1e-3
@@ -256,7 +257,13 @@ class TestRuntimeStats:
         conv2 = net.gates()[1]
         conv2.gamma.value[7], conv2.eta.value[7] = 1.0, 0.0
         conv2.run_std[7] = 1.0
-        conv2.run_mean[7] = np.median(forward_eval(net, x, return_gate_info=True)[1][1][0][:, 7])
+        # conv2's channel means, the DBB gate's input, from graph ops alone
+        first, second = net.layers[:2]
+        h = ad.conv2d(ad.constant(x.transpose(1, 2, 3, 0)), first.w, first.b)
+        first_mask = first.gate.expected_mask(ad.global_avg_pool(h).value)
+        h = ad.scale_channels(ad.relu(ad.maxpool2x2(h)), ad.constant(first_mask))
+        means = ad.global_avg_pool(ad.conv2d(h, second.w, second.b)).value
+        conv2.run_mean[7] = np.median(means[:, 7])
         stats = runtime_prune_stats(net, Dataset(x, np.zeros(12, dtype=np.int64)))
         channels = stats.kept_per_input[:, 1]
         assert sorted(channels) == [49] * 6 + [50] * 6
@@ -281,10 +288,10 @@ class TestRuntimeStats:
         forward_train(net, glyph_images(100, 31)[0], rng)  # sets the running statistics
         x = glyph_images(20, 32)[0]
         stats = runtime_prune_stats(net, Dataset(x, np.zeros(20, dtype=np.int64)))
-        _, info = forward_eval(net, x, return_gate_info=True)
+        _, masks = forward_eval(net, x, return_masks=True)
         dropped = 0
         for n in range(20):
-            own = [np.flatnonzero(mask[n] >= 1e-3) for _, mask in info]
+            own = [np.flatnonzero(mask[n] >= 1e-3) for mask in masks]
             assert all(k.size for k in own)
             small = shrink(net, own)
             assert [g.k for g in small.gates()] == stats.kept_per_input[n].tolist()
@@ -306,9 +313,7 @@ class TestCorrelation:
             g.gamma.value = np.zeros(g.k)  # masks independent of the input
             g.eta.value = d.make_rng(9).uniform(0.2, 0.8, g.k)
         x = d.make_rng(6).normal(size=(30, 6))
-        ds = Dataset(x, np.tile([0, 1, 2], 10).astype(np.int64))
-        report = class_average_gate_correlation(net, ds)
-        for mat in report.matrices:
+        for mat in class_average_gate_correlation(gate_masks(net, x), np.tile([0, 1, 2], 10)):
             assert np.allclose(mat, 1.0)
 
     def test_two_point_anticorrelation(self):
@@ -321,16 +326,14 @@ class TestCorrelation:
         x = np.zeros((20, 6))
         x[:10, :3] = 1.5   # class 0 activates the first half
         x[10:, 3:] = 1.5   # class 1 the second half
-        ds = Dataset(x, np.repeat([0, 1], 10).astype(np.int64))
-        report = class_average_gate_correlation(net, ds)
-        assert report.matrices[0][0, 1] == pytest.approx(-1.0, abs=1e-6)
+        matrices = class_average_gate_correlation(gate_masks(net, x), np.repeat([0, 1], 10))
+        assert matrices[0][0, 1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_symmetric_unit_diagonal_on_random_data(self):
         net = make_dbb_net(seed=8)
         rng = d.make_rng(10)
-        ds = Dataset(rng.normal(size=(60, 6)), rng.integers(0, 3, 60).astype(np.int64))
-        report = class_average_gate_correlation(net, ds)
-        for mat in report.matrices:
+        x = rng.normal(size=(60, 6))
+        for mat in class_average_gate_correlation(gate_masks(net, x), rng.integers(0, 3, 60)):
             assert np.array_equal(mat, mat.T)
             assert np.allclose(np.diag(mat), 1.0)
             inside = mat[mat > UNDEFINED_CORR]
@@ -341,40 +344,26 @@ class TestCorrelation:
         g = net.gates()[0]
         g.gamma.value = np.zeros(6)
         g.eta.value = np.full(6, 0.5)  # constant masks: zero variance rows
-        ds = Dataset(
-            d.make_rng(3).normal(size=(12, 6)), np.repeat([0, 1], 6).astype(np.int64)
-        )
-        report = class_average_gate_correlation(net, ds)
-        mat = report.matrices[0]
+        masks = gate_masks(net, d.make_rng(3).normal(size=(12, 6)))
+        mat = class_average_gate_correlation(masks, np.repeat([0, 1], 6))[0]
         assert np.allclose(np.diag(mat), 1.0)
         assert mat[0, 1] == UNDEFINED_CORR
-
-    @pytest.mark.parametrize("layer", [5, 2, -3])
-    def test_within_cross_layer_out_of_range_is_contract_error(self, layer):
-        net = make_dbb_net(seed=12)  # input-dependent masks: the gate vectors vary
-        rng = d.make_rng(12)
-        ds = Dataset(rng.normal(size=(40, 6)), np.repeat([0, 1], 20).astype(np.int64))
-        with pytest.raises(ContractError, match=r"must lie in \[-2, 2\)"):
-            within_cross_gate_correlation(net, ds, layer=layer)
-        assert within_cross_gate_correlation(net, ds, layer=-2) == \
-            within_cross_gate_correlation(net, ds, layer=0)
 
     def test_gate_vectors_of_equal_entries_have_no_correlation(self):
         # an untrained BB net masks every unit by E[pi] = 0.9: centering those
         # vectors leaves only rounding residue, which must not read as r = 1
         net = build_mlp((20, 8, 2), seed=0)
         rng = d.make_rng(12)
-        ds = Dataset(rng.normal(size=(40, 20)), np.repeat([0, 1], 20).astype(np.int64))
-        for mat in class_average_gate_correlation(net, ds).matrices:
+        masks, labels = gate_masks(net, rng.normal(size=(40, 20))), np.repeat([0, 1], 20)
+        for mat in class_average_gate_correlation(masks, labels):
             assert np.array_equal(mat, [[1.0, UNDEFINED_CORR], [UNDEFINED_CORR, 1.0]])
         with pytest.raises(ContractError, match="not enough valid pairs"):
-            within_cross_gate_correlation(net, ds, layer=0)
+            within_cross_gate_correlation(masks[0], labels)
 
     def test_needs_two_per_class(self):
-        net = make_dbb_net(seed=10)
-        ds = Dataset(np.zeros((3, 6)), np.array([0, 0, 1]))
-        with pytest.raises(ContractError):
-            class_average_gate_correlation(net, ds)
+        masks = gate_masks(make_dbb_net(seed=10), np.zeros((3, 6)))
+        with pytest.raises(ContractError, match=">= 2 examples per class"):
+            class_average_gate_correlation(masks, np.array([0, 0, 1]))
 
 
 class TestPearson:
@@ -399,10 +388,9 @@ class TestPearson:
         net = make_dbb_net(seed=13)
         rng = d.make_rng(13)
         labels = np.arange(60) % n_classes
-        ds = Dataset(rng.normal(size=(60, 6)) + labels[:, None], labels.astype(np.int64))
-        report = class_average_gate_correlation(net, ds)
-        gate_vectors = forward_eval(net, ds.images, return_gate_info=True)[1]
-        for mat, (_, masks) in zip(report.matrices, gate_vectors):
+        x = rng.normal(size=(60, 6)) + labels[:, None]
+        matrices = class_average_gate_correlation(gate_masks(net, x), labels)
+        for mat, masks in zip(matrices, forward_eval(net, x, return_masks=True)[1]):
             means = np.stack([masks[labels == c].mean(axis=0) for c in range(n_classes)])
             for a in range(n_classes):
                 for b in range(n_classes):
@@ -412,7 +400,7 @@ class TestPearson:
 
     def test_within_cross_is_a_loop_over_the_oracle(self, two_stage):
         _, test, _, net = two_stage
-        masks = forward_eval(net, test.images, return_gate_info=True)[1][-1][1]
+        masks = forward_eval(net, test.images, return_masks=True)[1][-1]
         rng = d.make_rng(0)
         within, cross = [], []
         for _ in range(2000):
@@ -420,7 +408,7 @@ class TestPearson:
             r = None if i == j else pearson_oracle(masks, i, j)
             if r is not None:
                 (within if test.labels[i] == test.labels[j] else cross).append(r)
-        got = within_cross_gate_correlation(net, test)
+        got = within_cross_gate_correlation(gate_masks(net, test.images)[-1], test.labels)
         assert np.abs(np.subtract(got, (np.mean(within), np.mean(cross)))).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [7, 300, 10_000])
@@ -430,22 +418,27 @@ class TestPearson:
         assert np.array_equal(d.make_rng(0).integers(0, n, size=(2000, 2)), one_by_one)
 
 
-@pytest.mark.parametrize(
-    "analysis",
-    [runtime_prune_stats, class_average_gate_correlation, within_cross_gate_correlation],
-    ids=lambda f: f.__name__,
-)
+EMPTY = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("analysis", [
+    pytest.param(lambda: runtime_prune_stats(make_dbb_net(), EMPTY), id="runtime_prune_stats"),
+    pytest.param(lambda: gate_masks(make_dbb_net(), EMPTY.images), id="gate_masks"),
+    # the statistics refuse the empty mask matrices of an empty dataset
+    pytest.param(lambda: class_average_gate_correlation([np.zeros((0, 6))], EMPTY.labels),
+                 id="class_average_gate_correlation"),
+    pytest.param(lambda: within_cross_gate_correlation(np.zeros((0, 6)), EMPTY.labels),
+                 id="within_cross_gate_correlation"),
+])
 def test_empty_dataset_is_contract_error(analysis):
-    empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ContractError, match="non-empty dataset"):
-        analysis(make_dbb_net(), empty)
+        analysis()
 
 
-@pytest.mark.parametrize(
-    "analysis",
-    [runtime_prune_stats, class_average_gate_correlation, within_cross_gate_correlation],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("analysis", [
+    pytest.param(runtime_prune_stats, id="runtime_prune_stats"),
+    pytest.param(lambda net, ds: gate_masks(net, ds.images), id="gate_masks"),
+])
 @pytest.mark.parametrize("disable", ["ungated", "folded"])
 def test_gate_statistics_without_enabled_gates_is_contract_error(analysis, disable):
     # a network loses its gates when a stage drops them or a prune folds them
@@ -458,6 +451,30 @@ def test_gate_statistics_without_enabled_gates_is_contract_error(analysis, disab
     ds = Dataset(d.make_rng(4).normal(size=(12, 6)), np.repeat([0, 1], 6).astype(np.int64))
     with pytest.raises(ContractError, match="require gates"):
         analysis(net, ds)
+
+
+@pytest.mark.parametrize("statistic", [
+    pytest.param(lambda m, y: class_average_gate_correlation([m[:, :4], m], y),
+                 id="class_average_gate_correlation"),
+    pytest.param(within_cross_gate_correlation, id="within_cross_gate_correlation"),
+])
+@pytest.mark.parametrize("n_labels", [11, 13])
+def test_labels_of_another_length_are_dimension_error(statistic, n_labels):
+    masks = d.make_rng(15).random((12, 6))
+    with pytest.raises(DimensionError, match=f"{n_labels} labels for a mask matrix of 12 rows"):
+        statistic(masks, np.arange(n_labels) % 2)
+
+
+@pytest.mark.parametrize("mode", ["bb", "dbb"])
+def test_gate_masks_stack_the_masks_of_each_batch(mode):
+    # 501 inputs are two evaluation batches, of 500 and of 1
+    net = make_dbb_net(seed=14) if mode == "dbb" else build_mlp((6, 4, 2), seed=14)
+    x = d.make_rng(14).normal(size=(501, 6))
+    batches = [forward_eval(net, x[s : s + 500], return_masks=True)[1] for s in (0, 500)]
+    masks = gate_masks(net, x)
+    assert [m.shape for m in masks] == [(501, 6), (501, 4)]
+    for mask, *chunks in zip(masks, *batches):
+        assert np.array_equal(mask, np.concatenate(chunks))
 
 
 class TestReports:
@@ -507,6 +524,19 @@ class TestReports:
                   for p in ET.parse(path).getroot().findall(f"{ns}polyline")}
         assert points == {"series-bb": "45.00,252.69 191.25,190.38 337.50,107.31",
                           "series-dbb": "64.50,315.00 435.00,45.00"}
+
+    @pytest.mark.parametrize("method", ["", "bb&dbb", 'x"<y', "bb dbb", "bb\n", "é"])
+    def test_method_outside_the_name_rule_is_domain_error(self, method):
+        # the name goes unescaped into the SVG and the RESULT line
+        with pytest.raises(DomainError, match="method must be a non-empty run"):
+            SparsityReport(method, 1.0, 1.0, 2.0, 50.0, [])
+
+    def test_svg_of_names_within_the_rule_is_well_formed(self, tmp_path):
+        methods = ["bb", "dbb-matched_1.5", "L0"]
+        path = tmp_path / "plot.svg"
+        emit_tradeoff_svg([SparsityReport(m, 1.0, 1.0, 2.0, 50.0, [3]) for m in methods], path)
+        texts = [t.text for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert sorted(methods) == sorted(texts[2:])
 
     def test_invalid_report_values_rejected(self):
         with pytest.raises(ValueError):

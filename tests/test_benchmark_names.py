@@ -10,7 +10,9 @@ this suite still passes.
 
 import functools
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +136,26 @@ def test_the_benchmark_calls_keep_their_shapes(monkeypatch):
     assert 0.0 <= training.evaluate_error(net, test, batch_size=500) <= 100.0
     stats = analysis.runtime_prune_stats(net, test, 1e-3)
     assert stats.kept_per_input.shape == (30, 2)
+
+
+def test_runtime_stats_count_alike_under_the_tracer():
+    # the tracer's forward_eval wrapper names each call by len(x) and by its
+    # caller's span, and passes the rest of the call through
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    net = layers.build_mlp((6, 5, 2), seed=0)
+    net.set_gate_mode(gates.MODE_DBB)
+    layers.forward_train(net, make_rng(1).normal(size=(40, 6)), make_rng(2))
+    test = data.synthetic_two_cluster(501, 6, seed=1)  # batches of 500 and of 1
+    untraced = analysis.runtime_prune_stats(net, test, 1e-3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = analysis.runtime_prune_stats(net, test, 1e-3)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced.kept_per_input, untraced.kept_per_input)
+    spans = [tracer.names[i] for i in tracer.sid]
+    assert spans.count("layers.forward_eval_other") == spans.count("layers.forward_eval_b1") == 1

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import betadrop
-from betadrop import cli
+from betadrop import analysis, cli
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
 from betadrop.config import validate_config
 from betadrop.errors import CheckpointError
 from betadrop.gates import MODE_DBB
-from betadrop.layers import build_lenet5_caffe, build_mlp, shrink
+from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
 from betadrop.reporting import CSV_HEADER, parse_report_csv
 from betadrop.training import TrainConfig
 
@@ -248,8 +248,10 @@ class TestUsageErrors:
          "line 2: kl_scale and speedup must be finite"),
         (REPORT_HEADER + "bb,1.0,150.0,2.0,50.0,4-3\n",
          "line 2: error_pct must lie in [0, 100], got 150.0"),
+        (REPORT_HEADER + "bb&dbb,1.0,0.5,2.0,50.0,4-3\n",
+         "line 2: method must be a non-empty run of letters, digits"),
     ], ids=["header", "short-row", "text-kl-scale", "speedup-below-1", "nan-error",
-            "inf-speedup", "error-above-100"])
+            "inf-speedup", "error-above-100", "method-outside-the-name-rule"])
     def test_malformed_sweep_csv_is_runtime_error(self, tmp_path, capsys, text, named):
         cfg = write_config(tmp_path)
         (tmp_path / "run").mkdir()
@@ -463,6 +465,22 @@ class TestPipeline:
         line = last_result(capsys)
         assert "within_corr=" in line and "cross_corr=" in line
         assert (tmp_path / "run" / "gate_correlation_layer0.csv").exists()
+
+    def test_correlation_runs_one_evaluation_pass(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg = write_config(tmp_path, train={"finetune_epochs": 2})
+        init = str(pipeline[0] / "run" / "bb_pruned.ckpt")
+        assert main(["train-dbb", "--config", str(cfg), "--init", init]) == 0
+        sizes = []
+
+        def counted(net, x, **kwargs):
+            sizes.append(len(x))
+            return forward_eval(net, x, **kwargs)
+
+        monkeypatch.setattr(analysis, "forward_eval", counted)
+        assert main(["analyze-correlation", "--config", str(cfg)]) == 0
+        assert sizes == [180]  # the 180-example test split is one batch
+        assert "within_corr=" in last_result(capsys)
 
     def test_zero_epoch_train_dbb_is_runtime_error(self, pipeline, tmp_path, capsys):
         # DBB gates take their input statistics from the first training batch,

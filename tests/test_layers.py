@@ -501,7 +501,7 @@ class TestForwardEval:
             return [p.grad.copy() for p in params]
 
         first = gradients()
-        forward_eval(net, x, return_gate_info=True)
+        forward_eval(net, x, return_masks=True)
         assert all(np.array_equal(p.grad, g) for p, g in zip(params, first))
         # the eval pass's no_grad block has ended: the next graph is linked again
         assert all(np.array_equal(a, b) for a, b in zip(gradients(), first))

@@ -426,10 +426,10 @@ class TestFinetuneDBB:
         _, test, _, dbb_net = two_stage
         masks = {}
         for cls in (0, 1):
-            _, info = forward_eval(
-                dbb_net, test.images[test.labels == cls], return_gate_info=True
+            _, gate_masks = forward_eval(
+                dbb_net, test.images[test.labels == cls], return_masks=True
             )
-            masks[cls] = info[0][1].mean(axis=0)
+            masks[cls] = gate_masks[0].mean(axis=0)
         rel = np.abs(masks[0] - masks[1]) / np.maximum(
             np.maximum(masks[0], masks[1]), 1e-12
         )
@@ -482,10 +482,10 @@ class TestFinetuneDBB:
         _, test, bb_net, _ = two_stage
         out = {}
         for cls in (0, 1):
-            _, info = forward_eval(
-                bb_net, test.images[test.labels == cls], return_gate_info=True
+            _, masks = forward_eval(
+                bb_net, test.images[test.labels == cls], return_masks=True
             )
-            out[cls] = info[0][1]
+            out[cls] = masks[0]
         # the input-independent mask is one row repeated for every example
         assert np.allclose(out[0][0], out[1][0], atol=1e-12)
         assert np.allclose(out[0].std(axis=0), 0.0, atol=1e-12)
