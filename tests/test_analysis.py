@@ -438,6 +438,11 @@ def test_empty_dataset_is_contract_error(analysis):
 @pytest.mark.parametrize("analysis", [
     pytest.param(runtime_prune_stats, id="runtime_prune_stats"),
     pytest.param(lambda net, ds: gate_masks(net, ds.images), id="gate_masks"),
+    # the correlation statistics read their mask matrices from the mask pass
+    pytest.param(lambda net, ds: class_average_gate_correlation(gate_masks(net, ds.images), ds.labels),
+                 id="class_average_gate_correlation"),
+    pytest.param(lambda net, ds: within_cross_gate_correlation(gate_masks(net, ds.images)[-1], ds.labels),
+                 id="within_cross_gate_correlation"),
 ])
 @pytest.mark.parametrize("disable", ["ungated", "folded"])
 def test_gate_statistics_without_enabled_gates_is_contract_error(analysis, disable):
