@@ -7,6 +7,7 @@ from .analysis import (
     class_average_gate_correlation,
     count_flops,
     count_memory,
+    evaluate_error,
     gate_masks,
     prune_by_threshold,
     runtime_prune_stats,
@@ -39,7 +40,6 @@ from .training import (
     TrainConfig,
     adam_step,
     elbo_loss,
-    evaluate_error,
     finetune_bb,
     finetune_dbb,
     pretrain,

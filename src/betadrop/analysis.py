@@ -21,7 +21,7 @@ from .layers import LayerUnits, Network, forward_eval, unit_map
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
-# Examples per forward pass of the gate statistics, and evaluate_error's default
+# Examples per forward pass of every evaluation, and evaluate_error's default
 EVAL_BATCH_SIZE = 500
 
 # Correlations that cannot be computed (a gate vector whose entries are all
@@ -118,20 +118,40 @@ def count_memory(net: Network, keep_counts=None) -> float:
     return 100.0 * pruned / orig
 
 
-def _mask_batches(net: Network, images: np.ndarray):
-    """Per batch of ``images``, the per-gate masks that one evaluation pass applies."""
-    if not net.gates():
+def _eval_batches(net: Network, images: np.ndarray, batch_size=EVAL_BATCH_SIZE, masks=False):
+    """The one evaluation loop: per batch of ``images``, its rows and its
+    ``forward_eval`` output, which holds the batch's masks when ``masks``."""
+    if masks and not net.gates():
         raise ContractError("gate statistics require gates")
     if len(images) == 0:
-        raise ContractError("gate statistics need a non-empty dataset")
-    for start in range(0, len(images), EVAL_BATCH_SIZE):
-        yield forward_eval(net, images[start : start + EVAL_BATCH_SIZE], return_masks=True)[1]
+        raise ContractError("evaluation needs a non-empty dataset")
+    for start in range(0, len(images), batch_size):
+        rows = slice(start, start + batch_size)
+        yield rows, forward_eval(net, images[rows], return_masks=masks)
+
+
+def _misses(logits: np.ndarray, labels: np.ndarray) -> int:
+    """How many of ``logits``' top-1 predictions differ from ``labels``."""
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise DimensionError(f"labels must lie in [0, {logits.shape[1]}) for "
+                             f"{logits.shape[1]} outputs")
+    return int((logits.argmax(axis=1) != labels).sum())
+
+
+def evaluate_error(net: Network, dataset: Dataset, batch_size: int = EVAL_BATCH_SIZE) -> float:
+    """Top-1 error percentage of the deterministic evaluation pass."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
+    wrong = sum(_misses(logits, dataset.labels[rows])
+                for rows, logits in _eval_batches(net, dataset.images, batch_size))
+    return 100.0 * wrong / len(dataset)
 
 
 def gate_masks(net: Network, images: np.ndarray) -> list[np.ndarray]:
     """Per gated layer, the (N, K) expected masks of the N ``images``, from one
     evaluation pass: the input of both gate correlation statistics."""
-    return [np.concatenate(chunks) for chunks in zip(*_mask_batches(net, images))]
+    return [np.concatenate(chunks) for chunks in
+            zip(*(masks for _, (_, masks) in _eval_batches(net, images, masks=True)))]
 
 
 @dataclass
@@ -143,6 +163,7 @@ class RuntimeStats:
     flops_per_input: np.ndarray  # (N,)
     mean_flops: float
     static_flops: int  # the network as-is, no runtime pruning
+    error_pct: float  # top-1 error of the same pass, as evaluate_error gives it
 
 
 def runtime_prune_stats(net: Network, dataset: Dataset,
@@ -157,18 +178,20 @@ def runtime_prune_stats(net: Network, dataset: Dataset,
     if net.gate_mode == MODE_BB:
         raise ContractError("runtime statistics require DBB-mode gates")
     units = unit_map(net)
-    kept = np.concatenate([
-        np.stack([m.sum(axis=1) for m in
-                  _kept_masks(units, [mask >= threshold for mask in masks])], axis=1)
-        for masks in _mask_batches(net, dataset.images)
-    ])
+    kept, wrong = [], 0
+    for rows, (logits, masks) in _eval_batches(net, dataset.images, masks=True):
+        wrong += _misses(logits, dataset.labels[rows])
+        kept.append(np.stack([m.sum(axis=1) for m in
+                              _kept_masks(units, [mask >= threshold for mask in masks])], axis=1))
+    kept = np.concatenate(kept)
     flops = _pair_total(units, kept, "macs").astype(np.float64)
     if not flops.any():
         raise PruneCollapseError(f"threshold {threshold} leaves no multiply-accumulate "
                                  "for any input")
     return RuntimeStats(kept_per_input=kept, mean_kept=kept.mean(axis=0), flops_per_input=flops,
                         mean_flops=float(flops.mean()),
-                        static_flops=_pair_total(units, None, "macs"))
+                        static_flops=_pair_total(units, None, "macs"),
+                        error_pct=100.0 * wrong / len(dataset))
 
 
 def _check_rows(mask: np.ndarray, labels: np.ndarray) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .analysis import (
     class_average_gate_correlation,
+    evaluate_error,
     gate_masks,
     runtime_prune_stats,
     within_cross_gate_correlation,
@@ -36,7 +37,6 @@ from .training import (
     MetricsLog,
     TrainConfig,
     derive_seed,
-    evaluate_error,
     finetune_bb,
     finetune_dbb,
     pretrain,
@@ -130,7 +130,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     tc = {key: value for key, value in cfg["train"].items() if key in names}
     multipliers = tc["per_layer_kl_multipliers"]
     tc["per_layer_kl_multipliers"] = None if multipliers is None else tuple(multipliers)
-    return TrainConfig(**tc).validate()
+    return TrainConfig(**tc)
 
 
 def _outdir(cfg: dict) -> str:
@@ -168,6 +168,14 @@ def _result(**kv) -> None:
     print("RESULT " + " ".join(parts))
 
 
+def _test_error(net: Network, test, cfg) -> tuple:
+    """(test error, RuntimeStats of a DBB network, else None) from one pass."""
+    if net.gate_mode != MODE_DBB:
+        return evaluate_error(net, test), None
+    stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
+    return stats.error_pct, stats
+
+
 # training command -> (trainer, epochs key, log file)
 _TRAINING = {
     "pretrain": (pretrain, "pretrain_epochs", "pretrain_log.csv"),
@@ -197,12 +205,9 @@ def _cmd_train(args, cfg) -> int:
     path = _ckpt_path(cfg, stage)
     save_checkpoint(net, path)
     train_err = {} if net.gates() else {"train_err": evaluate_error(net, train)}
-    runtime = {}
-    if net.gate_mode == MODE_DBB:
-        runtime["mean_runtime_flops"] = runtime_prune_stats(
-            net, test, cfg["prune"]["threshold"]).mean_flops
-    _result(stage=stage, checkpoint=path, **train_err, test_err=evaluate_error(net, test),
-            **runtime)
+    err, stats = _test_error(net, test, cfg)
+    runtime = {} if stats is None else {"mean_runtime_flops": stats.mean_flops}
+    _result(stage=stage, checkpoint=path, **train_err, test_err=err, **runtime)
     return 0
 
 
@@ -221,10 +226,9 @@ def _cmd_prune(args, cfg) -> int:
 def _cmd_evaluate(args, cfg) -> int:
     net = _load_input(args, cfg, any_stage=True)
     _, test = _load_data(cfg)
-    err = evaluate_error(net, test)
+    err, stats = _test_error(net, test, cfg)
     extras = {}
-    if net.gate_mode == MODE_DBB:
-        stats = runtime_prune_stats(net, test, cfg["prune"]["threshold"])
+    if stats is not None:
         flops_orig = net.meta.get("flops_orig", stats.static_flops)
         extras["runtime_speedup"] = flops_orig / stats.mean_flops
         extras["mean_runtime_flops"] = stats.mean_flops
@@ -245,7 +249,7 @@ def _emit_reports(reports: list[SparsityReport], cfg: dict, csv_name: str) -> in
 
 def _cmd_sweep(args, cfg) -> int:
     tconf = _train_config(cfg)
-    run_confs = [replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i)).validate()
+    run_confs = [replace(tconf, kl_scale=float(scale), seed=derive_seed(tconf.seed, i))
                  for i, scale in enumerate(cfg["sweep"]["kl_scales"])]
     if not run_confs:
         raise ContractError("sweep.kl_scales must hold at least one scale")

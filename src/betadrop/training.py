@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import (DEFAULT_PRUNE_THRESHOLD, EVAL_BATCH_SIZE, count_flops, count_memory,
+from .analysis import (DEFAULT_PRUNE_THRESHOLD, count_flops, count_memory, evaluate_error,
                        prune_by_threshold)
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
@@ -23,7 +23,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gates import MODE_BB, MODE_DBB
-from .layers import RHO_VAR_DEFAULT, Network, forward_eval, forward_train, shrink
+from .layers import RHO_VAR_DEFAULT, Network, forward_train, shrink
 from .reporting import SparsityReport
 
 NOISE_SEED_OFFSET = 1_000_003  # decorrelates the noise stream from the shuffle stream
@@ -39,7 +39,8 @@ class TrainConfig:
 
     ``lr_weights`` defaults to 0.1 * lr_variational (weights move slower than
     the variational parameters during fine-tuning; pretraining uses the base
-    rate).  ``kl_scale`` >= 1 keeps the scaled objective a valid bound.
+    rate).  ``kl_scale`` >= 1 keeps the scaled objective a valid bound.  Every
+    construction (``dataclasses.replace`` too) refuses a setting out of range.
     """
 
     batch_size: int = 100
@@ -55,7 +56,11 @@ class TrainConfig:
     def effective_lr_weights(self) -> float:
         return 0.1 * self.lr_variational if self.lr_weights is None else self.lr_weights
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
+        numbers = (self.lr_variational, self.effective_lr_weights(), self.kl_scale, self.tau,
+                   self.rho_var, self.weight_decay, *(self.per_layer_kl_multipliers or ()))
+        if not all(np.isfinite(v) for v in numbers):
+            raise ContractError(f"training settings must be finite numbers, got {self}")
         if self.kl_scale < 1.0:
             raise ContractError(f"kl_scale must be >= 1, got {self.kl_scale}")
         if self.lr_variational <= 0.0 or self.effective_lr_weights() <= 0.0:
@@ -64,7 +69,12 @@ class TrainConfig:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
-        return self
+        if any(m < 0.0 for m in self.per_layer_kl_multipliers or ()):
+            raise ContractError(f"KL multipliers must be >= 0, got {self.per_layer_kl_multipliers}")
+        if self.rho_var <= 0.0:
+            raise ContractError(f"rho_var must be positive, got {self.rho_var}")
+        if self.weight_decay < 0.0:
+            raise ContractError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
     def multipliers_for(self, net: Network) -> tuple:
         """One KL multiplier per gate: as configured, else the defaults of ``net``'s arch."""
@@ -149,24 +159,6 @@ def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,
 
     loss = ad.fused(value, [nll, *kls, *weights], vjp)
     return loss, {"nll": float(nll.value), "kl": float(kl)}
-
-
-def evaluate_error(net: Network, dataset: Dataset, batch_size: int = EVAL_BATCH_SIZE) -> float:
-    """Top-1 error percentage of the deterministic evaluation pass."""
-    if len(dataset) == 0:
-        raise ContractError("cannot evaluate on an empty dataset")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be positive, got {batch_size}")
-    wrong = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start : start + batch_size]
-        y = dataset.labels[start : start + batch_size]
-        logits = forward_eval(net, x)
-        width = logits.shape[1]
-        if y.size and (y.min() < 0 or y.max() >= width):
-            raise DimensionError(f"labels must lie in [0, {width}) for {width} outputs")
-        wrong += int((logits.argmax(axis=1) != y).sum())
-    return 100.0 * wrong / len(dataset)
 
 
 def _expected_flops(net: Network) -> float:

@@ -15,6 +15,7 @@ from betadrop.analysis import (
     class_average_gate_correlation,
     count_flops,
     count_memory,
+    evaluate_error,
     gate_masks,
     prune_by_threshold,
     runtime_prune_stats,
@@ -185,6 +186,23 @@ class TestRuntimeStats:
         ds = Dataset(d.make_rng(1).normal(size=(10, 6)), np.zeros(10, dtype=np.int64))
         with pytest.raises(PruneCollapseError, match="no multiply-accumulate for any input"):
             runtime_prune_stats(net, ds, threshold=0.95)
+
+    def test_error_is_evaluate_errors_over_two_batches(self):
+        # 501 inputs run as a batch of 500 and a batch of 1
+        net = make_dbb_net(seed=2)
+        ds = Dataset(d.make_rng(3).normal(size=(501, 6)), d.make_rng(4).integers(0, 2, 501))
+        stats = runtime_prune_stats(net, ds)
+        assert 0.0 < stats.error_pct < 100.0
+        assert stats.error_pct == evaluate_error(net, ds)
+
+    @pytest.mark.parametrize("row,label", [(0, 2), (500, 2), (500, -1)],
+                             ids=["first-batch", "second-batch", "negative"])
+    def test_labels_beyond_the_outputs_are_dimension_error(self, row, label):
+        labels = np.zeros(501, dtype=np.int64)
+        labels[row] = label
+        ds = Dataset(d.make_rng(3).normal(size=(501, 6)), labels)
+        with pytest.raises(DimensionError, match="2 outputs"):
+            runtime_prune_stats(make_dbb_net(seed=2), ds)
 
     def test_saturated_gates_match_static_counts(self):
         net = make_dbb_net()

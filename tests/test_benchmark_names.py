@@ -34,7 +34,8 @@ BENCHMARK_NAMES = {
                  "finetune_bb", "finetune_dbb"],
     "data": ["batch_iterator", "synthetic_two_cluster", "synthetic_planted_sparsity",
              "load_idx", "Dataset"],
-    "analysis": ["runtime_prune_stats", "count_flops", "count_memory", "prune_by_threshold"],
+    "analysis": ["runtime_prune_stats", "evaluate_error", "count_flops", "count_memory",
+                 "prune_by_threshold"],
     "checkpoint": ["save_checkpoint", "load_checkpoint"],
     "config": ["load_config"],
     "cli": ["main", "shrink"],
@@ -43,7 +44,8 @@ BENCHMARK_NAMES = {
 # names a module holds for the benchmark, which must be the defining object,
 # since the tracer finds what to rebind by identity
 REEXPORTS = [("layers.concrete_mask_node", "gates.concrete_mask_node"),
-             ("cli.shrink", "layers.shrink"), ("training.forward_train", "layers.forward_train")]
+             ("cli.shrink", "layers.shrink"), ("training.forward_train", "layers.forward_train"),
+             ("training.evaluate_error", "analysis.evaluate_error")]
 
 GATE_GRAPH = ["sample_pi_node", "beta_sample_node", "dbb_phi_node", "concrete_mask_node",
               "kl_bb_node", "kl_beta_gaussian_node"]
@@ -149,13 +151,21 @@ def test_runtime_stats_count_alike_under_the_tracer():
     net.set_gate_mode(gates.MODE_DBB)
     layers.forward_train(net, make_rng(1).normal(size=(40, 6)), make_rng(2))
     test = data.synthetic_two_cluster(501, 6, seed=1)  # batches of 500 and of 1
-    untraced = analysis.runtime_prune_stats(net, test, 1e-3)
-    tracer = tracer_module.Tracer()
-    tracer.install()
-    try:
-        traced = analysis.runtime_prune_stats(net, test, 1e-3)
-    finally:
-        tracer.uninstall()
-    assert np.array_equal(traced.kept_per_input, untraced.kept_per_input)
-    spans = [tracer.names[i] for i in tracer.sid]
-    assert spans.count("layers.forward_eval_other") == spans.count("layers.forward_eval_b1") == 1
+    # each call, read from the module the benchmark reads it from, and the
+    # spans its traced call must record once each
+    cases = [(lambda: analysis.runtime_prune_stats(net, test, 1e-3).kept_per_input,
+              ["layers.forward_eval_other", "layers.forward_eval_b1"]),
+             (lambda: training.evaluate_error(net, test, batch_size=500),
+              ["training.evaluate_error", "layers.forward_eval_batched",
+               "layers.forward_eval_b1"])]
+    for call, names in cases:
+        untraced = call()
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            traced = call()
+        finally:
+            tracer.uninstall()
+        assert np.array_equal(traced, untraced)
+        spans = [tracer.names[i] for i in tracer.sid]
+        assert [spans.count(name) for name in names] == [1] * len(names), spans

@@ -13,7 +13,7 @@ import betadrop
 from betadrop import analysis, cli
 from betadrop.checkpoint import load_checkpoint, save_checkpoint
 from betadrop.cli import _train_config, main
-from betadrop.config import validate_config
+from betadrop.config import load_config, validate_config
 from betadrop.errors import CheckpointError
 from betadrop.gates import MODE_DBB
 from betadrop.layers import build_lenet5_caffe, build_mlp, forward_eval, shrink
@@ -481,6 +481,31 @@ class TestPipeline:
         assert main(["analyze-correlation", "--config", str(cfg)]) == 0
         assert sizes == [180]  # the 180-example test split is one batch
         assert "within_corr=" in last_result(capsys)
+
+    def test_each_command_evaluates_the_test_split_once(self, pipeline, tmp_path, monkeypatch):
+        # train-dbb's log evaluates the test split after each of its 2 epochs;
+        # its RESULT line, and evaluate's, read the error and the runtime
+        # counts from one further pass
+        cfg = write_config(tmp_path, train={"finetune_epochs": 2})
+        _, test = cli._load_data(load_config(cfg))
+        passes = []
+
+        def counted(net, x, **kwargs):
+            passes.append(np.array_equal(x, test.images))
+            return forward_eval(net, x, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "betadrop" or name.startswith("betadrop."):
+                for attr, value in list(vars(module).items()):
+                    if value is forward_eval:
+                        monkeypatch.setattr(module, attr, counted)
+        init = str(pipeline[0] / "run" / "bb_pruned.ckpt")
+        assert main(["train-dbb", "--config", str(cfg), "--init", init]) == 0
+        assert passes.count(True) == 3
+        passes.clear()
+        dbb = str(tmp_path / "run" / "dbb.ckpt")
+        assert main(["evaluate", "--config", str(cfg), "--init", dbb]) == 0
+        assert passes == [True]
 
     def test_zero_epoch_train_dbb_is_runtime_error(self, pipeline, tmp_path, capsys):
         # DBB gates take their input statistics from the first training batch,

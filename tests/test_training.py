@@ -46,16 +46,38 @@ from helpers import glyph_images, gradcheck, keep_set_forward
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        cfg = TrainConfig().validate()
+        cfg = TrainConfig()
         assert cfg.effective_lr_weights() == pytest.approx(1e-4)
 
     def test_kl_scale_below_one_rejected(self):
         with pytest.raises(ContractError):
-            TrainConfig(kl_scale=0.5).validate()
+            TrainConfig(kl_scale=0.5)
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ContractError):
-            TrainConfig(tau=0.0).validate()
+            TrainConfig(tau=0.0)
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"per_layer_kl_multipliers": (-50.0, -50.0)}, "KL multipliers must be >= 0"),
+        ({"per_layer_kl_multipliers": (1.0, -1e-9)}, "KL multipliers must be >= 0"),
+        ({"rho_var": 0.0}, "rho_var must be positive"),
+        ({"rho_var": -1.0}, "rho_var must be positive"),
+        ({"weight_decay": -1.0}, "weight_decay must be non-negative"),
+        # the CLI's config checker refuses a number that is not finite
+        ({"kl_scale": float("nan")}, "must be finite"),
+        ({"tau": float("inf")}, "must be finite"),
+        ({"rho_var": float("nan")}, "must be finite"),
+        ({"lr_weights": float("inf")}, "must be finite"),
+        ({"per_layer_kl_multipliers": (1.0, float("nan"))}, "must be finite"),
+    ], ids=["multipliers-negative", "one-multiplier-negative", "rho-var-zero",
+            "rho-var-negative", "weight-decay-negative", "kl-scale-nan", "tau-inf",
+            "rho-var-nan", "lr-weights-inf", "multiplier-nan"])
+    def test_settings_out_of_range_rejected_at_construction(self, setting, message):
+        with pytest.raises(ContractError, match=message):
+            TrainConfig(**setting)
+        # replace builds a new config through the same checks
+        with pytest.raises(ContractError, match=message):
+            replace(TrainConfig(), **setting)
 
     def test_multiplier_count_checked(self):
         net = build_mlp((4, 3, 2))
@@ -373,8 +395,10 @@ class TestFinetuneBB:
         ds = synthetic_planted_sparsity(200, 6, 3, seed=3)
         ds.labels = rng.integers(0, 2, size=len(ds)).astype(np.int64)  # random labels
         net = build_mlp((6, 5, 2), seed=3)
-        cfg = TrainConfig(batch_size=50, lr_variational=0.005, kl_scale=0.0, seed=3)
-        finetune_bb(net, ds, cfg, epochs=25)  # 100 steps, debug-only scale
+        # no KL pressure: every layer's multiplier is 0
+        cfg = TrainConfig(batch_size=50, lr_variational=0.005, kl_scale=1.0,
+                          per_layer_kl_multipliers=(0.0, 0.0), seed=3)
+        finetune_bb(net, ds, cfg, epochs=25)  # 100 steps
         for g in net.gates():
             assert np.abs(g.expected_pi() - 0.9).max() < 0.05
 
