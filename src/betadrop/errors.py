@@ -29,10 +29,6 @@ class TrainingDivergedError(BetadropError, RuntimeError):
         super().__init__(message or f"training diverged at step {step}")
 
 
-class InvariantViolationError(BetadropError, RuntimeError):
-    """An internal invariant (e.g. frozen parameters) was broken."""
-
-
 class CheckpointError(BetadropError, RuntimeError):
     """Base class for checkpoint load failures."""
 

@@ -78,8 +78,8 @@ class GateState:
     three, and the first DBB training batch the running statistics.  A DBB
     gate's q(pi) is frozen, so ``frozen`` holds its E[pi] and KL, computed
     once when it enters DBB or is built, and the two raw arrays they come
-    from, which it makes read-only; it is None in a BB gate and is no
-    checkpoint array."""
+    from, all arrays read-only.  Every read of its q(pi) checks that the raws
+    are still those.  ``frozen`` is None in a BB gate and no checkpoint array."""
 
     a_raw: Node
     b_raw: Node
@@ -108,10 +108,10 @@ class GateState:
         if self.gamma is not None:
             a, b = self.a(), self.b()
             kl = kl_kumaraswamy_beta(a, b, self.alpha_over_k, digamma(b)).sum()
-            raws = (self.a_raw.value, self.b_raw.value)
-            for raw in raws:
-                raw.flags.writeable = False
-            self.frozen = (kumaraswamy_mean(a, b), kl, raws)
+            pi, raws = kumaraswamy_mean(a, b), (self.a_raw.value, self.b_raw.value)
+            for array in (pi, *raws):
+                array.flags.writeable = False
+            self.frozen = (pi, kl, raws)
 
     def _frozen(self) -> tuple:
         """A DBB gate's stored (E[pi], KL); ContractError if a raw was rebound since."""
@@ -139,6 +139,8 @@ class GateState:
 
     def arrays(self) -> dict:
         """The gate's arrays by name in :data:`MODE_ARRAYS` order, less unset statistics."""
+        if self.frozen is not None:
+            self._frozen()
         values = ((name, getattr(self, name)) for name in MODE_ARRAYS[self.mode])
         return {name: getattr(v, "value", v) for name, v in values if v is not None}
 
@@ -172,7 +174,9 @@ class GateState:
         return softplus(self.kappa_raw.value)
 
     def expected_pi(self) -> np.ndarray:
-        """E_q[pi_k], the input-independent expected keep probability."""
+        """E_q[pi_k]; a DBB gate's is the read-only array stored when q(pi) froze."""
+        if self.frozen is not None:
+            return self._frozen()[0]
         return kumaraswamy_mean(self.a(), self.b())
 
     def update_running_stats(self, batch: np.ndarray) -> None:
@@ -213,7 +217,7 @@ class GateState:
             raise ContractError("DBB expected_mask requires initialized input statistics")
         x = np.asarray(x, dtype=np.float64)
         xhat = (x - self.run_mean) / self.run_std
-        return self._frozen()[0] * self.gate_factor(xhat, self.eta.value)
+        return self.expected_pi() * self.gate_factor(xhat, self.eta.value)
 
     def gate_factor(self, xhat: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """clamp(gamma * xhat + shift, eps, 1 - eps) for standardized inputs."""

@@ -15,13 +15,7 @@ from .analysis import (DEFAULT_PRUNE_THRESHOLD, count_flops, count_memory, evalu
 from .autodiff import Node
 from .data import Dataset, batch_iterator, batches_per_epoch
 from .distributions import make_rng
-from .errors import (
-    ContractError,
-    DimensionError,
-    InvariantViolationError,
-    PruneCollapseError,
-    TrainingDivergedError,
-)
+from .errors import ContractError, DimensionError, PruneCollapseError, TrainingDivergedError
 from .gates import MODE_BB, MODE_DBB
 from .layers import RHO_VAR_DEFAULT, Network, forward_train, shrink
 from .reporting import SparsityReport
@@ -33,14 +27,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 DEFAULT_KL_MULTIPLIERS = {"lenet5_caffe": (20.0, 8.0, 1.0, 1.0)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """All training hyperparameters.
 
     ``lr_weights`` defaults to 0.1 * lr_variational (weights move slower than
     the variational parameters during fine-tuning; pretraining uses the base
     rate).  ``kl_scale`` >= 1 keeps the scaled objective a valid bound.  Every
-    construction (``dataclasses.replace`` too) refuses a setting out of range.
+    construction (``dataclasses.replace`` too) refuses a setting out of range,
+    and a built config's fields cannot be assigned.
     """
 
     batch_size: int = 100
@@ -197,8 +192,7 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
     MODE_BB (default BB gates on a network without them) and MODE_DBB train
     the weights at ``effective_lr_weights()`` and the gates' trainable
     parameters at ``lr_variational``.  In MODE_DBB the Kumaraswamy raws
-    (q(pi)) are read-only constants, checked after every step to still be
-    the arrays each gate froze.
+    (q(pi)) are read-only constants.
     """
     n_total = len(data)
     per_epoch = batches_per_epoch(n_total, config.batch_size)
@@ -212,8 +206,6 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
                  (net.variational_parameters(), config.lr_variational)]
     groups = [(params, AdamState.for_params(params), lr) for params, lr in rates]
     all_params = [p for params, _ in rates for p in params]
-    frozen = [(p, raw) for g in net.gates() if gate_mode == MODE_DBB
-              for p, raw in zip((g.a_raw, g.b_raw), g.frozen[2])]
     noise_rng = make_rng(config.seed + NOISE_SEED_OFFSET)
     losses: list[float] = []
     step = 0
@@ -231,8 +223,6 @@ def _train(net: Network, data: Dataset, config: TrainConfig, epochs: int,
             # relu maps a NaN pre-activation to 0, so a NaN weight can leave the loss finite
             if not all(np.isfinite(p.value).all() for p in all_params):
                 raise TrainingDivergedError(step)
-            if any(p.value is not raw for p, raw in frozen):
-                raise InvariantViolationError(f"keep-probability posterior changed at step {step}")
             losses.append(float(loss.value))
             epoch_nll += parts["nll"]
             epoch_kl += parts["kl"]

@@ -103,6 +103,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["pretrain", "--config", str(tmp_path / "none.json")]) == 1
+        err = capsys.readouterr().err
+        assert "config file not found" in err and "Traceback" not in err
+
+    def test_mlp_without_dims_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={"dims": None})
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "model.dims is required for arch=mlp" in err and "Traceback" not in err
+
     def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["pretrain", "--config", str(cfg), "--seed", "-3"]) == 1
@@ -144,6 +155,16 @@ class TestUsageErrors:
         assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_checkpoint_without_manifest_terminator_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "broken.ckpt"
+        save_checkpoint(build_mlp((20, 16, 2), seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: blob.index(b"\n")])  # the manifest alone
+        assert main(["evaluate", "--config", str(cfg), "--init", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "missing manifest terminator" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(WRONG_TYPED_MANIFESTS))
     def test_checkpoint_wrong_typed_value_is_runtime_error(self, tmp_path, capsys, case):
@@ -237,6 +258,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "header declares" in err and "Traceback" not in err
 
+    def test_idx_file_shorter_than_its_header_is_runtime_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(np.zeros((4, 2, 10), dtype=np.uint8), np.zeros(4), images, labels)
+        images.write_bytes(images.read_bytes()[:10])  # 10 of the header's 16 bytes
+        cfg = write_config(tmp_path, data={"kind": "idx", "images": str(images),
+                                           "labels": str(labels)})
+        assert main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "header truncated" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text,named", [
         ("method,kl,error_pct\n", "unexpected report header"),
         (REPORT_HEADER + "bb,1.0,0.5\n", "line 2: not enough values"),
@@ -250,12 +281,14 @@ class TestUsageErrors:
          "line 2: error_pct must lie in [0, 100], got 150.0"),
         (REPORT_HEADER + "bb&dbb,1.0,0.5,2.0,50.0,4-3\n",
          "line 2: method must be a non-empty run of letters, digits"),
+        (None, "no sweep CSV at"),
     ], ids=["header", "short-row", "text-kl-scale", "speedup-below-1", "nan-error",
-            "inf-speedup", "error-above-100", "method-outside-the-name-rule"])
+            "inf-speedup", "error-above-100", "method-outside-the-name-rule", "no-file"])
     def test_malformed_sweep_csv_is_runtime_error(self, tmp_path, capsys, text, named):
         cfg = write_config(tmp_path)
         (tmp_path / "run").mkdir()
-        (tmp_path / "run" / "sweep.csv").write_text(text)
+        if text is not None:
+            (tmp_path / "run" / "sweep.csv").write_text(text)
         assert main(["report", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
@@ -326,6 +359,26 @@ class TestUsageErrors:
         monkeypatch.setitem(cli._TRAINING, command, (spy, *rest))
         assert main([command, "--config", str(cfg), "--init", str(tmp_path / "in.ckpt")]) == 0
         assert seen == [(20.0, 8.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("arch", ["lenet5_caffe", "lenet_500_300"])
+def test_idx_test_files_and_subsets_pretrain_each_mnist_arch(tmp_path, capsys, arch):
+    # 20 training and 10 test images; 12 and 5 of them are used
+    rng = np.random.default_rng(0)
+    paths = {key: str(tmp_path / f"{key}.idx")
+             for key in ("images", "labels", "test_images", "test_labels")}
+    pixels, digits = rng.integers(0, 256, (30, 28, 28), dtype=np.uint8), rng.integers(0, 10, 30)
+    write_idx(pixels[:20], digits[:20], paths["images"], paths["labels"])
+    write_idx(pixels[20:], digits[20:], paths["test_images"], paths["test_labels"])
+    cfg = write_config(tmp_path, model={"arch": arch},
+                       data={"kind": "idx", **paths, "train_subset": 12, "test_subset": 5},
+                       train={"batch_size": 6, "pretrain_epochs": 1})
+    assert main(["pretrain", "--config", str(cfg)]) == 0
+    fields = result_fields(last_result(capsys))
+    for key, n in (("train_err", 12), ("test_err", 5)):  # a whole number of misses
+        misses = float(fields[key]) * n / 100.0
+        assert misses == pytest.approx(round(misses), abs=1e-4), key
+    assert load_checkpoint(fields["checkpoint"]).meta["arch"] == arch
 
 
 # config key -> (GateState field, a non-default value)

@@ -11,7 +11,10 @@ import pytest
 from betadrop import autodiff as ad
 from betadrop import distributions as d
 from betadrop.errors import ContractError, DimensionError
-from betadrop.layers import build_mlp
+from betadrop.analysis import prune_by_threshold, runtime_prune_stats
+from betadrop.checkpoint import load_checkpoint, save_checkpoint
+from betadrop.data import Dataset
+from betadrop.layers import build_mlp, forward_eval, forward_train, shrink
 from betadrop.gates import (
     INIT_KAPPA,
     MODE_BB,
@@ -27,6 +30,19 @@ from betadrop.gates import (
 )
 
 from helpers import FUSED_GATES, complex_step_grads, fused_gate_case, gradcheck, sum_all
+
+
+# each read of a DBB network's q(pi), given the network, its inputs and a checkpoint path
+REBOUND_READS = {
+    "expected_pi": lambda net, x, path: net.gates()[0].expected_pi(),
+    "prune_by_threshold": lambda net, x, path: prune_by_threshold(net),
+    "save_checkpoint": lambda net, x, path: save_checkpoint(net, path),
+    "shrink": lambda net, x, path: shrink(net, [np.arange(g.k) for g in net.gates()]),
+    "forward_eval": lambda net, x, path: forward_eval(net, x),
+    "forward_train": lambda net, x, path: forward_train(net, x, d.make_rng(2)),
+    "runtime_prune_stats": lambda net, x, path: runtime_prune_stats(
+        net, Dataset(x, np.zeros(len(x), dtype=np.int64))),
+}
 
 
 def dbb_create(k, **options):
@@ -246,9 +262,6 @@ class TestFrozenPosterior:
         return d.kumaraswamy_mean(a, b), kl
 
     def test_stored_values_equal_the_closed_forms(self, tmp_path):
-        from betadrop.checkpoint import load_checkpoint, save_checkpoint
-        from betadrop.layers import forward_train
-
         net = build_mlp((5, 4, 2), seed=3, alpha_over_k=0.3)
         for g in net.gates():
             assert g.frozen is None  # a BB gate's raws train
@@ -293,6 +306,31 @@ class TestFrozenPosterior:
             gate.expected_mask(np.zeros(4))
         with pytest.raises(ContractError, match="rebound"):
             kl_bb_node(gate)
+
+    @pytest.mark.parametrize("read", sorted(REBOUND_READS))
+    @pytest.mark.parametrize("raw", ["a_raw", "b_raw"])
+    def test_every_read_refuses_a_rebound_raw(self, tmp_path, raw, read):
+        # a rebound raw must not pass for the frozen posterior: pruning,
+        # shrinking and saving would store it, so each read raises
+        net = build_mlp((6, 5, 2), seed=0)
+        net.set_gate_mode(MODE_DBB)
+        x = np.random.default_rng(0).normal(size=(8, 6))
+        forward_train(net, x, d.make_rng(1))
+        node = getattr(net.gates()[0], raw)
+        node.value = node.value + 0.5
+        path = tmp_path / "dbb.ckpt"
+        with pytest.raises(ContractError, match="rebound"):
+            REBOUND_READS[read](net, x, path)
+        assert not path.exists()
+
+    def test_stored_expected_pi_is_read_only(self):
+        gate = make_gate(4, mode=MODE_DBB)
+        e_pi = gate.expected_pi()
+        assert e_pi is gate.expected_pi()
+        with pytest.raises(ValueError, match="read-only"):
+            e_pi[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            e_pi *= 0.5
 
 
 class TestSubset:

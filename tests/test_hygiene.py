@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is used in that module."""
+package imports is used in that module, and every error class of the
+package is raised somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "betadrop"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ERRORS = PACKAGE / "errors.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +51,37 @@ def test_the_scan_finds_an_unused_import():
               "from .y import d  # noqa: F401\n"
               "__all__ = ['a']\nnp.zeros(1)\n")
     assert unused_imports(source) == ["c (line 4)", "os (line 2)"]
+
+
+def unraised_errors(errors_source: str, sources) -> list[str]:
+    """Each class that ``errors_source`` defines, but the base ``BetadropError``,
+    that no ``raise`` statement of ``sources`` names, in definition order."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef) and node.name != "BetadropError"]
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in defined if name not in raised]
+
+
+def package_sources() -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors(ERRORS.read_text(encoding="utf-8"), package_sources()) == []
+
+
+def test_the_scan_finds_an_unraised_error():
+    planted = ERRORS.read_text(encoding="utf-8") + (
+        "\n\nclass PlantedError(BetadropError, RuntimeError):\n    pass\n")
+    assert unraised_errors(planted, package_sources()) == ["PlantedError"]
+    errors = ("class BetadropError(Exception): pass\n"
+              "class CalledError(BetadropError): pass\nclass NamedError(BetadropError): pass\n"
+              "class AttrError(BetadropError): pass\nclass ReadError(BetadropError): pass\n")
+    module = ("raise CalledError('x')\nraise NamedError\nraise errors.AttrError()\n"
+              "held = ReadError\nraise ValueError(ReadError)\n")
+    assert unraised_errors(errors, [module]) == ["ReadError"]

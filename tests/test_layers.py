@@ -635,6 +635,19 @@ class TestShrink:
         with pytest.raises(PruneCollapseError, match="layer"):
             shrink(net, [np.arange(6), np.array([], dtype=int)])
 
+    def test_keep_set_count_is_contract_error(self):
+        net = build_lenet5_caffe(seed=0)
+        keeps = [np.arange(g.k) for g in net.gates()]
+        with pytest.raises(ContractError, match="expected 4 keep sets, got 3"):
+            shrink(net, keeps[:3])
+
+    def test_dense_input_of_pruned_channels_only_collapse(self):
+        # fc1's kept rows 16-31 read conv2 channel 1, which pruning removes
+        net = build_lenet5_caffe(seed=0)
+        keeps = [np.arange(20), np.array([0]), np.arange(16, 32), np.arange(500)]
+        with pytest.raises(PruneCollapseError, match="pruning removes every input of layer 2"):
+            shrink(net, keeps)
+
     def test_conv_channel_mask_zeroes_whole_channel(self):
         net = build_lenet5_caffe(seed=3)
         x = RNG.random((2, 1, 28, 28))

@@ -1,7 +1,7 @@
 """Trainer tests: Adam arithmetic, ELBO scaling and unbiasedness, stage
 behaviors (pretrain, input-independent fine-tune, frozen stage 2)."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from betadrop.data import Dataset, synthetic_planted_sparsity, synthetic_two_clu
 from betadrop.errors import (
     ContractError,
     DimensionError,
-    InvariantViolationError,
     TrainingDivergedError,
 )
 from betadrop.gates import MODE_BB, MODE_DBB
@@ -63,6 +62,7 @@ class TestTrainConfig:
         ({"rho_var": 0.0}, "rho_var must be positive"),
         ({"rho_var": -1.0}, "rho_var must be positive"),
         ({"weight_decay": -1.0}, "weight_decay must be non-negative"),
+        ({"lr_weights": -1.0}, "learning rates must be positive"),
         # the CLI's config checker refuses a number that is not finite
         ({"kl_scale": float("nan")}, "must be finite"),
         ({"tau": float("inf")}, "must be finite"),
@@ -70,7 +70,8 @@ class TestTrainConfig:
         ({"lr_weights": float("inf")}, "must be finite"),
         ({"per_layer_kl_multipliers": (1.0, float("nan"))}, "must be finite"),
     ], ids=["multipliers-negative", "one-multiplier-negative", "rho-var-zero",
-            "rho-var-negative", "weight-decay-negative", "kl-scale-nan", "tau-inf",
+            "rho-var-negative", "weight-decay-negative", "lr-weights-negative", "kl-scale-nan",
+            "tau-inf",
             "rho-var-nan", "lr-weights-inf", "multiplier-nan"])
     def test_settings_out_of_range_rejected_at_construction(self, setting, message):
         with pytest.raises(ContractError, match=message):
@@ -78,6 +79,15 @@ class TestTrainConfig:
         # replace builds a new config through the same checks
         with pytest.raises(ContractError, match=message):
             replace(TrainConfig(), **setting)
+
+    def test_fields_cannot_be_assigned(self):
+        # an assignment would skip the construction checks
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.kl_scale = 0.0
+        assert cfg.kl_scale == 1.0
+        with pytest.raises(ContractError, match="kl_scale must be >= 1"):
+            replace(cfg, kl_scale=0.0)
 
     def test_multiplier_count_checked(self):
         net = build_mlp((4, 3, 2))
@@ -481,7 +491,8 @@ class TestFinetuneDBB:
             assert g.run_mean is not None and g.run_std is not None
         assert np.isfinite(forward_eval(net, ds.images[:4])).all()
 
-    def test_changed_posterior_is_invariant_violation(self, monkeypatch):
+    def test_changed_posterior_is_refused(self, monkeypatch):
+        # the rebind in step 0's update is refused by step 1's read of q(pi)
         ds = synthetic_two_cluster(100, 8, seed=0)
         net = small_net(dims=(8, 6, 2))
         gate = net.gates()[1]
@@ -491,7 +502,7 @@ class TestFinetuneDBB:
             gate.a_raw.value = gate.a_raw.value + 1e-3
 
         monkeypatch.setattr(training, "adam_step", adam_step_that_moves_a)
-        with pytest.raises(InvariantViolationError, match="at step 0"):
+        with pytest.raises(ContractError, match="frozen"):
             finetune_dbb(net, ds, TrainConfig(batch_size=50, seed=0), epochs=1)
 
     def test_singleton_final_batch_does_not_crash(self):
