@@ -11,8 +11,16 @@ a zero-filled buffer.  Inside :func:`no_grad` the same ops build unlinked
 nodes: no parents, no backward closure, nothing kept alive (evaluation mode).
 Evaluation runs a conv layer through :func:`conv2d_pool_means` instead: it
 builds the conv output one cache-sized tile of output rows and examples at a
-time and keeps only the pooled map and the channel means.  Its example shares
-run on one thread per CPU, with the same bits for any number of threads.
+time and keeps only the pooled map and the channel means.
+
+Betadrop owns its threads.  On import it pins numpy's bundled OpenBLAS to one
+thread, and the heavy ops run shares on :func:`_share_pool`, one thread per
+CPU: the tiled pass's example shares, and in training `conv2d`, `maxpool2x2`,
+the two products of `matmul` and `scale_channels` backward, and (through
+:func:`run_elementwise`) the Adam update of a large array.  Each op shares
+only above a size taken from its shapes, and a share writes only its own
+slice of outputs that the caller allocated, so the bits are those of the
+unsplit op for any number of threads.
 
 The ops are elementwise (`add`, `mul`, `relu`), dense-layer products
 (`matmul`, `add_rowwise`, `gather_cols`), the conv stack (`conv2d`,
@@ -210,6 +218,120 @@ def zero_gradients(nodes) -> None:
 
 
 # ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+def _pin_blas() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread, for the whole process;
+    False, and nothing done, where that library or its setter is missing."""
+    import ctypes
+    import glob
+
+    here = os.path.dirname(np.__file__)
+    for lib in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas64_*"))
+                      + glob.glob(os.path.join(here, ".dylibs", "*openblas64_*"))):
+        try:
+            setter = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return True
+    return False
+
+
+# With the BLAS on one thread, only the shares below use more than one core,
+# and a GEMM's bits do not depend on the machine's thread settings.
+_pin_blas()
+
+# Multiply-adds from which a GEMM, or a pair of them, is worth two threads.
+_SHARE_WORK = 1 << 24
+# Elements from which an elementwise update or a pooling op is worth two threads.
+_SHARE_ELEMS = 1 << 18
+
+
+@functools.cache
+def _share_pool(pid: int):
+    """Process ``pid``'s threads, one per CPU it may use, for the shares of
+    :func:`conv2d_pool_means` and of the training ops (see :func:`_run_shares`)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(n or 1)
+
+
+def _halves(n: int, big: bool) -> list[slice]:
+    """``range(n)`` as two slices when ``big`` (and ``n`` > 1), else as one."""
+    h = (n + 1) // 2
+    return [slice(0, h), slice(h, n)] if big and n > 1 else [slice(0, n)]
+
+
+def _column_halves(rows: int, cols: int, work: int) -> list[slice]:
+    """A GEMM's (rows, cols) output columns as two slices, split at a multiple
+    of 64, where the halves keep its bits, else as one.  Each column then
+    meets OpenBLAS's kernels in the same blocks as in the whole GEMM (blocks
+    of 8 columns in 0.3.31's SkylakeX kernel), ``_SHARE_WORK`` multiply-adds
+    keep the halves far above the small-matrix kernels, and 2 rows keep numpy
+    off GEMV.  A half packs only its own columns, so the split adds no work."""
+    h = -(-cols // 128) * 64
+    if work >= _SHARE_WORK and rows >= 2 and h < cols:
+        return [slice(0, h), slice(h, cols)]
+    return [slice(0, cols)]
+
+
+def _row_halves(rows: int, cols: int, work: int) -> bool:
+    """Whether a GEMM with a (rows, cols) output and ``work`` multiply-adds
+    keeps its bits in two halves of its rows.  Each half must take the whole
+    GEMM's OpenBLAS path and kernel blocks: ``_SHARE_WORK`` keeps the halves
+    far above the small-matrix kernels (about 1e6 multiply-adds), 4 rows
+    keep 2 in each half (numpy hands 1 row to GEMV), and ``cols`` a multiple
+    of 16 leaves no partial block of columns, where a half's last rows could
+    meet a different kernel than the whole GEMM's."""
+    return work >= _SHARE_WORK and rows >= 4 and cols % 16 == 0
+
+
+def _run_shares(fn, parts) -> None:
+    """Call ``fn(part)`` for every part: on the calling thread when there is
+    one, else each as a share on :func:`_share_pool`.  A share writes only
+    its own slice of outputs that the caller allocated, so the bits do not
+    depend on the number of threads or their order.  Returns when all are
+    done; a share's error reaches the caller."""
+    if len(parts) > 1:
+        from concurrent.futures import wait
+
+        pool = _share_pool(os.getpid())  # a forked child makes its own
+        shares = [pool.submit(fn, part) for part in parts]
+        wait(shares)
+        for share in shares:
+            share.result()
+    else:
+        for part in parts:
+            fn(part)
+
+
+def run_elementwise(fn, *arrays: np.ndarray) -> None:
+    """Call ``fn(*arrays)`` on equal-sized arrays, once here; from
+    ``_SHARE_ELEMS`` values on, as two shares instead, each on one half of
+    the arrays' flat elements, so arrays written to must be contiguous (not
+    in ``__all__``: no node)."""
+    if arrays[0].size < _SHARE_ELEMS:
+        fn(*arrays)
+    else:
+        flat = [a.reshape(-1) for a in arrays]
+        _run_shares(lambda r: fn(*(a[r] for a in flat)), _halves(arrays[0].size, True))
+
+
+def _run_tasks(tasks: list, big: bool) -> None:
+    """Call every one of ``tasks``: as shares when ``big``, else in turn here."""
+    if big:
+        _run_shares(lambda task: task(), tasks)
+    else:
+        for task in tasks:
+            task()
+
+
+# ---------------------------------------------------------------------------
 # elementwise ops
 # ---------------------------------------------------------------------------
 
@@ -281,9 +403,15 @@ def matmul(a: Node, b: Node) -> Node:
         )
 
     def bw(g):
+        # two products, each whole: a GEMM split any finer changes its bits
+        ga, gb = np.empty(a.value.shape), np.empty(b.value.shape)
+        tasks = [lambda: np.matmul(a.value.T, g, out=gb)]
         if a.needs_grad:
-            _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+            tasks.append(lambda: np.matmul(g, b.value.T, out=ga))
+        _run_tasks(tasks, a.value.size * b.value.shape[1] >= _SHARE_WORK)
+        if a.needs_grad:
+            _acc(a, ga)
+        _acc(b, gb)
 
     return Node(a.value @ b.value, (a, b), bw)
 
@@ -363,23 +491,60 @@ def conv2d(x: Node, w: Node, b: Node) -> Node:
     is a constant, the column gradient ``wmat.T @ gmat`` (C, k, k, ho, wo, B)
     is added back one kernel tap at a time into a (C, H, W, B) buffer
     (col2im), in runs of wo*B values.
+
+    When each GEMM has at least ``_SHARE_WORK`` multiply-adds, the copy into
+    ``cols`` runs in two shares of the output rows, and backward runs dW with
+    db as one task, beside the column gradient and col2im.  dW stays one
+    GEMM, since a split of it changes its bits.  The product with its bias
+    runs in halves of its columns where :func:`_column_halves` allows, and
+    the column gradient with its col2im in halves of the input channels
+    where :func:`_row_halves` finds that halves of its rows keep the bits.
     """
     xv, wv = x.value, w.value
     win, wmat = _conv_windows(xv, wv, b.value)
     cin, ho, wo, bsz, k, _ = win.shape
-    cols = _columns(win, slice(None), slice(None))
-    val = (wmat @ cols).reshape(len(wv), ho, wo, bsz)
-    val += b.value[:, None, None, None]
+    cout, n = len(wv), ho * wo * bsz
+    work = cout * wmat.shape[1] * n  # multiply-adds of each of the three GEMMs
+    big = work >= _SHARE_WORK
+    cols = np.empty((cin * k * k, n))
+    taps = cols.reshape(cin, k, k, ho, wo, bsz)
+    _run_shares(lambda r: np.copyto(taps[:, :, :, r], win[:, r].transpose(0, 4, 5, 1, 2, 3)),
+                _halves(ho, big))
+    val = np.empty((cout, ho, wo, bsz))
+    vmat = val.reshape(cout, n)
+
+    def product(c):
+        np.matmul(wmat, cols[:, c], out=vmat[:, c])
+        vmat[:, c] += b.value[:, None]
+
+    _run_shares(product, _column_halves(cout, n, work))
 
     def bw(g):
-        gmat = g.reshape(len(wv), ho * wo * bsz)
-        _acc(w, (gmat @ cols.T).reshape(wv.shape))
-        _acc(b, gmat.sum(axis=1))
+        gmat = g.reshape(cout, n)
+        dw, db = np.empty(wmat.shape), np.empty(cout)
+
+        def params():
+            np.matmul(gmat, cols.T, out=dw)
+            np.sum(gmat, axis=1, out=db)
+
+        tasks = [params]
         if x.needs_grad:
-            dcols = (wmat.T @ gmat).reshape(cin, k, k, ho, wo, bsz)
             dx = np.zeros(xv.shape)
-            for i, j in np.ndindex(k, k):
-                dx[:, i:i + ho, j:j + wo] += dcols[:, i, j]
+            dcols = np.empty(cols.shape)
+            dtaps = dcols.reshape(cin, k, k, ho, wo, bsz)
+
+            def col2im(c):
+                rows = slice(c.start * k * k, c.stop * k * k)
+                np.matmul(wmat[:, rows].T, gmat, out=dcols[rows])
+                for i, j in np.ndindex(k, k):
+                    dx[c, i:i + ho, j:j + wo] += dtaps[c, i, j]
+
+            tasks += [functools.partial(col2im, c)
+                      for c in _halves(cin, _row_halves(cin * k * k, n, work))]
+        _run_tasks(tasks, big)
+        _acc(w, dw.reshape(wv.shape))
+        _acc(b, db)
+        if x.needs_grad:
             _acc(x, dx)
 
     return Node(val, (x, w, b), bw)
@@ -420,25 +585,15 @@ def conv2d_pool_means(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.n
             np.maximum(tile[:, 0::2, 0::2], tile[:, 0::2, 1::2], out=out)
             np.maximum(out, np.maximum(tile[:, 1::2, 0::2], tile[:, 1::2, 1::2]), out=out)
 
-    if nex < bsz:  # a forked child makes its own pool; list waits and raises
-        list(_share_pool(os.getpid()).map(share, range(0, bsz, nex)))
-    else:
-        share(0)
+    _run_shares(share, range(0, bsz, nex))
     return pooled, (sums / (ho * wo)).T
 
 
-@functools.cache
-def _share_pool(pid: int):
-    """Process ``pid``'s threads for :func:`conv2d_pool_means`, one per CPU it may use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(n or 1)
-
-
-def _later_wins(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+def _later_wins(later: np.ndarray, earlier: np.ndarray, out=None) -> np.ndarray:
     """Where ``later`` replaces ``earlier`` as the argmax: greater, or NaN over a number."""
-    return (later > earlier) | (np.isnan(later) & ~np.isnan(earlier))
+    out = np.greater(later, earlier, out=out)
+    out |= np.isnan(later) & ~np.isnan(earlier)
+    return out
 
 
 def maxpool2x2(x: Node) -> Node:
@@ -453,33 +608,52 @@ def maxpool2x2(x: Node) -> Node:
     by the same tournament in which a later position wins only when strictly
     greater (``np.greater``), or, when the output holds a NaN, also as a NaN
     against a number.  Backward scatters the gradient into a zeroed buffer
-    at the winners' flat offsets.
+    at the winners' flat offsets.  An input of at least ``_SHARE_ELEMS``
+    values is pooled, and its gradient scattered, in two shares of its
+    channels; each share asks about NaNs in its own output only.
     """
     shp = x.value.shape
     if len(shp) != 4 or shp[1] % 2 or shp[2] % 2:
         raise DimensionError(f"maxpool2x2 needs a (C, H, W, B) input, H and W even, got {shp}")
-    q00, q01, q10, q11 = (x.value[:, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    top, bottom = np.maximum(q00, q01), np.maximum(q10, q11)
-    if not (_grad_enabled and x.needs_grad):  # no winners to find: top may hold the value
-        return Node(np.maximum(top, bottom, out=top), (x,))
-    out = np.maximum(top, bottom)
-    later = _later_wins if np.isnan(out).any() else np.greater
-    lower = later(bottom, top)  # winner row
-    right = later(q01, q00)
-    right ^= lower & (later(q11, q10) ^ right)  # winner column, of the winning pair
+    c, h, w, bsz = shp
+    parts = _halves(c, x.value.size >= _SHARE_ELEMS)
+    winners = _grad_enabled and x.needs_grad  # else there are none to find
+    out = np.empty((c, h // 2, w // 2, bsz))
+    top, bottom = np.empty(out.shape), np.empty(out.shape)
+    lower, right = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
+
+    def pool(cs):
+        q00, q01, q10, q11 = (x.value[cs, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        np.maximum(q00, q01, out=top[cs])
+        np.maximum(q10, q11, out=bottom[cs])
+        np.maximum(top[cs], bottom[cs], out=out[cs])
+        if winners:
+            later = _later_wins if np.isnan(out[cs]).any() else np.greater
+            later(bottom[cs], top[cs], out=lower[cs])  # winner row
+            r = later(q01, q00, out=right[cs])
+            r ^= lower[cs] & (later(q11, q10) ^ r)  # winner column, of the winning pair
+
+    _run_shares(pool, parts)
+    if not winners:
+        return Node(out, (x,))
 
     def bw(g):
-        # flat offset of each winner: its row and column in the window, plus
-        # the offset of the window's top-left entry
-        c, h, w, bsz = shp
-        idx = lower * np.intp(w)
-        idx += right
-        idx *= bsz
-        idx += (np.arange(0, c * h * w * bsz, h * w * bsz)[:, None, None, None]
-                + np.arange(0, h * w * bsz, 2 * w * bsz)[:, None, None]
-                + np.arange(0, w * bsz, 2 * bsz)[:, None] + np.arange(bsz))
         dx = np.zeros(shp)
-        dx.reshape(-1)[idx.reshape(-1)] = g.reshape(-1)
+        idx = np.empty(out.shape, dtype=np.intp)
+
+        def scatter(cs):
+            # flat offset of each winner in its channels' block: its row and
+            # column in the window, plus the offset of the window's top-left entry
+            i = np.multiply(lower[cs], np.intp(w), out=idx[cs])
+            i += right[cs]
+            i *= bsz
+            i += np.arange(0, (cs.stop - cs.start) * h * w * bsz, h * w * bsz)[:, None, None, None]
+            i += np.arange(0, h * w * bsz, 2 * w * bsz)[:, None, None]
+            i += np.arange(0, w * bsz, 2 * bsz)[:, None]
+            i += np.arange(bsz)
+            dx[cs].reshape(-1)[i.reshape(-1)] = g[cs].reshape(-1)
+
+        _run_shares(scatter, parts)
         _acc(x, dx)
 
     return Node(out, (x,), bw)
@@ -494,8 +668,12 @@ def scale_channels(x: Node, s: Node) -> Node:
     sv = np.ascontiguousarray(s.value.T)[:, None, None, :]
 
     def bw(g):
-        _acc(x, g * sv)
-        _acc(s, (g * x.value).sum(axis=(1, 2)).T)
+        gx, gxs, gs = np.empty(x.value.shape), np.empty(x.value.shape), np.empty(s.value.shape[::-1])
+        _run_tasks([lambda: np.multiply(g, sv, out=gx),
+                    lambda: np.sum(np.multiply(g, x.value, out=gxs), axis=(1, 2), out=gs)],
+                   x.value.size >= _SHARE_ELEMS)
+        _acc(x, gx)
+        _acc(s, gs.T)
 
     return Node(x.value * sv, (x, s), bw)
 

@@ -4,6 +4,7 @@ with the keep-probability posterior frozen)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -103,28 +104,41 @@ class AdamState:
 
 def adam_step(params: list[Node], grads: list[np.ndarray], state: AdamState,
               lr: float) -> list[Node]:
-    """One in-place Adam update; reads ``grads``, writes ``param.value``."""
+    """One in-place Adam update; reads ``grads``, writes ``param.value``.
+    Each array is updated by :func:`~betadrop.autodiff.run_elementwise`, so a
+    large one in two shares of its elements."""
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
+    update = functools.partial(_adam_update, c1, c2, lr)
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match parameter {p.value.shape}"
             )
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in two temporary buffers
-        step = m / c1
-        step *= lr
-        denom = v / c2
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p.value -= step
+        # the two scratch buffers are allocated here, not in a share
+        ad.run_elementwise(update, p.value, g, m, v, np.empty(m.shape), np.empty(m.shape))
     return params
+
+
+def _adam_update(c1: float, c2: float, lr: float, p: np.ndarray, g: np.ndarray, m: np.ndarray,
+                 v: np.ndarray, step: np.ndarray, denom: np.ndarray) -> None:
+    """Adam in place on a parameter (or a slice of one), its moments and two
+    scratch buffers, from its gradient.  A ufunc's third argument is its
+    output, given by position, which costs less than a keyword on the many
+    small arrays of a dense network."""
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, step)
+    v *= ADAM_BETA2
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, denom), denom)
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, step)
+    step *= lr
+    np.divide(v, c2, denom)
+    np.sqrt(denom, denom)
+    denom += ADAM_EPS
+    step /= denom
+    p -= step
 
 
 def elbo_loss(net: Network, batch: tuple[np.ndarray, np.ndarray], n_total: int,

@@ -62,11 +62,14 @@ def sum_all(a):
 
 @contextmanager
 def share_workers(n):
-    """Within the block, ``conv2d_pool_means`` runs its example shares on a
-    pool of ``n`` threads, whatever the number of CPUs."""
+    """Within the block, every op that runs shares (the tiled evaluation pass,
+    and the conv, pooling, large-product and Adam shares of a training step)
+    runs them on a pool of ``n`` threads, whatever the number of CPUs.  Yields
+    a list that gets one entry per call that ran shares."""
+    asks = []
     with ThreadPoolExecutor(n) as pool, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad, "_share_pool", lambda pid: pool)
-        yield
+        mp.setattr(ad, "_share_pool", lambda pid: asks.append(pid) or pool)
+        yield asks
 
 
 def forced_mask_forward(net, x, masks):
